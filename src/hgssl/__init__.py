@@ -15,10 +15,9 @@ from .hypergraph import (Hypergraph, PropagationOperator, build_knn_graph,
                          knn_indices, load_operator, save_operator)
 from .labels import (LabelMatrix, NoisySplit, accuracy, decode_predictions,
                      encode_labels, inject_noise)
-from .linalg import (CgResult, as_csr, conjugate_gradient, diag_scale,
-                     sparse_dense_mul, sparse_sparse_mul)
+from .linalg import CgResult, as_csr, conjugate_gradient, diag_scale
 from .network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
-                      forward_propagated, loss_and_gradients, predict, train)
+                      loss_and_gradients, predict, train)
 from .pca import PcaModel, pca_fit, pca_transform
 from .propagation import PropagationConfig, propagate_features, propagate_labels
 
@@ -30,11 +29,10 @@ __all__ = [
     "PropagationConfig", "PropagationOperator", "ResultRow", "SyntheticSpec",
     "TrainConfig", "TwoLayerParams", "accuracy", "as_csr", "build_knn_graph",
     "build_knn_hypergraph", "conjugate_gradient", "decode_predictions",
-    "diag_scale", "emit_table", "encode_labels", "forward", "forward_propagated",
+    "diag_scale", "emit_table", "encode_labels", "forward",
     "gcn_operator", "hypergraph_operator", "inject_noise", "knn_indices",
     "load_idx_dataset", "load_operator", "load_usps_dataset",
     "loss_and_gradients", "pca_fit", "pca_transform", "predict",
     "propagate_features", "propagate_labels", "run_experiment", "save_operator",
-    "sparse_dense_mul", "sparse_sparse_mul", "stratified_subsample",
-    "synthetic_blobs", "train",
+    "stratified_subsample", "synthetic_blobs", "train",
 ]

@@ -7,6 +7,7 @@ once.  Each cell's seed drives both the noise injection and, for the neural
 methods, the parameter initialization.
 """
 
+import hashlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,12 +20,18 @@ import numpy as np
 from . import hypergraph as hg
 from .datasets import (ImageDataset, load_idx_dataset, load_usps_dataset,
                        stratified_subsample, synthetic_blobs)
+from .errors import ConfigError
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
 from .propagation import PropagationConfig, propagate_features, propagate_labels
 
 METHODS = ("graph-ssl", "hypergraph-ssl", "gcn", "hgnn", "hgnn-proposed")
+
+# The operator each method runs on; hgnn takes the configured normalization.
+_METHOD_OPERATORS = {"graph-ssl": "graph", "hypergraph-ssl": "hg_sym", "gcn": "gcn",
+                     "hgnn": "hg_{normalization}", "hgnn-proposed": "hg_sym"}
+_CLOSED_FORM = ("graph-ssl", "hypergraph-ssl")
 
 DEFAULT_PCA_DIMS = {"mnist": 50, "usps": 50, "fashion": 300, "synthetic": None}
 
@@ -37,7 +44,13 @@ _IDX_FILES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
-_USPS_FILES = {"train_path": "zip.train", "test_path": "zip.test"}
+# Canonical file name under <data_dir>/<dataset>/ for each dataset path key.
+DATASET_FILES = {
+    "mnist": _IDX_FILES,
+    "fashion": _IDX_FILES,
+    "usps": {"train_path": "zip.train", "test_path": "zip.test"},
+    "synthetic": {},
+}
 
 CSV_HEADER = "dataset,method,noise_level,seed,accuracy,wall_time_s,pca"
 
@@ -119,20 +132,21 @@ def default_data_dir():
 
 
 def default_workers():
+    value = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
+    return workers
 
 
 def resolve_dataset_paths(name, explicit, data_dir=None):
     """Explicit config paths win; otherwise use canonical names under data_dir/<name>/."""
     base = Path(data_dir if data_dir is not None else default_data_dir()) / name
-    canonical = _USPS_FILES if name == "usps" else _IDX_FILES
-    resolved = {}
-    for key, filename in canonical.items():
-        resolved[key] = explicit.get(key, str(base / filename))
-    return resolved
+    return {key: explicit.get(key, str(base / filename))
+            for key, filename in DATASET_FILES[name].items()}
 
 
 def load_dataset(cfg: ExperimentConfig, data_dir=None) -> ImageDataset:
@@ -156,34 +170,35 @@ class PreparedExperiment:
     pca_used: bool
 
 
-def _operator_names(cfg: ExperimentConfig):
-    needed = set()
-    for method in cfg.methods:
-        if method == "graph-ssl":
-            needed.add("graph")
-        elif method == "gcn":
-            needed.add("gcn")
-        elif method == "hypergraph-ssl" or method == "hgnn-proposed":
-            needed.add("hg_sym")
-        elif method == "hgnn":
-            needed.add("hg_" + cfg.normalization)
-    return needed
+def _operator_name(cfg: ExperimentConfig, method: str) -> str:
+    return _METHOD_OPERATORS[method].format(normalization=cfg.normalization)
 
 
-def operator_cache_path(ops_dir, cfg: ExperimentConfig, op_name: str) -> Path:
-    pca = "raw" if cfg.pca_dims is None else f"pca{cfg.pca_dims}"
-    sub = "" if cfg.subsample_size is None else f"_sub{cfg.subsample_size}s{cfg.subsample_seed}"
-    centroid = "" if cfg.include_centroid else "_nocentroid"
-    return Path(ops_dir) / f"{cfg.dataset}_{pca}_k{cfg.k}{sub}{centroid}_{op_name}.hgop"
+def _propagation_config(cfg: ExperimentConfig) -> PropagationConfig:
+    return PropagationConfig(cfg.alpha, cfg.solver_tol, cfg.solver_max_iter)
+
+
+def operator_cache_key(cfg: ExperimentConfig, X: np.ndarray) -> str:
+    """Hex sha256 of the prepared features and every setting the operators depend on."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    digest = hashlib.sha256(
+        repr((hg.CACHE_VERSION, X.shape, cfg.k, cfg.include_centroid)).encode())
+    digest.update(X.data)
+    return digest.hexdigest()
+
+
+def operator_cache_path(ops_dir, key: str, op_name: str) -> Path:
+    return Path(ops_dir) / f"{key}_{op_name}.hgop"
 
 
 def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
     """Build (or load from cache) every operator the configured methods need."""
-    needed = _operator_names(cfg)
+    needed = {_operator_name(cfg, method) for method in cfg.methods}
+    key = operator_cache_key(cfg, X) if ops_dir is not None else None
     operators = {}
     pending = set()
     for name in needed:
-        path = operator_cache_path(ops_dir, cfg, name) if ops_dir is not None else None
+        path = operator_cache_path(ops_dir, key, name) if ops_dir is not None else None
         if path is not None and path.exists():
             operators[name] = hg.load_operator(path)
         else:
@@ -205,7 +220,7 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
         if ops_dir is not None:
             Path(ops_dir).mkdir(parents=True, exist_ok=True)
             for name in pending:
-                hg.save_operator(operator_cache_path(ops_dir, cfg, name), operators[name])
+                hg.save_operator(operator_cache_path(ops_dir, key, name), operators[name])
     return operators
 
 
@@ -228,8 +243,7 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
     operators = build_operators(cfg, X, ops_dir)
     propagated = None
     if "hgnn-proposed" in cfg.methods:
-        prop_cfg = PropagationConfig(cfg.alpha, cfg.solver_tol, cfg.solver_max_iter)
-        propagated = propagate_features(operators["hg_sym"], X, prop_cfg)
+        propagated = propagate_features(operators["hg_sym"], X, _propagation_config(cfg))
     return PreparedExperiment(config=cfg, dataset=dataset, features=X,
                               operators=operators, propagated=propagated,
                               pca_used=pca_used)
@@ -244,24 +258,14 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float, seed: int,
     if split is None:
         split = inject_noise(dataset, level, seed)
 
-    if method in ("graph-ssl", "hypergraph-ssl"):
+    op = prepared.operators[_operator_name(cfg, method)]
+    if method in _CLOSED_FORM:
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "pm1")
-        op = prepared.operators["graph" if method == "graph-ssl" else "hg_sym"]
-        prop_cfg = PropagationConfig(cfg.alpha, cfg.solver_tol, cfg.solver_max_iter)
-        scores = propagate_labels(op, Y, prop_cfg)
-        pred = decode_predictions(scores)
+        pred = decode_predictions(propagate_labels(op, Y, _propagation_config(cfg)))
     else:
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "onehot")
-        train_cfg = replace(cfg.train, seed=seed)
-        if method == "gcn":
-            op, X = prepared.operators["gcn"], prepared.features
-        elif method == "hgnn":
-            op, X = prepared.operators["hg_" + cfg.normalization], prepared.features
-        elif method == "hgnn-proposed":
-            op, X = prepared.operators["hg_sym"], prepared.propagated
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        params = train(op, X, Y, dataset.train_indices, train_cfg)
+        X = prepared.propagated if method == "hgnn-proposed" else prepared.features
+        params = train(op, X, Y, dataset.train_indices, replace(cfg.train, seed=seed))
         pred = predict(op, X, params)
 
     acc = accuracy(pred, split.clean_labels, dataset.test_indices)
@@ -274,9 +278,9 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float, seed: int,
 def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=None,
                    ops_dir=None) -> ExperimentReport:
     """Run the whole grid; failed cells are reported, the rest still run."""
-    prepared = prepare_experiment(cfg, data_dir, ops_dir)
     if workers is None:
         workers = default_workers()
+    prepared = prepare_experiment(cfg, data_dir, ops_dir)
     splits = {(level, seed): inject_noise(prepared.dataset, level, seed)
               for level in cfg.noise_levels for seed in cfg.seeds}
     cells = [(method, level, seed)
@@ -286,27 +290,20 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=None,
 
     def execute(cell):
         method, level, seed = cell
-        return run_cell(prepared, method, level, seed, split=splits[(level, seed)])
+        try:
+            return run_cell(prepared, method, level, seed, split=splits[(level, seed)])
+        except Exception as exc:
+            return CellFailure(method, float(level), int(seed),
+                               f"{type(exc).__name__}: {exc}")
 
-    rows, failures = [], []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute, cell) for cell in cells]
-            outcomes = [(cell, future) for cell, future in zip(cells, futures)]
-            for (method, level, seed), future in outcomes:
-                try:
-                    rows.append(future.result())
-                except Exception as exc:
-                    failures.append(CellFailure(method, float(level), int(seed),
-                                                f"{type(exc).__name__}: {exc}"))
+            outcomes = list(pool.map(execute, cells))
     else:
-        for method, level, seed in cells:
-            try:
-                rows.append(execute((method, level, seed)))
-            except Exception as exc:
-                failures.append(CellFailure(method, float(level), int(seed),
-                                            f"{type(exc).__name__}: {exc}"))
-    return ExperimentReport(rows=rows, failures=failures)
+        outcomes = [execute(cell) for cell in cells]
+    return ExperimentReport(
+        rows=[out for out in outcomes if isinstance(out, ResultRow)],
+        failures=[out for out in outcomes if isinstance(out, CellFailure)])
 
 
 def median_grid(rows):

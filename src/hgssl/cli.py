@@ -4,12 +4,11 @@ Subcommands:
   bench      run a full method x noise-level x seed grid from a config file
   run        run a single (dataset, method, noise, seed) cell
   build-ops  precompute propagation operators into a cache directory
-  selftest   run the small-instance oracle checks
 
 Dataset files are looked up under ``--data-dir`` (or $HGSSL_DATA_DIR, default
-``./data``); worker count comes from ``--workers`` (or $HGSSL_WORKERS).
-Flags win over environment variables.  Exit code 0 means every cell (or
-check) succeeded.
+``./data``); worker count comes from ``--workers`` (or $HGSSL_WORKERS, which
+must be a positive integer).  Flags win over environment variables.  Exit
+code 0 means every cell succeeded.
 """
 
 import argparse
@@ -17,12 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import config as config_mod
 from .bench import (ExperimentConfig, SyntheticSpec, build_operators, emit_table,
-                    operator_cache_path, run_experiment)
+                    operator_cache_key, operator_cache_path, run_experiment)
 from .errors import ConfigError
 from .network import TrainConfig
 
@@ -50,18 +47,18 @@ def _build_parser():
     _add_common(p_bench)
 
     p_run = sub.add_parser("run", help="run a single benchmark cell")
-    p_run.add_argument("--dataset", required=True,
-                       choices=("mnist", "fashion", "usps", "synthetic"))
+    p_run.add_argument("--dataset", required=True, choices=tuple(bench_mod.DATASET_FILES))
     p_run.add_argument("--method", required=True, choices=bench_mod.METHODS)
     p_run.add_argument("--noise", type=float, required=True)
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--pca-dims", default="default",
                        help="PCA dimensions, 'none', or 'default' (per-dataset)")
-    p_run.add_argument("--k", type=int, default=5)
-    p_run.add_argument("--alpha", type=float, default=0.99)
+    p_run.add_argument("--k", type=int, default=ExperimentConfig.k)
+    p_run.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p_run.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_run.add_argument("--hidden", type=int, default=TrainConfig.hidden)
-    p_run.add_argument("--normalization", choices=("sym", "rw"), default="sym")
+    p_run.add_argument("--normalization", choices=("sym", "rw"),
+                       default=ExperimentConfig.normalization)
     p_run.add_argument("--no-centroid", action="store_true",
                        help="drop each point from its own hyperedge")
     p_run.add_argument("--subsample", type=int, default=None,
@@ -72,9 +69,14 @@ def _build_parser():
     p_ops.add_argument("--config", required=True)
     p_ops.add_argument("--out", default="ops", help="operator cache directory")
     _add_common(p_ops)
-
-    sub.add_parser("selftest", help="run the small-instance oracle checks")
     return parser
+
+
+def _report_failures(report) -> int:
+    for failure in report.failures:
+        print(f"FAILED cell method={failure.method} noise={failure.noise_level} "
+              f"seed={failure.seed}: {failure.error}", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 def _cmd_bench(args) -> int:
@@ -91,10 +93,7 @@ def _cmd_bench(args) -> int:
         text = emit_table(report.rows, "text")
         (out_dir / f"{cfg.dataset}.txt").write_text(text)
         sys.stdout.write(text)
-    for failure in report.failures:
-        print(f"FAILED cell method={failure.method} noise={failure.noise_level} "
-              f"seed={failure.seed}: {failure.error}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return _report_failures(report)
 
 
 def _anchor_paths(cfg: ExperimentConfig, base: Path) -> ExperimentConfig:
@@ -123,17 +122,14 @@ def _cmd_run(args) -> int:
         alpha=args.alpha,
         normalization=args.normalization,
         include_centroid=not args.no_centroid,
-        train=replace(TrainConfig(), epochs=args.epochs, hidden=args.hidden),
+        train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
         subsample_size=args.subsample,
         synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
     )
     report = run_experiment(cfg, data_dir=args.data_dir, workers=1)
     if report.rows:
         sys.stdout.write(emit_table(report.rows, "csv"))
-    for failure in report.failures:
-        print(f"FAILED cell method={failure.method} noise={failure.noise_level} "
-              f"seed={failure.seed}: {failure.error}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return _report_failures(report)
 
 
 def _cmd_build_ops(args) -> int:
@@ -141,118 +137,10 @@ def _cmd_build_ops(args) -> int:
     cfg = _anchor_paths(cfg, Path(args.config).parent)
     _, X, _ = bench_mod.prepare_features(cfg, data_dir=args.data_dir)
     operators = build_operators(cfg, X, ops_dir=args.out)
+    key = operator_cache_key(cfg, X)
     for name in sorted(operators):
-        print(operator_cache_path(args.out, cfg, name))
+        print(operator_cache_path(args.out, key, name))
     return 0
-
-
-# ---------------------------------------------------------------------------
-# selftest: quick oracle checks on hand-sized instances
-# ---------------------------------------------------------------------------
-
-def _selftest_checks():
-    from . import hypergraph as hgm
-    from .labels import decode_predictions, encode_labels, inject_noise
-    from .linalg import conjugate_gradient
-    from .network import (TwoLayerParams, forward, loss_and_gradients)
-    from .propagation import PropagationConfig, propagate_labels
-    from .datasets import synthetic_blobs
-    from .labels import LabelMatrix
-
-    def check_cg_2x2():
-        A = np.array([[4.0, 1.0], [1.0, 3.0]])
-        result = conjugate_gradient(lambda v: A @ v, np.array([1.0, 2.0]), tol=1e-12)
-        assert np.allclose(result.x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-10)
-
-    def check_two_vertex_operator():
-        X = np.array([[0.0], [1.0]])
-        graph = hgm.build_knn_hypergraph(X, 1)
-        op = hgm.hypergraph_operator(graph, "sym")
-        assert np.allclose(op.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
-
-    def check_rw_row_sums():
-        rng = np.random.default_rng(11)
-        graph = hgm.build_knn_hypergraph(rng.standard_normal((40, 3)), 3)
-        op = hgm.hypergraph_operator(graph, "rw")
-        sums = np.asarray(op.matrix.sum(axis=1)).ravel()
-        assert np.allclose(sums, 1.0, atol=1e-10)
-
-    def check_solve_vs_dense():
-        rng = np.random.default_rng(5)
-        graph = hgm.build_knn_hypergraph(rng.standard_normal((30, 4)), 3)
-        op = hgm.hypergraph_operator(graph, "sym")
-        Y = LabelMatrix(rng.standard_normal((30, 2)), "pm1")
-        cfg = PropagationConfig(alpha=0.9, tol=1e-12, max_iter=2000)
-        got = propagate_labels(op, Y, cfg)
-        dense = np.eye(30) - 0.9 * op.matrix.toarray()
-        want = 0.1 * np.linalg.solve(dense, Y.values)
-        assert np.max(np.abs(got - want)) < 1e-8
-
-    def check_gradients():
-        rng = np.random.default_rng(3)
-        graph = hgm.build_knn_hypergraph(rng.standard_normal((8, 3)), 2)
-        op = hgm.hypergraph_operator(graph, "sym")
-        X = rng.standard_normal((8, 3))
-        params = TwoLayerParams(rng.standard_normal((3, 4)) * 0.3,
-                                rng.standard_normal((4, 2)) * 0.3)
-        Y = np.zeros((8, 2))
-        Y[np.arange(8), rng.integers(0, 2, 8)] = 1.0
-        labels_mat = LabelMatrix(Y, "onehot")
-        mask = np.arange(5)
-        _, grads = loss_and_gradients(forward(op, X, params), labels_mat, mask,
-                                      params, 0.01)
-        h = 1e-6
-        flat = params.theta1
-        for idx in [(0, 0), (2, 3)]:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up, _ = loss_and_gradients(forward(op, X, params), labels_mat, mask, params, 0.01)
-            flat[idx] = orig - h
-            down, _ = loss_and_gradients(forward(op, X, params), labels_mat, mask, params, 0.01)
-            flat[idx] = orig
-            numeric = (up - down) / (2 * h)
-            assert abs(numeric - grads.theta1[idx]) < 1e-5 * max(1.0, abs(numeric))
-
-    def check_noise_contract():
-        ds = synthetic_blobs(60, 3, 4, 0.05, seed=2)
-        split = inject_noise(ds, 0.45, seed=7)
-        expected = int(round(0.45 * len(ds.train_indices)))
-        assert len(split.flipped) == expected
-        assert np.all(split.noisy_labels[split.flipped] != split.clean_labels[split.flipped])
-        assert np.array_equal(split.noisy_labels[ds.test_indices],
-                              split.clean_labels[ds.test_indices])
-
-    def check_encode_decode():
-        ds = synthetic_blobs(30, 3, 4, 0.05, seed=4)
-        split = inject_noise(ds, 0.0, seed=0)
-        Y = encode_labels(split, ds.train_indices, ds.num_classes, "pm1")
-        decoded = decode_predictions(Y.values)
-        assert np.array_equal(decoded[ds.train_indices], split.noisy_labels[ds.train_indices])
-
-    return [
-        ("conjugate gradient 2x2", check_cg_2x2),
-        ("two-vertex sym operator", check_two_vertex_operator),
-        ("random-walk row sums", check_rw_row_sums),
-        ("closed-form solve vs dense oracle", check_solve_vs_dense),
-        ("analytic vs numeric gradients", check_gradients),
-        ("noise injection contract", check_noise_contract),
-        ("label encode/decode round trip", check_encode_decode),
-    ]
-
-
-def _cmd_selftest() -> int:
-    failed = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except Exception as exc:
-            failed += 1
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-        else:
-            print(f"ok   {name}")
-    if failed:
-        print(f"{failed} check(s) failed")
-    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -268,8 +156,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "build-ops":
             return _cmd_build_ops(args)
-        if args.command == "selftest":
-            return _cmd_selftest()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,18 +9,10 @@ with the offending line number.
 
 from dataclasses import fields, replace
 
-from .bench import DEFAULT_PCA_DIMS, METHODS, ExperimentConfig, SyntheticSpec
+from .bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentConfig,
+                    SyntheticSpec)
 from .errors import ConfigError
 from .network import TrainConfig
-
-_DATASET_PATH_KEYS = {
-    "mnist": ("train_images", "train_labels", "test_images", "test_labels"),
-    "fashion": ("train_images", "train_labels", "test_images", "test_labels"),
-    "usps": ("train_path", "test_path"),
-    "synthetic": (),
-}
-
-_SYNTHETIC_KEYS = ("n", "classes", "dim", "spread", "seed")
 
 
 def parse_config_text(text, path="<config>"):
@@ -58,6 +50,47 @@ def parse_config_text(text, path="<config>"):
     return sections, header_lines
 
 
+def _boolean(text):
+    value = text.lower()
+    if value in ("true", "yes", "1"):
+        return True
+    if value in ("false", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _int_or_none(text):
+    return None if text.lower() == "none" else int(text)
+
+
+def _tuple_of(parse):
+    return lambda text: tuple(parse(part) for part in text.split(","))
+
+
+def _one_of(options):
+    def parse(text):
+        if text not in options:
+            raise ValueError(text)
+        return text
+    return parse, "one of " + ", ".join(options)
+
+
+# Value kinds: (parser raising ValueError, what the error says was expected).
+_STRING = (str, "a string")
+_INT = (int, "an integer")
+_REAL = (float, "a number")
+_BOOL = (_boolean, "true/false")
+_INT_OR_NONE = (_int_or_none, "an integer or none")
+_REALS = (_tuple_of(float), "comma-separated numbers")
+_INTS = (_tuple_of(int), "comma-separated integers")
+_NAMES = (_tuple_of(str.strip), "comma-separated names")
+
+
+def _numeric_kinds(cls):
+    """Kinds for a dataclass of numbers, one key per field."""
+    return {f.name: (_REAL if f.type is float else _INT) for f in fields(cls)}
+
+
 class _SectionReader:
     """Typed access to one parsed section, tracking consumed keys."""
 
@@ -67,84 +100,27 @@ class _SectionReader:
         self.entries = entries
         self.seen = set()
 
-    def _raw(self, key):
-        self.seen.add(key)
-        return self.entries.get(key)
-
     def error(self, key, message):
         entry = self.entries.get(key)
         line = entry[1] if entry else None
         raise ConfigError(message, self.path, line)
 
-    def string(self, key, default=None, choices=None):
-        entry = self._raw(key)
+    def get(self, key, kind=_STRING):
+        """The parsed value of ``key``, or None when the section does not set it."""
+        self.seen.add(key)
+        entry = self.entries.get(key)
         if entry is None:
-            return default
-        value = entry[0]
-        if choices is not None and value not in choices:
-            self.error(key, f"{key!r} must be one of {', '.join(choices)}, got {value!r}")
-        return value
-
-    def integer(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        try:
-            return int(entry[0])
-        except ValueError:
-            self.error(key, f"expected an integer for {key!r}, got {entry[0]!r}")
-
-    def real(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        try:
-            return float(entry[0])
-        except ValueError:
-            self.error(key, f"expected a number for {key!r}, got {entry[0]!r}")
-
-    def boolean(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        value = entry[0].lower()
-        if value in ("true", "yes", "1"):
-            return True
-        if value in ("false", "no", "0"):
-            return False
-        self.error(key, f"expected true/false for {key!r}, got {entry[0]!r}")
-
-    def int_or_none(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        if entry[0].lower() == "none":
             return None
-        return self.integer(key)
-
-    def real_list(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
+        parse, expected = kind
         try:
-            return tuple(float(part) for part in entry[0].split(","))
+            return parse(entry[0])
         except ValueError:
-            self.error(key, f"expected comma-separated numbers for {key!r}, got {entry[0]!r}")
+            self.error(key, f"expected {expected} for {key!r}, got {entry[0]!r}")
 
-    def int_list(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        try:
-            return tuple(int(part) for part in entry[0].split(","))
-        except ValueError:
-            self.error(key, f"expected comma-separated integers for {key!r}, got {entry[0]!r}")
-
-    def string_list(self, key, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        return tuple(part.strip() for part in entry[0].split(","))
+    def collect(self, kinds, prefix=""):
+        """{prefix + key: value} for each key of ``kinds`` that the section sets."""
+        return {prefix + key: self.get(key, kind)
+                for key, kind in kinds.items() if key in self.entries}
 
     def reject_unknown(self):
         for key, (_, lineno) in self.entries.items():
@@ -168,7 +144,7 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
             raise ConfigError(f"unknown section [{name}]", path, header_lines[name])
 
     root = _SectionReader(path, "", sections.get("", {}))
-    version = root.integer("schema_version")
+    version = root.get("schema_version", _INT)
     if version is None:
         raise ConfigError("missing required 'schema_version = 1' before any section", path, None)
     if version != 1:
@@ -178,83 +154,48 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
     if "dataset" not in sections:
         raise ConfigError("missing required [dataset] section", path, None)
     ds = _SectionReader(path, "dataset", sections["dataset"])
-    name = ds.string("name", choices=tuple(_DATASET_PATH_KEYS))
+    name = ds.get("name", _one_of(tuple(DATASET_FILES)))
     if name is None:
         raise ConfigError("missing 'name' in [dataset]", path, header_lines["dataset"])
-    paths = {}
-    for key in _DATASET_PATH_KEYS[name]:
-        value = ds.string(key)
-        if value is not None:
-            paths[key] = value
-    synthetic = None
+    # Only keys the file sets are passed on; ExperimentConfig owns the defaults.
+    kwargs = ds.collect({"subsample_size": _INT_OR_NONE, "subsample_seed": _INT})
+    paths = ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING))
+    if paths:
+        kwargs["paths"] = paths
     if name == "synthetic":
-        synthetic = SyntheticSpec(
-            n=ds.integer("n", SyntheticSpec.n),
-            classes=ds.integer("classes", SyntheticSpec.classes),
-            dim=ds.integer("dim", SyntheticSpec.dim),
-            spread=ds.real("spread", SyntheticSpec.spread),
-            seed=ds.integer("seed", SyntheticSpec.seed),
-        )
-    subsample_size = ds.int_or_none("subsample_size")
-    subsample_seed = ds.integer("subsample_seed", 0)
+        kwargs["synthetic"] = SyntheticSpec(**ds.collect(_numeric_kinds(SyntheticSpec)))
     ds.reject_unknown()
 
     ex = _SectionReader(path, "experiment", sections.get("experiment", {}))
-    methods = ex.string_list("methods", METHODS)
-    for method in methods:
+    kwargs.update(ex.collect({
+        "methods": _NAMES, "noise_levels": _REALS, "seeds": _INTS,
+        "pca_dims": _INT_OR_NONE, "k": _INT, "alpha": _REAL,
+        "normalization": _one_of(("sym", "rw")), "include_centroid": _BOOL}))
+    # ExperimentConfig checks these too; here the error carries the line.
+    for method in kwargs.get("methods", ()):
         if method not in METHODS:
             ex.error("methods", f"unknown method {method!r}; known: {', '.join(METHODS)}")
-    noise_levels = ex.real_list("noise_levels", (0.0, 0.15, 0.30, 0.45))
-    for level in noise_levels:
+    for level in kwargs.get("noise_levels", ()):
         if not (0.0 <= level < 1.0):
             ex.error("noise_levels", f"noise level {level} outside [0, 1)")
-    seeds = ex.int_list("seeds", (0, 1, 2))
-    if not methods or not seeds:
-        raise ConfigError("need at least one method and one seed", path,
-                          header_lines.get("experiment"))
-    pca_dims = ex.int_or_none("pca_dims", DEFAULT_PCA_DIMS[name])
-    k = ex.integer("k", 5)
-    alpha = ex.real("alpha", 0.99)
-    normalization = ex.string("normalization", "sym", choices=("sym", "rw"))
-    include_centroid = ex.boolean("include_centroid", True)
+    kwargs.setdefault("pca_dims", DEFAULT_PCA_DIMS[name])
     ex.reject_unknown()
 
     tr = _SectionReader(path, "train", sections.get("train", {}))
-    defaults = TrainConfig()
-    kwargs = {}
-    for field in fields(TrainConfig):
-        reader = tr.real if isinstance(getattr(defaults, field.name), float) else tr.integer
-        kwargs[field.name] = reader(field.name, getattr(defaults, field.name))
+    train = tr.collect(_numeric_kinds(TrainConfig))
     tr.reject_unknown()
-    try:
-        train = TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path, header_lines.get("train")) from exc
+    if train:
+        try:
+            kwargs["train"] = TrainConfig(**train)
+        except ValueError as exc:
+            raise ConfigError(str(exc), path, header_lines.get("train")) from exc
 
     so = _SectionReader(path, "solver", sections.get("solver", {}))
-    solver_tol = so.real("tol", 1e-6)
-    solver_max_iter = so.integer("max_iter", 1000)
+    kwargs.update(so.collect({"tol": _REAL, "max_iter": _INT}, prefix="solver_"))
     so.reject_unknown()
 
     try:
-        return ExperimentConfig(
-            dataset=name,
-            paths=paths,
-            methods=methods,
-            noise_levels=noise_levels,
-            seeds=seeds,
-            pca_dims=pca_dims,
-            k=k,
-            alpha=alpha,
-            normalization=normalization,
-            include_centroid=include_centroid,
-            train=train,
-            solver_tol=solver_tol,
-            solver_max_iter=solver_max_iter,
-            subsample_size=subsample_size,
-            subsample_seed=subsample_seed,
-            synthetic=synthetic,
-        )
+        return ExperimentConfig(dataset=name, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc), path, None) from exc
 

@@ -14,7 +14,9 @@ closed-form solvers and the neural forward passes:
   gcn        D~^{-1/2} (A + I) D~^{-1/2} on the same graph
 """
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateStructureError, FormatError, ShapeError
-from .linalg import as_csr, as_dense, diag_scale, sparse_sparse_mul
+from .errors import DegenerateStructureError, FormatError
+from .linalg import as_csr, as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
@@ -37,14 +39,6 @@ class Hypergraph:
     edge_weights: np.ndarray     # length n_e, positive
     vertex_degrees: np.ndarray   # length n, sum_e w(e) h(v, e)
     edge_degrees: np.ndarray     # length n_e, sum_v h(v, e)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.incidence.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        return self.incidence.shape[1]
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,7 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
     if hg.vertex_degrees.min(initial=np.inf) <= 0 or hg.edge_degrees.min(initial=np.inf) <= 0:
         raise DegenerateStructureError("degrees must be strictly positive")
     scaled = diag_scale(hg.incidence, right=hg.edge_weights / hg.edge_degrees)
-    kernel = sparse_sparse_mul(scaled, as_csr(hg.incidence.T))
+    kernel = as_csr(scaled @ hg.incidence.T)
     if normalization == "sym":
         inv_sqrt = 1.0 / np.sqrt(hg.vertex_degrees)
         matrix = diag_scale(kernel, left=inv_sqrt, right=inv_sqrt)
@@ -215,21 +209,32 @@ def gcn_operator(X: np.ndarray, k: int, sigma="auto",
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = b"HGOP"
-_CACHE_VERSION = 1
+CACHE_VERSION = 1
 _NORM_CODES = {name: code for code, name in enumerate(NORMALIZATIONS)}
 
 
 def save_operator(path, op: PropagationOperator):
-    """Serialize a propagation operator to the binary CSR cache format."""
+    """Serialize a propagation operator to the binary CSR cache format.
+
+    The bytes go to a temporary file next to ``path`` that is renamed over it
+    once complete, so ``path`` never holds a partial operator.
+    """
     matrix = as_csr(op.matrix)
     rows, cols = matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IB", _CACHE_VERSION, _NORM_CODES[op.normalization]))
-        fh.write(struct.pack("<QQQ", rows, cols, matrix.nnz))
-        fh.write(matrix.indptr.astype("<i8").tobytes())
-        fh.write(matrix.indices.astype("<i8").tobytes())
-        fh.write(matrix.data.astype("<f8").tobytes())
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<IB", CACHE_VERSION, _NORM_CODES[op.normalization]))
+            fh.write(struct.pack("<QQQ", rows, cols, matrix.nnz))
+            fh.write(matrix.indptr.astype("<i8").tobytes())
+            fh.write(matrix.indices.astype("<i8").tobytes())
+            fh.write(matrix.data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_operator(path) -> PropagationOperator:
@@ -241,7 +246,7 @@ def load_operator(path) -> PropagationOperator:
     if data[:4] != _CACHE_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
     version, norm_code = struct.unpack("<IB", data[4:9])
-    if version != _CACHE_VERSION:
+    if version != CACHE_VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}")
     if norm_code >= len(NORMALIZATIONS):
         raise FormatError(f"{path}: unknown normalization code {norm_code}")
@@ -257,7 +262,8 @@ def load_operator(path) -> PropagationOperator:
     values = np.frombuffer(data, dtype="<f8", count=nnz, offset=offset)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path}: corrupt row offsets")
-    matrix = sp.csr_matrix((values.copy(), indices.copy(), indptr.copy()),
-                           shape=(rows, cols))
+    if nnz and (indices.min() < 0 or indices.max() >= cols):
+        raise FormatError(f"{path}: column index outside [0, {cols})")
+    matrix = sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
     return PropagationOperator(matrix=as_csr(matrix),
                                normalization=NORMALIZATIONS[norm_code])

@@ -39,21 +39,6 @@ def as_csr(matrix, prune_tol: float = PRUNE_TOL) -> sp.csr_matrix:
     return S
 
 
-def sparse_dense_mul(S: sp.spmatrix, X: np.ndarray) -> np.ndarray:
-    """Product of a sparse matrix with a dense matrix (or vector)."""
-    X = np.asarray(X, dtype=np.float64)
-    if S.shape[1] != X.shape[0]:
-        raise ShapeError(f"cannot multiply {S.shape} by {X.shape}")
-    return np.asarray(S @ X)
-
-
-def sparse_sparse_mul(A: sp.spmatrix, B: sp.spmatrix) -> sp.csr_matrix:
-    """Sparse-sparse product, returned in canonical pruned CSR form."""
-    if A.shape[1] != B.shape[0]:
-        raise ShapeError(f"cannot multiply {A.shape} by {B.shape}")
-    return as_csr(A @ B)
-
-
 def diag_scale(
     S: sp.spmatrix,
     left: Optional[np.ndarray] = None,
@@ -61,7 +46,9 @@ def diag_scale(
 ) -> sp.csr_matrix:
     """Scale rows by ``left`` and columns by ``right``: D_left @ S @ D_right.
 
-    Either side may be None, meaning no scaling on that side.
+    Either side may be None, meaning no scaling on that side.  The result
+    keeps the canonical structure of ``as_csr(S)``; scaled entries are not
+    pruned again.
     """
     out = as_csr(S)
     if left is not None:
@@ -74,7 +61,7 @@ def diag_scale(
         if right.shape != (out.shape[1],):
             raise ShapeError(f"right vector length {right.shape} != cols {out.shape[1]}")
         out.data *= right[out.indices]
-    return as_csr(out)
+    return out
 
 
 class CgResult(NamedTuple):

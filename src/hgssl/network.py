@@ -2,7 +2,8 @@
 
 The forward pass is Z = softmax(Theta ReLU(Theta X theta1) theta2), full batch,
 for any of the four propagation operators.  The feature-propagated variant
-runs the identical network on pre-smoothed features (sym operator only).
+runs the identical network on features smoothed by ``propagate_features``,
+which accepts only the sym operator.
 Loss is masked cross-entropy over the labeled rows plus an L2 penalty on both
 parameter matrices; gradients are analytic.
 """
@@ -94,16 +95,6 @@ def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
                         probs=row_softmax(logits))
 
 
-def forward_propagated(op: PropagationOperator, feats: np.ndarray,
-                       params: TwoLayerParams) -> ForwardTrace:
-    """Forward pass on pre-propagated features; requires the sym operator."""
-    if op.normalization != "sym":
-        raise ValueError(
-            f"the feature-propagated network uses the sym operator, "
-            f"got {op.normalization!r}")
-    return forward(op, feats, params)
-
-
 def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
                        params: TwoLayerParams, weight_decay: float):
     """Masked cross-entropy + L2 loss and its analytic parameter gradients.
@@ -163,8 +154,8 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
     labeled = np.asarray(labeled_mask, dtype=np.int64)
     params = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], cfg.seed)
 
-    m1 = TwoLayerParams(np.zeros_like(params.theta1), np.zeros_like(params.theta2))
-    m2 = TwoLayerParams(np.zeros_like(params.theta1), np.zeros_like(params.theta2))
+    m1 = [np.zeros_like(params.theta1), np.zeros_like(params.theta2)]
+    m2 = [np.zeros_like(params.theta1), np.zeros_like(params.theta2)]
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
 
     if log_stream is not None:
@@ -182,16 +173,14 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
                 np.argmax(trace.probs[labeled], axis=1) == target_ids))
             log_stream.write(f"{epoch},{loss:.10g},{train_acc:.6f}\n")
 
-        for attr in ("theta1", "theta2"):
-            g = getattr(grads, attr)
-            m = b1 * getattr(m1, attr) + (1 - b1) * g
-            v = b2 * getattr(m2, attr) + (1 - b2) * g * g
-            setattr(m1, attr, m)
-            setattr(m2, attr, v)
-            m_hat = m / (1 - b1 ** epoch)
-            v_hat = v / (1 - b2 ** epoch)
-            setattr(params, attr,
-                    getattr(params, attr) - lr * m_hat / (np.sqrt(v_hat) + eps))
+        thetas = [params.theta1, params.theta2]
+        for i, g in enumerate((grads.theta1, grads.theta2)):
+            m1[i] = b1 * m1[i] + (1 - b1) * g
+            m2[i] = b2 * m2[i] + (1 - b2) * g * g
+            m_hat = m1[i] / (1 - b1 ** epoch)
+            v_hat = m2[i] / (1 - b2 ** epoch)
+            thetas[i] = thetas[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        params = TwoLayerParams(*thetas)
     return params
 
 

@@ -23,23 +23,6 @@ def random_sym_operator(rng, n, k=3, dim=3):
     return hypergraph_operator(random_hypergraph(rng, n, k, dim), "sym")
 
 
-def dense_triple_loop_mul(A, B):
-    """Naive dense matmul oracle with an explicit accumulation loop."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    n, m = A.shape
-    m2, p = B.shape
-    assert m == m2
-    out = np.zeros((n, p))
-    for i in range(n):
-        for j in range(p):
-            acc = 0.0
-            for t in range(m):
-                acc += A[i, t] * B[t, j]
-            out[i, j] = acc
-    return out
-
-
 def csr_equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
     a = as_csr(a)
     b = as_csr(b)

@@ -20,7 +20,7 @@ from hgssl.bench import (METHODS, ExperimentConfig, SyntheticSpec, median_grid,
 from hgssl.datasets import synthetic_blobs
 from hgssl.hypergraph import build_knn_hypergraph, hypergraph_operator
 from hgssl.labels import LabelMatrix, inject_noise
-from hgssl.network import TwoLayerParams, forward, forward_propagated, loss_and_gradients
+from hgssl.network import TwoLayerParams, forward, loss_and_gradients
 from hgssl.propagation import (PropagationConfig, propagate_features,
                                propagate_labels)
 
@@ -84,8 +84,7 @@ def test_criterion_2_gradient_correctness():
         targets[np.arange(n), rng.integers(0, c, n)] = 1.0
         Y = LabelMatrix(targets, "onehot")
         mask = np.sort(rng.choice(n, size=6, replace=False))
-        run = forward_propagated if variant == "propagated" else forward
-        _, analytic = loss_and_gradients(run(op, X, params), Y, mask, params, 0.01)
+        _, analytic = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
 
         h = 1e-5
         for name in ("theta1", "theta2"):
@@ -93,9 +92,9 @@ def test_criterion_2_gradient_correctness():
             for idx in np.ndindex(matrix.shape):
                 orig = matrix[idx]
                 matrix[idx] = orig + h
-                up, _ = loss_and_gradients(run(op, X, params), Y, mask, params, 0.01)
+                up, _ = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
                 matrix[idx] = orig - h
-                down, _ = loss_and_gradients(run(op, X, params), Y, mask, params, 0.01)
+                down, _ = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
                 matrix[idx] = orig
                 numeric = (up - down) / (2 * h)
                 scale = max(1.0, abs(numeric))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hgssl.bench import (METHODS, ExperimentConfig, ResultRow, SyntheticSpec,
-                         emit_table, median_grid, parse_results_csv,
-                         resolve_dataset_paths, run_experiment)
+                         build_operators, default_workers, emit_table, median_grid,
+                         parse_results_csv, prepare_features, resolve_dataset_paths,
+                         run_experiment)
+from hgssl.errors import ConfigError
 from hgssl.network import TrainConfig
 
 FAST_TRAIN = TrainConfig(hidden=16, epochs=60)
@@ -77,6 +79,24 @@ class TestRunExperiment:
         assert [strip_time(r) for r in fresh.rows] \
             == [strip_time(r) for r in built.rows] \
             == [strip_time(r) for r in cached.rows]
+
+    def test_operator_cache_keyed_on_content(self, tmp_path):
+        ops_dir = tmp_path / "ops"
+        base = replace(SMALL, methods=("hypergraph-ssl",))
+
+        def with_data(n, seed):
+            return replace(base, synthetic=replace(base.synthetic, n=n, seed=seed))
+
+        # Another size on the same cache directory builds its own operators.
+        assert run_experiment(with_data(300, 1), ops_dir=ops_dir).ok
+        assert run_experiment(with_data(400, 1), ops_dir=ops_dir).ok
+        # Same shape from another seed must not load the seed-1 operator.
+        seed9 = with_data(300, 9)
+        _, X, _ = prepare_features(seed9)
+        cached = build_operators(seed9, X, ops_dir=ops_dir)["hg_sym"].matrix
+        fresh = build_operators(seed9, X)["hg_sym"].matrix
+        assert (cached != fresh).nnz == 0
+        assert len(list(ops_dir.glob("*.hgop"))) == 3
 
     def test_proposed_uses_propagated_features(self):
         cfg = replace(SMALL, methods=("hgnn", "hgnn-proposed"))
@@ -172,3 +192,12 @@ class TestPathResolution:
         monkeypatch.setenv("HGSSL_DATA_DIR", "/from-env")
         paths = resolve_dataset_paths("mnist", {})
         assert paths["train_images"] == "/from-env/mnist/train-images-idx3-ubyte"
+
+
+def test_workers_env_must_be_positive_integer(monkeypatch):
+    monkeypatch.setenv("HGSSL_WORKERS", "3")
+    assert default_workers() == 3
+    for bad in ("two", "0", "-1", "", "1.5"):
+        monkeypatch.setenv("HGSSL_WORKERS", bad)
+        with pytest.raises(ConfigError, match="HGSSL_WORKERS"):
+            default_workers()

@@ -1,5 +1,3 @@
-import numpy as np
-
 from hgssl.bench import parse_results_csv
 from hgssl.cli import main
 
@@ -23,13 +21,6 @@ seeds = 0
 epochs = 30
 hidden = 8
 """
-
-
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("ok ") >= 5
 
 
 def test_run_single_cell(capsys):
@@ -100,6 +91,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "broken.cfg:4" in err
+
+
+def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    monkeypatch.setenv("HGSSL_WORKERS", "two")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "HGSSL_WORKERS must be a positive integer" in capsys.readouterr().err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

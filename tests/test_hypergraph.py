@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import csr_equal, random_hypergraph
+import hgssl.hypergraph
 from hgssl.errors import DegenerateStructureError, FormatError
 from hgssl.hypergraph import (build_knn_graph, build_knn_hypergraph, gcn_operator,
                               hypergraph_operator, knn_indices, load_operator,
@@ -140,6 +141,12 @@ class TestHypergraphOperator:
         dense = op.matrix.toarray()
         assert np.max(np.abs(dense - dense.T)) < 1e-12
         assert dense.min() >= 0.0
+        # Canonical CSR: strictly increasing column indices within each row
+        # (sorted, no duplicates) and no stored zeros or sub-PRUNE_TOL entries.
+        matrix = op.matrix
+        rows = np.repeat(np.arange(60), np.diff(matrix.indptr))
+        assert np.all((np.diff(matrix.indices) > 0) | (np.diff(rows) > 0))
+        assert np.all(np.abs(matrix.data) >= 1e-15)
 
     def test_rw_similar_to_sym(self):
         # Theta_rw = Dv^{-1/2} Theta_sym Dv^{1/2}: the operators are similar.
@@ -256,3 +263,31 @@ class TestOperatorCache:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(FormatError):
             load_operator(path)
+
+    def test_column_index_out_of_range(self, tmp_path):
+        rng = np.random.default_rng(29)
+        op = hypergraph_operator(random_hypergraph(rng, 30, 3), "sym")
+        path = tmp_path / "patched.hgop"
+        save_operator(path, op)
+        raw = bytearray(path.read_bytes())
+        first_index = 33 + 8 * (30 + 1)
+        for bad in (10**6, 30, -1):
+            raw[first_index:first_index + 8] = int(bad).to_bytes(8, "little", signed=True)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match="patched.hgop"):
+                load_operator(path)
+
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(31)
+        op = hypergraph_operator(random_hypergraph(rng, 12, 2), "sym")
+        kept = tmp_path / "kept.hgop"
+        save_operator(kept, op)
+        before = kept.read_bytes()
+        # The normalization code is looked up after the magic is written.
+        monkeypatch.setattr(hgssl.hypergraph, "_NORM_CODES", {})
+        with pytest.raises(KeyError):
+            save_operator(tmp_path / "new.hgop", op)
+        with pytest.raises(KeyError):
+            save_operator(kept, op)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.hgop"]
+        assert kept.read_bytes() == before

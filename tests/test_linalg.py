@@ -2,85 +2,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import dense_triple_loop_mul, random_hypergraph, random_sparse
+from helpers import random_hypergraph, random_sparse
 from hgssl.errors import NumericalError, ShapeError
 from hgssl.hypergraph import hypergraph_operator
-from hgssl.linalg import (as_csr, conjugate_gradient, diag_scale,
-                          sparse_dense_mul, sparse_sparse_mul)
-
-
-class TestSparseDenseMul:
-    def test_identity(self):
-        X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(sparse_dense_mul(sp.eye(3, format="csr"), X), X)
-
-    def test_averaging_operator(self):
-        S = as_csr(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert np.array_equal(sparse_dense_mul(S, np.array([[1.0], [3.0]])),
-                              np.array([[2.0], [2.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        S, dense = random_sparse(rng, 10, 10, density=0.3)
-        X = rng.standard_normal((10, 4))
-        want = dense_triple_loop_mul(dense, X)
-        assert np.max(np.abs(sparse_dense_mul(S, X) - want)) < 1e-12
-
-    def test_random_sizes_against_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            n = int(rng.integers(2, 64))
-            m = int(rng.integers(2, 64))
-            d = int(rng.integers(1, 8))
-            S, dense = random_sparse(rng, n, m)
-            X = rng.standard_normal((m, d))
-            want = dense_triple_loop_mul(dense, X)
-            assert np.max(np.abs(sparse_dense_mul(S, X) - want)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            sparse_dense_mul(sp.eye(3, format="csr"), np.zeros((4, 2)))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(0)
-        S, _ = random_sparse(rng, 20, 20)
-        X = rng.standard_normal((20, 3))
-        first = sparse_dense_mul(S, X)
-        second = sparse_dense_mul(S, X)
-        assert np.array_equal(first, second)
+from hgssl.linalg import as_csr, conjugate_gradient, diag_scale
 
 
 class TestSparseSparseMul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        B, dense = random_sparse(rng, 5, 7)
-        got = sparse_sparse_mul(sp.eye(5, format="csr"), B)
-        assert np.array_equal(got.toarray(), dense)
-
-    def test_rank_one_outer_product(self):
-        A = as_csr(np.array([[1.0], [1.0]]))
-        got = sparse_sparse_mul(A, as_csr(A.T))
-        assert np.array_equal(got.toarray(), np.ones((2, 2)))
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(3)
-        A, dense_a = random_sparse(rng, 8, 6)
-        B, dense_b = random_sparse(rng, 6, 8)
-        want = dense_triple_loop_mul(dense_a, dense_b)
-        assert np.max(np.abs(sparse_sparse_mul(A, B).toarray() - want)) < 1e-12
-
     def test_result_is_canonical(self):
+        # hypergraph_operator forms its kernel as as_csr(a @ b).
         rng = np.random.default_rng(9)
         A, _ = random_sparse(rng, 12, 12)
-        got = sparse_sparse_mul(A, A)
+        got = as_csr(A @ A)
         assert got.has_sorted_indices
         assert np.all(np.abs(got.data) >= 1e-15)
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(2)
-        A, _ = random_sparse(rng, 4, 5)
-        with pytest.raises(ShapeError):
-            sparse_sparse_mul(A, A)
 
 
 class TestDiagScale:

@@ -12,8 +12,8 @@ from hgssl.hypergraph import (PropagationOperator, build_knn_hypergraph,
 from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
                           encode_labels, inject_noise)
 from hgssl.network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
-                           forward_propagated, init_params, loss_and_gradients,
-                           predict, row_softmax, train)
+                           init_params, loss_and_gradients, predict, row_softmax,
+                           train)
 from hgssl.propagation import PropagationConfig, propagate_features
 
 IDENTITY_OP = PropagationOperator(sp.eye(6, format="csr"), "sym")
@@ -167,7 +167,7 @@ class TestLossAndGradients:
         rng = np.random.default_rng(seed + 1000)
         raw = rng.standard_normal((12, 6))
         feats = propagate_features(op, raw, PropagationConfig(0.9, 1e-12, 5000))
-        _, analytic = loss_and_gradients(forward_propagated(op, feats, params),
+        _, analytic = loss_and_gradients(forward(op, feats, params),
                                          Y, mask, params, 0.01)
         numeric = finite_difference_grads(op, feats, params, Y, mask, 0.01)
         assert_grads_close(analytic, numeric)
@@ -203,15 +203,16 @@ class TestLossAndGradients:
 
 class TestForwardPropagated:
     def test_requires_sym_operator(self):
-        op, X, params, _, _ = random_instance(seed=51, norm="rw")
+        # The sym requirement lives in the feature-propagation step.
+        op, X, _, _, _ = random_instance(seed=51, norm="rw")
         with pytest.raises(ValueError):
-            forward_propagated(op, X, params)
+            propagate_features(op, X)
 
     def test_tiny_alpha_matches_plain_forward(self):
         op, X, params, _, _ = random_instance(seed=52)
         cfg = PropagationConfig(alpha=1e-12, tol=1e-13, max_iter=100)
         feats = propagate_features(op, X, cfg)
-        a = forward_propagated(op, feats, params)
+        a = forward(op, feats, params)
         b = forward(op, X, params)
         assert np.max(np.abs(a.probs - b.probs)) < 1e-6
 
@@ -225,7 +226,7 @@ class TestForwardPropagated:
         logits = dense @ hidden @ params.theta2
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
-        trace = forward_propagated(op, feats, params)
+        trace = forward(op, feats, params)
         assert np.max(np.abs(trace.probs - want)) < 1e-10
 
 
