@@ -96,6 +96,8 @@ class ExperimentConfig:
                 raise ValueError(f"noise level {level} outside [0, 1)")
         if self.normalization not in ("sym", "rw"):
             raise ValueError(f"normalization must be 'sym' or 'rw', got {self.normalization!r}")
+        if self.pca_dims is not None and self.pca_dims < 1:
+            raise ValueError(f"pca_dims must be a positive integer or none, got {self.pca_dims}")
 
 
 @dataclass(frozen=True)
@@ -280,6 +282,8 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=None,
     """Run the whole grid; failed cells are reported, the rest still run."""
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers}")
     prepared = prepare_experiment(cfg, data_dir, ops_dir)
     splits = {(level, seed): inject_noise(prepared.dataset, level, seed)
               for level in cfg.noise_levels for seed in cfg.seeds}

@@ -24,6 +24,10 @@ from .errors import ConfigError
 from .network import TrainConfig
 
 
+# Non-string, so argparse does not pass it through --pca-dims' type.
+_PER_DATASET = object()
+
+
 def _add_common(parser):
     parser.add_argument("--data-dir", default=None,
                         help="dataset directory (default: $HGSSL_DATA_DIR or ./data)")
@@ -51,8 +55,9 @@ def _build_parser():
     p_run.add_argument("--method", required=True, choices=bench_mod.METHODS)
     p_run.add_argument("--noise", type=float, required=True)
     p_run.add_argument("--seed", type=int, required=True)
-    p_run.add_argument("--pca-dims", default="default",
-                       help="PCA dimensions, 'none', or 'default' (per-dataset)")
+    p_run.add_argument("--pca-dims", type=config_mod.int_or_none,
+                       default=_PER_DATASET,
+                       help="PCA dimensions or 'none' (default: the dataset's default)")
     p_run.add_argument("--k", type=int, default=ExperimentConfig.k)
     p_run.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p_run.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -106,26 +111,26 @@ def _anchor_paths(cfg: ExperimentConfig, base: Path) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    if args.pca_dims == "default":
+    pca_dims = args.pca_dims
+    if pca_dims is _PER_DATASET:
         pca_dims = bench_mod.DEFAULT_PCA_DIMS[args.dataset]
-    elif args.pca_dims.lower() == "none":
-        pca_dims = None
-    else:
-        pca_dims = int(args.pca_dims)
-    cfg = ExperimentConfig(
-        dataset=args.dataset,
-        methods=(args.method,),
-        noise_levels=(args.noise,),
-        seeds=(args.seed,),
-        pca_dims=pca_dims,
-        k=args.k,
-        alpha=args.alpha,
-        normalization=args.normalization,
-        include_centroid=not args.no_centroid,
-        train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
-        subsample_size=args.subsample,
-        synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
-    )
+    try:
+        cfg = ExperimentConfig(
+            dataset=args.dataset,
+            methods=(args.method,),
+            noise_levels=(args.noise,),
+            seeds=(args.seed,),
+            pca_dims=pca_dims,
+            k=args.k,
+            alpha=args.alpha,
+            normalization=args.normalization,
+            include_centroid=not args.no_centroid,
+            train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
+            subsample_size=args.subsample,
+            synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = run_experiment(cfg, data_dir=args.data_dir, workers=1)
     if report.rows:
         sys.stdout.write(emit_table(report.rows, "csv"))

@@ -59,7 +59,7 @@ def _boolean(text):
     raise ValueError(text)
 
 
-def _int_or_none(text):
+def int_or_none(text):
     return None if text.lower() == "none" else int(text)
 
 
@@ -80,7 +80,7 @@ _STRING = (str, "a string")
 _INT = (int, "an integer")
 _REAL = (float, "a number")
 _BOOL = (_boolean, "true/false")
-_INT_OR_NONE = (_int_or_none, "an integer or none")
+_INT_OR_NONE = (int_or_none, "an integer or none")
 _REALS = (_tuple_of(float), "comma-separated numbers")
 _INTS = (_tuple_of(int), "comma-separated integers")
 _NAMES = (_tuple_of(str.strip), "comma-separated names")

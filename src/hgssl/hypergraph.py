@@ -6,7 +6,8 @@ every point i for which i is among the k nearest neighbors of j or j is among
 the k nearest neighbors of i.  Hyperedge weights are 1.
 
 Propagation operators are the n x n smoothing matrices shared by the
-closed-form solvers and the neural forward passes:
+closed-form solvers and the neural forward passes, which use them only through
+``apply`` (Theta V) and ``apply_T`` (Theta^T V):
 
   sym        Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2}   (symmetric, eigenvalues in [0, 1])
   rw         Dv^{-1} H W De^{-1} H^T               (row sums 1)
@@ -53,6 +54,16 @@ class PropagationOperator:
     @property
     def shape(self):
         return self.matrix.shape
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """Theta @ V."""
+        return self.matrix @ V
+
+    def apply_T(self, V: np.ndarray) -> np.ndarray:
+        """Theta^T @ V; the same product as :meth:`apply` except for ``rw``."""
+        if self.normalization == "rw":
+            return self.matrix.T @ V
+        return self.matrix @ V
 
 
 def knn_indices(X: np.ndarray, k: int) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Two-layer graph/hypergraph networks: forward, backprop, Adam training.
 
 The forward pass is Z = softmax(Theta ReLU(Theta X theta1) theta2), full batch,
-for any of the four propagation operators.  The feature-propagated variant
-runs the identical network on features smoothed by ``propagate_features``,
-which accepts only the sym operator.
+for any of the four propagation operators.  It is evaluated as
+Theta (ReLU(Theta X theta1) theta2): the second-layer projection runs before
+the operator, so every sparse product inside the training loop is C columns
+wide (C classes) rather than hidden-width, and the backward pass reuses one
+Theta^T dlogits for both gradients.  The feature-propagated variant runs the
+identical network on features smoothed by ``propagate_features``, which
+accepts only the sym operator.
 Loss is masked cross-entropy over the labeled rows plus an L2 penalty on both
 parameter matrices; gradients are analytic.
 """
@@ -49,11 +53,9 @@ class ForwardTrace:
     """Everything the backward pass needs from one forward evaluation."""
 
     op: PropagationOperator
-    x_prop: np.ndarray       # Theta X
-    hidden_pre: np.ndarray   # Theta X theta1
-    hidden: np.ndarray       # ReLU of hidden_pre
-    hidden_prop: np.ndarray  # Theta hidden
-    logits: np.ndarray
+    x_prop: np.ndarray   # Theta X
+    hidden: np.ndarray   # ReLU(Theta X theta1)
+    logits: np.ndarray   # Theta (hidden theta2)
     probs: np.ndarray
 
 
@@ -73,7 +75,7 @@ def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
             x_prop: np.ndarray = None) -> ForwardTrace:
     """Full-batch forward pass of the two-layer network.
 
-    ``x_prop`` accepts a precomputed ``op.matrix @ X``; the product does not
+    ``x_prop`` accepts a precomputed ``op.apply(X)``; the product does not
     depend on the parameters, so the training loop hoists it out.
     """
     X = as_dense(X)
@@ -83,15 +85,12 @@ def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
     if params.theta1.shape[1] != params.theta2.shape[0]:
         raise ValueError("theta1 and theta2 have inconsistent hidden sizes")
     if x_prop is None:
-        x_prop = op.matrix @ X
-    hidden_pre = x_prop @ params.theta1
-    hidden = np.maximum(hidden_pre, 0.0)
-    hidden_prop = op.matrix @ hidden
-    logits = hidden_prop @ params.theta2
+        x_prop = op.apply(X)
+    hidden = np.maximum(x_prop @ params.theta1, 0.0)
+    logits = op.apply(hidden @ params.theta2)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits in forward pass")
-    return ForwardTrace(op=op, x_prop=x_prop, hidden_pre=hidden_pre, hidden=hidden,
-                        hidden_prop=hidden_prop, logits=logits,
+    return ForwardTrace(op=op, x_prop=x_prop, hidden=hidden, logits=logits,
                         probs=row_softmax(logits))
 
 
@@ -121,9 +120,12 @@ def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
     grad_logits = np.zeros_like(trace.probs)
     grad_logits[labeled] = (trace.probs[labeled] - targets) / m
 
-    grad_theta2 = trace.hidden_prop.T @ grad_logits + weight_decay * params.theta2
-    grad_hidden = (trace.op.matrix.T @ grad_logits) @ params.theta2.T
-    grad_hidden_pre = grad_hidden * (trace.hidden_pre > 0.0)
+    # logits = Theta hidden theta2, so both gradients go through Theta^T dlogits.
+    grad_projected = trace.op.apply_T(grad_logits)
+    grad_theta2 = trace.hidden.T @ grad_projected + weight_decay * params.theta2
+    grad_hidden = grad_projected @ params.theta2.T
+    # ReLU(h) > 0 exactly where h > 0, so the mask needs only the activations.
+    grad_hidden_pre = grad_hidden * (trace.hidden > 0.0)
     grad_theta1 = trace.x_prop.T @ grad_hidden_pre + weight_decay * params.theta1
     return loss, TwoLayerParams(theta1=grad_theta1, theta2=grad_theta2)
 
@@ -161,7 +163,7 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
     if log_stream is not None:
         log_stream.write("epoch,loss,train_accuracy\n")
     target_ids = np.argmax(Y.values[labeled], axis=1)
-    x_prop = op.matrix @ X
+    x_prop = op.apply(X)
 
     for epoch in range(1, cfg.epochs + 1):
         trace = forward(op, X, params, x_prop=x_prop)

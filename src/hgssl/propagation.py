@@ -33,11 +33,10 @@ class PropagationConfig:
 
 def _solve_columns(op: PropagationOperator, B: np.ndarray,
                    cfg: PropagationConfig) -> np.ndarray:
-    matrix = op.matrix
     alpha = cfg.alpha
 
     def apply(v):
-        return v - alpha * (matrix @ v)
+        return v - alpha * op.apply(v)
 
     out = np.empty_like(B)
     worst = 0.0

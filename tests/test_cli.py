@@ -1,3 +1,5 @@
+import pytest
+
 from hgssl.bench import parse_results_csv
 from hgssl.cli import main
 
@@ -99,6 +101,30 @@ def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HGSSL_WORKERS", "two")
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "HGSSL_WORKERS must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--pca-dims", "abc", "--pca-dims"),
+    ("--noise", "1.5", "noise"),
+    ("--epochs", "0", "epochs"),
+    ("--pca-dims", "0", "pca_dims"),
+])
+def test_run_bad_value_exit_code(capsys, flag, value, named):
+    args = ["run", "--dataset", "synthetic", "--method", "hgnn",
+            "--noise", "0", "--seed", "0", flag, value]
+    assert main(args) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bench_nonpositive_workers_exit_code(tmp_path, capsys, workers):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--workers", workers])
+    assert code == 2
+    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

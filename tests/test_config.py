@@ -131,6 +131,11 @@ class TestSchemaRules:
         with pytest.raises(ConfigError):
             parse_config("schema_version = 1\n[dataset]\nname = cifar\n")
 
+    def test_nonpositive_pca_dims(self):
+        with pytest.raises(ConfigError, match="pca_dims"):
+            parse_config("schema_version = 1\n[dataset]\nname = usps\n"
+                         "[experiment]\npca_dims = 0\n")
+
     def test_explicit_paths_collected(self):
         text = ("schema_version = 1\n[dataset]\nname = usps\n"
                 "train_path = /tmp/zip.train\ntest_path = /tmp/zip.test\n")

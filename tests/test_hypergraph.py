@@ -238,6 +238,24 @@ class TestGcnOperator:
         assert np.abs(eigenvalues).max() <= 1.0 + 1e-10
 
 
+class TestApply:
+    @pytest.mark.parametrize("norm", ["sym", "rw", "graph_sym", "gcn"])
+    def test_apply_and_apply_T_match_dense(self, norm):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((30, 3))
+        if norm == "graph_sym":
+            op = build_knn_graph(X, 4)
+        elif norm == "gcn":
+            op = gcn_operator(X, 4)
+        else:
+            op = hypergraph_operator(build_knn_hypergraph(X, 4), norm)
+        assert op.normalization == norm
+        dense = op.matrix.toarray()
+        V = rng.standard_normal((30, 5))
+        assert np.max(np.abs(op.apply(V) - dense @ V)) < 1e-12
+        assert np.max(np.abs(op.apply_T(V) - dense.T @ V)) < 1e-12
+
+
 class TestOperatorCache:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)

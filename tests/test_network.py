@@ -75,8 +75,9 @@ class TestForward:
         trace = forward(IDENTITY_OP, X, params)
         assert np.max(np.abs(trace.probs - row_softmax(X))) < 1e-12
 
-    def test_matches_dense_oracle(self):
-        op, X, params, _, _ = random_instance(seed=7, n=8)
+    @pytest.mark.parametrize("norm", ["sym", "rw"])
+    def test_matches_dense_oracle(self, norm):
+        op, X, params, _, _ = random_instance(seed=7, n=8, norm=norm)
         dense = op.matrix.toarray()
         hidden = np.maximum(dense @ X @ params.theta1, 0.0)
         logits = dense @ hidden @ params.theta2
@@ -268,6 +269,46 @@ class TestTrain:
         assert len(lines) == 16
         losses = [float(line.split(",")[1]) for line in lines[1:]]
         assert np.all(np.isfinite(losses))
+
+    @pytest.mark.parametrize("norm", ["sym", "rw"])
+    def test_matches_dense_reference_loop(self, norm):
+        # Dense Theta, the network associated as (Theta ReLU(Theta X theta1)) theta2,
+        # and Adam written out step by step.
+        op, X, _, Y, mask = random_instance(seed=64, n=12, l1=5, c=3, norm=norm)
+        cfg = TrainConfig(hidden=6, epochs=20, seed=4)
+        dense = op.matrix.toarray()
+        init = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], cfg.seed)
+        thetas = [init.theta1, init.theta2]
+        m1 = [np.zeros_like(t) for t in thetas]
+        m2 = [np.zeros_like(t) for t in thetas]
+        targets = Y.values[mask]
+        x_prop = dense @ X
+        for epoch in range(1, cfg.epochs + 1):
+            theta1, theta2 = thetas
+            hidden_pre = x_prop @ theta1
+            hidden_prop = dense @ np.maximum(hidden_pre, 0.0)
+            logits = hidden_prop @ theta2
+            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            grad_logits = np.zeros_like(probs)
+            grad_logits[mask] = (probs[mask] - targets) / mask.size
+            grad_hidden = (dense.T @ grad_logits) @ theta2.T * (hidden_pre > 0.0)
+            grads = (x_prop.T @ grad_hidden + cfg.weight_decay * theta1,
+                     hidden_prop.T @ grad_logits + cfg.weight_decay * theta2)
+            for i, g in enumerate(grads):
+                m1[i] = cfg.adam_beta1 * m1[i] + (1 - cfg.adam_beta1) * g
+                m2[i] = cfg.adam_beta2 * m2[i] + (1 - cfg.adam_beta2) * g * g
+                m_hat = m1[i] / (1 - cfg.adam_beta1 ** epoch)
+                v_hat = m2[i] / (1 - cfg.adam_beta2 ** epoch)
+                thetas[i] = thetas[i] - cfg.learning_rate * m_hat / (
+                    np.sqrt(v_hat) + cfg.adam_eps)
+        theta1, theta2 = thetas
+        want_pred = np.argmax(dense @ np.maximum(x_prop @ theta1, 0.0) @ theta2, axis=1)
+
+        trained = train(op, X, Y, mask, cfg)
+        assert np.max(np.abs(trained.theta1 - theta1)) < 1e-12
+        assert np.max(np.abs(trained.theta2 - theta2)) < 1e-12
+        assert np.array_equal(predict(op, X, trained), want_pred)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
