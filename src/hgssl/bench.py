@@ -84,20 +84,35 @@ class ExperimentConfig:
     synthetic: Optional[SyntheticSpec] = None
 
     def __post_init__(self):
-        if self.dataset not in DEFAULT_PCA_DIMS:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
-        if not self.methods or not self.seeds:
-            raise ValueError("need at least one method and one seed")
+        # Every value is checked here, before any data is loaded.
+        _require(self.dataset in DEFAULT_PCA_DIMS, "dataset",
+                 f"unknown dataset {self.dataset!r}")
+        _require(bool(self.methods), "methods", "need at least one method")
+        _require(bool(self.seeds), "seeds", "need at least one seed")
         for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
+            _require(method in METHODS, "methods",
+                     f"unknown method {method!r}; known: {', '.join(METHODS)}")
         for level in self.noise_levels:
-            if not (0.0 <= level < 1.0):
-                raise ValueError(f"noise level {level} outside [0, 1)")
-        if self.normalization not in ("sym", "rw"):
-            raise ValueError(f"normalization must be 'sym' or 'rw', got {self.normalization!r}")
-        if self.pca_dims is not None and self.pca_dims < 1:
-            raise ValueError(f"pca_dims must be a positive integer or none, got {self.pca_dims}")
+            _require(0.0 <= level < 1.0, "noise_levels", f"noise level {level} outside [0, 1)")
+        _require(self.normalization in ("sym", "rw"), "normalization",
+                 f"normalization must be 'sym' or 'rw', got {self.normalization!r}")
+        _require(self.pca_dims is None or self.pca_dims >= 1, "pca_dims",
+                 f"pca_dims must be a positive integer or none, got {self.pca_dims}")
+        _require(self.k >= 1, "k", f"k must be a positive integer, got {self.k}")
+        _require(0.0 < self.alpha < 1.0, "alpha",
+                 f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        _require(self.subsample_size is None or self.subsample_size >= 1, "subsample_size",
+                 f"subsample_size must be a positive integer or none, "
+                 f"got {self.subsample_size}")
+        _require(self.solver_tol > 0, "solver_tol",
+                 f"solver_tol must be positive, got {self.solver_tol}")
+        _require(self.solver_max_iter >= 1, "solver_max_iter",
+                 f"solver_max_iter must be a positive integer, got {self.solver_max_iter}")
+
+
+def _require(ok: bool, field_name: str, message: str):
+    if not ok:
+        raise ConfigError(message, field=field_name)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ with the offending line number.
 
 from dataclasses import fields, replace
 
-from .bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentConfig,
-                    SyntheticSpec)
+from .bench import DATASET_FILES, DEFAULT_PCA_DIMS, ExperimentConfig, SyntheticSpec
 from .errors import ConfigError
 from .network import TrainConfig
 
@@ -117,10 +116,17 @@ class _SectionReader:
         except ValueError:
             self.error(key, f"expected {expected} for {key!r}, got {entry[0]!r}")
 
-    def collect(self, kinds, prefix=""):
-        """{prefix + key: value} for each key of ``kinds`` that the section sets."""
-        return {prefix + key: self.get(key, kind)
-                for key, kind in kinds.items() if key in self.entries}
+    def collect(self, kinds, lines, prefix=""):
+        """{prefix + key: value} for each key of ``kinds`` that the section sets.
+
+        ``lines`` receives {prefix + key: line number} for the same keys.
+        """
+        values = {}
+        for key, kind in kinds.items():
+            if key in self.entries:
+                values[prefix + key] = self.get(key, kind)
+                lines[prefix + key] = self.entries[key][1]
+        return values
 
     def reject_unknown(self):
         for key, (_, lineno) in self.entries.items():
@@ -157,32 +163,28 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
     name = ds.get("name", _one_of(tuple(DATASET_FILES)))
     if name is None:
         raise ConfigError("missing 'name' in [dataset]", path, header_lines["dataset"])
-    # Only keys the file sets are passed on; ExperimentConfig owns the defaults.
-    kwargs = ds.collect({"subsample_size": _INT_OR_NONE, "subsample_seed": _INT})
-    paths = ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING))
+    # Only keys the file sets are passed on; ExperimentConfig owns the defaults
+    # and the value rules.  ``lines`` maps each collected key, prefix included,
+    # to its line; an ExperimentConfig error names its field, which is such a key.
+    lines = {}
+    kwargs = ds.collect({"subsample_size": _INT_OR_NONE, "subsample_seed": _INT}, lines)
+    paths = ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING), lines)
     if paths:
         kwargs["paths"] = paths
     if name == "synthetic":
-        kwargs["synthetic"] = SyntheticSpec(**ds.collect(_numeric_kinds(SyntheticSpec)))
+        kwargs["synthetic"] = SyntheticSpec(**ds.collect(_numeric_kinds(SyntheticSpec), lines))
     ds.reject_unknown()
 
     ex = _SectionReader(path, "experiment", sections.get("experiment", {}))
     kwargs.update(ex.collect({
         "methods": _NAMES, "noise_levels": _REALS, "seeds": _INTS,
         "pca_dims": _INT_OR_NONE, "k": _INT, "alpha": _REAL,
-        "normalization": _one_of(("sym", "rw")), "include_centroid": _BOOL}))
-    # ExperimentConfig checks these too; here the error carries the line.
-    for method in kwargs.get("methods", ()):
-        if method not in METHODS:
-            ex.error("methods", f"unknown method {method!r}; known: {', '.join(METHODS)}")
-    for level in kwargs.get("noise_levels", ()):
-        if not (0.0 <= level < 1.0):
-            ex.error("noise_levels", f"noise level {level} outside [0, 1)")
+        "normalization": _one_of(("sym", "rw")), "include_centroid": _BOOL}, lines))
     kwargs.setdefault("pca_dims", DEFAULT_PCA_DIMS[name])
     ex.reject_unknown()
 
     tr = _SectionReader(path, "train", sections.get("train", {}))
-    train = tr.collect(_numeric_kinds(TrainConfig))
+    train = tr.collect(_numeric_kinds(TrainConfig), lines)
     tr.reject_unknown()
     if train:
         try:
@@ -191,13 +193,13 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
             raise ConfigError(str(exc), path, header_lines.get("train")) from exc
 
     so = _SectionReader(path, "solver", sections.get("solver", {}))
-    kwargs.update(so.collect({"tol": _REAL, "max_iter": _INT}, prefix="solver_"))
+    kwargs.update(so.collect({"tol": _REAL, "max_iter": _INT}, lines, prefix="solver_"))
     so.reject_unknown()
 
     try:
         return ExperimentConfig(dataset=name, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path, None) from exc
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, path, lines.get(exc.field), exc.field) from exc
 
 
 def strip_subsample(cfg: ExperimentConfig) -> ExperimentConfig:

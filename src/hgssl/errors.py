@@ -26,9 +26,16 @@ class DegenerateStructureError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A benchmark config file is malformed; carries the offending line."""
+    """A benchmark setting is invalid; carries the file, line and field when known.
 
-    def __init__(self, message, path=None, line=None):
+    ``reason`` is the message without the ``path:line:`` prefix and ``field``
+    names the ``ExperimentConfig`` field at fault, so a config reader can
+    attach the line that set it.
+    """
+
+    def __init__(self, message, path=None, line=None, field=None):
+        self.reason = message
+        self.field = field
         prefix = ""
         if path is not None:
             prefix = f"{path}:"

@@ -5,27 +5,35 @@ contains point j itself (so every hyperedge has at least two members) plus
 every point i for which i is among the k nearest neighbors of j or j is among
 the k nearest neighbors of i.  Hyperedge weights are 1.
 
-Propagation operators are the n x n smoothing matrices shared by the
+Propagation operators are the n x n smoothing operators shared by the
 closed-form solvers and the neural forward passes, which use them only through
-``apply`` (Theta V) and ``apply_T`` (Theta^T V):
+``apply`` (Theta V) and ``apply_T`` (Theta^T V).  An operator is stored as a
+product of sparse factors and applied right to left:
 
-  sym        Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2}   (symmetric, eigenvalues in [0, 1])
-  rw         Dv^{-1} H W De^{-1} H^T               (row sums 1)
+  sym        (Dv^{-1/2} H W De^{-1}) (H^T Dv^{-1/2})  (symmetric, eigenvalues in [0, 1])
+  rw         (Dv^{-1} H W De^{-1}) (H^T)              (row sums 1)
   graph_sym  D^{-1/2} A D^{-1/2} on a Gaussian-weighted kNN graph
   gcn        D~^{-1/2} (A + I) D~^{-1/2} on the same graph
+
+The hypergraph operators keep the two incidence factors and never form
+H W De^{-1} H^T, which has about 12x the nonzeros of H at k = 5.
+``PropagationOperator.matrix`` multiplies the factors out on first access;
+it is there for inspection (tests, demos, nnz reports) only.
 """
 
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import matmul
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateStructureError, FormatError
+from .errors import DegenerateStructureError, FormatError, ShapeError
 from .linalg import as_csr, as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
@@ -44,26 +52,48 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    matrix: sp.csr_matrix
+    """Theta = factors[0] @ factors[1] @ ..., a chain of sparse CSR factors.
+
+    Graph operators have one factor; hypergraph operators have two.
+    """
+    factors: tuple
     normalization: str
 
     def __post_init__(self):
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
+        if not self.factors:
+            raise ValueError("an operator needs at least one factor")
+        for left, right in zip(self.factors, self.factors[1:]):
+            if left.shape[1] != right.shape[0]:
+                raise ShapeError(f"factor shapes {left.shape} and {right.shape} do not chain")
+        if self.shape[0] != self.shape[1]:
+            raise ShapeError(f"operator must be square, got shape {self.shape}")
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return (self.factors[0].shape[0], self.factors[-1].shape[1])
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """Theta as one CSR matrix, multiplied out on first access; do not modify."""
+        if len(self.factors) == 1:
+            return self.factors[0]
+        return as_csr(reduce(matmul, self.factors))
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """Theta @ V."""
-        return self.matrix @ V
+        """Theta @ V, one sparse product per factor, right to left."""
+        for factor in reversed(self.factors):
+            V = factor @ V
+        return V
 
     def apply_T(self, V: np.ndarray) -> np.ndarray:
         """Theta^T @ V; the same product as :meth:`apply` except for ``rw``."""
-        if self.normalization == "rw":
-            return self.matrix.T @ V
-        return self.matrix @ V
+        if self.normalization != "rw":
+            return self.apply(V)
+        for factor in self.factors:
+            V = factor.T @ V
+        return V
 
 
 def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
@@ -132,19 +162,21 @@ def build_knn_hypergraph(X: np.ndarray, k: int, knn: np.ndarray = None,
 
 
 def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperator:
-    """Assemble the sym or rw hypergraph propagation operator."""
+    """The sym or rw hypergraph propagation operator as its two incidence factors."""
     if normalization not in ("sym", "rw"):
         raise ValueError(f"normalization must be 'sym' or 'rw', got {normalization!r}")
     if hg.vertex_degrees.min(initial=np.inf) <= 0 or hg.edge_degrees.min(initial=np.inf) <= 0:
         raise DegenerateStructureError("degrees must be strictly positive")
-    scaled = diag_scale(hg.incidence, right=hg.edge_weights / hg.edge_degrees)
-    kernel = as_csr(scaled @ hg.incidence.T)
+    # Theta = (Dv^-a H W De^-1) (H^T Dv^-b): a = b = 1/2 for sym; a = 1, b = 0 for rw.
+    edge_scale = hg.edge_weights / hg.edge_degrees
     if normalization == "sym":
         inv_sqrt = 1.0 / np.sqrt(hg.vertex_degrees)
-        matrix = diag_scale(kernel, left=inv_sqrt, right=inv_sqrt)
+        factors = (diag_scale(hg.incidence, left=inv_sqrt, right=edge_scale),
+                   diag_scale(hg.incidence.T, right=inv_sqrt))
     else:
-        matrix = diag_scale(kernel, left=1.0 / hg.vertex_degrees)
-    return PropagationOperator(matrix=matrix, normalization=normalization)
+        factors = (diag_scale(hg.incidence, left=1.0 / hg.vertex_degrees, right=edge_scale),
+                   as_csr(hg.incidence.T))
+    return PropagationOperator(factors=factors, normalization=normalization)
 
 
 def _gaussian_knn_adjacency(X, k, sigma, knn=None):
@@ -191,7 +223,7 @@ def build_knn_graph(X: np.ndarray, k: int, sigma="auto",
         raise DegenerateStructureError("isolated vertex in kNN graph")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     matrix = diag_scale(A, left=inv_sqrt, right=inv_sqrt)
-    return PropagationOperator(matrix=matrix, normalization="graph_sym")
+    return PropagationOperator(factors=(matrix,), normalization="graph_sym")
 
 
 def gcn_operator(X: np.ndarray, k: int, sigma="auto",
@@ -202,79 +234,101 @@ def gcn_operator(X: np.ndarray, k: int, sigma="auto",
     degrees = np.asarray(A_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)
     matrix = diag_scale(A_tilde, left=inv_sqrt, right=inv_sqrt)
-    return PropagationOperator(matrix=matrix, normalization="gcn")
+    return PropagationOperator(factors=(matrix,), normalization="gcn")
 
 
 # ---------------------------------------------------------------------------
-# Operator cache: little-endian binary CSR.
+# Operator cache: little-endian binary, one CSR block per factor.
 #
-#   magic   4 bytes  b"HGOP"
-#   version u32      1
-#   norm    u8       0=sym 1=rw 2=graph_sym 3=gcn
-#   rows    u64
-#   cols    u64
-#   nnz     u64
-#   indptr  i64[rows + 1]
-#   indices i64[nnz]
-#   data    f64[nnz]
+#   magic     4 bytes  b"HGOP"
+#   version   u32      2
+#   norm      u8       0=sym 1=rw 2=graph_sym 3=gcn
+#   factors   u8       1 or 2
+#   then per factor, in product order:
+#     rows    u64
+#     cols    u64
+#     nnz     u64
+#     indptr  i64[rows + 1]
+#     indices i64[nnz]
+#     data    f64[nnz]
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = b"HGOP"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _NORM_CODES = {name: code for code, name in enumerate(NORMALIZATIONS)}
+_HEADER = struct.Struct("<4sIBB")
+_FACTOR_HEADER = struct.Struct("<QQQ")
 
 
 def save_operator(path, op: PropagationOperator):
-    """Serialize a propagation operator to the binary CSR cache format.
+    """Serialize a propagation operator's factors to the binary cache format.
 
     The bytes go to a temporary file next to ``path`` that is renamed over it
     once complete, so ``path`` never holds a partial operator.
     """
-    matrix = as_csr(op.matrix)
-    rows, cols = matrix.shape
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<IB", CACHE_VERSION, _NORM_CODES[op.normalization]))
-            fh.write(struct.pack("<QQQ", rows, cols, matrix.nnz))
-            fh.write(matrix.indptr.astype("<i8").tobytes())
-            fh.write(matrix.indices.astype("<i8").tobytes())
-            fh.write(matrix.data.astype("<f8").tobytes())
+            fh.write(struct.pack("<IBB", CACHE_VERSION, _NORM_CODES[op.normalization],
+                                 len(op.factors)))
+            for factor in op.factors:
+                matrix = as_csr(factor)
+                fh.write(_FACTOR_HEADER.pack(*matrix.shape, matrix.nnz))
+                fh.write(matrix.indptr.astype("<i8").tobytes())
+                fh.write(matrix.indices.astype("<i8").tobytes())
+                fh.write(matrix.data.astype("<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def load_operator(path) -> PropagationOperator:
-    """Load a propagation operator written by :func:`save_operator`."""
-    data = Path(path).read_bytes()
-    header = 4 + 5 + 24
-    if len(data) < header:
+def _read_factor(data, offset, path):
+    """The CSR factor whose block starts at ``offset``, and the offset after it."""
+    start = offset + _FACTOR_HEADER.size
+    if len(data) < start:
         raise FormatError(f"{path}: truncated operator cache")
-    if data[:4] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    version, norm_code = struct.unpack("<IB", data[4:9])
-    if version != CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    if norm_code >= len(NORMALIZATIONS):
-        raise FormatError(f"{path}: unknown normalization code {norm_code}")
-    rows, cols, nnz = struct.unpack("<QQQ", data[9:33])
-    need = header + 8 * (rows + 1) + 8 * nnz + 8 * nnz
-    if len(data) < need:
-        raise FormatError(f"{path}: expected {need} bytes, file has {len(data)}")
-    offset = header
-    indptr = np.frombuffer(data, dtype="<i8", count=rows + 1, offset=offset)
-    offset += 8 * (rows + 1)
-    indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=offset)
-    offset += 8 * nnz
-    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=offset)
+    rows, cols, nnz = _FACTOR_HEADER.unpack_from(data, offset)
+    end = start + 8 * (rows + 1) + 16 * nnz
+    if len(data) < end:
+        raise FormatError(f"{path}: expected {end} bytes, file has {len(data)}")
+    indptr = np.frombuffer(data, dtype="<i8", count=rows + 1, offset=start)
+    start += 8 * (rows + 1)
+    indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=start)
+    start += 8 * nnz
+    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=start)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path}: corrupt row offsets")
     if nnz and (indices.min() < 0 or indices.max() >= cols):
         raise FormatError(f"{path}: column index outside [0, {cols})")
-    matrix = sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
-    return PropagationOperator(matrix=as_csr(matrix),
-                               normalization=NORMALIZATIONS[norm_code])
+    return as_csr(sp.csr_matrix((values, indices, indptr), shape=(rows, cols))), end
+
+
+def load_operator(path) -> PropagationOperator:
+    """Load a propagation operator written by :func:`save_operator`."""
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        raise FormatError(f"{path}: truncated operator cache")
+    magic, version, norm_code, count = _HEADER.unpack_from(data)
+    if magic != _CACHE_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if version != CACHE_VERSION:
+        raise FormatError(f"{path}: unsupported cache version {version}")
+    if norm_code >= len(NORMALIZATIONS):
+        raise FormatError(f"{path}: unknown normalization code {norm_code}")
+    if count not in (1, 2):
+        raise FormatError(f"{path}: expected 1 or 2 factors, got {count}")
+    offset = _HEADER.size
+    factors = []
+    for _ in range(count):
+        factor, offset = _read_factor(data, offset, path)
+        factors.append(factor)
+    if offset != len(data):
+        raise FormatError(f"{path}: {len(data) - offset} trailing bytes after the last factor")
+    try:
+        return PropagationOperator(factors=tuple(factors),
+                                   normalization=NORMALIZATIONS[norm_code])
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -108,6 +108,9 @@ def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
     ("--noise", "1.5", "noise"),
     ("--epochs", "0", "epochs"),
     ("--pca-dims", "0", "pca_dims"),
+    ("--k", "0", "k must be a positive integer"),
+    ("--alpha", "1.5", "alpha must lie strictly inside (0, 1)"),
+    ("--subsample", "0", "subsample_size must be a positive integer"),
 ])
 def test_run_bad_value_exit_code(capsys, flag, value, named):
     args = ["run", "--dataset", "synthetic", "--method", "hgnn",

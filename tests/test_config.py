@@ -136,6 +136,27 @@ class TestSchemaRules:
             parse_config("schema_version = 1\n[dataset]\nname = usps\n"
                          "[experiment]\npca_dims = 0\n")
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("experiment", "pca_dims", "0", "pca_dims"),
+        ("experiment", "k", "0", "k"),
+        ("experiment", "alpha", "1.5", "alpha"),
+        ("experiment", "alpha", "0", "alpha"),
+        ("dataset", "subsample_size", "0", "subsample_size"),
+        ("solver", "tol", "0", "solver_tol"),
+        ("solver", "max_iter", "0", "solver_max_iter"),
+    ])
+    def test_bad_value_reports_line(self, section, key, value, field):
+        body = {"dataset": "name = usps\n", "experiment": "seeds = 0\n", "solver": ""}
+        body[section] += f"{key} = {value}\n"
+        text = "schema_version = 1\n" + "".join(
+            f"[{name}]\n{lines}" for name, lines in body.items())
+        want = text.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigError, match=field) as info:
+            parse_config(text, path="x.cfg")
+        assert info.value.line == want
+        assert f"x.cfg:{want}: {field}" in str(info.value)
+        assert info.value.field == field
+
     def test_explicit_paths_collected(self):
         text = ("schema_version = 1\n[dataset]\nname = usps\n"
                 "train_path = /tmp/zip.train\ntest_path = /tmp/zip.test\n")

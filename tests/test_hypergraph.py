@@ -1,12 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import csr_equal, random_hypergraph
 import hgssl.hypergraph
 from hgssl.errors import DegenerateStructureError, FormatError
-from hgssl.hypergraph import (build_knn_graph, build_knn_hypergraph, gcn_operator,
-                              hypergraph_operator, knn_indices, load_operator,
-                              save_operator)
+from hgssl.hypergraph import (CACHE_VERSION, build_knn_graph, build_knn_hypergraph,
+                              gcn_operator, hypergraph_operator, knn_indices,
+                              load_operator, save_operator)
 
 
 def knn_oracle(X, k):
@@ -256,6 +259,26 @@ class TestApply:
         assert np.max(np.abs(op.apply_T(V) - dense.T @ V)) < 1e-12
 
 
+# v2 cache layout: magic, u32 version, u8 normalization, u8 factor count;
+# then per factor u64 rows, cols, nnz before its arrays.
+FILE_HEADER = 4 + 4 + 1 + 1
+FACTOR_HEADER = 3 * 8
+
+
+def write_cache(path, factors, version=CACHE_VERSION, norm_code=0, count=None):
+    """Hand-written cache file holding ``factors`` (dense arrays) in the v2 layout."""
+    count = len(factors) if count is None else count
+    blob = b"HGOP" + struct.pack("<IBB", version, norm_code, count)
+    for dense in factors:
+        matrix = sp.csr_matrix(np.asarray(dense, dtype=np.float64))
+        blob += struct.pack("<QQQ", *matrix.shape, matrix.nnz)
+        blob += matrix.indptr.astype("<i8").tobytes()
+        blob += matrix.indices.astype("<i8").tobytes()
+        blob += matrix.data.astype("<f8").tobytes()
+    path.write_bytes(blob)
+    return path
+
+
 class TestOperatorCache:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -288,12 +311,57 @@ class TestOperatorCache:
         path = tmp_path / "patched.hgop"
         save_operator(path, op)
         raw = bytearray(path.read_bytes())
-        first_index = 33 + 8 * (30 + 1)
+        rows = op.factors[0].shape[0]
+        first_index = FILE_HEADER + FACTOR_HEADER + 8 * (rows + 1)
+        # The patched slot is the first factor's first column index.
+        assert int.from_bytes(raw[first_index:first_index + 8], "little") \
+            == op.factors[0].indices[0]
         for bad in (10**6, 30, -1):
             raw[first_index:first_index + 8] = int(bad).to_bytes(8, "little", signed=True)
             path.write_bytes(bytes(raw))
             with pytest.raises(FormatError, match="patched.hgop"):
                 load_operator(path)
+
+    def test_hand_written_file_loads(self, tmp_path):
+        left = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
+        right = np.array([[1.0, 0.0, 1.0], [0.0, 3.0, 0.0]])
+        op = load_operator(write_cache(tmp_path / "ok.hgop", [left, right]))
+        assert np.array_equal(op.matrix.toarray(), left @ right)
+
+    @pytest.mark.parametrize("count", [0, 3, 255])
+    def test_factor_count_not_one_or_two(self, tmp_path, count):
+        path = write_cache(tmp_path / "count.hgop", [np.eye(3)], count=count)
+        with pytest.raises(FormatError, match=r"count\.hgop.*factors"):
+            load_operator(path)
+
+    def test_factors_do_not_chain(self, tmp_path):
+        path = write_cache(tmp_path / "chain.hgop", [np.ones((3, 2)), np.ones((4, 3))])
+        with pytest.raises(FormatError, match=r"chain\.hgop.*do not chain"):
+            load_operator(path)
+
+    def test_non_square_product(self, tmp_path):
+        path = write_cache(tmp_path / "square.hgop", [np.ones((3, 2)), np.ones((2, 4))])
+        with pytest.raises(FormatError, match=r"square\.hgop.*square"):
+            load_operator(path)
+
+    def test_version_1_file(self, tmp_path):
+        # A v1 file: one CSR block straight after a u32 version and u8 norm.
+        matrix = sp.csr_matrix(np.eye(3))
+        blob = (b"HGOP" + struct.pack("<IB", 1, 0)
+                + struct.pack("<QQQ", 3, 3, 3)
+                + matrix.indptr.astype("<i8").tobytes()
+                + matrix.indices.astype("<i8").tobytes()
+                + matrix.data.astype("<f8").tobytes())
+        path = tmp_path / "old.hgop"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"old\.hgop.*unsupported cache version 1"):
+            load_operator(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = write_cache(tmp_path / "long.hgop", [np.eye(3)])
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match=r"long\.hgop.*trailing"):
+            load_operator(path)
 
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(31)

@@ -16,7 +16,7 @@ from hgssl.network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
                            train)
 from hgssl.propagation import PropagationConfig, propagate_features
 
-IDENTITY_OP = PropagationOperator(sp.eye(6, format="csr"), "sym")
+IDENTITY_OP = PropagationOperator((sp.eye(6, format="csr"),), "sym")
 
 
 def random_instance(seed, n=10, l1=5, l2=4, c=3, norm="sym"):
@@ -139,7 +139,7 @@ class TestLossAndGradients:
         targets = np.zeros((6, 3))
         targets[np.arange(6), classes] = 1.0
         params = TwoLayerParams(np.eye(3), np.eye(3))
-        op = PropagationOperator(sp.eye(6, format="csr"), "sym")
+        op = PropagationOperator((sp.eye(6, format="csr"),), "sym")
         trace = forward(op, X, params)
         loss, _ = loss_and_gradients(trace, LabelMatrix(targets, "onehot"),
                                      np.arange(6), params, 0.0)
