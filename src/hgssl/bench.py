@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import hypergraph as hg
-from .datasets import (ImageDataset, load_idx_dataset, load_usps_dataset,
-                       stratified_subsample, synthetic_blobs)
-from .errors import ConfigError
+from .datasets import (ImageDataset, check_blob_args, load_idx_dataset,
+                       load_usps_dataset, stratified_subsample, synthetic_blobs)
+from .errors import ConfigError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
@@ -63,6 +63,9 @@ class SyntheticSpec:
     spread: float = 0.1
     seed: int = 1
 
+    def __post_init__(self):
+        check_blob_args(self.n, self.classes, self.dim, self.spread, self.seed)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,12 +76,10 @@ class ExperimentConfig:
     seeds: tuple = (0, 1, 2)
     pca_dims: Optional[int] = None
     k: int = 5
-    alpha: float = 0.99
     normalization: str = "sym"
     include_centroid: bool = True
     train: TrainConfig = TrainConfig()
-    solver_tol: float = 1e-6
-    solver_max_iter: int = 1000
+    solver: PropagationConfig = PropagationConfig()
     subsample_size: Optional[int] = None
     subsample_seed: int = 0
     synthetic: Optional[SyntheticSpec] = None
@@ -89,6 +90,8 @@ class ExperimentConfig:
                  f"unknown dataset {self.dataset!r}")
         _require(bool(self.methods), "methods", "need at least one method")
         _require(bool(self.seeds), "seeds", "need at least one seed")
+        for seed in self.seeds:
+            _require(seed >= 0, "seeds", f"seeds must be non-negative integers, got {seed}")
         for method in self.methods:
             _require(method in METHODS, "methods",
                      f"unknown method {method!r}; known: {', '.join(METHODS)}")
@@ -99,20 +102,11 @@ class ExperimentConfig:
         _require(self.pca_dims is None or self.pca_dims >= 1, "pca_dims",
                  f"pca_dims must be a positive integer or none, got {self.pca_dims}")
         _require(self.k >= 1, "k", f"k must be a positive integer, got {self.k}")
-        _require(0.0 < self.alpha < 1.0, "alpha",
-                 f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         _require(self.subsample_size is None or self.subsample_size >= 1, "subsample_size",
                  f"subsample_size must be a positive integer or none, "
                  f"got {self.subsample_size}")
-        _require(self.solver_tol > 0, "solver_tol",
-                 f"solver_tol must be positive, got {self.solver_tol}")
-        _require(self.solver_max_iter >= 1, "solver_max_iter",
-                 f"solver_max_iter must be a positive integer, got {self.solver_max_iter}")
-
-
-def _require(ok: bool, field_name: str, message: str):
-    if not ok:
-        raise ConfigError(message, field=field_name)
+        _require(self.subsample_seed >= 0, "subsample_seed",
+                 f"subsample_seed must be a non-negative integer, got {self.subsample_seed}")
 
 
 @dataclass(frozen=True)
@@ -191,10 +185,6 @@ def _operator_name(cfg: ExperimentConfig, method: str) -> str:
     return _METHOD_OPERATORS[method].format(normalization=cfg.normalization)
 
 
-def _propagation_config(cfg: ExperimentConfig) -> PropagationConfig:
-    return PropagationConfig(cfg.alpha, cfg.solver_tol, cfg.solver_max_iter)
-
-
 def operator_cache_key(cfg: ExperimentConfig, X: np.ndarray) -> str:
     """Hex sha256 of the prepared features and every setting the operators depend on."""
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -260,7 +250,7 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
     operators = build_operators(cfg, X, ops_dir)
     propagated = None
     if "hgnn-proposed" in cfg.methods:
-        propagated = propagate_features(operators["hg_sym"], X, _propagation_config(cfg))
+        propagated = propagate_features(operators["hg_sym"], X, cfg.solver)
     return PreparedExperiment(config=cfg, dataset=dataset, features=X,
                               operators=operators, propagated=propagated,
                               pca_used=pca_used)
@@ -278,7 +268,7 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float, seed: int,
     op = prepared.operators[_operator_name(cfg, method)]
     if method in _CLOSED_FORM:
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "pm1")
-        pred = decode_predictions(propagate_labels(op, Y, _propagation_config(cfg)))
+        pred = decode_predictions(propagate_labels(op, Y, cfg.solver))
     else:
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "onehot")
         X = prepared.propagated if method == "hgnn-proposed" else prepared.features

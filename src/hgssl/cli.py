@@ -22,6 +22,7 @@ from .bench import (ExperimentConfig, SyntheticSpec, build_operators, emit_table
                     operator_cache_key, operator_cache_path, run_experiment)
 from .errors import ConfigError
 from .network import TrainConfig
+from .propagation import PropagationConfig
 
 
 # Non-string, so argparse does not pass it through --pca-dims' type.
@@ -59,7 +60,7 @@ def _build_parser():
                        default=_PER_DATASET,
                        help="PCA dimensions or 'none' (default: the dataset's default)")
     p_run.add_argument("--k", type=int, default=ExperimentConfig.k)
-    p_run.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
+    p_run.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
     p_run.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_run.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p_run.add_argument("--normalization", choices=("sym", "rw"),
@@ -114,23 +115,20 @@ def _cmd_run(args) -> int:
     pca_dims = args.pca_dims
     if pca_dims is _PER_DATASET:
         pca_dims = bench_mod.DEFAULT_PCA_DIMS[args.dataset]
-    try:
-        cfg = ExperimentConfig(
-            dataset=args.dataset,
-            methods=(args.method,),
-            noise_levels=(args.noise,),
-            seeds=(args.seed,),
-            pca_dims=pca_dims,
-            k=args.k,
-            alpha=args.alpha,
-            normalization=args.normalization,
-            include_centroid=not args.no_centroid,
-            train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
-            subsample_size=args.subsample,
-            synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig(
+        dataset=args.dataset,
+        methods=(args.method,),
+        noise_levels=(args.noise,),
+        seeds=(args.seed,),
+        pca_dims=pca_dims,
+        k=args.k,
+        normalization=args.normalization,
+        include_centroid=not args.no_centroid,
+        train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
+        solver=PropagationConfig(alpha=args.alpha),
+        subsample_size=args.subsample,
+        synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
+    )
     report = run_experiment(cfg, data_dir=args.data_dir, workers=1)
     if report.rows:
         sys.stdout.write(emit_table(report.rows, "csv"))

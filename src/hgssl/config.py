@@ -3,8 +3,8 @@
 Layout: full-line comments start with ``#`` or ``;``, ``[section]`` headers
 group ``key = value`` pairs, and a ``schema_version = 1`` assignment must
 appear before the first section.  The full schema (sections, keys, types,
-defaults) is documented in the README; unknown sections or keys are rejected
-with the offending line number.
+defaults) is documented in the README.  Unknown sections or keys, and values
+that a config class's rules reject, are reported with the offending line.
 """
 
 from dataclasses import fields, replace
@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 from .bench import DATASET_FILES, DEFAULT_PCA_DIMS, ExperimentConfig, SyntheticSpec
 from .errors import ConfigError
 from .network import TrainConfig
+from .propagation import PropagationConfig
 
 
 def parse_config_text(text, path="<config>"):
@@ -85,9 +86,10 @@ _INTS = (_tuple_of(int), "comma-separated integers")
 _NAMES = (_tuple_of(str.strip), "comma-separated names")
 
 
-def _numeric_kinds(cls):
-    """Kinds for a dataclass of numbers, one key per field."""
-    return {f.name: (_REAL if f.type is float else _INT) for f in fields(cls)}
+def _numeric_kinds(cls, skip=()):
+    """Kinds for a dataclass of numbers, one key per field not in ``skip``."""
+    return {f.name: (_REAL if f.type is float else _INT)
+            for f in fields(cls) if f.name not in skip}
 
 
 class _SectionReader:
@@ -99,10 +101,12 @@ class _SectionReader:
         self.entries = entries
         self.seen = set()
 
-    def error(self, key, message):
+    def line(self, key):
         entry = self.entries.get(key)
-        line = entry[1] if entry else None
-        raise ConfigError(message, self.path, line)
+        return entry[1] if entry else None
+
+    def error(self, key, message):
+        raise ConfigError(message, self.path, self.line(key), key)
 
     def get(self, key, kind=_STRING):
         """The parsed value of ``key``, or None when the section does not set it."""
@@ -116,23 +120,36 @@ class _SectionReader:
         except ValueError:
             self.error(key, f"expected {expected} for {key!r}, got {entry[0]!r}")
 
-    def collect(self, kinds, lines, prefix=""):
-        """{prefix + key: value} for each key of ``kinds`` that the section sets.
-
-        ``lines`` receives {prefix + key: line number} for the same keys.
-        """
-        values = {}
-        for key, kind in kinds.items():
-            if key in self.entries:
-                values[prefix + key] = self.get(key, kind)
-                lines[prefix + key] = self.entries[key][1]
-        return values
+    def collect(self, kinds):
+        """{key: value} for each key of ``kinds`` that the section sets."""
+        return {key: self.get(key, kind) for key, kind in kinds.items()
+                if key in self.entries}
 
     def reject_unknown(self):
-        for key, (_, lineno) in self.entries.items():
+        for key in self.entries:
             if key not in self.seen:
                 where = f"[{self.name}]" if self.name else "the document root"
-                raise ConfigError(f"unknown key {key!r} in {where}", self.path, lineno)
+                self.error(key, f"unknown key {key!r} in {where}")
+
+
+def _build(cls, parts, **base):
+    """``cls`` from ``base`` overridden by the keys each (reader, kinds) part sets.
+
+    Only keys the file sets are passed on, so ``cls`` owns the defaults and
+    the value rules.  A field named by its ConfigError is a key of one of the
+    parts (keys are unique across them), and the error is re-raised at the
+    line that set it.
+    """
+    lines = {}
+    for reader, kinds in parts:
+        values = reader.collect(kinds)
+        base.update(values)
+        lines.update((key, reader.line(key)) for key in values)
+    try:
+        return cls(**base)
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, parts[0][0].path, lines.get(exc.field),
+                          exc.field) from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -159,47 +176,30 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
 
     if "dataset" not in sections:
         raise ConfigError("missing required [dataset] section", path, None)
-    ds = _SectionReader(path, "dataset", sections["dataset"])
+    ds, ex, tr, so = (_SectionReader(path, section, sections.get(section, {}))
+                      for section in ("dataset", "experiment", "train", "solver"))
     name = ds.get("name", _one_of(tuple(DATASET_FILES)))
     if name is None:
         raise ConfigError("missing 'name' in [dataset]", path, header_lines["dataset"])
-    # Only keys the file sets are passed on; ExperimentConfig owns the defaults
-    # and the value rules.  ``lines`` maps each collected key, prefix included,
-    # to its line; an ExperimentConfig error names its field, which is such a key.
-    lines = {}
-    kwargs = ds.collect({"subsample_size": _INT_OR_NONE, "subsample_seed": _INT}, lines)
-    paths = ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING), lines)
-    if paths:
-        kwargs["paths"] = paths
+
+    synthetic = None
     if name == "synthetic":
-        kwargs["synthetic"] = SyntheticSpec(**ds.collect(_numeric_kinds(SyntheticSpec), lines))
-    ds.reject_unknown()
-
-    ex = _SectionReader(path, "experiment", sections.get("experiment", {}))
-    kwargs.update(ex.collect({
-        "methods": _NAMES, "noise_levels": _REALS, "seeds": _INTS,
-        "pca_dims": _INT_OR_NONE, "k": _INT, "alpha": _REAL,
-        "normalization": _one_of(("sym", "rw")), "include_centroid": _BOOL}, lines))
-    kwargs.setdefault("pca_dims", DEFAULT_PCA_DIMS[name])
-    ex.reject_unknown()
-
-    tr = _SectionReader(path, "train", sections.get("train", {}))
-    train = tr.collect(_numeric_kinds(TrainConfig), lines)
-    tr.reject_unknown()
-    if train:
-        try:
-            kwargs["train"] = TrainConfig(**train)
-        except ValueError as exc:
-            raise ConfigError(str(exc), path, header_lines.get("train")) from exc
-
-    so = _SectionReader(path, "solver", sections.get("solver", {}))
-    kwargs.update(so.collect({"tol": _REAL, "max_iter": _INT}, lines, prefix="solver_"))
-    so.reject_unknown()
-
-    try:
-        return ExperimentConfig(dataset=name, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(exc.reason, path, lines.get(exc.field), exc.field) from exc
+        synthetic = _build(SyntheticSpec, [(ds, _numeric_kinds(SyntheticSpec))])
+    # ``seed`` is left out: each grid cell trains with its own seed.
+    train = _build(TrainConfig, [(tr, _numeric_kinds(TrainConfig, skip=("seed",)))])
+    solver = _build(PropagationConfig,
+                    [(ex, {"alpha": _REAL}), (so, {"tol": _REAL, "max_iter": _INT})])
+    cfg = _build(
+        ExperimentConfig,
+        [(ds, {"subsample_size": _INT_OR_NONE, "subsample_seed": _INT}),
+         (ex, {"methods": _NAMES, "noise_levels": _REALS, "seeds": _INTS,
+               "pca_dims": _INT_OR_NONE, "k": _INT, "normalization": _STRING,
+               "include_centroid": _BOOL})],
+        dataset=name, paths=ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING)),
+        pca_dims=DEFAULT_PCA_DIMS[name], synthetic=synthetic, train=train, solver=solver)
+    for section in (ds, ex, tr, so):
+        section.reject_unknown()
+    return cfg
 
 
 def strip_subsample(cfg: ExperimentConfig) -> ExperimentConfig:

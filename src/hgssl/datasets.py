@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, _require
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
@@ -96,6 +96,11 @@ def load_idx_dataset(images_path_train, labels_path_train,
     if test_x.shape[0] != test_y.shape[0]:
         raise FormatError(
             f"test image count {test_x.shape[0]} != label count {test_y.shape[0]}")
+    return _train_then_test(train_x, train_y, test_x, test_y)
+
+
+def _train_then_test(train_x, train_y, test_x, test_y) -> ImageDataset:
+    """Stack the two splits, training rows first; classes are 0..max label."""
     features = np.vstack([train_x, test_x])
     labels = np.concatenate([train_y, test_y])
     l = train_x.shape[0]
@@ -175,17 +180,7 @@ def load_usps_dataset(train_path, test_path) -> ImageDataset:
     if train_x.shape[1] != test_x.shape[1]:
         raise FormatError(
             f"pixel counts differ between splits: {train_x.shape[1]} vs {test_x.shape[1]}")
-    features = np.vstack([train_x, test_x])
-    labels = np.concatenate([train_y, test_y])
-    l = train_x.shape[0]
-    n = features.shape[0]
-    return ImageDataset(
-        features=features,
-        labels=labels,
-        train_indices=np.arange(l, dtype=np.int64),
-        test_indices=np.arange(l, n, dtype=np.int64),
-        num_classes=int(labels.max()) + 1,
-    )
+    return _train_then_test(train_x, train_y, test_x, test_y)
 
 
 def save_usps_dataset(ds: ImageDataset, train_path, test_path):
@@ -201,6 +196,19 @@ def save_usps_dataset(ds: ImageDataset, train_path, test_path):
     write_split(ds.test_indices, test_path)
 
 
+def check_blob_args(n, num_classes, dim, spread, seed):
+    """The rules on :func:`synthetic_blobs` arguments.
+
+    Errors name the ``[dataset]`` config key (``classes`` for ``num_classes``),
+    so ``SyntheticSpec`` applies the same rules before any data is made.
+    """
+    _require(num_classes >= 2, "classes", f"classes must be at least 2, got {num_classes}")
+    _require(n >= num_classes, "n", f"n must be at least classes ({num_classes}), got {n}")
+    _require(dim >= 1, "dim", f"dim must be a positive integer, got {dim}")
+    _require(spread > 0, "spread", f"spread must be positive, got {spread}")
+    _require(seed >= 0, "seed", f"seed must be a non-negative integer, got {seed}")
+
+
 def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,
                     seed: int) -> ImageDataset:
     """Well-separated Gaussian clusters for desk-scale tests.
@@ -211,12 +219,7 @@ def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,
     standard-normal block per class, drawn in class order), so identical
     arguments produce bit-identical datasets.
     """
-    if not (n >= num_classes >= 2):
-        raise ValueError(f"need n >= num_classes >= 2, got n={n}, C={num_classes}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    check_blob_args(n, num_classes, dim, spread, seed)
     rng = np.random.default_rng(seed)
 
     sizes = np.full(num_classes, n // num_classes, dtype=np.int64)

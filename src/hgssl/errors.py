@@ -29,7 +29,7 @@ class ConfigError(ValueError):
     """A benchmark setting is invalid; carries the file, line and field when known.
 
     ``reason`` is the message without the ``path:line:`` prefix and ``field``
-    names the ``ExperimentConfig`` field at fault, so a config reader can
+    names the config field (or file key) at fault, so a config reader can
     attach the line that set it.
     """
 
@@ -46,3 +46,9 @@ class ConfigError(ValueError):
         super().__init__(message)
         self.path = path
         self.line = line
+
+
+def _require(ok: bool, field_name: str, message: str):
+    """The one way a config class states a rule: raise ConfigError naming the field."""
+    if not ok:
+        raise ConfigError(message, field=field_name)

@@ -180,11 +180,11 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
 
 
 def _gaussian_knn_adjacency(X, k, sigma, knn=None):
-    """Symmetrized kNN adjacency with Gaussian weights; returns (A, sigma)."""
+    """Symmetrized kNN adjacency with Gaussian weights."""
     X = as_dense(X)
     n = X.shape[0]
     if n == 1:
-        return sp.csr_matrix((1, 1)), float(sigma) if sigma != "auto" else 1.0
+        return sp.csr_matrix((1, 1))
     neighbors = knn_indices(X, k) if knn is None else np.asarray(knn)
     arange = np.arange(n, dtype=np.int64)
     src = np.repeat(arange, neighbors.shape[1])
@@ -192,9 +192,8 @@ def _gaussian_knn_adjacency(X, k, sigma, knn=None):
     sq_dist = ((X[src] - X[dst]) ** 2).sum(axis=1)
 
     if sigma == "auto":
-        # Mean distance to the k-th neighbor.
-        kth_dist = np.sqrt(((X - X[neighbors[:, -1]]) ** 2).sum(axis=1))
-        sigma = float(kth_dist.mean())
+        # Mean distance to the k-th neighbor, the last of each row's block.
+        sigma = float(np.sqrt(sq_dist.reshape(n, -1)[:, -1]).mean())
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -206,7 +205,7 @@ def _gaussian_knn_adjacency(X, k, sigma, knn=None):
     linear = rows * n + cols
     _, keep = np.unique(linear, return_index=True)
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    return as_csr(A), sigma
+    return as_csr(A)
 
 
 def build_knn_graph(X: np.ndarray, k: int, sigma="auto",
@@ -217,7 +216,7 @@ def build_knn_graph(X: np.ndarray, k: int, sigma="auto",
     neighbors; weights are exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero
     diagonal.  ``sigma="auto"`` uses the mean distance to the k-th neighbor.
     """
-    A, _ = _gaussian_knn_adjacency(X, k, sigma, knn=knn)
+    A = _gaussian_knn_adjacency(X, k, sigma, knn=knn)
     degrees = np.asarray(A.sum(axis=1)).ravel()
     if degrees.min(initial=np.inf) <= 0:
         raise DegenerateStructureError("isolated vertex in kNN graph")
@@ -229,7 +228,7 @@ def build_knn_graph(X: np.ndarray, k: int, sigma="auto",
 def gcn_operator(X: np.ndarray, k: int, sigma="auto",
                  knn: np.ndarray = None) -> PropagationOperator:
     """Self-loop-renormalized graph operator D~^{-1/2} (A + I) D~^{-1/2}."""
-    A, _ = _gaussian_knn_adjacency(X, k, sigma, knn=knn)
+    A = _gaussian_knn_adjacency(X, k, sigma, knn=knn)
     A_tilde = as_csr(A + sp.eye(A.shape[0], format="csr"))
     degrees = np.asarray(A_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _require
 from .hypergraph import PropagationOperator
 from .labels import LabelMatrix
 from .linalg import as_dense
@@ -34,18 +34,18 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 200
     weight_decay: float = 5e-4
-    seed: int = 0
+    seed: int = 0  # the benchmark grid passes each cell's seed instead
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _require(self.hidden >= 1, "hidden",
+                 f"hidden must be a positive integer, got {self.hidden}")
+        _require(self.learning_rate >= 0, "learning_rate",
+                 f"learning_rate must be >= 0, got {self.learning_rate}")
+        _require(self.epochs >= 1, "epochs",
+                 f"epochs must be a positive integer, got {self.epochs}")
 
 
 @dataclass

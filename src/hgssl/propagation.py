@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, _require
 from .hypergraph import PropagationOperator
 from .labels import LabelMatrix
 from .linalg import as_dense, conjugate_gradient
@@ -23,12 +23,11 @@ class PropagationConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _require(0.0 < self.alpha < 1.0, "alpha",
+                 f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        _require(self.tol > 0, "tol", f"tol must be positive, got {self.tol}")
+        _require(self.max_iter >= 1, "max_iter",
+                 f"max_iter must be a positive integer, got {self.max_iter}")
 
 
 def _solve_columns(op: PropagationOperator, B: np.ndarray,

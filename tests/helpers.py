@@ -30,3 +30,13 @@ def csr_equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
             and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data, b.data))
+
+
+def knn_oracle(X, k):
+    """Exhaustive sort by (distance, index) per query row."""
+    n = X.shape[0]
+    out = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        pairs = sorted((np.linalg.norm(X[i] - X[j]), j) for j in range(n) if j != i)
+        out[i] = [j for _, j in pairs[:k]]
+    return out

@@ -9,6 +9,7 @@ from hgssl.bench import (METHODS, ExperimentConfig, ResultRow, SyntheticSpec,
                          run_experiment)
 from hgssl.errors import ConfigError
 from hgssl.network import TrainConfig
+from hgssl.propagation import PropagationConfig
 
 FAST_TRAIN = TrainConfig(hidden=16, epochs=60)
 
@@ -60,7 +61,7 @@ class TestRunExperiment:
     def test_failed_cell_keeps_others_running(self):
         # max_iter = 1 starves the closed-form solves; the gcn cells still run.
         cfg = replace(SMALL, methods=("hypergraph-ssl", "gcn"),
-                      solver_max_iter=1, solver_tol=1e-14)
+                      solver=PropagationConfig(tol=1e-14, max_iter=1))
         report = run_experiment(cfg)
         assert not report.ok
         assert {f.method for f in report.failures} == {"hypergraph-ssl"}

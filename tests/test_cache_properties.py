@@ -10,23 +10,9 @@ from helpers import csr_equal
 from hgssl.errors import FormatError
 from hgssl.hypergraph import (build_knn_graph, build_knn_hypergraph, gcn_operator,
                               hypergraph_operator, load_operator, save_operator)
-
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-# Derandomized, so every run draws the same examples.
-PROPERTY = settings(derandomize=True, max_examples=20, deadline=None, database=None)
-
-
-@st.composite
-def point_clouds(draw):
-    """n in [3, 40] points on a coarse integer grid (so duplicates occur) and a valid k."""
-    n = draw(st.integers(3, 40))
-    dim = draw(st.integers(1, 3))
-    coords = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
-    k = draw(st.integers(1, n - 1))
-    return np.array(coords, dtype=np.float64).reshape(n, dim), k
+from strategies import PROPERTY, point_clouds  # first: skips without hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 
 def build(norm, X, k):

@@ -1,5 +1,6 @@
 import pytest
 
+import hgssl.bench
 from hgssl.bench import parse_results_csv
 from hgssl.cli import main
 
@@ -95,6 +96,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "broken.cfg:4" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("epochs = 30", "epochs = 0", "epochs must be a positive integer"),
+    ("hidden = 8", "hidden = 8\n[solver]\ntol = 0", "tol must be positive"),
+    ("classes = 3", "classes = 1", "classes must be at least 2"),
+    ("spread = 0.1", "spread = 0", "spread must be positive"),
+    ("hidden = 8", "hidden = 8\nseed = 3", "unknown key 'seed' in [train]"),
+], ids=["train-epochs", "solver-tol", "dataset-classes", "dataset-spread", "train-seed"])
+def test_bad_config_value_exit_code(tmp_path, capsys, monkeypatch, old, new, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before the config was checked")
+    monkeypatch.setattr(hgssl.bench, "load_dataset", no_data)
+    text = TINY_CONFIG.replace(old, new)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert f"bad.cfg:{line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -110,6 +131,7 @@ def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
     ("--pca-dims", "0", "pca_dims"),
     ("--k", "0", "k must be a positive integer"),
     ("--alpha", "1.5", "alpha must lie strictly inside (0, 1)"),
+    ("--hidden", "0", "hidden must be a positive integer"),
     ("--subsample", "0", "subsample_size must be a positive integer"),
 ])
 def test_run_bad_value_exit_code(capsys, flag, value, named):

@@ -39,11 +39,11 @@ class TestParsing:
         assert cfg.noise_levels == (0.0, 0.45)
         assert cfg.seeds == (0, 1)
         assert cfg.k == 4
-        assert cfg.alpha == 0.9
+        assert cfg.solver.alpha == 0.9
         assert cfg.train.epochs == 30
         assert cfg.train.hidden == 16
-        assert cfg.solver_tol == 1e-8
-        assert cfg.solver_max_iter == 1000  # default
+        assert cfg.solver.tol == 1e-8
+        assert cfg.solver.max_iter == 1000  # default
         assert cfg.pca_dims is None  # synthetic default
 
     def test_defaults_per_dataset(self):
@@ -142,11 +142,24 @@ class TestSchemaRules:
         ("experiment", "alpha", "1.5", "alpha"),
         ("experiment", "alpha", "0", "alpha"),
         ("dataset", "subsample_size", "0", "subsample_size"),
-        ("solver", "tol", "0", "solver_tol"),
-        ("solver", "max_iter", "0", "solver_max_iter"),
+        ("solver", "tol", "0", "tol"),
+        ("solver", "max_iter", "0", "max_iter"),
+        ("experiment", "normalization", "both", "normalization"),
+        ("train", "epochs", "0", "epochs"),
+        ("train", "hidden", "0", "hidden"),
+        ("train", "learning_rate", "-1", "learning_rate"),
+        ("dataset", "classes", "1", "classes"),
+        ("dataset", "n", "2", "n"),
+        ("dataset", "dim", "0", "dim"),
+        ("dataset", "spread", "0", "spread"),
+        ("dataset", "seed", "-1", "seed"),
+        ("dataset", "subsample_seed", "-1", "subsample_seed"),
+        ("experiment", "seeds", "0, -1", "seeds"),
     ])
     def test_bad_value_reports_line(self, section, key, value, field):
-        body = {"dataset": "name = usps\n", "experiment": "seeds = 0\n", "solver": ""}
+        body = {"dataset": "name = synthetic\n",
+                "experiment": "include_centroid = true\n",
+                "train": "weight_decay = 0\n", "solver": ""}
         body[section] += f"{key} = {value}\n"
         text = "schema_version = 1\n" + "".join(
             f"[{name}]\n{lines}" for name, lines in body.items())

@@ -4,22 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import csr_equal, random_hypergraph
+from helpers import csr_equal, knn_oracle, random_hypergraph
 import hgssl.hypergraph
 from hgssl.errors import DegenerateStructureError, FormatError
 from hgssl.hypergraph import (CACHE_VERSION, build_knn_graph, build_knn_hypergraph,
                               gcn_operator, hypergraph_operator, knn_indices,
                               load_operator, save_operator)
-
-
-def knn_oracle(X, k):
-    """Exhaustive sort by (distance, index) per query row."""
-    n = X.shape[0]
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        pairs = sorted((np.linalg.norm(X[i] - X[j]), j) for j in range(n) if j != i)
-        out[i] = [j for _, j in pairs[:k]]
-    return out
 
 
 class TestKnnIndices:
