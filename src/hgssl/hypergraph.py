@@ -5,6 +5,15 @@ contains point j itself (so every hyperedge has at least two members) plus
 every point i for which i is among the k nearest neighbors of j or j is among
 the k nearest neighbors of i.  Hyperedge weights are 1.
 
+Every structure here rests on one exact kNN pass, ``knn_indices``.  It takes
+squared distances from a blocked matrix product, ||x_i||^2 + ||x_j||^2 -
+2 X_b X^T, keeps each row's candidates within a certified floating-point
+error bound of its k-th smallest value, and reranks only those candidates
+with the difference formula ``pair_sq_distances``, which the Gaussian graph
+weights use too.  The bound (derived in ``knn_indices``) is wide enough that
+no true neighbor or tie can fall outside the shortlist, so the result equals
+an exhaustive sort by (distance, index).
+
 Propagation operators are the n x n smoothing operators shared by the
 closed-form solvers and the neural forward passes, which use them only through
 ``apply`` (Theta V) and ``apply_T`` (Theta^T V).  An operator is stored as a
@@ -31,15 +40,23 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateStructureError, FormatError, ShapeError
 from .linalg import as_csr, as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
-# Rows per distance block: caps the blocked brute-force kNN at ~256 MB of f64.
-_BLOCK_BUDGET = 1 << 25
+# Entries per kNN distance block: 32 MB of f64, plus a copy of the same size
+# for the k-th-value partition.
+_BLOCK_BUDGET = 1 << 22
+# Coordinates gathered per chunk of pair distances: 8 MB of f64.
+_PAIR_BUDGET = 1 << 20
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Smallest subnormal: a product that underflows is off by at most half of it.
+_SUBNORMAL_MIN = 2.0 ** -1074
+# Largest squared row norm knn_indices accepts: below it, sums of four such
+# norms (the most any squared distance or its Gram expansion reaches) are finite.
+_SQ_NORM_LIMIT = np.finfo(np.float64).max / 8
 
 
 @dataclass(frozen=True)
@@ -96,30 +113,124 @@ class PropagationOperator:
         return V
 
 
+def pair_sq_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """||X[rows[t]] - X[cols[t]]||^2 for every t, by the difference formula.
+
+    This is the one definition of an exact squared distance in the package:
+    the kNN rerank and the Gaussian graph weights both call it.  Pairs are
+    gathered ``_PAIR_BUDGET`` coordinates at a time; each pair's sum runs over
+    one contiguous row of the gathered block, so the result does not depend on
+    the chunking.
+    """
+    out = np.empty(len(rows))
+    step = max(1, _PAIR_BUDGET // max(1, X.shape[1]))
+    for start in range(0, len(rows), step):
+        stop = start + step
+        diff = X[rows[start:stop]] - X[cols[start:stop]]
+        diff *= diff
+        out[start:stop] = diff.sum(axis=1)
+    return out
+
+
+def _gram_sq_distances(X: np.ndarray, sq_norms: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """G = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j for rows start:stop against all rows.
+
+    One matrix product, edited in place; the diagonal (each row against
+    itself) is set to inf.
+    """
+    G = X[start:stop] @ X.T
+    G *= -2.0
+    G += sq_norms[start:stop, None]
+    G += sq_norms
+    local = np.arange(stop - start)
+    G[local, start + local] = np.inf
+    return G
+
+
+def _certified_slack(sq_norms: np.ndarray, dim: int) -> np.ndarray:
+    """s_i >= |G_ij - pair_sq_distances(i, j)| for every j, in floating point.
+
+    s_i = 2 gamma_{d+4} (||x_i|| + max_j ||x_j||)^2 + 4 (d + 4) eta with
+    gamma_m = m u / (1 - m u), u = 2^-53 and eta = 2^-1074; see
+    :func:`knn_indices` for the derivation.
+    """
+    m = dim + 4
+    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    norms = np.sqrt(sq_norms)
+    return 2.0 * gamma * (norms + norms.max()) ** 2 + 4 * m * _SUBNORMAL_MIN
+
+
 def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest neighbors of every row of ``X`` (Euclidean, self excluded).
 
     Row i lists its k nearest rows sorted by ascending distance; equal
-    distances are broken by the lower row index.  Distances are evaluated by
-    blocked brute force, so duplicated points tie exactly.
+    distances are broken by the lower row index.  A distance is the value of
+    :func:`pair_sq_distances`, so duplicated points tie exactly.  Rows holding
+    a NaN or an infinity, or whose squared norm could overflow a distance,
+    raise ``ValueError`` naming the first such row.
+
+    Algorithm, per block of ``_BLOCK_BUDGET // n`` rows:
+
+    1. G = ||x_i||^2 + ||x_j||^2 - 2 X_b X^T, one matrix product (BLAS).
+    2. Shortlist every j with G_ij <= kth_i + 2 s_i, where kth_i is the k-th
+       smallest G in row i and s_i comes from :func:`_certified_slack`.
+    3. Rerank only the shortlisted pairs with :func:`pair_sq_distances` and
+       keep, per row, the first k in (distance, index) order.
+
+    Why the shortlist cannot miss a neighbor.  Let D_ij be the exact real
+    squared distance, d_ij its computed value from step 3, u = 2^-53,
+    eta = 2^-1074, gamma_m = m u / (1 - m u) and
+    r_ij = (||x_i|| + ||x_j||)^2 >= D_ij.  A floating-point inner product of
+    length d, in any summation order and with or without fused multiply-add,
+    satisfies |fl(x.y) - x.y| <= gamma_d |x|.|y| + d (eta / 2) (1 + gamma_d):
+    each product that underflows adds at most eta / 2, and additions of
+    subnormals are exact.  This applies to the two squared norms and to the
+    Gram entry (the factor -2 is exact); the two further additions that form
+    G bring it to |G_ij - D_ij| <= gamma_{d+2} r_ij + 2 d eta (1 + gamma).
+    Step 3 rounds one subtraction and one product per coordinate and d - 1
+    additions of non-negative terms, so |d_ij - D_ij| <= gamma_{d+2} D_ij +
+    d (eta / 2) (1 + gamma).  Hence |G_ij - d_ij| <= 2 gamma_{d+2} r_ij +
+    3 d eta <= s_i.  The k columns with G_ij <= kth_i all have
+    d_ij <= kth_i + s_i, so the k-th smallest d in row i, t_i, is at most
+    kth_i + s_i.  Every j with d_ij <= t_i then has
+    G_ij <= d_ij + s_i <= kth_i + 2 s_i and is in the shortlist, ties at t_i
+    included.  s_i is evaluated with gamma_{d+4} in place of gamma_{d+2} (a
+    relative margin of 2 / (d + 2)) and with 4 (d + 4) eta in place of
+    3 d eta; that covers the O(d u) relative rounding in evaluating s_i
+    itself and the rounding of kth_i + 2 s_i (at most u (|kth_i| + 2 s_i),
+    with |kth_i| <= (1 + gamma) r_ij + 2 d eta).  The squared-norm limit
+    keeps every quantity above finite.  No row needs a fallback; a row with
+    many ties (duplicate points) only gets a longer shortlist.
     """
     X = np.ascontiguousarray(as_dense(X))
-    n = X.shape[0]
+    n, dim = X.shape
     if not (1 <= k < n):
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    # NaN compares false, so one test catches NaN, inf and norms that overflow.
+    sq_norms = np.einsum("ij,ij->i", X, X)
+    bad = np.flatnonzero(~(sq_norms <= _SQ_NORM_LIMIT))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"knn_indices: row {row} of X is not finite or too large "
+                         f"(squared norm {sq_norms[row]:.3g}, limit {_SQ_NORM_LIMIT:.3g})")
+    slack = _certified_slack(sq_norms, dim)
     out = np.empty((n, k), dtype=np.int64)
     block = max(1, _BLOCK_BUDGET // n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        D = cdist(X[start:stop], X, "sqeuclidean")
-        local = np.arange(stop - start)
-        D[local, start + local] = np.inf
-        kth = np.partition(D, k - 1, axis=1)[:, k - 1]
-        for r in local:
-            candidates = np.flatnonzero(D[r] <= kth[r])
-            # flatnonzero is index-ascending, so a stable sort keeps the tie rule.
-            order = np.argsort(D[r, candidates], kind="stable")
-            out[start + r] = candidates[order[:k]]
+        G = _gram_sq_distances(X, sq_norms, start, stop)
+        # kth_i + 2 s_i; one expression, so the partitioned copy of G is freed at once.
+        bound = np.partition(G, k - 1, axis=1)[:, k - 1] + 2.0 * slack[start:stop]
+        # Row-major flat positions: 2-D nonzero is an order of magnitude slower.
+        flat = np.flatnonzero(G <= bound[:, None])
+        del G
+        local, cand = np.divmod(flat, n)
+        dist = pair_sq_distances(X, local + start, cand)
+        order = np.lexsort((cand, dist, local))
+        # Every row has at least k candidates; take the first k of each run.
+        first = np.zeros(stop - start, dtype=np.int64)
+        np.cumsum(np.bincount(local, minlength=stop - start)[:-1], out=first[1:])
+        out[start:stop] = cand[order][first[:, None] + np.arange(k)]
     return out
 
 
@@ -189,7 +300,7 @@ def _gaussian_knn_adjacency(X, k, sigma, knn=None):
     arange = np.arange(n, dtype=np.int64)
     src = np.repeat(arange, neighbors.shape[1])
     dst = neighbors.ravel()
-    sq_dist = ((X[src] - X[dst]) ** 2).sum(axis=1)
+    sq_dist = pair_sq_distances(X, src, dst)
 
     if sigma == "auto":
         # Mean distance to the k-th neighbor, the last of each row's block.

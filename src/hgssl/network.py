@@ -46,6 +46,14 @@ class TrainConfig:
                  f"learning_rate must be >= 0, got {self.learning_rate}")
         _require(self.epochs >= 1, "epochs",
                  f"epochs must be a positive integer, got {self.epochs}")
+        _require(self.weight_decay >= 0, "weight_decay",
+                 f"weight_decay must be >= 0, got {self.weight_decay}")
+        _require(0 <= self.adam_beta1 < 1, "adam_beta1",
+                 f"adam_beta1 must be in [0, 1), got {self.adam_beta1}")
+        _require(0 <= self.adam_beta2 < 1, "adam_beta2",
+                 f"adam_beta2 must be in [0, 1), got {self.adam_beta2}")
+        _require(self.adam_eps > 0, "adam_eps",
+                 f"adam_eps must be positive, got {self.adam_eps}")
 
 
 @dataclass

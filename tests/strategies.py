@@ -23,3 +23,21 @@ def point_clouds(draw):
     coords = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
     k = draw(st.integers(1, n - 1))
     return np.array(coords, dtype=np.float64).reshape(n, dim), k
+
+
+@st.composite
+def shifted_clouds(draw):
+    """n in [3, 30] points in 1..64 dimensions on a grid far from the origin, and a valid k.
+
+    Coordinates are offset + c * h with c in 0..3, a power-of-two step h and an
+    offset of 2^26 to 2^31 steps, so points repeat and every difference and
+    squared distance is exact, while ||x||^2 + ||y||^2 - 2 x.y cancels badly.
+    """
+    n = draw(st.integers(3, 30))
+    dim = draw(st.integers(1, 64))
+    coords = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+    step = 2.0 ** draw(st.integers(-12, 4))
+    steps = 2 ** draw(st.integers(26, 31)) + draw(st.integers(0, 999))
+    offset = draw(st.sampled_from([-1, 1])) * steps * step
+    k = draw(st.integers(1, n - 1))
+    return offset + step * np.array(coords, dtype=np.float64).reshape(n, dim), k

@@ -102,7 +102,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("classes = 3", "classes = 1", "classes must be at least 2"),
     ("spread = 0.1", "spread = 0", "spread must be positive"),
     ("hidden = 8", "hidden = 8\nseed = 3", "unknown key 'seed' in [train]"),
-], ids=["train-epochs", "solver-tol", "dataset-classes", "dataset-spread", "train-seed"])
+    ("hidden = 8", "hidden = 8\nadam_beta1 = 1", "adam_beta1 must be in [0, 1)"),
+], ids=["train-epochs", "solver-tol", "dataset-classes", "dataset-spread", "train-seed",
+        "train-adam_beta1"])
 def test_bad_config_value_exit_code(tmp_path, capsys, monkeypatch, old, new, message):
     def no_data(*args, **kwargs):
         raise AssertionError("data loaded before the config was checked")

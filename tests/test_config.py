@@ -148,6 +148,10 @@ class TestSchemaRules:
         ("train", "epochs", "0", "epochs"),
         ("train", "hidden", "0", "hidden"),
         ("train", "learning_rate", "-1", "learning_rate"),
+        ("train", "weight_decay", "-1", "weight_decay"),
+        ("train", "adam_beta1", "1", "adam_beta1"),
+        ("train", "adam_beta2", "1", "adam_beta2"),
+        ("train", "adam_eps", "0", "adam_eps"),
         ("dataset", "classes", "1", "classes"),
         ("dataset", "n", "2", "n"),
         ("dataset", "dim", "0", "dim"),
@@ -157,9 +161,11 @@ class TestSchemaRules:
         ("experiment", "seeds", "0, -1", "seeds"),
     ])
     def test_bad_value_reports_line(self, section, key, value, field):
+        # Filler keys keep each bad key off its section's first line.
+        train_filler = "hidden = 8\n" if key == "weight_decay" else "weight_decay = 0\n"
         body = {"dataset": "name = synthetic\n",
                 "experiment": "include_centroid = true\n",
-                "train": "weight_decay = 0\n", "solver": ""}
+                "train": train_filler, "solver": ""}
         body[section] += f"{key} = {value}\n"
         text = "schema_version = 1\n" + "".join(
             f"[{name}]\n{lines}" for name, lines in body.items())

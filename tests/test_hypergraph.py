@@ -46,6 +46,80 @@ class TestKnnIndices:
         monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 5 * 37)
         assert np.array_equal(hgm.knn_indices(X, 4), full)
 
+    @staticmethod
+    def _count_reranked(monkeypatch):
+        """Record how many pairs each knn_indices block sends to the exact rerank."""
+        counts = []
+        exact = hgssl.hypergraph.pair_sq_distances
+
+        def counting(X, rows, cols):
+            counts.append(len(rows))
+            return exact(X, rows, cols)
+        monkeypatch.setattr(hgssl.hypergraph, "pair_sq_distances", counting)
+        return counts
+
+    def test_shortlist_wider_than_k_on_shifted_duplicates(self, monkeypatch):
+        # Every point appears three times, so each row ties with two copies of
+        # itself and more; the +1e4 shift makes the Gram expansion inexact.
+        rng = np.random.default_rng(5)
+        X = np.repeat(rng.integers(0, 3, (20, 3)).astype(np.float64), 3, axis=0) + 1e4
+        counts = self._count_reranked(monkeypatch)
+        assert np.array_equal(knn_indices(X, 2), knn_oracle(X, 2))
+        assert sum(counts) > X.shape[0] * 2
+
+    def test_far_outlier_loosens_slack_not_answer(self, monkeypatch):
+        # One norm 1e6 times the rest sets every row's slack through max ||x_j||.
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((60, 4))
+        X[17] *= 1e6 * np.linalg.norm(X, axis=1).mean() / np.linalg.norm(X[17])
+        sq_norms = np.einsum("ij,ij->i", X, X)
+        assert hgssl.hypergraph._certified_slack(sq_norms, 4).min() > 1e-3
+        counts = self._count_reranked(monkeypatch)
+        assert np.array_equal(knn_indices(X, 5), knn_oracle(X, 5))
+        assert sum(counts) > X.shape[0] * 5
+
+    def test_subnormal_scale_matches_exhaustive_rerank(self):
+        # At 1e-162 the squared distances are subnormal or zero, where only the
+        # slack's absolute term covers the products that underflow.
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((40, 3)) * 1e-162
+        n = X.shape[0]
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+        dist = hgssl.hypergraph.pair_sq_distances(X, rows, cols)
+        exhaustive = cols[np.lexsort((cols, dist, rows))].reshape(n, n - 1)
+        for k in (1, 7, 20):
+            assert np.array_equal(knn_indices(X, k), exhaustive[:, :k])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_row_rejected(self, value):
+        X = np.random.default_rng(4).standard_normal((20, 3))
+        X[4, 1] = value
+        X[9, 0] = value
+        with pytest.raises(ValueError, match="row 4 "):
+            knn_indices(X, 3)
+
+
+class TestPairSqDistances:
+    def test_matches_difference_formula(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((30, 7))
+        rows = rng.integers(0, 30, 100)
+        cols = rng.integers(0, 30, 100)
+        want = ((X[rows] - X[cols]) ** 2).sum(axis=1)
+        assert np.array_equal(hgssl.hypergraph.pair_sq_distances(X, rows, cols), want)
+
+    def test_chunking_leaves_operators_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((80, 9))
+        knn = knn_indices(X, 5)
+        graph = build_knn_graph(X, 5, knn=knn)
+        gcn = gcn_operator(X, 5, knn=knn)
+        # 20 coordinates per chunk: two pairs at a time.
+        monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 20)
+        assert np.array_equal(knn_indices(X, 5), knn)
+        assert csr_equal(build_knn_graph(X, 5, knn=knn).matrix, graph.matrix)
+        assert csr_equal(gcn_operator(X, 5, knn=knn).matrix, gcn.matrix)
+
 
 class TestBuildKnnHypergraph:
     def test_two_points(self):
