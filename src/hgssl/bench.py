@@ -10,7 +10,6 @@ methods, the parameter initialization.
 import hashlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -20,7 +19,7 @@ import numpy as np
 from . import hypergraph as hg
 from .datasets import (ImageDataset, check_blob_args, load_idx_dataset,
                        load_usps_dataset, stratified_subsample, synthetic_blobs)
-from .errors import ConfigError, _require
+from .errors import FormatError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
@@ -32,11 +31,13 @@ METHODS = ("graph-ssl", "hypergraph-ssl", "gcn", "hgnn", "hgnn-proposed")
 _METHOD_OPERATORS = {"graph-ssl": "graph", "hypergraph-ssl": "hg_sym", "gcn": "gcn",
                      "hgnn": "hg_{normalization}", "hgnn-proposed": "hg_sym"}
 _CLOSED_FORM = ("graph-ssl", "hypergraph-ssl")
+# The normalization each operator is built with; a cache file must hold it.
+_OPERATOR_NORMALIZATIONS = {"hg_sym": "sym", "hg_rw": "rw", "graph": "graph_sym",
+                            "gcn": "gcn"}
 
 DEFAULT_PCA_DIMS = {"mnist": 50, "usps": 50, "fashion": 300, "synthetic": None}
 
 DATA_DIR_ENV = "HGSSL_DATA_DIR"
-WORKERS_ENV = "HGSSL_WORKERS"
 
 _IDX_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -88,8 +89,12 @@ class ExperimentConfig:
         # Every value is checked here, before any data is loaded.
         _require(self.dataset in DEFAULT_PCA_DIMS, "dataset",
                  f"unknown dataset {self.dataset!r}")
-        _require(bool(self.methods), "methods", "need at least one method")
-        _require(bool(self.seeds), "seeds", "need at least one seed")
+        for name in ("methods", "noise_levels", "seeds"):
+            values = getattr(self, name)
+            _require(bool(values), name, f"{name} must not be empty")
+            for i, value in enumerate(values):
+                _require(value not in values[:i], name,
+                         f"{name} lists {value!r} more than once")
         for seed in self.seeds:
             _require(seed >= 0, "seeds", f"seeds must be non-negative integers, got {seed}")
         for method in self.methods:
@@ -140,17 +145,6 @@ class ExperimentReport:
 
 def default_data_dir():
     return os.environ.get(DATA_DIR_ENV, "data")
-
-
-def default_workers():
-    value = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
-    return workers
 
 
 def resolve_dataset_paths(name, explicit, data_dir=None):
@@ -207,7 +201,12 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
     for name in needed:
         path = operator_cache_path(ops_dir, key, name) if ops_dir is not None else None
         if path is not None and path.exists():
-            operators[name] = hg.load_operator(path)
+            op = hg.load_operator(path)
+            expected = (_OPERATOR_NORMALIZATIONS[name], (len(X), len(X)))
+            if (op.normalization, op.shape) != expected:
+                raise FormatError(f"{path}: holds a {op.normalization} operator of shape "
+                                  f"{op.shape}, expected {name!r} as {expected}")
+            operators[name] = op
         else:
             pending.add(name)
 
@@ -216,10 +215,10 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
         if pending & {"hg_sym", "hg_rw"}:
             hgraph = hg.build_knn_hypergraph(X, cfg.k, knn=knn,
                                              include_centroid=cfg.include_centroid)
-            if "hg_sym" in pending:
-                operators["hg_sym"] = hg.hypergraph_operator(hgraph, "sym")
-            if "hg_rw" in pending:
-                operators["hg_rw"] = hg.hypergraph_operator(hgraph, "rw")
+            for name in ("hg_sym", "hg_rw"):
+                if name in pending:
+                    operators[name] = hg.hypergraph_operator(
+                        hgraph, _OPERATOR_NORMALIZATIONS[name])
         if "graph" in pending:
             operators["graph"] = hg.build_knn_graph(X, cfg.k, knn=knn)
         if "gcn" in pending:
@@ -232,13 +231,24 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
 
 
 def prepare_features(cfg: ExperimentConfig, data_dir=None):
-    """Load, optionally subsample, and optionally PCA-reduce the dataset."""
+    """Load, optionally subsample, and optionally PCA-reduce the dataset.
+
+    Settings whose range depends on the data are checked as soon as it is known.
+    """
     dataset = load_dataset(cfg, data_dir)
     if cfg.subsample_size is not None:
+        _require(cfg.subsample_size <= dataset.num_samples, "subsample_size",
+                 f"subsample_size must be at most the dataset's {dataset.num_samples} "
+                 f"points, got {cfg.subsample_size}")
         dataset = stratified_subsample(dataset, cfg.subsample_size, cfg.subsample_seed)
     X = dataset.features
+    n, m = X.shape
+    _require(cfg.k < n, "k", f"k must be less than the {n} points, got {cfg.k}")
     pca_used = cfg.pca_dims is not None
     if pca_used:
+        _require(cfg.pca_dims <= min(n - 1, m), "pca_dims",
+                 f"pca_dims must be at most min(n - 1, m) = {min(n - 1, m)} for "
+                 f"{n} points of {m} features, got {cfg.pca_dims}")
         model = pca_fit(X, cfg.pca_dims)
         X = pca_transform(model, X)
     return dataset, X, pca_used
@@ -256,14 +266,13 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
                               pca_used=pca_used)
 
 
-def run_cell(prepared: PreparedExperiment, method: str, level: float, seed: int,
-             split=None) -> ResultRow:
+def run_cell(prepared: PreparedExperiment, method: str, level: float,
+             seed: int) -> ResultRow:
     """Run one (method, noise level, seed) cell and score it on the test split."""
     cfg = prepared.config
     dataset = prepared.dataset
     start = time.perf_counter()
-    if split is None:
-        split = inject_noise(dataset, level, seed)
+    split = inject_noise(dataset, level, seed)
 
     op = prepared.operators[_operator_name(cfg, method)]
     if method in _CLOSED_FORM:
@@ -282,37 +291,24 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float, seed: int,
                      pca_used=prepared.pca_used)
 
 
-def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=None,
+def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=1,
                    ops_dir=None) -> ExperimentReport:
-    """Run the whole grid; failed cells are reported, the rest still run."""
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers}")
+    """Run the grid's cells one at a time; failed cells are reported, the rest still run.
+
+    ``workers`` accepts only 1; it stays because the benchmark harness passes it.
+    """
+    _require(workers == 1, "workers", f"workers must be 1 (cells run serially), got {workers}")
     prepared = prepare_experiment(cfg, data_dir, ops_dir)
-    splits = {(level, seed): inject_noise(prepared.dataset, level, seed)
-              for level in cfg.noise_levels for seed in cfg.seeds}
-    cells = [(method, level, seed)
-             for method in cfg.methods
-             for level in cfg.noise_levels
-             for seed in cfg.seeds]
-
-    def execute(cell):
-        method, level, seed = cell
-        try:
-            return run_cell(prepared, method, level, seed, split=splits[(level, seed)])
-        except Exception as exc:
-            return CellFailure(method, float(level), int(seed),
-                               f"{type(exc).__name__}: {exc}")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, cells))
-    else:
-        outcomes = [execute(cell) for cell in cells]
-    return ExperimentReport(
-        rows=[out for out in outcomes if isinstance(out, ResultRow)],
-        failures=[out for out in outcomes if isinstance(out, CellFailure)])
+    report = ExperimentReport(rows=[], failures=[])
+    for method in cfg.methods:
+        for level in cfg.noise_levels:
+            for seed in cfg.seeds:
+                try:
+                    report.rows.append(run_cell(prepared, method, level, seed))
+                except Exception as exc:
+                    report.failures.append(CellFailure(
+                        method, float(level), int(seed), f"{type(exc).__name__}: {exc}"))
+    return report
 
 
 def median_grid(rows):

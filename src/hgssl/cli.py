@@ -6,9 +6,8 @@ Subcommands:
   build-ops  precompute propagation operators into a cache directory
 
 Dataset files are looked up under ``--data-dir`` (or $HGSSL_DATA_DIR, default
-``./data``); worker count comes from ``--workers`` (or $HGSSL_WORKERS, which
-must be a positive integer).  Flags win over environment variables.  Exit
-code 0 means every cell succeeded.
+``./data``); the flag wins over the environment variable.  Exit code 0 means
+every cell succeeded.
 """
 
 import argparse
@@ -43,8 +42,6 @@ def _build_parser():
     p_bench = sub.add_parser("bench", help="run the full benchmark grid")
     p_bench.add_argument("--config", required=True, help="benchmark config file")
     p_bench.add_argument("--out", default="results", help="output directory")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="grid worker count (default: $HGSSL_WORKERS or 1)")
     p_bench.add_argument("--ops", default=None,
                          help="operator cache directory (load if present, else build and save)")
     p_bench.add_argument("--full", action="store_true",
@@ -90,8 +87,7 @@ def _cmd_bench(args) -> int:
     cfg = _anchor_paths(cfg, Path(args.config).parent)
     if args.full:
         cfg = config_mod.strip_subsample(cfg)
-    report = run_experiment(cfg, data_dir=args.data_dir, workers=args.workers,
-                            ops_dir=args.ops)
+    report = run_experiment(cfg, data_dir=args.data_dir, ops_dir=args.ops)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if report.rows:
@@ -129,7 +125,7 @@ def _cmd_run(args) -> int:
         subsample_size=args.subsample,
         synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
     )
-    report = run_experiment(cfg, data_dir=args.data_dir, workers=1)
+    report = run_experiment(cfg, data_dir=args.data_dir)
     if report.rows:
         sys.stdout.write(emit_table(report.rows, "csv"))
     return _report_failures(report)

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hgssl.bench
 from hgssl.bench import (METHODS, ExperimentConfig, ResultRow, SyntheticSpec,
-                         build_operators, default_workers, emit_table, median_grid,
-                         parse_results_csv, prepare_features, resolve_dataset_paths,
-                         run_experiment)
-from hgssl.errors import ConfigError
+                         build_operators, emit_table, median_grid, operator_cache_key,
+                         operator_cache_path, parse_results_csv, prepare_features,
+                         resolve_dataset_paths, run_experiment)
+from hgssl.errors import ConfigError, FormatError
 from hgssl.network import TrainConfig
 from hgssl.propagation import PropagationConfig
 
@@ -42,13 +43,6 @@ class TestRunExperiment:
         a = run_experiment(SMALL)
         b = run_experiment(SMALL)
         assert [strip_time(r) for r in a.rows] == [strip_time(r) for r in b.rows]
-
-    def test_worker_pool_matches_serial(self):
-        cfg = replace(SMALL, methods=("hypergraph-ssl", "graph-ssl"),
-                      noise_levels=(0.0, 0.3), seeds=(0, 1))
-        serial = run_experiment(cfg, workers=1)
-        pooled = run_experiment(cfg, workers=4)
-        assert [strip_time(r) for r in serial.rows] == [strip_time(r) for r in pooled.rows]
 
     def test_noise_degrades_or_holds(self):
         cfg = replace(SMALL, methods=("hypergraph-ssl", "graph-ssl"),
@@ -99,6 +93,35 @@ class TestRunExperiment:
         assert (cached != fresh).nnz == 0
         assert len(list(ops_dir.glob("*.hgop"))) == 3
 
+    def test_cache_file_of_another_operator_rejected(self, tmp_path):
+        ops_dir = tmp_path / "ops"
+        cfg = replace(SMALL, methods=("hypergraph-ssl", "graph-ssl"))
+        assert run_experiment(cfg, ops_dir=ops_dir).ok
+        _, X, _ = prepare_features(cfg)
+        key = operator_cache_key(cfg, X)
+        hg_sym = operator_cache_path(ops_dir, key, "hg_sym")
+        graph = operator_cache_path(ops_dir, key, "graph")
+        hg_sym.rename(tmp_path / "swap")
+        graph.rename(hg_sym)
+        (tmp_path / "swap").rename(graph)
+        with pytest.raises(FormatError, match=r"_(hg_sym|graph)\.hgop: holds a"):
+            build_operators(cfg, X, ops_dir=ops_dir)
+
+    def test_cache_file_of_another_size_rejected(self, tmp_path):
+        ops_dir = tmp_path / "ops"
+        base = replace(SMALL, methods=("hypergraph-ssl",))
+        small, large = (replace(base, synthetic=replace(base.synthetic, n=n))
+                        for n in (300, 400))
+        assert run_experiment(small, ops_dir=ops_dir).ok
+        (written,) = ops_dir.glob("*.hgop")
+        _, X, _ = prepare_features(large)
+        target = operator_cache_path(ops_dir, operator_cache_key(large, X), "hg_sym")
+        target.write_bytes(written.read_bytes())
+        with pytest.raises(FormatError, match=r"shape \(300, 300\), expected 'hg_sym' "
+                                               r"as \('sym', \(400, 400\)\)") as info:
+            build_operators(large, X, ops_dir=ops_dir)
+        assert str(target) in str(info.value)
+
     def test_proposed_uses_propagated_features(self):
         cfg = replace(SMALL, methods=("hgnn", "hgnn-proposed"))
         report = run_experiment(cfg)
@@ -122,6 +145,10 @@ class TestConfigValidation:
     def test_empty_seeds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="synthetic", seeds=())
+
+    def test_empty_noise_levels(self):
+        with pytest.raises(ConfigError, match="noise_levels must not be empty"):
+            ExperimentConfig(dataset="synthetic", noise_levels=())
 
 
 class TestEmitTable:
@@ -195,10 +222,13 @@ class TestPathResolution:
         assert paths["train_images"] == "/from-env/mnist/train-images-idx3-ubyte"
 
 
-def test_workers_env_must_be_positive_integer(monkeypatch):
-    monkeypatch.setenv("HGSSL_WORKERS", "3")
-    assert default_workers() == 3
-    for bad in ("two", "0", "-1", "", "1.5"):
-        monkeypatch.setenv("HGSSL_WORKERS", bad)
-        with pytest.raises(ConfigError, match="HGSSL_WORKERS"):
-            default_workers()
+def test_run_experiment_accepts_only_one_worker(tmp_path, monkeypatch):
+    cfg = replace(SMALL, methods=("graph-ssl",))
+    assert run_experiment(cfg, workers=1, ops_dir=tmp_path / "ops").ok
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before workers was checked")
+    monkeypatch.setattr(hgssl.bench, "load_dataset", no_data)
+    with pytest.raises(ConfigError, match="workers must be 1") as info:
+        run_experiment(cfg, workers=2, ops_dir=tmp_path / "ops")
+    assert info.value.field == "workers"

@@ -118,12 +118,22 @@ def test_bad_config_value_exit_code(tmp_path, capsys, monkeypatch, old, new, mes
     assert not (tmp_path / "r").exists()
 
 
-def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CONFIG)
-    monkeypatch.setenv("HGSSL_WORKERS", "two")
+@pytest.mark.parametrize("old, new, message", [
+    ("seed = 2", "seed = 2\nsubsample_size = 121",
+     "subsample_size must be at most the dataset's 120 points, got 121"),
+    ("seeds = 0", "seeds = 0\npca_dims = 6",
+     "pca_dims must be at most min(n - 1, m) = 5 for 120 points of 5 features, got 6"),
+    ("seeds = 0", "seeds = 0\nk = 120", "k must be less than the 120 points, got 120"),
+    ("seed = 2\n\n[experiment]", "seed = 2\nsubsample_size = 30\n\n[experiment]\nk = 30",
+     "k must be less than the 30 points, got 30"),
+], ids=["subsample_size", "pca_dims", "k", "k-after-subsample"])
+def test_data_dependent_value_exit_code(tmp_path, capsys, old, new, message):
+    text = TINY_CONFIG.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    assert "HGSSL_WORKERS must be a positive integer" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("flag, value, named", [
@@ -135,23 +145,13 @@ def test_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch):
     ("--alpha", "1.5", "alpha must lie strictly inside (0, 1)"),
     ("--hidden", "0", "hidden must be a positive integer"),
     ("--subsample", "0", "subsample_size must be a positive integer"),
+    ("--k", "400", "k must be less than the 300 points, got 400"),
 ])
 def test_run_bad_value_exit_code(capsys, flag, value, named):
     args = ["run", "--dataset", "synthetic", "--method", "hgnn",
             "--noise", "0", "--seed", "0", flag, value]
     assert main(args) == 2
     assert named in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_bench_nonpositive_workers_exit_code(tmp_path, capsys, workers):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CONFIG)
-    code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r"),
-                 "--workers", workers])
-    assert code == 2
-    assert "workers must be a positive integer" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

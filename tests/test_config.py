@@ -159,6 +159,9 @@ class TestSchemaRules:
         ("dataset", "seed", "-1", "seed"),
         ("dataset", "subsample_seed", "-1", "subsample_seed"),
         ("experiment", "seeds", "0, -1", "seeds"),
+        ("experiment", "seeds", "1, 0, 1", "seeds"),
+        ("experiment", "methods", "graph-ssl, graph-ssl", "methods"),
+        ("experiment", "noise_levels", "0, 0.3, 0.30", "noise_levels"),
     ])
     def test_bad_value_reports_line(self, section, key, value, field):
         # Filler keys keep each bad key off its section's first line.
