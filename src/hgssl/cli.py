@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from . import config as config_mod
 from .bench import (ExperimentConfig, SyntheticSpec, build_operators, emit_table,
                     operator_cache_key, operator_cache_path, run_experiment)
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .network import TrainConfig
 from .propagation import PropagationConfig
 
@@ -157,6 +157,9 @@ def main(argv=None) -> int:
             return _cmd_build_ops(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except FormatError as exc:
+        print(f"bad file: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

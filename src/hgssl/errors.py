@@ -13,12 +13,27 @@ class NumericalError(ArithmeticError):
     """A non-finite value appeared where finite arithmetic was required."""
 
 
-class SolverError(NumericalError):
-    """An iterative solve failed to reach its tolerance."""
+# How many failing columns a SolverError message lists.
+_SHOWN_COLUMNS = 5
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
+
+class SolverError(NumericalError):
+    """An iterative solve broke down or failed to reach its tolerance.
+
+    ``columns`` holds the indices of the right-hand-side columns at fault,
+    and the message lists the first few.  ``reason`` is the message without
+    that list, so a caller that solves a slice can renumber the columns.
+    """
+
+    def __init__(self, message, residual=None, columns=()):
+        self.reason = message
         self.residual = residual
+        self.columns = tuple(int(j) for j in columns)
+        if self.columns:
+            shown = ", ".join(map(str, self.columns[:_SHOWN_COLUMNS]))
+            more = ", ..." if len(self.columns) > _SHOWN_COLUMNS else ""
+            message = f"{message}; column{'s' if len(self.columns) > 1 else ''} {shown}{more}"
+        super().__init__(message)
 
 
 class DegenerateStructureError(ValueError):

@@ -1,9 +1,11 @@
 """Closed-form propagation solves F = (1 - alpha) (I - alpha Theta)^{-1} B.
 
-Both entry points run conjugate gradients independently per column of the
-right-hand side.  They require a symmetric operator (I - alpha Theta is then
-symmetric positive-definite for alpha in (0, 1)); the random-walk operator is
-supported by the neural forward passes but not here.
+Both entry points iterate the columns of the right-hand side together by
+conjugate gradients, in blocks of at most ``_BLOCK_BUDGET`` entries; each
+column keeps its own step sizes and stops at its own tolerance.  They require
+a symmetric operator (I - alpha Theta is then symmetric positive-definite for
+alpha in (0, 1)); the random-walk operator is supported by the neural forward
+passes but not here.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,13 @@ from .errors import SolverError, _require
 from .hypergraph import PropagationOperator
 from .labels import LabelMatrix
 from .linalg import as_dense, conjugate_gradient
+
+# Entries (rows x columns) in one CG block.  Wider blocks cost less per column
+# per operator product until their work arrays outgrow the cache and raise
+# peak memory.  On a 2-core machine, 784 feature columns at n = 3000 took
+# 3.2 s one column at a time, 1.3-1.9 s in blocks of 32-128 columns with peak
+# RSS level, and 2.4 s as one block, which raised peak RSS by 92 MB.
+_BLOCK_BUDGET = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -32,27 +41,39 @@ class PropagationConfig:
 
 def _solve_columns(op: PropagationOperator, B: np.ndarray,
                    cfg: PropagationConfig) -> np.ndarray:
+    """(1 - alpha)(I - alpha Theta)^{-1} B, one CG call per block of columns."""
     alpha = cfg.alpha
 
-    def apply(v):
-        return v - alpha * op.apply(v)
+    def apply(V):
+        AV = op.apply(V)
+        AV *= -alpha
+        AV += V
+        return AV
 
+    n, width = B.shape
+    block = max(1, _BLOCK_BUDGET // n)
     out = np.empty_like(B)
-    worst = 0.0
-    failed = 0
-    for j in range(B.shape[1]):
-        result = conjugate_gradient(apply, B[:, j], tol=cfg.tol, max_iter=cfg.max_iter)
-        out[:, j] = result.x
-        worst = max(worst, result.residual)
-        if result.residual > cfg.tol:
-            failed += 1
-    if failed:
+    residuals = np.empty(width)
+    for start in range(0, width, block):
+        stop = min(start + block, width)
+        try:
+            result = conjugate_gradient(apply, B[:, start:stop], tol=cfg.tol,
+                                        max_iter=cfg.max_iter)
+        except SolverError as exc:
+            raise SolverError(exc.reason, exc.residual,
+                              [start + j for j in exc.columns]) from None
+        out[:, start:stop] = result.x
+        residuals[start:stop] = result.column_residuals
+    failed = np.flatnonzero(residuals > cfg.tol)
+    if failed.size:
+        worst = float(residuals.max())
         raise SolverError(
-            f"{failed} of {B.shape[1]} columns did not reach tol={cfg.tol} "
+            f"{failed.size} of {width} columns did not reach tol={cfg.tol} "
             f"within {cfg.max_iter} iterations (worst residual {worst:.3e})",
-            residual=worst,
+            residual=worst, columns=failed,
         )
-    return (1.0 - alpha) * out
+    out *= 1.0 - alpha
+    return out
 
 
 def propagate_labels(op: PropagationOperator, Y: LabelMatrix,

@@ -40,3 +40,34 @@ def knn_oracle(X, k):
         pairs = sorted((np.linalg.norm(X[i] - X[j]), j) for j in range(n) if j != i)
         out[i] = [j for _, j in pairs[:k]]
     return out
+
+
+def single_vector_cg(apply, b, tol, max_iter):
+    """Reference conjugate gradients on one right-hand-side vector from x = 0.
+
+    Returns (x, iterations, residual); ``hgssl.linalg.conjugate_gradient``
+    must match it column by column.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros_like(b)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return x, 0, 0.0
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    residual = np.sqrt(rs) / b_norm
+    if residual <= tol:
+        return x, 0, residual
+    for iteration in range(1, max_iter + 1):
+        Ap = apply(p)
+        alpha = rs / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        residual = np.sqrt(rs_new) / b_norm
+        if residual <= tol:
+            return x, iteration, residual
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, max_iter, residual

@@ -88,6 +88,25 @@ def test_build_ops_precomputes_cache(tmp_path, capsys):
     assert "hg_sym" in names and "graph" in names
 
 
+def test_bad_cache_file_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    ops = tmp_path / "ops"
+    assert main(["build-ops", "--config", str(cfg), "--out", str(ops)]) == 0
+    [graph] = ops.glob("*_graph.hgop")
+    [hg_sym] = ops.glob("*_hg_sym.hgop")
+    graph_bytes = graph.read_bytes()
+    graph.write_bytes(hg_sym.read_bytes())
+    hg_sym.write_bytes(graph_bytes)
+    capsys.readouterr()
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--ops", str(ops)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("bad file: ") and ".hgop: holds a" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("schema_version = 1\n[dataset]\nname = usps\nwat = 1\n")

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import random_hypergraph, random_sparse
-from hgssl.errors import NumericalError, ShapeError
+from hgssl.errors import NumericalError, ShapeError, SolverError
 from hgssl.hypergraph import hypergraph_operator
 from hgssl.linalg import as_csr, conjugate_gradient, diag_scale
 
@@ -47,65 +47,98 @@ class TestDiagScale:
 
 class TestConjugateGradient:
     def test_identity_system_single_iteration(self):
-        result = conjugate_gradient(sp.eye(3, format="csr"), np.array([1.0, 2.0, 3.0]))
+        result = conjugate_gradient(lambda V: V, np.array([[1.0], [2.0], [3.0]]))
         assert result.iterations <= 1
-        assert np.allclose(result.x, [1.0, 2.0, 3.0], atol=1e-12)
+        assert np.allclose(result.x, [[1.0], [2.0], [3.0]], atol=1e-12)
 
     def test_2x2_against_direct_inverse(self):
         A = np.array([[4.0, 1.0], [1.0, 3.0]])
-        result = conjugate_gradient(lambda v: A @ v, np.array([1.0, 2.0]), tol=1e-14)
+        result = conjugate_gradient(lambda V: A @ V, np.array([[1.0], [2.0]]), tol=1e-14)
         # Direct inverse: det = 11, x = [1/11, 7/11].
-        assert np.max(np.abs(result.x - np.array([1.0, 7.0]) / 11.0)) < 1e-12
+        assert np.max(np.abs(result.x[:, 0] - np.array([1.0, 7.0]) / 11.0)) < 1e-12
 
     def test_hypergraph_system_matches_dense_solve(self):
         rng = np.random.default_rng(13)
         op = hypergraph_operator(random_hypergraph(rng, 50), "sym")
-        b = rng.standard_normal(50)
-        result = conjugate_gradient(lambda v: v - 0.99 * (op.matrix @ v), b,
+        B = rng.standard_normal((50, 3))
+        result = conjugate_gradient(lambda V: V - 0.99 * (op.matrix @ V), B,
                                     tol=1e-12, max_iter=5000)
-        want = np.linalg.solve(np.eye(50) - 0.99 * op.matrix.toarray(), b)
+        want = np.linalg.solve(np.eye(50) - 0.99 * op.matrix.toarray(), B)
         assert np.max(np.abs(result.x - want)) < 1e-8
 
     def test_rhs_scaling_invariance(self):
         rng = np.random.default_rng(21)
         op = hypergraph_operator(random_hypergraph(rng, 30), "sym")
-        b = rng.standard_normal(30)
-        apply = lambda v: v - 0.9 * (op.matrix @ v)
-        x = conjugate_gradient(apply, b, tol=1e-12).x
-        cx = conjugate_gradient(apply, 3.5 * b, tol=1e-12).x
+        B = rng.standard_normal((30, 2))
+        apply = lambda V: V - 0.9 * (op.matrix @ V)
+        x = conjugate_gradient(apply, B, tol=1e-12).x
+        cx = conjugate_gradient(apply, 3.5 * B, tol=1e-12).x
         assert np.max(np.abs(cx - 3.5 * x)) < 1e-10 * max(1.0, np.max(np.abs(3.5 * x)))
 
     def test_zero_rhs(self):
-        result = conjugate_gradient(sp.eye(4, format="csr"), np.zeros(4))
+        result = conjugate_gradient(lambda V: V, np.zeros((4, 2)))
         assert result.iterations == 0
-        assert np.array_equal(result.x, np.zeros(4))
+        assert np.array_equal(result.column_iterations, [0, 0])
+        assert np.array_equal(result.x, np.zeros((4, 2)))
+
+    def test_columns_at_the_ends_of_the_float_range(self):
+        # Squared norms of the first two columns underflow to zero and of the
+        # third overflow; each must still be solved like the unit column.
+        A = np.diag([1.0, 2.0, 3.0])
+        scales = np.array([1e-170, 1e-310, 1e300, 1.0])
+        result = conjugate_gradient(lambda V: A @ V, np.ones((3, 4)) * scales, tol=1e-12)
+        want = np.array([1.0, 0.5, 1.0 / 3.0])[:, None]
+        assert np.max(np.abs(result.x / scales - want)) < 1e-12
+        assert np.array_equal(result.column_iterations, [3, 3, 3, 3])
 
     def test_max_iter_reports_residual(self):
         rng = np.random.default_rng(17)
         op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
-        b = rng.standard_normal(40)
-        result = conjugate_gradient(lambda v: v - 0.99 * (op.matrix @ v), b,
+        B = rng.standard_normal((40, 2))
+        result = conjugate_gradient(lambda V: V - 0.99 * (op.matrix @ V), B,
                                     tol=1e-15, max_iter=1)
         assert result.iterations == 1
-        assert result.residual > 1e-15
+        assert np.array_equal(result.column_iterations, [1, 1])
+        assert result.residual == result.column_residuals.max() > 1e-15
 
     def test_nonfinite_raises(self):
         with pytest.raises(NumericalError):
-            conjugate_gradient(lambda v: v * np.nan, np.ones(3))
+            conjugate_gradient(lambda V: V * np.nan, np.ones((3, 1)))
+
+    def test_breakdown_names_column_and_iteration(self):
+        # Column 0 is an eigenvector and finishes at iteration 1, so the
+        # second application sees columns 1 and 2 only; it poisons the last.
+        A = np.diag([1.0, 2.0, 3.0, 4.0])
+        calls = []
+
+        def apply(V):
+            calls.append(V.shape[1])
+            AV = A @ V
+            if len(calls) == 2:
+                AV[:, -1] = np.nan
+            return AV
+
+        B = np.column_stack([[1.0, 0.0, 0.0, 0.0], np.ones(4), np.arange(1.0, 5.0)])
+        with pytest.raises(SolverError, match=r"iteration 2 .*; column 2$") as info:
+            conjugate_gradient(apply, B, tol=1e-12)
+        assert info.value.columns == (2,)
+        assert calls == [3, 2]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            conjugate_gradient(sp.eye(2, format="csr"), np.ones(2), tol=0.0)
+            conjugate_gradient(lambda V: V, np.ones((2, 1)), tol=0.0)
         with pytest.raises(ValueError):
-            conjugate_gradient(sp.eye(2, format="csr"), np.ones(2), max_iter=0)
+            conjugate_gradient(lambda V: V, np.ones((2, 1)), max_iter=0)
+        with pytest.raises(ShapeError):
+            conjugate_gradient(lambda V: V, np.ones(2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         op = hypergraph_operator(random_hypergraph(rng, 25), "sym")
-        b = rng.standard_normal(25)
-        apply = lambda v: v - 0.5 * (op.matrix @ v)
-        assert np.array_equal(conjugate_gradient(apply, b).x,
-                              conjugate_gradient(apply, b).x)
+        B = rng.standard_normal((25, 3))
+        apply = lambda V: V - 0.5 * (op.matrix @ V)
+        assert np.array_equal(conjugate_gradient(apply, B).x,
+                              conjugate_gradient(apply, B).x)
 
 
 def test_shifted_operator_is_positive_definite():

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import random_hypergraph
+from hgssl import propagation
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import SolverError
 from hgssl.hypergraph import (build_knn_graph, build_knn_hypergraph,
                               hypergraph_operator)
 from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
                           encode_labels, inject_noise)
+from hgssl.linalg import conjugate_gradient
 from hgssl.propagation import (PropagationConfig, propagate_features,
                                propagate_labels)
 
@@ -80,6 +82,29 @@ class TestPropagateLabels:
             propagate_labels(op, Y, cfg)
         assert info.value.residual > 0
 
+    def test_solver_error_names_failing_columns(self):
+        # Columns 0 and 2 are the eigenvalue-1 eigenvector, which one iteration
+        # solves; column 1 cannot reach tol in one iteration.
+        rng = np.random.default_rng(14)
+        hg = random_hypergraph(rng, 40)
+        op = hypergraph_operator(hg, "sym")
+        top = np.sqrt(hg.vertex_degrees)
+        B = np.column_stack([top, rng.standard_normal(40), -top])
+        cfg = PropagationConfig(alpha=0.99, tol=1e-10, max_iter=1)
+        with pytest.raises(SolverError, match=r"1 of 3 columns .*; column 1$") as info:
+            propagate_features(op, B, cfg)
+        assert info.value.columns == (1,)
+
+    def test_solver_error_lists_first_columns(self):
+        rng = np.random.default_rng(16)
+        op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+        Y = LabelMatrix(rng.choice([-1.0, 1.0], size=(40, 8)), "pm1")
+        cfg = PropagationConfig(alpha=0.99, tol=1e-14, max_iter=1)
+        pattern = r"8 of 8 columns .*; columns 0, 1, 2, 3, 4, \.\.\.$"
+        with pytest.raises(SolverError, match=pattern) as info:
+            propagate_labels(op, Y, cfg)
+        assert info.value.columns == tuple(range(8))
+
     def test_linearity(self):
         rng = np.random.default_rng(8)
         op = hypergraph_operator(random_hypergraph(rng, 30), "sym")
@@ -140,6 +165,38 @@ class TestPropagateFeatures:
             if previous is not None:
                 assert np.all(quotients <= previous + 1e-9)
             previous = quotients
+
+
+def test_column_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(15)
+    op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+    X = rng.standard_normal((40, 7))
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(conjugate_gradient(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(propagation, "conjugate_gradient", recording)
+    whole = propagate_features(op, X, TIGHT)
+    assert len(results) == 1
+    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", 3 * 40)
+    split = propagate_features(op, X, TIGHT)
+    assert [r.x.shape[1] for r in results[1:]] == [3, 3, 1]
+    assert np.max(np.abs(split - whole)) < 1e-12
+    assert np.array_equal(np.concatenate([r.column_iterations for r in results[1:]]),
+                          results[0].column_iterations)
+
+
+def test_breakdown_names_column_of_the_whole_rhs(monkeypatch):
+    rng = np.random.default_rng(18)
+    op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+    X = rng.standard_normal((40, 7))
+    X[3, 5] = np.nan
+    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", 3 * 40)
+    with pytest.raises(SolverError, match=r"iteration 1 .*; column 5$") as info:
+        propagate_features(op, X, TIGHT)
+    assert info.value.columns == (5,)
 
 
 class TestPropagationConfig:
