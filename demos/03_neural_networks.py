@@ -36,7 +36,7 @@ for level in (0.0, 0.45):
     print(f"--- noise level {level * 100:.0f}% "
           f"({len(split.flipped)} of {len(ds.train_indices)} labels flipped)")
     for name, op, X in runs:
-        params = train(op, X, Y, ds.train_indices, cfg)
+        params = train(op, X, Y, ds.train_indices, cfg, seed=0)
         acc = accuracy(predict(op, X, params), ds.labels, ds.test_indices)
         print(f"{name:28s} test accuracy: {acc * 100:6.2f}%")
 
@@ -45,7 +45,7 @@ split = inject_noise(ds, 0.45, seed=1)
 Y = encode_labels(split, ds.train_indices, ds.num_classes, "onehot")
 log = io.StringIO()
 train(hyper_op, smoothed, Y, ds.train_indices,
-      TrainConfig(hidden=64, epochs=50), log_stream=log)
+      TrainConfig(hidden=64, epochs=50), seed=0, log_stream=log)
 lines = log.getvalue().splitlines()
 print("\ntraining log head:")
 print("\n".join(lines[:4]))

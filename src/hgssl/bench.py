@@ -10,7 +10,7 @@ methods, the parameter initialization.
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +19,7 @@ import numpy as np
 from . import hypergraph as hg
 from .datasets import (ImageDataset, check_blob_args, load_idx_dataset,
                        load_usps_dataset, stratified_subsample, synthetic_blobs)
-from .errors import FormatError, _require
+from .errors import FormatError, SolverError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
@@ -36,6 +36,8 @@ _OPERATOR_NORMALIZATIONS = {"hg_sym": "sym", "hg_rw": "rw", "graph": "graph_sym"
                             "gcn": "gcn"}
 
 DEFAULT_PCA_DIMS = {"mnist": 50, "usps": 50, "fashion": 300, "synthetic": None}
+# Marks a pca_dims left unset, which ExperimentConfig resolves from its dataset.
+_PER_DATASET = object()
 
 DATA_DIR_ENV = "HGSSL_DATA_DIR"
 
@@ -75,7 +77,8 @@ class ExperimentConfig:
     methods: tuple = METHODS
     noise_levels: tuple = (0.0, 0.15, 0.30, 0.45)
     seeds: tuple = (0, 1, 2)
-    pca_dims: Optional[int] = None
+    # Unset means DEFAULT_PCA_DIMS[dataset]; an explicit None means no PCA.
+    pca_dims: Optional[int] = _PER_DATASET
     k: int = 5
     normalization: str = "sym"
     include_centroid: bool = True
@@ -83,12 +86,23 @@ class ExperimentConfig:
     solver: PropagationConfig = PropagationConfig()
     subsample_size: Optional[int] = None
     subsample_seed: int = 0
-    synthetic: Optional[SyntheticSpec] = None
+    synthetic: Optional[SyntheticSpec] = None  # SyntheticSpec() for "synthetic"
 
     def __post_init__(self):
-        # Every value is checked here, before any data is loaded.
+        # Every value is resolved and checked here, before any data is loaded.
         _require(self.dataset in DEFAULT_PCA_DIMS, "dataset",
                  f"unknown dataset {self.dataset!r}")
+        if self.pca_dims is _PER_DATASET:
+            object.__setattr__(self, "pca_dims", DEFAULT_PCA_DIMS[self.dataset])
+        if self.dataset == "synthetic" and self.synthetic is None:
+            object.__setattr__(self, "synthetic", SyntheticSpec())
+        _require(self.dataset == "synthetic" or self.synthetic is None, "synthetic",
+                 f"a synthetic spec applies only to the synthetic dataset, "
+                 f"not {self.dataset!r}")
+        for key in self.paths:
+            _require(key in DATASET_FILES[self.dataset], "paths",
+                     f"unknown path {key!r} for dataset {self.dataset!r}; known: "
+                     f"{', '.join(DATASET_FILES[self.dataset]) or 'none'}")
         for name in ("methods", "noise_levels", "seeds"):
             values = getattr(self, name)
             _require(bool(values), name, f"{name} must not be empty")
@@ -156,7 +170,7 @@ def resolve_dataset_paths(name, explicit, data_dir=None):
 
 def load_dataset(cfg: ExperimentConfig, data_dir=None) -> ImageDataset:
     if cfg.dataset == "synthetic":
-        spec = cfg.synthetic if cfg.synthetic is not None else SyntheticSpec()
+        spec = cfg.synthetic
         return synthetic_blobs(spec.n, spec.classes, spec.dim, spec.spread, spec.seed)
     paths = resolve_dataset_paths(cfg.dataset, cfg.paths, data_dir)
     if cfg.dataset == "usps":
@@ -173,6 +187,8 @@ class PreparedExperiment:
     operators: dict
     propagated: Optional[np.ndarray]
     pca_used: bool
+    # A failed feature solve fails each hgnn-proposed cell, not the grid.
+    propagation_error: Optional[SolverError] = None
 
 
 def _operator_name(cfg: ExperimentConfig, method: str) -> str:
@@ -258,12 +274,16 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
                        ops_dir=None) -> PreparedExperiment:
     dataset, X, pca_used = prepare_features(cfg, data_dir)
     operators = build_operators(cfg, X, ops_dir)
-    propagated = None
+    propagated = error = None
     if "hgnn-proposed" in cfg.methods:
-        propagated = propagate_features(operators["hg_sym"], X, cfg.solver)
+        try:
+            propagated = propagate_features(operators["hg_sym"], X, cfg.solver)
+        except SolverError as exc:
+            # Kept bare: the caught error's traceback holds the solve's arrays.
+            error = SolverError(exc.reason, exc.residual, exc.columns)
     return PreparedExperiment(config=cfg, dataset=dataset, features=X,
                               operators=operators, propagated=propagated,
-                              pca_used=pca_used)
+                              pca_used=pca_used, propagation_error=error)
 
 
 def run_cell(prepared: PreparedExperiment, method: str, level: float,
@@ -272,6 +292,10 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     cfg = prepared.config
     dataset = prepared.dataset
     start = time.perf_counter()
+    error = prepared.propagation_error
+    if method == "hgnn-proposed" and error is not None:
+        # A fresh copy per cell, so the kept error gathers no frames.
+        raise SolverError(error.reason, error.residual, error.columns)
     split = inject_noise(dataset, level, seed)
 
     op = prepared.operators[_operator_name(cfg, method)]
@@ -281,7 +305,7 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     else:
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "onehot")
         X = prepared.propagated if method == "hgnn-proposed" else prepared.features
-        params = train(op, X, Y, dataset.train_indices, replace(cfg.train, seed=seed))
+        params = train(op, X, Y, dataset.train_indices, cfg.train, seed=seed)
         pred = predict(op, X, params)
 
     acc = accuracy(pred, split.clean_labels, dataset.test_indices)

@@ -12,20 +12,15 @@ every cell succeeded.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import config as config_mod
-from .bench import (ExperimentConfig, SyntheticSpec, build_operators, emit_table,
-                    operator_cache_key, operator_cache_path, run_experiment)
+from .bench import (ExperimentConfig, build_operators, emit_table, operator_cache_key,
+                    operator_cache_path, run_experiment)
 from .errors import ConfigError, FormatError
 from .network import TrainConfig
 from .propagation import PropagationConfig
-
-
-# Non-string, so argparse does not pass it through --pca-dims' type.
-_PER_DATASET = object()
 
 
 def _add_common(parser):
@@ -54,7 +49,7 @@ def _build_parser():
     p_run.add_argument("--noise", type=float, required=True)
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--pca-dims", type=config_mod.int_or_none,
-                       default=_PER_DATASET,
+                       default=argparse.SUPPRESS,
                        help="PCA dimensions or 'none' (default: the dataset's default)")
     p_run.add_argument("--k", type=int, default=ExperimentConfig.k)
     p_run.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
@@ -84,7 +79,6 @@ def _report_failures(report) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = config_mod.load_config(args.config)
-    cfg = _anchor_paths(cfg, Path(args.config).parent)
     if args.full:
         cfg = config_mod.strip_subsample(cfg)
     report = run_experiment(cfg, data_dir=args.data_dir, ops_dir=args.ops)
@@ -98,32 +92,21 @@ def _cmd_bench(args) -> int:
     return _report_failures(report)
 
 
-def _anchor_paths(cfg: ExperimentConfig, base: Path) -> ExperimentConfig:
-    """Resolve config-relative dataset paths against the config file's directory."""
-    if not cfg.paths:
-        return cfg
-    anchored = {key: str((base / value)) if not Path(value).is_absolute() else value
-                for key, value in cfg.paths.items()}
-    return replace(cfg, paths=anchored)
-
-
 def _cmd_run(args) -> int:
-    pca_dims = args.pca_dims
-    if pca_dims is _PER_DATASET:
-        pca_dims = bench_mod.DEFAULT_PCA_DIMS[args.dataset]
+    # --pca-dims is passed on only when given; ExperimentConfig owns the default.
+    given = {"pca_dims": args.pca_dims} if "pca_dims" in vars(args) else {}
     cfg = ExperimentConfig(
         dataset=args.dataset,
         methods=(args.method,),
         noise_levels=(args.noise,),
         seeds=(args.seed,),
-        pca_dims=pca_dims,
         k=args.k,
         normalization=args.normalization,
         include_centroid=not args.no_centroid,
         train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
         solver=PropagationConfig(alpha=args.alpha),
         subsample_size=args.subsample,
-        synthetic=SyntheticSpec() if args.dataset == "synthetic" else None,
+        **given,
     )
     report = run_experiment(cfg, data_dir=args.data_dir)
     if report.rows:
@@ -133,7 +116,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_build_ops(args) -> int:
     cfg = config_mod.load_config(args.config)
-    cfg = _anchor_paths(cfg, Path(args.config).parent)
     _, X, _ = bench_mod.prepare_features(cfg, data_dir=args.data_dir)
     operators = build_operators(cfg, X, ops_dir=args.out)
     key = operator_cache_key(cfg, X)

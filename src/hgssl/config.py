@@ -8,8 +8,9 @@ that a config class's rules reject, are reported with the offending line.
 """
 
 from dataclasses import fields, replace
+from pathlib import Path
 
-from .bench import DATASET_FILES, DEFAULT_PCA_DIMS, ExperimentConfig, SyntheticSpec
+from .bench import DATASET_FILES, ExperimentConfig, SyntheticSpec
 from .errors import ConfigError
 from .network import TrainConfig
 from .propagation import PropagationConfig
@@ -86,10 +87,9 @@ _INTS = (_tuple_of(int), "comma-separated integers")
 _NAMES = (_tuple_of(str.strip), "comma-separated names")
 
 
-def _numeric_kinds(cls, skip=()):
-    """Kinds for a dataclass of numbers, one key per field not in ``skip``."""
-    return {f.name: (_REAL if f.type is float else _INT)
-            for f in fields(cls) if f.name not in skip}
+def _numeric_kinds(cls):
+    """Kinds for a dataclass of numbers, one key per field."""
+    return {f.name: (_REAL if f.type is float else _INT) for f in fields(cls)}
 
 
 class _SectionReader:
@@ -153,10 +153,17 @@ def _build(cls, parts, **base):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a benchmark config file into an ExperimentConfig."""
+    """Read and validate a benchmark config file into an ExperimentConfig.
+
+    Relative dataset paths are resolved against the file's directory.
+    """
     with open(path, "r") as fh:
         text = fh.read()
-    return parse_config(text, path=str(path))
+    cfg = parse_config(text, path=str(path))
+    base = Path(path).parent
+    anchored = {key: value if Path(value).is_absolute() else str(base / value)
+                for key, value in cfg.paths.items()}
+    return replace(cfg, paths=anchored)
 
 
 def parse_config(text, path="<config>") -> ExperimentConfig:
@@ -185,8 +192,7 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
     synthetic = None
     if name == "synthetic":
         synthetic = _build(SyntheticSpec, [(ds, _numeric_kinds(SyntheticSpec))])
-    # ``seed`` is left out: each grid cell trains with its own seed.
-    train = _build(TrainConfig, [(tr, _numeric_kinds(TrainConfig, skip=("seed",)))])
+    train = _build(TrainConfig, [(tr, _numeric_kinds(TrainConfig))])
     solver = _build(PropagationConfig,
                     [(ex, {"alpha": _REAL}), (so, {"tol": _REAL, "max_iter": _INT})])
     cfg = _build(
@@ -196,7 +202,7 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
                "pca_dims": _INT_OR_NONE, "k": _INT, "normalization": _STRING,
                "include_centroid": _BOOL})],
         dataset=name, paths=ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING)),
-        pca_dims=DEFAULT_PCA_DIMS[name], synthetic=synthetic, train=train, solver=solver)
+        synthetic=synthetic, train=train, solver=solver)
     for section in (ds, ex, tr, so):
         section.reject_unknown()
     return cfg

@@ -1,15 +1,22 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import hgssl.bench
-from hgssl.bench import (METHODS, ExperimentConfig, ResultRow, SyntheticSpec,
-                         build_operators, emit_table, median_grid, operator_cache_key,
-                         operator_cache_path, parse_results_csv, prepare_features,
-                         resolve_dataset_paths, run_experiment)
-from hgssl.errors import ConfigError, FormatError
+from hgssl import network
+from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentConfig,
+                         ResultRow, SyntheticSpec, build_operators, emit_table,
+                         load_dataset, median_grid, operator_cache_key,
+                         operator_cache_path, parse_results_csv, prepare_experiment,
+                         prepare_features, resolve_dataset_paths, run_cell,
+                         run_experiment)
+from hgssl.datasets import (ImageDataset, save_idx_dataset, save_usps_dataset,
+                            synthetic_blobs)
+from hgssl.errors import ConfigError, FormatError, SolverError
+from hgssl.labels import encode_labels, inject_noise
 from hgssl.network import TrainConfig
+from hgssl.pca import pca_fit, pca_transform
 from hgssl.propagation import PropagationConfig
 
 FAST_TRAIN = TrainConfig(hidden=16, epochs=60)
@@ -122,6 +129,91 @@ class TestRunExperiment:
             build_operators(large, X, ops_dir=ops_dir)
         assert str(target) in str(info.value)
 
+    def test_failed_feature_solve_fails_only_proposed_cells(self):
+        # max_iter = 1 starves the feature solve in set-up; the gcn cells still run.
+        cfg = replace(SMALL, methods=("gcn", "hgnn-proposed"), noise_levels=(0.0, 0.3),
+                      solver=PropagationConfig(tol=1e-14, max_iter=1))
+        report = run_experiment(cfg)
+        assert [(f.method, f.noise_level, f.seed) for f in report.failures] \
+            == [("hgnn-proposed", 0.0, 0), ("hgnn-proposed", 0.3, 0)]
+        assert all(f.error.startswith("SolverError: ") for f in report.failures)
+        assert report.failures[0].error == report.failures[1].error
+        assert [(r.method, r.noise_level) for r in report.rows] \
+            == [("gcn", 0.0), ("gcn", 0.3)]
+
+    def test_kept_feature_solve_error_holds_no_frames(self):
+        # A kept traceback would pin the solve's n x width arrays for the whole grid.
+        cfg = replace(SMALL, methods=("hgnn-proposed",),
+                      solver=PropagationConfig(tol=1e-14, max_iter=1))
+        prepared = prepare_experiment(cfg)
+        error = prepared.propagation_error
+        assert isinstance(error, SolverError) and error.columns
+        for _ in range(2):
+            with pytest.raises(SolverError) as raised:
+                run_cell(prepared, "hgnn-proposed", 0.0, 0)
+            assert raised.value is not error
+            assert str(raised.value) == str(error)
+            assert raised.value.columns == error.columns
+        assert error.__traceback__ is None and error.__context__ is None
+
+    def test_cell_trains_with_its_seed(self, monkeypatch):
+        trained = []
+
+        def recording(*args, **kwargs):
+            trained.append(network.train(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(hgssl.bench, "train", recording)
+        cfg = replace(SMALL, methods=("hgnn",), noise_levels=(0.15,), seeds=(7,))
+        assert run_experiment(cfg).ok
+        prepared = prepare_experiment(cfg)
+        ds = prepared.dataset
+        Y = encode_labels(inject_noise(ds, 0.15, 7), ds.train_indices, ds.num_classes,
+                          "onehot")
+        want = network.train(prepared.operators["hg_sym"], prepared.features, Y,
+                             ds.train_indices, FAST_TRAIN, seed=7)
+        [got] = trained
+        assert np.array_equal(got.theta1, want.theta1)
+        assert np.array_equal(got.theta2, want.theta2)
+        assert "seed" not in {f.name for f in fields(TrainConfig)}
+
+    def test_grid_with_pca(self):
+        cfg = replace(SMALL, methods=("graph-ssl", "hgnn"), pca_dims=3)
+        X = load_dataset(cfg).features
+        prepared = prepare_experiment(cfg)
+        assert prepared.pca_used
+        assert np.array_equal(prepared.features, pca_transform(pca_fit(X, 3), X))
+        report = run_experiment(cfg)
+        assert report.ok and all(row.pca_used for row in report.rows)
+        assert all(line.endswith(",true")
+                   for line in emit_table(report.rows, "csv").splitlines()[1:])
+
+    def test_grid_on_idx_and_usps_files(self, tmp_path):
+        blobs = synthetic_blobs(120, 3, 16, 0.1, seed=3)
+        low, high = blobs.features.min(), blobs.features.max()
+        # Byte-valued pixels in [0, 1], so the IDX files hold them exactly.
+        pixels = np.round((blobs.features - low) / (high - low) * 255.0) / 255.0
+        ds = ImageDataset(pixels, blobs.labels, blobs.train_indices,
+                          blobs.test_indices, blobs.num_classes)
+        for name in ("mnist", "usps"):
+            files = {key: tmp_path / name / filename
+                     for key, filename in DATASET_FILES[name].items()}
+            (tmp_path / name).mkdir()
+            if name == "usps":
+                save_usps_dataset(ds, files["train_path"], files["test_path"])
+            else:
+                save_idx_dataset(ds, files["train_images"], files["train_labels"],
+                                 files["test_images"], files["test_labels"])
+            cfg = ExperimentConfig(dataset=name, methods=("graph-ssl",),
+                                   noise_levels=(0.0,), seeds=(0,), pca_dims=None)
+            prepared = prepare_experiment(cfg, data_dir=tmp_path)
+            assert np.array_equal(prepared.features, pixels)
+            assert np.array_equal(prepared.dataset.labels, ds.labels)
+            report = run_experiment(cfg, data_dir=tmp_path)
+            assert report.ok
+            [row] = report.rows
+            assert row.dataset == name and row.accuracy >= 0.9 and not row.pca_used
+
     def test_proposed_uses_propagated_features(self):
         cfg = replace(SMALL, methods=("hgnn", "hgnn-proposed"))
         report = run_experiment(cfg)
@@ -149,6 +241,40 @@ class TestConfigValidation:
     def test_empty_noise_levels(self):
         with pytest.raises(ConfigError, match="noise_levels must not be empty"):
             ExperimentConfig(dataset="synthetic", noise_levels=())
+
+
+class TestResolvedSettings:
+    """ExperimentConfig resolves its dataset-dependent settings itself."""
+
+    @pytest.mark.parametrize("dataset", sorted(DEFAULT_PCA_DIMS))
+    def test_pca_dims_default_per_dataset(self, dataset):
+        assert ExperimentConfig(dataset=dataset).pca_dims == DEFAULT_PCA_DIMS[dataset]
+        assert ExperimentConfig(dataset=dataset, pca_dims=None).pca_dims is None
+        assert ExperimentConfig(dataset=dataset, pca_dims=7).pca_dims == 7
+
+    def test_resolved_config_survives_replace(self):
+        cfg = replace(ExperimentConfig(dataset="mnist"), k=7)
+        assert cfg.pca_dims == 50
+
+    def test_synthetic_without_spec_runs_default_spec(self):
+        cfg = ExperimentConfig(dataset="synthetic", methods=("graph-ssl",),
+                               noise_levels=(0.0,), seeds=(0,))
+        assert cfg.synthetic == SyntheticSpec()
+        spec = SyntheticSpec()
+        want = synthetic_blobs(spec.n, spec.classes, spec.dim, spec.spread, spec.seed)
+        assert np.array_equal(load_dataset(cfg).features, want.features)
+        assert run_experiment(cfg).ok
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"dataset": "usps", "synthetic": SyntheticSpec(n=9)}, "synthetic"),
+        ({"dataset": "mnist", "paths": {"train_path": "zip.train"}}, "paths"),
+        ({"dataset": "usps", "paths": {"train_path": "a", "tset_path": "b"}}, "paths"),
+        ({"dataset": "synthetic", "paths": {"train_path": "a"}}, "paths"),
+    ], ids=["spec-on-usps", "usps-key-on-mnist", "misspelt-key", "path-on-synthetic"])
+    def test_setting_of_another_dataset_rejected(self, kwargs, field):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.field == field
 
 
 class TestEmitTable:

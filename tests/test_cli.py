@@ -1,7 +1,8 @@
 import pytest
 
 import hgssl.bench
-from hgssl.bench import parse_results_csv
+import hgssl.cli
+from hgssl.bench import ExperimentReport, SyntheticSpec, parse_results_csv
 from hgssl.cli import main
 
 TINY_CONFIG = """\
@@ -53,6 +54,65 @@ def test_bench_writes_tables(tmp_path, capsys):
     assert len(rows) == 4  # 2 methods x 2 levels x 1 seed
     stdout = capsys.readouterr().out
     assert "method" in stdout and "hypergraph-ssl" in stdout
+
+
+def _results(path):
+    return [(r.method, r.noise_level, r.seed, r.accuracy, r.pca_used)
+            for r in parse_results_csv(path.read_text())]
+
+
+def test_bench_failed_feature_solve_fails_only_proposed_cells(tmp_path, capsys):
+    cfg = tmp_path / "starved.cfg"
+    cfg.write_text(TINY_CONFIG.replace("hypergraph-ssl, graph-ssl", "gcn, hgnn-proposed")
+                   + "\n[solver]\ntol = 1e-14\nmax_iter = 1\n")
+    out_dir = tmp_path / "results"
+    assert main(["bench", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for line, level in zip(lines, ("0.0", "0.3")):
+        assert line.startswith(f"FAILED cell method=hgnn-proposed noise={level} seed=0: "
+                               "SolverError: ")
+    assert [row[:3] for row in _results(out_dir / "synthetic.csv")] \
+        == [("gcn", 0.0, 0), ("gcn", 0.3, 0)]
+
+
+def test_bench_full_ignores_subsample(tmp_path, capsys, monkeypatch):
+    whole = tmp_path / "whole.cfg"
+    whole.write_text(TINY_CONFIG)
+    sub = tmp_path / "sub.cfg"
+    sub.write_text(TINY_CONFIG.replace("seed = 2", "seed = 2\nsubsample_size = 30"))
+    assert main(["bench", "--config", str(whole), "--out", str(tmp_path / "whole")]) == 0
+
+    def no_subsample(*args, **kwargs):
+        raise AssertionError("--full subsampled the dataset")
+    monkeypatch.setattr(hgssl.bench, "stratified_subsample", no_subsample)
+    assert main(["bench", "--config", str(sub), "--out", str(tmp_path / "full"),
+                 "--full"]) == 0
+    capsys.readouterr()
+    assert _results(tmp_path / "full" / "synthetic.csv") \
+        == _results(tmp_path / "whole" / "synthetic.csv")
+
+
+@pytest.mark.parametrize("dataset, flags, pca_dims, synthetic", [
+    ("usps", [], 50, None),
+    ("fashion", [], 300, None),
+    ("fashion", ["--pca-dims", "none"], None, None),
+    ("mnist", ["--pca-dims", "20"], 20, None),
+    ("synthetic", [], None, SyntheticSpec()),
+])
+def test_run_resolves_like_the_config(monkeypatch, dataset, flags, pca_dims, synthetic):
+    seen = []
+
+    def record(cfg, **kwargs):
+        seen.append(cfg)
+        return ExperimentReport(rows=[], failures=[])
+    monkeypatch.setattr(hgssl.cli, "run_experiment", record)
+    assert main(["run", "--dataset", dataset, "--method", "gcn", "--noise", "0",
+                 "--seed", "0", *flags]) == 0
+    [cfg] = seen
+    assert (cfg.pca_dims, cfg.synthetic) == (pca_dims, synthetic)
 
 
 def test_bench_reuses_operator_cache(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hgssl.config import load_config, parse_config, strip_subsample
@@ -63,6 +65,20 @@ class TestParsing:
         path.write_text(GOOD)
         assert load_config(path).dataset == "synthetic"
 
+    def test_load_anchors_relative_paths_at_the_file(self, tmp_path, monkeypatch):
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "configs" / "usps.cfg").write_text(
+            "schema_version = 1\n[dataset]\nname = usps\n"
+            "train_path = ../data/zip.train\ntest_path = /abs/zip.test\n")
+        want = (tmp_path / "data" / "zip.train").resolve()
+        monkeypatch.chdir(tmp_path)
+        for path in (tmp_path / "configs" / "usps.cfg", "configs/usps.cfg"):
+            paths = load_config(path).paths
+            assert Path(paths["train_path"]).resolve() == want
+            assert paths["test_path"] == "/abs/zip.test"
+        # parse_config has no file to anchor at: the text's paths are kept.
+        text = (tmp_path / "configs" / "usps.cfg").read_text()
+        assert parse_config(text).paths["train_path"] == "../data/zip.train"
 
 class TestLinePreciseErrors:
     def test_unknown_key_reports_line(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from hgssl.datasets import (ImageDataset, load_idx_dataset, load_usps_dataset,
-                            save_idx_dataset, save_usps_dataset,
+from hgssl.datasets import (ImageDataset, _largest_remainder, load_idx_dataset,
+                            load_usps_dataset, save_idx_dataset, save_usps_dataset,
                             stratified_subsample, synthetic_blobs)
 from hgssl.errors import FormatError
 
@@ -215,6 +215,26 @@ class TestStratifiedSubsample:
         b = stratified_subsample(ds, 60, seed=5)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_remainder_ties_go_to_the_lower_class(self):
+        assert _largest_remainder([1, 1, 1], 2).tolist() == [1, 1, 0]
+        assert _largest_remainder([5, 3, 1], 4).tolist() == [2, 1, 1]
+        assert _largest_remainder([2, 1, 1], 2).tolist() == [1, 1, 0]
+
+    def test_uneven_classes(self):
+        # Train classes 5:3:1 and test classes 2:1:1; feature = original row.
+        labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 2, 0, 0, 1, 2])
+        ds = ImageDataset(np.arange(13.0)[:, None], labels, np.arange(9),
+                          np.arange(9, 13), 3)
+        sub = stratified_subsample(ds, 6, seed=3)
+        # round(6 * 9 / 13) = 4 train rows, quotas [2, 1, 1]; 2 test rows, [1, 1, 0].
+        train_counts = np.bincount(sub.labels[sub.train_indices], minlength=3)
+        test_counts = np.bincount(sub.labels[sub.test_indices], minlength=3)
+        assert train_counts.tolist() == [2, 1, 1]
+        assert test_counts.tolist() == [1, 1, 0]
+        rows = sub.features[:, 0].astype(np.int64)
+        assert np.array_equal(labels[rows], sub.labels)
+        assert np.all(rows[sub.train_indices] < 9) and np.all(rows[sub.test_indices] >= 9)
 
     def test_size_validation(self):
         ds = synthetic_blobs(30, 3, 2, 0.05, seed=0)

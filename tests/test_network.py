@@ -239,30 +239,30 @@ class TestTrain:
         split = inject_noise(ds, 0.0, seed=0)
         Y = encode_labels(split, ds.train_indices, ds.num_classes, "onehot")
         params = train(op, ds.features, Y, ds.train_indices,
-                       TrainConfig(epochs=200, seed=0))
+                       TrainConfig(epochs=200), seed=0)
         pred = predict(op, ds.features, params)
         assert accuracy(pred, ds.labels, ds.test_indices) >= 0.95
 
     def test_zero_learning_rate_keeps_init(self):
         op, X, params, Y, mask = random_instance(seed=61)
-        cfg = TrainConfig(hidden=4, learning_rate=0.0, epochs=5, seed=3)
-        trained = train(op, X, Y, mask, cfg)
+        cfg = TrainConfig(hidden=4, learning_rate=0.0, epochs=5)
+        trained = train(op, X, Y, mask, cfg, seed=3)
         init = init_params(X.shape[1], 4, Y.values.shape[1], seed=3)
         assert np.array_equal(trained.theta1, init.theta1)
         assert np.array_equal(trained.theta2, init.theta2)
 
     def test_same_seed_bit_identical(self):
         op, X, _, Y, mask = random_instance(seed=62)
-        cfg = TrainConfig(hidden=6, epochs=20, seed=9)
-        a = train(op, X, Y, mask, cfg)
-        b = train(op, X, Y, mask, cfg)
+        cfg = TrainConfig(hidden=6, epochs=20)
+        a = train(op, X, Y, mask, cfg, seed=9)
+        b = train(op, X, Y, mask, cfg, seed=9)
         assert np.array_equal(a.theta1, b.theta1)
         assert np.array_equal(a.theta2, b.theta2)
 
     def test_training_log_finite_losses(self):
         op, X, _, Y, mask = random_instance(seed=63)
         stream = io.StringIO()
-        train(op, X, Y, mask, TrainConfig(hidden=5, epochs=15, seed=0),
+        train(op, X, Y, mask, TrainConfig(hidden=5, epochs=15), seed=0,
               log_stream=stream)
         lines = stream.getvalue().strip().splitlines()
         assert lines[0] == "epoch,loss,train_accuracy"
@@ -275,9 +275,9 @@ class TestTrain:
         # Dense Theta, the network associated as (Theta ReLU(Theta X theta1)) theta2,
         # and Adam written out step by step.
         op, X, _, Y, mask = random_instance(seed=64, n=12, l1=5, c=3, norm=norm)
-        cfg = TrainConfig(hidden=6, epochs=20, seed=4)
+        cfg = TrainConfig(hidden=6, epochs=20)
         dense = op.matrix.toarray()
-        init = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], cfg.seed)
+        init = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], seed=4)
         thetas = [init.theta1, init.theta2]
         m1 = [np.zeros_like(t) for t in thetas]
         m2 = [np.zeros_like(t) for t in thetas]
@@ -305,7 +305,7 @@ class TestTrain:
         theta1, theta2 = thetas
         want_pred = np.argmax(dense @ np.maximum(x_prop @ theta1, 0.0) @ theta2, axis=1)
 
-        trained = train(op, X, Y, mask, cfg)
+        trained = train(op, X, Y, mask, cfg, seed=4)
         assert np.max(np.abs(trained.theta1 - theta1)) < 1e-12
         assert np.max(np.abs(trained.theta2 - theta2)) < 1e-12
         assert np.array_equal(predict(op, X, trained), want_pred)
