@@ -96,11 +96,25 @@ def load_idx_dataset(images_path_train, labels_path_train,
     if test_x.shape[0] != test_y.shape[0]:
         raise FormatError(
             f"test image count {test_x.shape[0]} != label count {test_y.shape[0]}")
-    return _train_then_test(train_x, train_y, test_x, test_y)
+    return _train_then_test(train_x, train_y, test_x, test_y,
+                            labels_path_train, labels_path_test)
 
 
-def _train_then_test(train_x, train_y, test_x, test_y) -> ImageDataset:
-    """Stack the two splits, training rows first; classes are 0..max label."""
+def _train_then_test(train_x, train_y, test_x, test_y, train_path,
+                     test_path) -> ImageDataset:
+    """Stack the two splits, training rows first; classes are 0..max label.
+
+    Each split must hold a row and the two together at least two classes:
+    otherwise the closed-form methods would score an empty labeled set and
+    noise injection would have no other class to draw.
+    """
+    for split, path, labels in (("train", train_path, train_y), ("test", test_path, test_y)):
+        if not len(labels):
+            raise FormatError(f"{path}: the {split} split has 0 rows")
+    classes = len(np.unique(np.concatenate([train_y, test_y])))
+    if classes < 2:
+        raise FormatError(f"{train_path}, {test_path}: the train and test splits hold "
+                          f"{classes} class between them, need at least 2")
     features = np.vstack([train_x, test_x])
     labels = np.concatenate([train_y, test_y])
     l = train_x.shape[0]
@@ -180,7 +194,7 @@ def load_usps_dataset(train_path, test_path) -> ImageDataset:
     if train_x.shape[1] != test_x.shape[1]:
         raise FormatError(
             f"pixel counts differ between splits: {train_x.shape[1]} vs {test_x.shape[1]}")
-    return _train_then_test(train_x, train_y, test_x, test_y)
+    return _train_then_test(train_x, train_y, test_x, test_y, train_path, test_path)
 
 
 def save_usps_dataset(ds: ImageDataset, train_path, test_path):

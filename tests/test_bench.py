@@ -1,3 +1,4 @@
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -219,6 +220,65 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         accs = {row.method: row.accuracy for row in report.rows}
         assert set(accs) == {"hgnn", "hgnn-proposed"}
+
+
+class TestClosedFormReuse:
+    """Closed-form cells of one grid whose noisy training labels are equal share a solve."""
+
+    @staticmethod
+    def counting(monkeypatch, name, delay=0.0):
+        calls = []
+        original = getattr(hgssl.bench, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            time.sleep(delay)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hgssl.bench, name, counted)
+        return calls
+
+    def test_level_that_flips_no_label_reuses_the_clean_solve(self, monkeypatch):
+        # round(0.001 * 280) = 0 flips, so every cell of a method has the clean labels.
+        cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl"),
+                      noise_levels=(0.0, 0.001), seeds=(0, 1),
+                      synthetic=SyntheticSpec(n=400, classes=4, dim=6, spread=0.6, seed=5))
+        solves = self.counting(monkeypatch, "propagate_labels")
+        report = run_experiment(cfg)
+        assert report.ok and len(report.rows) == 8
+        assert len(solves) == 2
+        prepared = prepare_experiment(cfg)
+        assert len(prepared.dataset.train_indices) == 280
+        for row in report.rows:
+            assert row.accuracy == run_cell(prepared, row.method, 0.0, 0).accuracy
+
+    def test_neural_cells_train_once_each(self, monkeypatch):
+        cfg = replace(SMALL, methods=("gcn", "hgnn"), noise_levels=(0.0,), seeds=(0, 1))
+        trained = self.counting(monkeypatch, "train")
+        report = run_experiment(cfg)
+        assert report.ok and len(report.rows) == 4
+        assert len(trained) == 4
+
+    def test_failed_solve_is_not_reused(self, monkeypatch):
+        cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl"), seeds=(0, 1, 2),
+                      solver=PropagationConfig(tol=1e-14, max_iter=1))
+        solves = self.counting(monkeypatch, "propagate_labels")
+        report = run_experiment(cfg)
+        assert not report.rows
+        assert [(f.method, f.seed) for f in report.failures] \
+            == [(m, s) for m in cfg.methods for s in cfg.seeds]
+        assert all(f.error.startswith("SolverError: ") for f in report.failures)
+        assert len(solves) == 6
+
+    def test_reused_row_has_its_own_wall_time(self, monkeypatch):
+        cfg = replace(SMALL, methods=("hypergraph-ssl",), seeds=(0, 1, 2))
+        solves = self.counting(monkeypatch, "propagate_labels", delay=0.3)
+        first, *reused = run_experiment(cfg).rows
+        assert len(solves) == 1
+        assert first.wall_time_seconds >= 0.3
+        assert [row.seed for row in reused] == [1, 2]
+        assert all(row.wall_time_seconds < 0.3 for row in reused)
+        assert all(row.accuracy == first.accuracy for row in reused)
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
 """The benchmark's workloads (benchmarks/workloads.py) and the calls its harness
 makes into ``hgssl.bench`` still fit the package."""
 
+import hashlib
 import inspect
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import hgssl.bench as bench
 from hgssl.bench import ResultRow, SyntheticSpec
+from hgssl.labels import inject_noise
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +42,17 @@ def test_harness_calls_bind(workloads, tmp_path):
     inspect.signature(bench.emit_table).bind(rows, "csv")
     inspect.signature(bench.parse_results_csv).bind(text)
     assert bench.parse_results_csv(text) == rows
+
+
+def test_ssl_cached_repeats_clean_label_cells(workloads):
+    # Its gain comes from closed-form cells whose noisy labels are equal: the
+    # 5 clean-label cells of each method share one solve, the 15 noisy ones do not.
+    workload = workloads["ssl-cached"]
+    dataset = bench.load_dataset(workload.config(11))
+    assert dataset.num_samples == 12000 and dataset.num_features == 50
+    digests = {hashlib.sha256(
+                   inject_noise(dataset, level, seed).noisy_labels[dataset.train_indices]
+               ).digest()
+               for level in workload.noise_levels for seed in workload.seeds}
+    assert len(workload.noise_levels) * len(workload.seeds) == 20
+    assert len(digests) == 16

@@ -2,6 +2,7 @@ import pytest
 
 import hgssl.bench
 import hgssl.cli
+import hgssl.hypergraph
 from hgssl.bench import ExperimentReport, SyntheticSpec, parse_results_csv
 from hgssl.cli import main
 
@@ -164,6 +165,22 @@ def test_bad_cache_file_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("bad file: ") and ".hgop: holds a" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_one_class_dataset_exit_code(tmp_path, capsys, monkeypatch):
+    def no_knn(*args, **kwargs):
+        raise AssertionError("kNN ran on a malformed dataset")
+    monkeypatch.setattr(hgssl.hypergraph, "knn_indices", no_knn)
+    (tmp_path / "zip.train").write_text("0 0.0 0.5\n0 1.0 0.5\n")
+    (tmp_path / "zip.test").write_text("0 0.5 0.5\n")
+    cfg = tmp_path / "usps.cfg"
+    cfg.write_text("schema_version = 1\n[dataset]\nname = usps\ntrain_path = zip.train\n"
+                   "test_path = zip.test\n[experiment]\npca_dims = none\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("bad file: ") and "hold 1 class between them" in err
     assert not (tmp_path / "r").exists()
 
 

@@ -57,7 +57,7 @@ class TestIdxLoader:
     def test_flattening_order(self, tmp_path):
         # Asymmetric 3x4 image: pixel (r, c) must land in column r*4 + c.
         image = np.arange(12, dtype=np.uint8).reshape(1, 3, 4)
-        paths = make_idx_files(tmp_path, image, [0], image, [0])
+        paths = make_idx_files(tmp_path, image, [0], image, [1])
         ds = load_idx_dataset(paths["train_images"], paths["train_labels"],
                               paths["test_images"], paths["test_labels"])
         for r in range(3):
@@ -86,6 +86,14 @@ class TestIdxLoader:
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         paths = make_idx_files(tmp_path, images, [0, 1, 1], images, [0, 1])
         with pytest.raises(FormatError):
+            load_idx_dataset(paths["train_images"], paths["train_labels"],
+                             paths["test_images"], paths["test_labels"])
+
+    def test_zero_count_train_file(self, tmp_path):
+        empty = np.zeros((0, 2, 2), dtype=np.uint8)
+        test = np.zeros((2, 2, 2), dtype=np.uint8)
+        paths = make_idx_files(tmp_path, empty, [], test, [0, 1])
+        with pytest.raises(FormatError, match="train-labels: the train split has 0 rows"):
             load_idx_dataset(paths["train_images"], paths["train_labels"],
                              paths["test_images"], paths["test_labels"])
 
@@ -141,6 +149,15 @@ class TestUspsLoader:
         test = tmp_path / "zip.test"
         test.write_text("1 0.0 0.0\n")
         with pytest.raises(FormatError):
+            load_usps_dataset(train, test)
+
+    def test_one_class(self, tmp_path):
+        # With a single class, noise injection has no other class to draw.
+        train = tmp_path / "zip.train"
+        train.write_text("0 0.0 0.5\n0 1.0 0.5\n")
+        test = tmp_path / "zip.test"
+        test.write_text("0 0.5 0.5\n")
+        with pytest.raises(FormatError, match="hold 1 class between them, need at least 2"):
             load_usps_dataset(train, test)
 
     def test_round_trip_bit_identical(self, tmp_path):
