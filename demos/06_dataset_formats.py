@@ -27,15 +27,15 @@ with tempfile.TemporaryDirectory() as tmp:
         fh.write(images.tobytes())
     with open(tmp / "lbls", "wb") as fh:
         fh.write(struct.pack(">II", 2049, 2))
-        fh.write(bytes([7, 2]))
+        fh.write(bytes([1, 0]))
     ds = load_idx_dataset(tmp / "imgs", tmp / "lbls", tmp / "imgs", tmp / "lbls")
     print("IDX: loaded", ds.features.shape, "features, labels", ds.labels)
     print("pixel (1, 2) of image 0 -> feature column 1*4+2 =",
           ds.features[0, 6], "(raw byte", images[0, 1, 2], "/ 255)")
 
     # --- USPS text: label then pixels, one line per sample.
-    (tmp / "zip.train").write_text("3 " + " ".join(["0.25"] * 16) + "\n")
-    (tmp / "zip.test").write_text("8 " + " ".join(["-1.0"] * 16) + "\n")
+    (tmp / "zip.train").write_text("1 " + " ".join(["0.25"] * 16) + "\n")
+    (tmp / "zip.test").write_text("0 " + " ".join(["-1.0"] * 16) + "\n")
     usps = load_usps_dataset(tmp / "zip.train", tmp / "zip.test")
     print("\nUSPS: labels", usps.labels, "- native range kept:",
           usps.features.min(), "to", usps.features.max())

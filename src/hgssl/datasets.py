@@ -106,17 +106,25 @@ def _train_then_test(train_x, train_y, test_x, test_y, train_path,
 
     Each split must hold a row and the two together at least two classes:
     otherwise the closed-form methods would score an empty labeled set and
-    noise injection would have no other class to draw.
+    noise injection would have no other class to draw.  Every class id from
+    0 to the largest must hold a row: noise injection would otherwise flip
+    labels into a class that no row has.
     """
     for split, path, labels in (("train", train_path, train_y), ("test", test_path, test_y)):
         if not len(labels):
             raise FormatError(f"{path}: the {split} split has 0 rows")
-    classes = len(np.unique(np.concatenate([train_y, test_y])))
-    if classes < 2:
-        raise FormatError(f"{train_path}, {test_path}: the train and test splits hold "
-                          f"{classes} class between them, need at least 2")
-    features = np.vstack([train_x, test_x])
     labels = np.concatenate([train_y, test_y])
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise FormatError(f"{train_path}, {test_path}: the train and test splits hold "
+                          f"{classes.size} class between them, need at least 2")
+    if classes[0] < 0:
+        raise FormatError(f"{train_path}, {test_path}: negative class id {classes[0]}")
+    missing = np.setdiff1d(np.arange(classes[-1] + 1), classes)
+    if missing.size:
+        raise FormatError(f"{train_path}, {test_path}: class ids {missing.tolist()} hold no "
+                          f"row; labels must use every id from 0 to {classes[-1]}")
+    features = np.vstack([train_x, test_x])
     l = train_x.shape[0]
     n = features.shape[0]
     return ImageDataset(
@@ -124,7 +132,7 @@ def _train_then_test(train_x, train_y, test_x, test_y, train_path,
         labels=labels,
         train_indices=np.arange(l, dtype=np.int64),
         test_indices=np.arange(l, n, dtype=np.int64),
-        num_classes=int(labels.max()) + 1,
+        num_classes=int(classes.size),
     )
 
 

@@ -9,10 +9,17 @@ Theta^T dlogits for both gradients.  The feature-propagated variant runs the
 identical network on features smoothed by ``propagate_features``, which
 accepts only the sym operator.
 Loss is masked cross-entropy over the labeled rows plus an L2 penalty on both
-parameter matrices; gradients are analytic.
+parameter matrices; gradients are analytic.  While training, the softmax is
+taken on the labeled rows only, and one row-max shift gives both their
+probabilities and log-probabilities; ``ForwardTrace.probs``, the softmax of
+every row, is computed on first access (by ``predict`` and the training log).
+The ReLU, its backward mask and the Adam step all work in place, in the same
+operation order as the out-of-place formulas, so the trained parameters are
+bit-identical to theirs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +70,11 @@ class ForwardTrace:
     x_prop: np.ndarray   # Theta X
     hidden: np.ndarray   # ReLU(Theta X theta1)
     logits: np.ndarray   # Theta (hidden theta2)
-    probs: np.ndarray
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Row softmax of every logit row, computed on first access."""
+        return row_softmax(self.logits)
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -73,9 +84,29 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _row_log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def labeled_rows(labeled_mask, n: int) -> np.ndarray:
+    """``labeled_mask`` checked as a set of distinct row indices into ``n`` rows.
+
+    Returns it as int64.  A boolean mask, a float array, a negative, repeated
+    or out-of-range index and an empty set each raise ``ValueError``: numpy
+    would read them as other rows (``True`` as row 1, ``-1`` as row n - 1) or
+    count a row twice in the loss.
+    """
+    labeled = np.asarray(labeled_mask)
+    if labeled.ndim != 1:
+        raise ValueError(f"labeled rows must be a 1-D index array, got ndim={labeled.ndim}")
+    if labeled.size == 0:
+        raise ValueError("labeled rows must be non-empty")
+    if labeled.dtype.kind not in "iu":
+        raise ValueError(f"labeled rows must be integer indices, got dtype {labeled.dtype}")
+    low, high = labeled.min(), labeled.max()
+    if low < 0 or high >= n:
+        raise ValueError(f"labeled rows must lie in [0, {n}), got indices {low} to {high}")
+    labeled = labeled.astype(np.int64, copy=False)
+    counts = np.bincount(labeled, minlength=n)
+    if counts.max() > 1:
+        raise ValueError(f"labeled rows repeat index {int(np.argmax(counts))}")
+    return labeled
 
 
 def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
@@ -93,12 +124,12 @@ def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
         raise ValueError("theta1 and theta2 have inconsistent hidden sizes")
     if x_prop is None:
         x_prop = op.apply(X)
-    hidden = np.maximum(x_prop @ params.theta1, 0.0)
+    hidden = x_prop @ params.theta1
+    np.maximum(hidden, 0.0, out=hidden)
     logits = op.apply(hidden @ params.theta2)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits in forward pass")
-    return ForwardTrace(op=op, x_prop=x_prop, hidden=hidden, logits=logits,
-                        probs=row_softmax(logits))
+    return ForwardTrace(op=op, x_prop=x_prop, hidden=hidden, logits=logits)
 
 
 def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
@@ -108,32 +139,43 @@ def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
     loss = -(1/|mask|) sum_{i in mask} log Z[i, y_i]
            + (weight_decay / 2) (||theta1||_F^2 + ||theta2||_F^2)
 
-    The ReLU subgradient at exactly 0 is taken as 0.
+    The ReLU subgradient at exactly 0 is taken as 0.  The softmax is taken
+    on the labeled rows only; ``trace.probs`` is not read.
     """
     if Y.scheme != "onehot":
         raise ValueError(f"training expects onehot labels, got {Y.scheme!r}")
-    labeled = np.asarray(labeled_mask, dtype=np.int64)
-    if labeled.size == 0:
-        raise ValueError("labeled_mask must be non-empty")
+    labeled = labeled_rows(labeled_mask, trace.logits.shape[0])
     m = labeled.size
-    targets = Y.values[labeled]
+    targets = np.take(Y.values, labeled, axis=0)
 
-    log_probs = _row_log_softmax(trace.logits[labeled])
-    data_loss = -float((targets * log_probs).sum()) / m
+    # One shift per row feeds both softmax and log-softmax.  The row max is
+    # exact, so a column loop gives the max(axis=1) value at a quarter of the cost.
+    shifted = np.take(trace.logits, labeled, axis=0)
+    row_max = shifted[:, 0].copy()
+    for j in range(1, shifted.shape[1]):
+        np.maximum(row_max, shifted[:, j], out=row_max)
+    shifted -= row_max[:, None]
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=1, keepdims=True)
+    shifted -= np.log(sums)  # now the log-probabilities
+    data_loss = -float((targets * shifted).sum()) / m
     reg = 0.5 * weight_decay * (
         float((params.theta1 ** 2).sum()) + float((params.theta2 ** 2).sum()))
     loss = data_loss + reg
 
-    grad_logits = np.zeros_like(trace.probs)
-    grad_logits[labeled] = (trace.probs[labeled] - targets) / m
+    exp /= sums  # now the probabilities, then the loss gradient
+    exp -= targets
+    exp /= m
+    grad_logits = np.zeros_like(trace.logits)
+    grad_logits[labeled] = exp
 
     # logits = Theta hidden theta2, so both gradients go through Theta^T dlogits.
     grad_projected = trace.op.apply_T(grad_logits)
     grad_theta2 = trace.hidden.T @ grad_projected + weight_decay * params.theta2
     grad_hidden = grad_projected @ params.theta2.T
     # ReLU(h) > 0 exactly where h > 0, so the mask needs only the activations.
-    grad_hidden_pre = grad_hidden * (trace.hidden > 0.0)
-    grad_theta1 = trace.x_prop.T @ grad_hidden_pre + weight_decay * params.theta1
+    np.multiply(grad_hidden, trace.hidden > 0.0, out=grad_hidden)
+    grad_theta1 = trace.x_prop.T @ grad_hidden + weight_decay * params.theta1
     return loss, TwoLayerParams(theta1=grad_theta1, theta2=grad_theta2)
 
 
@@ -162,16 +204,18 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
     train_accuracy) is written to it.
     """
     X = as_dense(X)
-    labeled = np.asarray(labeled_mask, dtype=np.int64)
+    labeled = labeled_rows(labeled_mask, X.shape[0])
     params = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], seed)
+    thetas = (params.theta1, params.theta2)
 
-    m1 = [np.zeros_like(params.theta1), np.zeros_like(params.theta2)]
-    m2 = [np.zeros_like(params.theta1), np.zeros_like(params.theta2)]
+    m1 = [np.zeros_like(theta) for theta in thetas]
+    m2 = [np.zeros_like(theta) for theta in thetas]
+    scratch = [np.empty_like(theta) for theta in thetas]
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
 
     if log_stream is not None:
         log_stream.write("epoch,loss,train_accuracy\n")
-    target_ids = np.argmax(Y.values[labeled], axis=1)
+        target_ids = np.argmax(Y.values[labeled], axis=1)
     x_prop = op.apply(X)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -184,14 +228,24 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
                 np.argmax(trace.probs[labeled], axis=1) == target_ids))
             log_stream.write(f"{epoch},{loss:.10g},{train_acc:.6f}\n")
 
-        thetas = [params.theta1, params.theta2]
-        for i, g in enumerate((grads.theta1, grads.theta2)):
-            m1[i] = b1 * m1[i] + (1 - b1) * g
-            m2[i] = b2 * m2[i] + (1 - b2) * g * g
-            m_hat = m1[i] / (1 - b1 ** epoch)
-            v_hat = m2[i] / (1 - b2 ** epoch)
-            thetas[i] = thetas[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        params = TwoLayerParams(*thetas)
+        # In place, in the order of: m1 = b1 m1 + (1 - b1) g;
+        # m2 = b2 m2 + (1 - b2) g g; theta -= lr m_hat / (sqrt(v_hat) + eps).
+        # The fresh gradient g is the last step's scratch buffer.
+        for theta, g, mean, var, buf in zip(thetas, (grads.theta1, grads.theta2),
+                                            m1, m2, scratch):
+            mean *= b1
+            mean += np.multiply(g, 1 - b1, out=buf)
+            np.multiply(g, 1 - b2, out=buf)
+            buf *= g
+            var *= b2
+            var += buf
+            np.divide(mean, 1 - b1 ** epoch, out=g)
+            g *= lr
+            np.divide(var, 1 - b2 ** epoch, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += eps
+            g /= buf
+            theta -= g
     return params
 
 

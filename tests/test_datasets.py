@@ -43,16 +43,16 @@ class TestIdxLoader:
         rng = np.random.default_rng(0)
         train = rng.integers(0, 256, size=(2, 28, 28)).astype(np.uint8)
         test = rng.integers(0, 256, size=(1, 28, 28)).astype(np.uint8)
-        paths = make_idx_files(tmp_path, train, [3, 7], test, [1])
+        paths = make_idx_files(tmp_path, train, [2, 0], test, [1])
         ds = load_idx_dataset(paths["train_images"], paths["train_labels"],
                               paths["test_images"], paths["test_labels"])
         assert ds.features.shape == (3, 784)
         expected = train.reshape(2, 784).astype(np.float64) / 255.0
         assert np.array_equal(ds.features[:2], expected)
-        assert np.array_equal(ds.labels, [3, 7, 1])
+        assert np.array_equal(ds.labels, [2, 0, 1])
         assert np.array_equal(ds.train_indices, [0, 1])
         assert np.array_equal(ds.test_indices, [2])
-        assert ds.num_classes == 8
+        assert ds.num_classes == 3
 
     def test_flattening_order(self, tmp_path):
         # Asymmetric 3x4 image: pixel (r, c) must land in column r*4 + c.
@@ -116,19 +116,19 @@ class TestIdxLoader:
 class TestUspsLoader:
     def test_single_line(self, tmp_path):
         train = tmp_path / "zip.train"
-        train.write_text("3 " + " ".join(["0.0"] * 256) + "\n")
+        train.write_text("1 " + " ".join(["0.0"] * 256) + "\n")
         test = tmp_path / "zip.test"
-        test.write_text("5 " + " ".join(["0.5"] * 256) + "\n")
+        test.write_text("0 " + " ".join(["0.5"] * 256) + "\n")
         ds = load_usps_dataset(train, test)
         assert ds.features.shape == (2, 256)
-        assert ds.labels[0] == 3
+        assert np.array_equal(ds.labels, [1, 0])
         assert np.array_equal(ds.features[0], np.zeros(256))
 
     def test_three_lines_known_values(self, tmp_path):
         rows = [
             (2, np.linspace(-1.0, 1.0, 4)),
             (0, np.array([0.25, -0.5, 0.75, -1.0])),
-            (9, np.array([1.0, 1.0, -1.0, -1.0])),
+            (1, np.array([1.0, 1.0, -1.0, -1.0])),
         ]
         train = tmp_path / "zip.train"
         train.write_text("".join(
@@ -139,7 +139,7 @@ class TestUspsLoader:
             f"{rows[2][0]}.0000 " + " ".join(f"{v:.6f}" for v in rows[2][1]) + "\n")
         ds = load_usps_dataset(train, test)
         assert ds.features.shape == (3, 4)
-        assert np.array_equal(ds.labels, [2, 0, 9])
+        assert np.array_equal(ds.labels, [2, 0, 1])
         for i, (_, pixels) in enumerate(rows):
             assert np.allclose(ds.features[i], pixels, atol=1e-12)
 
@@ -158,6 +158,26 @@ class TestUspsLoader:
         test = tmp_path / "zip.test"
         test.write_text("0 0.5 0.5\n")
         with pytest.raises(FormatError, match="hold 1 class between them, need at least 2"):
+            load_usps_dataset(train, test)
+
+    def test_absent_class_ids(self, tmp_path):
+        # Labels 0 and 5 only: classes 1-4 would be phantom noise targets.
+        train = tmp_path / "zip.train"
+        train.write_text("0 0.0 0.5\n5 1.0 0.5\n")
+        test = tmp_path / "zip.test"
+        test.write_text("5 0.5 0.5\n")
+        with pytest.raises(FormatError) as info:
+            load_usps_dataset(train, test)
+        message = str(info.value)
+        assert str(train) in message and str(test) in message
+        assert "class ids [1, 2, 3, 4] hold no row" in message
+
+    def test_negative_class_id(self, tmp_path):
+        train = tmp_path / "zip.train"
+        train.write_text("0 0.0 0.5\n-1 1.0 0.5\n")
+        test = tmp_path / "zip.test"
+        test.write_text("1 0.5 0.5\n")
+        with pytest.raises(FormatError, match="negative class id -1"):
             load_usps_dataset(train, test)
 
     def test_round_trip_bit_identical(self, tmp_path):

@@ -7,13 +7,13 @@ import scipy.sparse as sp
 from helpers import random_hypergraph
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
-from hgssl.hypergraph import (PropagationOperator, build_knn_hypergraph,
+from hgssl.hypergraph import (PropagationOperator, build_knn_hypergraph, gcn_operator,
                               hypergraph_operator)
 from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
                           encode_labels, inject_noise)
 from hgssl.network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
-                           init_params, loss_and_gradients, predict, row_softmax,
-                           train)
+                           init_params, labeled_rows, loss_and_gradients, predict,
+                           row_softmax, train)
 from hgssl.propagation import PropagationConfig, propagate_features
 
 IDENTITY_OP = PropagationOperator((sp.eye(6, format="csr"),), "sym")
@@ -310,6 +310,69 @@ class TestTrain:
         assert np.max(np.abs(trained.theta2 - theta2)) < 1e-12
         assert np.array_equal(predict(op, X, trained), want_pred)
 
+    @pytest.mark.parametrize("norm", ["sym", "rw", "gcn"])
+    def test_fused_epoch_matches_unfused_loop_exactly(self, norm):
+        # The unfused epoch on the same sparse operator: a full-row softmax, a
+        # separate log-softmax on the labeled rows, an out-of-place ReLU mask
+        # and out-of-place Adam.  The fused epoch takes each row's shift, exp,
+        # sum and log in the same order, so every value is bit-identical.
+        rng = np.random.default_rng(65)
+        n, c = 30, 4
+        X = rng.standard_normal((n, 5))
+        if norm == "gcn":
+            op = gcn_operator(X, 4)
+        else:
+            op = hypergraph_operator(build_knn_hypergraph(X, 4), norm)
+        targets_all = np.zeros((n, c))
+        targets_all[np.arange(n), rng.integers(0, c, n)] = 1.0
+        Y = LabelMatrix(targets_all, "onehot")
+        mask = rng.choice(n, size=17, replace=False)  # unsorted on purpose
+        cfg = TrainConfig(hidden=8, epochs=25)
+        wd, b1, b2 = cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2
+
+        init = init_params(X.shape[1], cfg.hidden, c, seed=5)
+        thetas = [init.theta1.copy(), init.theta2.copy()]
+        m1 = [np.zeros_like(t) for t in thetas]
+        m2 = [np.zeros_like(t) for t in thetas]
+        targets = Y.values[mask]
+        x_prop = op.apply(X)
+        for epoch in range(1, cfg.epochs + 1):
+            theta1, theta2 = thetas
+            hidden = np.maximum(x_prop @ theta1, 0.0)
+            logits = op.apply(hidden @ theta2)
+            probs = row_softmax(logits)
+            shifted = logits[mask] - logits[mask].max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            loss = -float((targets * log_probs).sum()) / mask.size + 0.5 * wd * (
+                float((theta1 ** 2).sum()) + float((theta2 ** 2).sum()))
+            grad_logits = np.zeros_like(probs)
+            grad_logits[mask] = (probs[mask] - targets) / mask.size
+            grad_projected = op.apply_T(grad_logits)
+            grad_theta2 = hidden.T @ grad_projected + wd * theta2
+            grad_hidden = grad_projected @ theta2.T * (hidden > 0.0)
+            grad_theta1 = x_prop.T @ grad_hidden + wd * theta1
+            current = TwoLayerParams(theta1, theta2)
+            trace = forward(op, X, current)
+            fused_loss, fused = loss_and_gradients(trace, Y, mask, current, wd)
+            assert "probs" not in vars(trace)  # the full softmax is never taken
+            assert fused_loss == loss
+            assert np.array_equal(fused.theta1, grad_theta1)
+            assert np.array_equal(fused.theta2, grad_theta2)
+            assert np.array_equal(trace.probs, probs)
+            for i, g in enumerate((grad_theta1, grad_theta2)):
+                m1[i] = b1 * m1[i] + (1 - b1) * g
+                m2[i] = b2 * m2[i] + (1 - b2) * g * g
+                m_hat = m1[i] / (1 - b1 ** epoch)
+                v_hat = m2[i] / (1 - b2 ** epoch)
+                thetas[i] = thetas[i] - cfg.learning_rate * m_hat / (
+                    np.sqrt(v_hat) + cfg.adam_eps)
+
+        trained = train(op, X, Y, mask, cfg, seed=5)
+        assert np.array_equal(trained.theta1, thetas[0])
+        assert np.array_equal(trained.theta2, thetas[1])
+        trace = forward(op, X, trained)
+        assert np.array_equal(trace.probs, row_softmax(trace.logits))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
@@ -317,6 +380,34 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(hidden=0)
+
+
+class TestLabeledRows:
+    """Labeled rows must be distinct in-range integer indices, or training stops."""
+
+    N = 10
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.ones(N, dtype=bool), "integer indices, got dtype bool"),
+        (np.array([0.0, 3.0]), "integer indices, got dtype float64"),
+        (np.array([-1, 0]), r"must lie in \[0, 10\), got indices -1 to 0"),
+        (np.array([2, 5, 2]), "repeat index 2"),
+        (np.array([3, N]), r"must lie in \[0, 10\), got indices 3 to 10"),
+        (np.array([], dtype=np.int64), "must be non-empty"),
+        (np.array([[0, 1]]), "1-D index array, got ndim=2"),
+    ], ids=["bool-mask", "float", "negative", "repeated", "past-the-end", "empty",
+            "two-dimensional"])
+    def test_rejected_by_train_and_loss(self, rows, message):
+        op, X, params, Y, _ = random_instance(seed=81, n=self.N)
+        with pytest.raises(ValueError, match=message):
+            train(op, X, Y, rows, TrainConfig(hidden=4, epochs=1), seed=0)
+        with pytest.raises(ValueError, match=message):
+            loss_and_gradients(forward(op, X, params), Y, rows, params, 0.0)
+
+    def test_accepted_rows_come_back_as_int64(self):
+        rows = labeled_rows(np.array([7, 0, 3], dtype=np.uint8), self.N)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, [7, 0, 3])
 
 
 class TestPredict:

@@ -1,19 +1,26 @@
 """Work budgets of the synthetic smoke grid, counted without any timing.
 
 ``configs/synthetic.cfg`` has no PCA, so its features, and with them every
-count below, do not depend on the BLAS build.  The number of block solves is
-fixed by the grid's shape and is pinned exactly; the operator applications
-depend on the values and are pinned as an upper bound.  A change that lowers
-a count updates its pin; raising one needs a stated reason.
+count below, do not depend on the BLAS build.  The number of block solves and
+every count of the networks' operator products are fixed by the grid's shape
+and are pinned exactly; the CG operator applications depend on the values and
+are pinned as an upper bound.  A change that lowers a count updates its pin;
+raising one needs a stated reason.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hgssl.bench
 import hgssl.propagation
 from hgssl.bench import _CLOSED_FORM, prepare_experiment, run_cell, run_experiment
 from hgssl.config import load_config
+from hgssl.hypergraph import PropagationOperator, hypergraph_operator
+from hgssl.labels import LabelMatrix
+from hgssl.network import TrainConfig, predict, train
+from helpers import random_hypergraph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,14 +28,63 @@ ROOT = Path(__file__).resolve().parent.parent
 # plus 1 block for the hgnn-proposed features.
 BLOCK_SOLVES = 21
 MAX_APPLICATIONS = 470
+# gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
+NEURAL_CELLS = 36
+
+
+def train_products(epochs):
+    """Theta X once, then per epoch one forward and one backward product."""
+    return 1 + 2 * epochs
+
+
+PREDICT_PRODUCTS = 2  # Theta X and Theta (hidden theta2)
+
+
+class OperatorProducts:
+    """Counts PropagationOperator.apply/apply_T calls made from outside them.
+
+    ``apply_T`` of a symmetric operator calls ``apply``; that inner call is
+    the same product and is not counted again.
+    """
+
+    def __init__(self, patch):
+        self.count = 0
+        self._depth = 0
+        for name in ("apply", "apply_T"):
+            patch.setattr(PropagationOperator, name,
+                          self._counted(getattr(PropagationOperator, name)))
+
+    def _counted(self, method):
+        def counted(op, V):
+            self.count += self._depth == 0
+            self._depth += 1
+            try:
+                return method(op, V)
+            finally:
+                self._depth -= 1
+        return counted
+
+    def per_call(self, patch, module, name, calls):
+        """Patch ``module.name`` to append the products of each call to ``calls``."""
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            before = self.count
+            result = original(*args, **kwargs)
+            calls.append(self.count - before)
+            return result
+        patch.setattr(module, name, wrapped)
 
 
 @pytest.fixture(scope="module")
 def smoke_grid():
-    """The smoke grid's report, and the operator applications of each CG call."""
+    """The smoke grid's report, the operator applications of each CG call,
+    the operator products of each ``train`` and ``predict`` call and of the
+    whole grid."""
     cfg = load_config(ROOT / "configs" / "synthetic.cfg")
     original = hgssl.propagation.conjugate_gradient
     applications = []
+    neural = {"train": [], "predict": []}
 
     def counting(apply, B, **kwargs):
         applications.append(0)
@@ -40,19 +96,47 @@ def smoke_grid():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hgssl.propagation, "conjugate_gradient", counting)
+        products = OperatorProducts(patch)
+        for name, calls in neural.items():
+            products.per_call(patch, hgssl.bench, name, calls)
         report = run_experiment(cfg)
-    return cfg, report, applications
+    return cfg, report, applications, neural, products.count
 
 
 def test_block_solves_and_applications(smoke_grid):
-    _, report, applications = smoke_grid
+    _, report, applications, _, _ = smoke_grid
     assert report.ok and len(report.rows) == 60
     assert len(applications) == BLOCK_SOLVES
     assert sum(applications) <= MAX_APPLICATIONS
 
 
+def test_neural_operator_products(smoke_grid):
+    cfg, _, applications, neural, total = smoke_grid
+    per_train = train_products(cfg.train.epochs)
+    assert neural["train"] == [per_train] * NEURAL_CELLS
+    assert neural["predict"] == [PREDICT_PRODUCTS] * NEURAL_CELLS
+    # Every other operator product of the grid is a CG application.
+    assert total == sum(applications) + NEURAL_CELLS * (per_train + PREDICT_PRODUCTS)
+
+
+@pytest.mark.parametrize("norm", ["sym", "rw"])
+def test_train_and_predict_products(norm):
+    # rw is the one operator whose apply_T does not go through apply.
+    rng = np.random.default_rng(3)
+    op = hypergraph_operator(random_hypergraph(rng, 12, 3), norm)
+    X = rng.standard_normal((12, 4))
+    Y = LabelMatrix(np.eye(3)[rng.integers(0, 3, 12)], "onehot")
+    with pytest.MonkeyPatch.context() as patch:
+        products = OperatorProducts(patch)
+        params = train(op, X, Y, np.arange(6), TrainConfig(hidden=5, epochs=7), seed=0)
+        after_train = products.count
+        predict(op, X, params)
+    assert after_train == train_products(7)
+    assert products.count - after_train == PREDICT_PRODUCTS
+
+
 def test_reused_solves_match_separate_cells(smoke_grid):
-    cfg, report, _ = smoke_grid
+    cfg, report, _, _, _ = smoke_grid
     prepared = prepare_experiment(cfg)
     rows = [row for row in report.rows if row.method in _CLOSED_FORM]
     assert len(rows) == 24
