@@ -11,8 +11,8 @@ from .bench import (ExperimentConfig, ExperimentReport, ResultRow, SyntheticSpec
 from .datasets import (ImageDataset, load_idx_dataset, load_usps_dataset,
                        stratified_subsample, synthetic_blobs)
 from .hypergraph import (Hypergraph, PropagationOperator, build_knn_graph,
-                         build_knn_hypergraph, gcn_operator, hypergraph_operator,
-                         knn_indices, load_operator, save_operator)
+                         build_knn_hypergraph, gaussian_knn_adjacency, gcn_operator,
+                         hypergraph_operator, knn_indices, load_operator, save_operator)
 from .labels import (LabelMatrix, NoisySplit, accuracy, decode_predictions,
                      encode_labels, inject_noise)
 from .linalg import CgResult, as_csr, conjugate_gradient, diag_scale
@@ -29,7 +29,7 @@ __all__ = [
     "PropagationConfig", "PropagationOperator", "ResultRow", "SyntheticSpec",
     "TrainConfig", "TwoLayerParams", "accuracy", "as_csr", "build_knn_graph",
     "build_knn_hypergraph", "conjugate_gradient", "decode_predictions",
-    "diag_scale", "emit_table", "encode_labels", "forward",
+    "diag_scale", "emit_table", "encode_labels", "forward", "gaussian_knn_adjacency",
     "gcn_operator", "hypergraph_operator", "inject_noise", "knn_indices",
     "load_idx_dataset", "load_operator", "load_usps_dataset",
     "loss_and_gradients", "pca_fit", "pca_transform", "predict",

@@ -237,10 +237,12 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
                 if name in pending:
                     operators[name] = hg.hypergraph_operator(
                         hgraph, _OPERATOR_NORMALIZATIONS[name])
+        if pending & {"graph", "gcn"}:
+            adjacency = hg.gaussian_knn_adjacency(X, cfg.k, knn=knn)
         if "graph" in pending:
-            operators["graph"] = hg.build_knn_graph(X, cfg.k, knn=knn)
+            operators["graph"] = hg.build_knn_graph(X, cfg.k, adjacency=adjacency)
         if "gcn" in pending:
-            operators["gcn"] = hg.gcn_operator(X, cfg.k, knn=knn)
+            operators["gcn"] = hg.gcn_operator(X, cfg.k, adjacency=adjacency)
         if ops_dir is not None:
             Path(ops_dir).mkdir(parents=True, exist_ok=True)
             for name in pending:

@@ -248,27 +248,29 @@ def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,
     sizes[: n % num_classes] += 1
 
     gap = 10.0 * spread
+    n_train = (sizes * 0.7 + 0.5).astype(np.int64)
+    l = int(n_train.sum())
     features = np.empty((n, dim))
     labels = np.empty(n, dtype=np.int64)
-    train_rows, test_rows = [], []
-    offset = 0
+    # Rows go straight to train-then-test order: class c's train rows follow
+    # those of classes < c, and its test rows follow theirs after row l.
+    train_at, test_at = 0, l
     for c in range(num_classes):
         center = np.zeros(dim)
         center[c % dim] = gap * (1 + c // dim)
-        size = int(sizes[c])
-        features[offset:offset + size] = center + spread * rng.standard_normal((size, dim))
-        labels[offset:offset + size] = c
-        n_train = int(size * 0.7 + 0.5)
-        train_rows.append(np.arange(offset, offset + n_train))
-        test_rows.append(np.arange(offset + n_train, offset + size))
-        offset += size
-
-    # Reorder so all training rows precede all test rows.
-    order = np.concatenate(train_rows + test_rows)
-    l = sum(len(r) for r in train_rows)
+        size, train = int(sizes[c]), int(n_train[c])
+        block = rng.standard_normal((size, dim))
+        block *= spread
+        block += center
+        features[train_at:train_at + train] = block[:train]
+        features[test_at:test_at + size - train] = block[train:]
+        labels[train_at:train_at + train] = c
+        labels[test_at:test_at + size - train] = c
+        train_at += train
+        test_at += size - train
     return ImageDataset(
-        features=features[order],
-        labels=labels[order],
+        features=features,
+        labels=labels,
         train_indices=np.arange(l, dtype=np.int64),
         test_indices=np.arange(l, n, dtype=np.int64),
         num_classes=num_classes,

@@ -46,11 +46,13 @@ from .linalg import as_csr, as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
-# Entries per kNN distance block: 32 MB of f64, plus a copy of the same size
-# for the k-th-value partition.
-_BLOCK_BUDGET = 1 << 22
-# Coordinates gathered per chunk of pair distances: 8 MB of f64.
-_PAIR_BUDGET = 1 << 20
+# Entries per kNN distance block: 16 MB of f64.  The k-th-value partition
+# copies at most _PARTITION_ROWS rows of it at a time, which is less than the
+# whole block while n < _BLOCK_BUDGET / _PARTITION_ROWS (32768).
+_BLOCK_BUDGET = 1 << 21
+_PARTITION_ROWS = 64
+# Coordinates gathered per chunk of pair distances: 2 MB of f64 per array.
+_PAIR_BUDGET = 1 << 18
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Smallest subnormal: a product that underflows is off by at most half of it.
 _SUBNORMAL_MIN = 2.0 ** -1074
@@ -126,7 +128,8 @@ def pair_sq_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
     step = max(1, _PAIR_BUDGET // max(1, X.shape[1]))
     for start in range(0, len(rows), step):
         stop = start + step
-        diff = X[rows[start:stop]] - X[cols[start:stop]]
+        diff = X[rows[start:stop]]
+        diff -= X[cols[start:stop]]
         diff *= diff
         out[start:stop] = diff.sum(axis=1)
     return out
@@ -173,7 +176,8 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
 
     1. G = ||x_i||^2 + ||x_j||^2 - 2 X_b X^T, one matrix product (BLAS).
     2. Shortlist every j with G_ij <= kth_i + 2 s_i, where kth_i is the k-th
-       smallest G in row i and s_i comes from :func:`_certified_slack`.
+       smallest G in row i, taken by partitioning ``_PARTITION_ROWS`` rows of
+       G at a time, and s_i comes from :func:`_certified_slack`.
     3. Rerank only the shortlisted pairs with :func:`pair_sq_distances` and
        keep, per row, the first k in (distance, index) order.
 
@@ -219,8 +223,12 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     for start in range(0, n, block):
         stop = min(start + block, n)
         G = _gram_sq_distances(X, sq_norms, start, stop)
-        # kth_i + 2 s_i; one expression, so the partitioned copy of G is freed at once.
-        bound = np.partition(G, k - 1, axis=1)[:, k - 1] + 2.0 * slack[start:stop]
+        # kth_i + 2 s_i.  Partitioning a few rows at a time bounds the copy
+        # np.partition makes; the k-th value of a row does not depend on it.
+        bound = 2.0 * slack[start:stop]
+        for row in range(0, stop - start, _PARTITION_ROWS):
+            chunk = slice(row, row + _PARTITION_ROWS)
+            bound[chunk] += np.partition(G[chunk], k - 1, axis=1)[:, k - 1]
         # Row-major flat positions: 2-D nonzero is an order of magnitude slower.
         flat = np.flatnonzero(G <= bound[:, None])
         del G
@@ -290,8 +298,9 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
     return PropagationOperator(factors=factors, normalization=normalization)
 
 
-def _gaussian_knn_adjacency(X, k, sigma, knn=None):
-    """Symmetrized kNN adjacency with Gaussian weights."""
+def gaussian_knn_adjacency(X: np.ndarray, k: int, sigma="auto",
+                           knn: np.ndarray = None) -> sp.csr_matrix:
+    """Symmetrized kNN adjacency A with Gaussian weights, shared by the graph operators."""
     X = as_dense(X)
     n = X.shape[0]
     if n == 1:
@@ -319,15 +328,17 @@ def _gaussian_knn_adjacency(X, k, sigma, knn=None):
     return as_csr(A)
 
 
-def build_knn_graph(X: np.ndarray, k: int, sigma="auto",
-                    knn: np.ndarray = None) -> PropagationOperator:
+def build_knn_graph(X: np.ndarray, k: int, sigma="auto", knn: np.ndarray = None,
+                    adjacency: sp.csr_matrix = None) -> PropagationOperator:
     """Symmetrically normalized Gaussian kNN graph operator D^{-1/2} A D^{-1/2}.
 
     Edge i-j exists when either point is among the other's k nearest
     neighbors; weights are exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero
     diagonal.  ``sigma="auto"`` uses the mean distance to the k-th neighbor.
+    ``adjacency`` accepts precomputed ``gaussian_knn_adjacency(X, k, sigma,
+    knn)`` output for reuse; X, k, sigma and knn are then not read.
     """
-    A = _gaussian_knn_adjacency(X, k, sigma, knn=knn)
+    A = gaussian_knn_adjacency(X, k, sigma, knn=knn) if adjacency is None else adjacency
     degrees = np.asarray(A.sum(axis=1)).ravel()
     if degrees.min(initial=np.inf) <= 0:
         raise DegenerateStructureError("isolated vertex in kNN graph")
@@ -336,10 +347,13 @@ def build_knn_graph(X: np.ndarray, k: int, sigma="auto",
     return PropagationOperator(factors=(matrix,), normalization="graph_sym")
 
 
-def gcn_operator(X: np.ndarray, k: int, sigma="auto",
-                 knn: np.ndarray = None) -> PropagationOperator:
-    """Self-loop-renormalized graph operator D~^{-1/2} (A + I) D~^{-1/2}."""
-    A = _gaussian_knn_adjacency(X, k, sigma, knn=knn)
+def gcn_operator(X: np.ndarray, k: int, sigma="auto", knn: np.ndarray = None,
+                 adjacency: sp.csr_matrix = None) -> PropagationOperator:
+    """Self-loop-renormalized graph operator D~^{-1/2} (A + I) D~^{-1/2}.
+
+    ``adjacency`` is reused as in :func:`build_knn_graph`.
+    """
+    A = gaussian_knn_adjacency(X, k, sigma, knn=knn) if adjacency is None else adjacency
     A_tilde = as_csr(A + sp.eye(A.shape[0], format="csr"))
     degrees = np.asarray(A_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)

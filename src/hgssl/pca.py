@@ -31,6 +31,8 @@ def pca_fit(X: np.ndarray, d: int) -> PcaModel:
     mean = X.mean(axis=0)
     centered = X - mean
     cov = (centered.T @ centered) / (n - 1)
+    # The n x m centered copy is dead once cov exists; free it before eigh.
+    del centered
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:

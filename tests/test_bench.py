@@ -4,7 +4,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from helpers import csr_equal
 import hgssl.bench
+import hgssl.hypergraph
 from hgssl import network
 from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentConfig,
                          ResultRow, SyntheticSpec, build_operators, emit_table,
@@ -100,6 +102,24 @@ class TestRunExperiment:
         fresh = build_operators(seed9, X)["hg_sym"].matrix
         assert (cached != fresh).nnz == 0
         assert len(list(ops_dir.glob("*.hgop"))) == 3
+
+    def test_graph_operators_share_one_adjacency(self, monkeypatch):
+        cfg = replace(SMALL, methods=("graph-ssl", "gcn"))
+        _, X, _ = prepare_features(cfg)
+        adjacency = hgssl.hypergraph.gaussian_knn_adjacency
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return adjacency(*args, **kwargs)
+        monkeypatch.setattr(hgssl.hypergraph, "gaussian_knn_adjacency", counting)
+        operators = build_operators(cfg, X)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert csr_equal(operators["graph"].matrix,
+                         hgssl.hypergraph.build_knn_graph(X, cfg.k).matrix)
+        assert csr_equal(operators["gcn"].matrix,
+                         hgssl.hypergraph.gcn_operator(X, cfg.k).matrix)
 
     def test_cache_file_of_another_operator_rejected(self, tmp_path):
         ops_dir = tmp_path / "ops"

@@ -207,6 +207,39 @@ class TestSyntheticBlobs:
         assert np.array_equal(a.train_indices, b.train_indices)
         assert np.array_equal(a.test_indices, b.test_indices)
 
+    @staticmethod
+    def _reference_blobs(n, num_classes, dim, spread, seed):
+        """Class-ordered matrix, then one gather into train-then-test order."""
+        rng = np.random.default_rng(seed)
+        sizes = np.full(num_classes, n // num_classes, dtype=np.int64)
+        sizes[: n % num_classes] += 1
+        features = np.empty((n, dim))
+        labels = np.empty(n, dtype=np.int64)
+        train_rows, test_rows = [], []
+        offset = 0
+        for c in range(num_classes):
+            center = np.zeros(dim)
+            center[c % dim] = 10.0 * spread * (1 + c // dim)
+            size = int(sizes[c])
+            features[offset:offset + size] = center + spread * rng.standard_normal((size, dim))
+            labels[offset:offset + size] = c
+            n_train = int(size * 0.7 + 0.5)
+            train_rows.append(np.arange(offset, offset + n_train))
+            test_rows.append(np.arange(offset + n_train, offset + size))
+            offset += size
+        order = np.concatenate(train_rows + test_rows)
+        return features[order], labels[order], sum(len(r) for r in train_rows)
+
+    @pytest.mark.parametrize("n, num_classes, dim",
+                             [(2000, 10, 784), (301, 7, 5), (12000, 10, 50), (13, 3, 2)])
+    def test_matches_gathered_reference(self, n, num_classes, dim):
+        features, labels, l = self._reference_blobs(n, num_classes, dim, 0.3, seed=21)
+        ds = synthetic_blobs(n, num_classes, dim, 0.3, seed=21)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.train_indices, np.arange(l))
+        assert np.array_equal(ds.test_indices, np.arange(l, n))
+
     def test_balanced_classes_and_split(self):
         ds = synthetic_blobs(100, 4, 3, 0.05, seed=0)
         counts = np.bincount(ds.labels, minlength=4)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,26 @@ class TestKnnIndices:
         full = knn_indices(X, 4)
         monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 5 * 37)
         assert np.array_equal(hgm.knn_indices(X, 4), full)
+
+    def test_uneven_blocks_and_partition_chunks(self, monkeypatch):
+        import hgssl.hypergraph as hgm
+        # Integer coordinates give exact ties.  Blocks of 11 rows leave a last
+        # block of 8; chunks of 4 rows leave a last chunk of 3 in every full block.
+        X = np.random.default_rng(15).integers(0, 4, (41, 2)).astype(np.float64)
+        monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 11 * 41)
+        monkeypatch.setattr(hgm, "_PARTITION_ROWS", 4)
+        assert np.array_equal(hgm.knn_indices(X, 3), knn_oracle(X, 3))
+
+    def test_peak_memory_bounded_by_block_budget(self):
+        X = np.random.default_rng(16).standard_normal((2000, 50))
+        tracemalloc.start()
+        try:
+            knn_indices(X, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 16 MB Gram block plus bounded row chunks, never a copy of the block.
+        assert peak <= 24e6, peak
 
     @staticmethod
     def _count_reranked(monkeypatch):
@@ -119,6 +140,19 @@ class TestPairSqDistances:
         assert np.array_equal(knn_indices(X, 5), knn)
         assert csr_equal(build_knn_graph(X, 5, knn=knn).matrix, graph.matrix)
         assert csr_equal(gcn_operator(X, 5, knn=knn).matrix, gcn.matrix)
+
+    def test_graph_peak_memory_bounded_by_pair_budget(self):
+        X = np.random.default_rng(17).standard_normal((1000, 784))
+        knn = knn_indices(X, 5)
+        tracemalloc.start()
+        try:
+            build_knn_graph(X, 5, knn=knn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two gathered chunks of _PAIR_BUDGET f64 coordinates, plus 1 MiB for
+        # the O(n k) pair and edge arrays.
+        assert peak <= 2 * 8 * hgssl.hypergraph._PAIR_BUDGET + 2 ** 20, peak
 
 
 class TestBuildKnnHypergraph:
