@@ -10,7 +10,7 @@ random-walk one is an alternative normalization for the neural forward pass.
 
 import numpy as np
 
-from hgssl import build_knn_hypergraph, hypergraph_operator
+from hgssl import build_knn_hypergraph, hypergraph_operator, knn_indices
 
 rng = np.random.default_rng(0)
 
@@ -20,7 +20,7 @@ points = np.vstack([
     rng.normal(loc=5.0, scale=0.3, size=(4, 2)),
 ])
 
-hg = build_knn_hypergraph(points, k=2)
+hg = build_knn_hypergraph(knn_indices(points, k=2))
 print("incidence matrix H (rows = vertices, columns = hyperedges):")
 print(hg.incidence.toarray().astype(int))
 print("\nvertex degrees d(v):", hg.vertex_degrees)

@@ -17,15 +17,17 @@ import numpy as np
 
 from hgssl import (PropagationConfig, accuracy, build_knn_graph,
                    build_knn_hypergraph, decode_predictions, encode_labels,
-                   hypergraph_operator, inject_noise, propagate_labels,
-                   synthetic_blobs)
+                   gaussian_knn_adjacency, hypergraph_operator, inject_noise,
+                   knn_indices, propagate_labels, synthetic_blobs)
 
 ds = synthetic_blobs(n=600, num_classes=4, dim=8, spread=0.15, seed=3)
 print(f"{ds.num_samples} points, {ds.num_classes} classes, "
       f"{len(ds.train_indices)} labeled / {len(ds.test_indices)} to predict")
 
-graph_op = build_knn_graph(ds.features, k=5)
-hyper_op = hypergraph_operator(build_knn_hypergraph(ds.features, k=5), "sym")
+# One kNN pass feeds both structures.
+knn = knn_indices(ds.features, k=5)
+graph_op = build_knn_graph(gaussian_knn_adjacency(ds.features, knn))
+hyper_op = hypergraph_operator(build_knn_hypergraph(knn), "sym")
 cfg = PropagationConfig(alpha=0.99)
 
 for level in (0.0, 0.15, 0.30, 0.45):

@@ -14,13 +14,14 @@ import io
 import numpy as np
 
 from hgssl import (PropagationConfig, TrainConfig, accuracy,
-                   build_knn_hypergraph, encode_labels, gcn_operator,
-                   hypergraph_operator, inject_noise, predict,
-                   propagate_features, synthetic_blobs, train)
+                   build_knn_hypergraph, encode_labels, gaussian_knn_adjacency,
+                   gcn_operator, hypergraph_operator, inject_noise, knn_indices,
+                   predict, propagate_features, synthetic_blobs, train)
 
 ds = synthetic_blobs(n=500, num_classes=3, dim=10, spread=0.35, seed=7)
-hyper_op = hypergraph_operator(build_knn_hypergraph(ds.features, k=5), "sym")
-graph_op = gcn_operator(ds.features, k=5)
+knn = knn_indices(ds.features, k=5)
+hyper_op = hypergraph_operator(build_knn_hypergraph(knn), "sym")
+graph_op = gcn_operator(gaussian_knn_adjacency(ds.features, knn))
 smoothed = propagate_features(hyper_op, ds.features, PropagationConfig(alpha=0.99))
 cfg = TrainConfig(hidden=64, epochs=200)
 

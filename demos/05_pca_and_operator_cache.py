@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hgssl import (build_knn_hypergraph, hypergraph_operator, load_operator,
-                   pca_fit, pca_transform, save_operator, synthetic_blobs)
+from hgssl import (build_knn_hypergraph, hypergraph_operator, knn_indices,
+                   load_operator, pca_fit, pca_transform, save_operator,
+                   synthetic_blobs)
 
 # 64-dimensional blobs whose informative structure lives in a few directions.
 ds = synthetic_blobs(n=400, num_classes=3, dim=64, spread=0.4, seed=11)
@@ -29,8 +30,8 @@ print(f"top-8 components keep shape {reduced.shape} of {ds.features.shape}")
 # Distances are preserved up to the discarded directions, so the kNN
 # structure built on the reduced matrix is essentially the one built on raw
 # features, at an eighth of the distance cost.
-op_raw = hypergraph_operator(build_knn_hypergraph(ds.features, k=5), "sym")
-op_red = hypergraph_operator(build_knn_hypergraph(reduced, k=5), "sym")
+op_raw = hypergraph_operator(build_knn_hypergraph(knn_indices(ds.features, k=5)), "sym")
+op_red = hypergraph_operator(build_knn_hypergraph(knn_indices(reduced, k=5)), "sym")
 overlap = (op_raw.matrix.toarray() > 0) & (op_red.matrix.toarray() > 0)
 print(f"\nshared nonzero pattern raw-vs-reduced: "
       f"{overlap.sum() / (op_raw.matrix.nnz):.1%}")

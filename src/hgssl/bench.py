@@ -231,18 +231,17 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
     if pending:
         knn = hg.knn_indices(X, cfg.k)
         if pending & {"hg_sym", "hg_rw"}:
-            hgraph = hg.build_knn_hypergraph(X, cfg.k, knn=knn,
-                                             include_centroid=cfg.include_centroid)
+            hgraph = hg.build_knn_hypergraph(knn, include_centroid=cfg.include_centroid)
             for name in ("hg_sym", "hg_rw"):
                 if name in pending:
                     operators[name] = hg.hypergraph_operator(
                         hgraph, _OPERATOR_NORMALIZATIONS[name])
         if pending & {"graph", "gcn"}:
-            adjacency = hg.gaussian_knn_adjacency(X, cfg.k, knn=knn)
+            adjacency = hg.gaussian_knn_adjacency(X, knn)
         if "graph" in pending:
-            operators["graph"] = hg.build_knn_graph(X, cfg.k, adjacency=adjacency)
+            operators["graph"] = hg.build_knn_graph(adjacency)
         if "gcn" in pending:
-            operators["gcn"] = hg.gcn_operator(X, cfg.k, adjacency=adjacency)
+            operators["gcn"] = hg.gcn_operator(adjacency)
         if ops_dir is not None:
             Path(ops_dir).mkdir(parents=True, exist_ok=True)
             for name in pending:
@@ -261,6 +260,10 @@ def prepare_features(cfg: ExperimentConfig, data_dir=None):
                  f"subsample_size must be at most the dataset's {dataset.num_samples} "
                  f"points, got {cfg.subsample_size}")
         dataset = stratified_subsample(dataset, cfg.subsample_size, cfg.subsample_seed)
+        n_train, n_test = len(dataset.train_indices), len(dataset.test_indices)
+        _require(n_train > 0 and n_test > 0, "subsample_size",
+                 f"subsample_size {cfg.subsample_size} draws {n_train} train and "
+                 f"{n_test} test points; both splits must be non-empty")
     X = dataset.features
     n, m = X.shape
     _require(cfg.k < n, "k", f"k must be less than the {n} points, got {cfg.k}")

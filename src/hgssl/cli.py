@@ -12,6 +12,7 @@ every cell succeeded.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -80,7 +81,7 @@ def _report_failures(report) -> int:
 def _cmd_bench(args) -> int:
     cfg = config_mod.load_config(args.config)
     if args.full:
-        cfg = config_mod.strip_subsample(cfg)
+        cfg = replace(cfg, subsample_size=None)
     report = run_experiment(cfg, data_dir=args.data_dir, ops_dir=args.ops)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

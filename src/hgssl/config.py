@@ -206,8 +206,3 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
     for section in (ds, ex, tr, so):
         section.reject_unknown()
     return cfg
-
-
-def strip_subsample(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Full-scale profile: ignore any configured subsampling."""
-    return replace(cfg, subsample_size=None)

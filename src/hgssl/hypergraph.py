@@ -3,7 +3,7 @@
 A hypergraph built from n points has one hyperedge per point: hyperedge j
 contains point j itself (so every hyperedge has at least two members) plus
 every point i for which i is among the k nearest neighbors of j or j is among
-the k nearest neighbors of i.  Hyperedge weights are 1.
+the k nearest neighbors of i.  Hyperedge weights are 1 (W = I below).
 
 Every structure here rests on one exact kNN pass, ``knn_indices``.  It takes
 squared distances from a blocked matrix product, ||x_i||^2 + ||x_j||^2 -
@@ -12,7 +12,10 @@ error bound of its k-th smallest value, and reranks only those candidates
 with the difference formula ``pair_sq_distances``, which the Gaussian graph
 weights use too.  The bound (derived in ``knn_indices``) is wide enough that
 no true neighbor or tie can fall outside the shortlist, so the result equals
-an exhaustive sort by (distance, index).
+an exhaustive sort by (distance, index).  The builders take its output rather
+than recomputing it: ``build_knn_hypergraph(knn)`` and
+``gaussian_knn_adjacency(X, knn)``, whose adjacency A feeds both
+``build_knn_graph(A)`` and ``gcn_operator(A)``.
 
 Propagation operators are the n x n smoothing operators shared by the
 closed-form solvers and the neural forward passes, which use them only through
@@ -33,7 +36,7 @@ it is there for inspection (tests, demos, nnz reports) only.
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import matmul
 from pathlib import Path
@@ -63,10 +66,25 @@ _SQ_NORM_LIMIT = np.finfo(np.float64).max / 8
 
 @dataclass(frozen=True)
 class Hypergraph:
-    incidence: sp.csr_matrix     # n x n_e, 0/1 entries
-    edge_weights: np.ndarray     # length n_e, positive
-    vertex_degrees: np.ndarray   # length n, sum_e w(e) h(v, e)
-    edge_degrees: np.ndarray     # length n_e, sum_v h(v, e)
+    """A hypergraph with unit hyperedge weights, given by its incidence matrix.
+
+    The degrees are derived from ``incidence``.  Every hyperedge must hold at
+    least 2 vertices and every vertex must lie in some hyperedge, or
+    ``DegenerateStructureError`` is raised.
+    """
+    incidence: sp.csr_matrix                        # n x n_e, 0/1 entries
+    vertex_degrees: np.ndarray = field(init=False)  # length n, sum_e h(v, e)
+    edge_degrees: np.ndarray = field(init=False)    # length n_e, sum_v h(v, e)
+
+    def __post_init__(self):
+        vertex_degrees = np.asarray(self.incidence.sum(axis=1)).ravel()
+        edge_degrees = np.asarray(self.incidence.sum(axis=0)).ravel()
+        if edge_degrees.min(initial=np.inf) < 2:
+            raise DegenerateStructureError("hyperedge with fewer than 2 vertices")
+        if vertex_degrees.min(initial=np.inf) <= 0:
+            raise DegenerateStructureError("vertex with zero degree")
+        object.__setattr__(self, "vertex_degrees", vertex_degrees)
+        object.__setattr__(self, "edge_degrees", edge_degrees)
 
 
 @dataclass(frozen=True)
@@ -242,17 +260,14 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_knn_hypergraph(X: np.ndarray, k: int, knn: np.ndarray = None,
-                         include_centroid: bool = True) -> Hypergraph:
-    """Build the n-hyperedge kNN hypergraph over the rows of ``X``.
+def build_knn_hypergraph(knn: np.ndarray, include_centroid: bool = True) -> Hypergraph:
+    """The n-hyperedge kNN hypergraph of the neighbor lists ``knn_indices(X, k)``.
 
-    ``knn`` accepts precomputed ``knn_indices(X, k)`` output for reuse.
     ``include_centroid=False`` drops point j from its own hyperedge, exposing
     the construction's sensitivity to that membership choice.
     """
-    X = as_dense(X)
-    n = X.shape[0]
-    neighbors = knn_indices(X, k) if knn is None else np.asarray(knn)
+    neighbors = np.asarray(knn)
+    n = neighbors.shape[0]
     arange = np.arange(n, dtype=np.int64)
     cols_of = np.repeat(arange, neighbors.shape[1])
     # i in e_j when i is a neighbor of j (H[N[j,t], j]) or j is a neighbor of
@@ -268,26 +283,15 @@ def build_knn_hypergraph(X: np.ndarray, k: int, knn: np.ndarray = None,
     H.sum_duplicates()
     H.data[:] = 1.0
     H.sort_indices()
-
-    edge_weights = np.ones(n)
-    vertex_degrees = np.asarray(H @ edge_weights)
-    edge_degrees = np.asarray(H.sum(axis=0)).ravel()
-    if edge_degrees.min(initial=np.inf) < 2:
-        raise DegenerateStructureError("hyperedge with fewer than 2 vertices")
-    if vertex_degrees.min(initial=np.inf) <= 0:
-        raise DegenerateStructureError("vertex with zero degree")
-    return Hypergraph(incidence=H, edge_weights=edge_weights,
-                      vertex_degrees=vertex_degrees, edge_degrees=edge_degrees)
+    return Hypergraph(H)
 
 
 def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperator:
     """The sym or rw hypergraph propagation operator as its two incidence factors."""
     if normalization not in ("sym", "rw"):
         raise ValueError(f"normalization must be 'sym' or 'rw', got {normalization!r}")
-    if hg.vertex_degrees.min(initial=np.inf) <= 0 or hg.edge_degrees.min(initial=np.inf) <= 0:
-        raise DegenerateStructureError("degrees must be strictly positive")
     # Theta = (Dv^-a H W De^-1) (H^T Dv^-b): a = b = 1/2 for sym; a = 1, b = 0 for rw.
-    edge_scale = hg.edge_weights / hg.edge_degrees
+    edge_scale = 1.0 / hg.edge_degrees
     if normalization == "sym":
         inv_sqrt = 1.0 / np.sqrt(hg.vertex_degrees)
         factors = (diag_scale(hg.incidence, left=inv_sqrt, right=edge_scale),
@@ -298,14 +302,17 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
     return PropagationOperator(factors=factors, normalization=normalization)
 
 
-def gaussian_knn_adjacency(X: np.ndarray, k: int, sigma="auto",
-                           knn: np.ndarray = None) -> sp.csr_matrix:
-    """Symmetrized kNN adjacency A with Gaussian weights, shared by the graph operators."""
+def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray, sigma="auto") -> sp.csr_matrix:
+    """Symmetrized kNN adjacency A with Gaussian weights, shared by the graph operators.
+
+    ``knn`` is ``knn_indices(X, k)``.  Edge i-j exists when either point is
+    among the other's k nearest neighbors; weights are
+    exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero diagonal.  ``sigma="auto"``
+    uses the mean distance to the k-th neighbor.
+    """
     X = as_dense(X)
+    neighbors = np.asarray(knn)
     n = X.shape[0]
-    if n == 1:
-        return sp.csr_matrix((1, 1))
-    neighbors = knn_indices(X, k) if knn is None else np.asarray(knn)
     arange = np.arange(n, dtype=np.int64)
     src = np.repeat(arange, neighbors.shape[1])
     dst = neighbors.ravel()
@@ -324,21 +331,11 @@ def gaussian_knn_adjacency(X: np.ndarray, k: int, sigma="auto",
     # Both directions of a mutual pair carry the same weight; keep one copy.
     linear = rows * n + cols
     _, keep = np.unique(linear, return_index=True)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    return as_csr(A)
+    return as_csr(sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)))
 
 
-def build_knn_graph(X: np.ndarray, k: int, sigma="auto", knn: np.ndarray = None,
-                    adjacency: sp.csr_matrix = None) -> PropagationOperator:
-    """Symmetrically normalized Gaussian kNN graph operator D^{-1/2} A D^{-1/2}.
-
-    Edge i-j exists when either point is among the other's k nearest
-    neighbors; weights are exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero
-    diagonal.  ``sigma="auto"`` uses the mean distance to the k-th neighbor.
-    ``adjacency`` accepts precomputed ``gaussian_knn_adjacency(X, k, sigma,
-    knn)`` output for reuse; X, k, sigma and knn are then not read.
-    """
-    A = gaussian_knn_adjacency(X, k, sigma, knn=knn) if adjacency is None else adjacency
+def build_knn_graph(A: sp.csr_matrix) -> PropagationOperator:
+    """Symmetrically normalized graph operator D^{-1/2} A D^{-1/2} of adjacency ``A``."""
     degrees = np.asarray(A.sum(axis=1)).ravel()
     if degrees.min(initial=np.inf) <= 0:
         raise DegenerateStructureError("isolated vertex in kNN graph")
@@ -347,14 +344,9 @@ def build_knn_graph(X: np.ndarray, k: int, sigma="auto", knn: np.ndarray = None,
     return PropagationOperator(factors=(matrix,), normalization="graph_sym")
 
 
-def gcn_operator(X: np.ndarray, k: int, sigma="auto", knn: np.ndarray = None,
-                 adjacency: sp.csr_matrix = None) -> PropagationOperator:
-    """Self-loop-renormalized graph operator D~^{-1/2} (A + I) D~^{-1/2}.
-
-    ``adjacency`` is reused as in :func:`build_knn_graph`.
-    """
-    A = gaussian_knn_adjacency(X, k, sigma, knn=knn) if adjacency is None else adjacency
-    A_tilde = as_csr(A + sp.eye(A.shape[0], format="csr"))
+def gcn_operator(A: sp.csr_matrix) -> PropagationOperator:
+    """Self-loop-renormalized operator D~^{-1/2} (A + I) D~^{-1/2} of adjacency ``A``."""
+    A_tilde = A + sp.eye(A.shape[0], format="csr")
     degrees = np.asarray(A_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)
     matrix = diag_scale(A_tilde, left=inv_sqrt, right=inv_sqrt)

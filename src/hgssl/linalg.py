@@ -26,13 +26,13 @@ def as_dense(matrix) -> np.ndarray:
     return X
 
 
-def as_csr(matrix, prune_tol: float = PRUNE_TOL) -> sp.csr_matrix:
+def as_csr(matrix) -> sp.csr_matrix:
     """Canonical float64 CSR copy of ``matrix`` with near-zero entries pruned."""
     S = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
     S.sum_duplicates()
     S.sort_indices()
     if S.nnz:
-        S.data[np.abs(S.data) < prune_tol] = 0.0
+        S.data[np.abs(S.data) < PRUNE_TOL] = 0.0
         S.eliminate_zeros()
     return S
 

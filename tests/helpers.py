@@ -3,7 +3,8 @@
 import numpy as np
 import scipy.sparse as sp
 
-from hgssl.hypergraph import Hypergraph, build_knn_hypergraph, hypergraph_operator
+from hgssl.hypergraph import (Hypergraph, build_knn_hypergraph, gaussian_knn_adjacency,
+                              hypergraph_operator, knn_indices)
 from hgssl.linalg import as_csr
 
 
@@ -14,9 +15,19 @@ def random_sparse(rng, rows, cols, density=0.3):
     return as_csr(dense), dense
 
 
+def knn_hypergraph(X, k, include_centroid=True) -> Hypergraph:
+    """The kNN hypergraph over the rows of ``X``, as ``bench.build_operators`` builds it."""
+    return build_knn_hypergraph(knn_indices(X, k), include_centroid)
+
+
+def knn_adjacency(X, k, sigma="auto") -> sp.csr_matrix:
+    """The Gaussian kNN adjacency over the rows of ``X`` that both graph operators take."""
+    return gaussian_knn_adjacency(X, knn_indices(X, k), sigma)
+
+
 def random_hypergraph(rng, n, k=3, dim=3) -> Hypergraph:
     """kNN hypergraph over seeded random points."""
-    return build_knn_hypergraph(rng.standard_normal((n, dim)), k)
+    return knn_hypergraph(rng.standard_normal((n, dim)), k)
 
 
 def random_sym_operator(rng, n, k=3, dim=3):

@@ -18,7 +18,7 @@ import pytest
 from hgssl.bench import (METHODS, ExperimentConfig, SyntheticSpec, median_grid,
                          resolve_dataset_paths, run_experiment)
 from hgssl.datasets import synthetic_blobs
-from hgssl.hypergraph import build_knn_hypergraph, hypergraph_operator
+from hgssl.hypergraph import build_knn_hypergraph, hypergraph_operator, knn_indices
 from hgssl.labels import LabelMatrix, inject_noise
 from hgssl.network import TwoLayerParams, forward, loss_and_gradients
 from hgssl.propagation import (PropagationConfig, propagate_features,
@@ -26,7 +26,7 @@ from hgssl.propagation import (PropagationConfig, propagate_features,
 
 
 def random_hypergraph_operator(rng, n, normalization="sym", k=3):
-    hg = build_knn_hypergraph(rng.standard_normal((n, 3)), k)
+    hg = build_knn_hypergraph(knn_indices(rng.standard_normal((n, 3)), k))
     return hypergraph_operator(hg, normalization)
 
 
@@ -115,7 +115,7 @@ def test_criterion_3_operator_invariants():
     started = time.perf_counter()
     rng = np.random.default_rng(3003)
     for n in (30, 70, 100):
-        hgraph = build_knn_hypergraph(rng.standard_normal((n, 3)), 4)
+        hgraph = build_knn_hypergraph(knn_indices(rng.standard_normal((n, 3)), 4))
         rw = hypergraph_operator(hgraph, "rw").matrix
         row_sums = np.asarray(rw.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums - 1.0)) < 1e-10
@@ -124,7 +124,7 @@ def test_criterion_3_operator_invariants():
         eigenvalues = np.linalg.eigvalsh(sym)
         assert eigenvalues.min() >= -1e-10
         assert eigenvalues.max() <= 1.0 + 1e-10
-    two = hypergraph_operator(build_knn_hypergraph(np.array([[0.0], [1.0]]), 1), "sym")
+    two = hypergraph_operator(build_knn_hypergraph(knn_indices([[0.0], [1.0]], 1)), "sym")
     assert np.allclose(two.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

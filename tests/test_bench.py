@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from helpers import csr_equal
+from helpers import csr_equal, knn_adjacency
 import hgssl.bench
 import hgssl.hypergraph
 from hgssl import network
@@ -116,10 +116,11 @@ class TestRunExperiment:
         operators = build_operators(cfg, X)
         assert len(calls) == 1
         monkeypatch.undo()
+        adjacency = knn_adjacency(X, cfg.k)
         assert csr_equal(operators["graph"].matrix,
-                         hgssl.hypergraph.build_knn_graph(X, cfg.k).matrix)
+                         hgssl.hypergraph.build_knn_graph(adjacency).matrix)
         assert csr_equal(operators["gcn"].matrix,
-                         hgssl.hypergraph.gcn_operator(X, cfg.k).matrix)
+                         hgssl.hypergraph.gcn_operator(adjacency).matrix)
 
     def test_cache_file_of_another_operator_rejected(self, tmp_path):
         ops_dir = tmp_path / "ops"

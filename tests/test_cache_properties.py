@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import csr_equal
+from helpers import csr_equal, knn_adjacency, knn_hypergraph
 from hgssl.errors import FormatError
-from hgssl.hypergraph import (build_knn_graph, build_knn_hypergraph, gcn_operator,
-                              hypergraph_operator, load_operator, save_operator)
+from hgssl.hypergraph import (build_knn_graph, gcn_operator, hypergraph_operator,
+                              load_operator, save_operator)
 from strategies import PROPERTY, point_clouds  # first: skips without hypothesis
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 def build(norm, X, k):
     if norm == "graph_sym":
-        return build_knn_graph(X, k, sigma=1.0)
+        return build_knn_graph(knn_adjacency(X, k, sigma=1.0))
     if norm == "gcn":
-        return gcn_operator(X, k, sigma=1.0)
-    return hypergraph_operator(build_knn_hypergraph(X, k), norm)
+        return gcn_operator(knn_adjacency(X, k, sigma=1.0))
+    return hypergraph_operator(knn_hypergraph(X, k), norm)
 
 
 def cache_bytes(op):

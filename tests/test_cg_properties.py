@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from helpers import single_vector_cg
-from hgssl.hypergraph import build_knn_hypergraph, hypergraph_operator
+from helpers import knn_hypergraph, single_vector_cg
+from hgssl.hypergraph import hypergraph_operator
 from hgssl.linalg import conjugate_gradient
 from strategies import PROPERTY, point_clouds  # first: skips without hypothesis
 from hypothesis import given
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
        tol=st.sampled_from([1e-12, 1e-8, 1e-4, 1.0]), max_iter=st.sampled_from([1, 3, 1000]))
 def test_columns_match_single_vector_cg(cloud, alpha, width, zero_at, seed, tol, max_iter):
     X, k = cloud
-    op = hypergraph_operator(build_knn_hypergraph(X, k), "sym")
+    op = hypergraph_operator(knn_hypergraph(X, k), "sym")
     B = np.random.default_rng(seed).standard_normal((len(X), width))
     B = np.insert(B, min(zero_at, width), 0.0, axis=1)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import hgssl.bench
@@ -5,6 +6,7 @@ import hgssl.cli
 import hgssl.hypergraph
 from hgssl.bench import ExperimentReport, SyntheticSpec, parse_results_csv
 from hgssl.cli import main
+from hgssl.datasets import ImageDataset, save_usps_dataset
 
 TINY_CONFIG = """\
 schema_version = 1
@@ -229,6 +231,34 @@ def test_data_dependent_value_exit_code(tmp_path, capsys, old, new, message):
     cfg.write_text(text)
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "run"])
+def test_subsample_with_an_empty_split_exit_code(tmp_path, capsys, monkeypatch, command):
+    # 3 of 300 points are training points, so 40 draw round(0.4) = 0 of them.
+    rng = np.random.default_rng(4)
+    ds = ImageDataset(rng.random((300, 4)), np.arange(300) % 3,
+                      np.arange(3), np.arange(3, 300), 3)
+    (tmp_path / "usps").mkdir()
+    save_usps_dataset(ds, tmp_path / "usps" / "zip.train", tmp_path / "usps" / "zip.test")
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("PCA or kNN ran on an empty split")
+    monkeypatch.setattr(hgssl.bench, "pca_fit", not_reached)
+    monkeypatch.setattr(hgssl.hypergraph, "knn_indices", not_reached)
+    if command == "bench":
+        cfg = tmp_path / "usps.cfg"
+        cfg.write_text("schema_version = 1\n[dataset]\nname = usps\nsubsample_size = 40\n"
+                       "[experiment]\npca_dims = none\n")
+        args = ["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    else:
+        args = ["run", "--dataset", "usps", "--method", "graph-ssl", "--noise", "0",
+                "--seed", "0", "--subsample", "40", "--pca-dims", "none"]
+    assert main(args + ["--data-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "config error: subsample_size 40 draws 0 train and 40 test points" in err
     assert not (tmp_path / "r").exists()
 
 

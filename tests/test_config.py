@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from hgssl.config import load_config, parse_config, strip_subsample
+from hgssl.config import load_config, parse_config
 from hgssl.errors import ConfigError
 
 GOOD = """\
@@ -201,10 +201,3 @@ class TestSchemaRules:
         cfg = parse_config(text)
         assert cfg.paths == {"train_path": "/tmp/zip.train",
                              "test_path": "/tmp/zip.test"}
-
-    def test_strip_subsample(self):
-        text = ("schema_version = 1\n[dataset]\nname = mnist\n"
-                "subsample_size = 10000\nsubsample_seed = 3\n")
-        cfg = parse_config(text)
-        assert cfg.subsample_size == 10000
-        assert strip_subsample(cfg).subsample_size is None

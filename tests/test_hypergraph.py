@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import csr_equal, knn_oracle, random_hypergraph
+from helpers import csr_equal, knn_adjacency, knn_hypergraph, knn_oracle, random_hypergraph
 import hgssl.hypergraph
 from hgssl.errors import DegenerateStructureError, FormatError
-from hgssl.hypergraph import (CACHE_VERSION, build_knn_graph, build_knn_hypergraph,
-                              gcn_operator, hypergraph_operator, knn_indices,
-                              load_operator, save_operator)
+from hgssl.hypergraph import (CACHE_VERSION, Hypergraph, build_knn_graph,
+                              build_knn_hypergraph, gaussian_knn_adjacency, gcn_operator,
+                              hypergraph_operator, knn_indices, load_operator,
+                              save_operator)
 
 
 class TestKnnIndices:
@@ -133,20 +134,19 @@ class TestPairSqDistances:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((80, 9))
         knn = knn_indices(X, 5)
-        graph = build_knn_graph(X, 5, knn=knn)
-        gcn = gcn_operator(X, 5, knn=knn)
-        # 20 coordinates per chunk: two pairs at a time.
+        adjacency = gaussian_knn_adjacency(X, knn)
+        # 20 coordinates per chunk: two pairs at a time.  Both graph operators
+        # read the pair distances only through the adjacency.
         monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 20)
         assert np.array_equal(knn_indices(X, 5), knn)
-        assert csr_equal(build_knn_graph(X, 5, knn=knn).matrix, graph.matrix)
-        assert csr_equal(gcn_operator(X, 5, knn=knn).matrix, gcn.matrix)
+        assert csr_equal(gaussian_knn_adjacency(X, knn), adjacency)
 
     def test_graph_peak_memory_bounded_by_pair_budget(self):
         X = np.random.default_rng(17).standard_normal((1000, 784))
         knn = knn_indices(X, 5)
         tracemalloc.start()
         try:
-            build_knn_graph(X, 5, knn=knn)
+            build_knn_graph(gaussian_knn_adjacency(X, knn))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,7 +157,7 @@ class TestPairSqDistances:
 
 class TestBuildKnnHypergraph:
     def test_two_points(self):
-        hg = build_knn_hypergraph(np.array([[0.0], [1.0]]), 1)
+        hg = knn_hypergraph(np.array([[0.0], [1.0]]), 1)
         assert np.array_equal(hg.incidence.toarray(), np.ones((2, 2)))
         assert np.array_equal(hg.vertex_degrees, [2.0, 2.0])
         assert np.array_equal(hg.edge_degrees, [2.0, 2.0])
@@ -166,7 +166,7 @@ class TestBuildKnnHypergraph:
         # kNN: 0 -> 1, 1 -> 0, 2 -> 1.  Membership of hyperedge j is
         # {j} + kNN(j) + {i : j in kNN(i)}, so e0 = {0,1}, e1 = {0,1,2}
         # (1 is the nearest neighbor of 2), e2 = {1,2}.
-        hg = build_knn_hypergraph(np.array([[0.0], [1.0], [10.0]]), 1)
+        hg = knn_hypergraph(np.array([[0.0], [1.0], [10.0]]), 1)
         want = np.array([
             [1.0, 1.0, 0.0],
             [1.0, 1.0, 1.0],
@@ -179,7 +179,7 @@ class TestBuildKnnHypergraph:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((50, 3))
         neighbors = knn_indices(X, 5)
-        hg = build_knn_hypergraph(X, 5, knn=neighbors)
+        hg = build_knn_hypergraph(neighbors)
         dense = hg.incidence.toarray()
         # Every hyperedge contains its centroid and its k nearest neighbors.
         assert np.all(hg.edge_degrees >= 6)
@@ -190,8 +190,9 @@ class TestBuildKnnHypergraph:
 
     def test_centroid_toggle(self):
         X = np.array([[0.0], [1.0], [2.1], [3.3]])
-        with_centroid = build_knn_hypergraph(X, 2, include_centroid=True)
-        without = build_knn_hypergraph(X, 2, include_centroid=False)
+        knn = knn_indices(X, 2)
+        with_centroid = build_knn_hypergraph(knn, include_centroid=True)
+        without = build_knn_hypergraph(knn, include_centroid=False)
         assert np.all(with_centroid.incidence.diagonal() == 1.0)
         assert np.all(with_centroid.edge_degrees >= without.edge_degrees)
 
@@ -199,15 +200,26 @@ class TestBuildKnnHypergraph:
         rng = np.random.default_rng(3)
         for seed in range(4):
             X = np.random.default_rng(seed).standard_normal((20, 2))
-            hg = build_knn_hypergraph(X, 1)
+            hg = knn_hypergraph(X, 1)
             assert hg.edge_degrees.min() >= 2
+
+    def test_single_vertex_hyperedges_rejected(self):
+        # Without centroids each of two points' hyperedges holds only the other.
+        knn = knn_indices([[0.0], [1.0]], 1)
+        with pytest.raises(DegenerateStructureError, match="fewer than 2 vertices"):
+            build_knn_hypergraph(knn, include_centroid=False)
+
+    def test_vertex_in_no_hyperedge_rejected(self):
+        incidence = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DegenerateStructureError, match="zero degree"):
+            Hypergraph(incidence)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(20)
         X = rng.standard_normal((20, 3))
         perm = rng.permutation(20)
-        hg = build_knn_hypergraph(X, 3)
-        hg_perm = build_knn_hypergraph(X[perm], 3)
+        hg = knn_hypergraph(X, 3)
+        hg_perm = knn_hypergraph(X[perm], 3)
         dense = hg.incidence.toarray()
         dense_perm = hg_perm.incidence.toarray()
         # Old vertex i and old hyperedge j land at position inverse[.] after
@@ -218,12 +230,12 @@ class TestBuildKnnHypergraph:
 
 class TestHypergraphOperator:
     def test_two_vertex_sym(self):
-        hg = build_knn_hypergraph(np.array([[0.0], [1.0]]), 1)
+        hg = knn_hypergraph(np.array([[0.0], [1.0]]), 1)
         op = hypergraph_operator(hg, "sym")
         assert np.allclose(op.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_two_vertex_rw_equals_sym(self):
-        hg = build_knn_hypergraph(np.array([[0.0], [1.0]]), 1)
+        hg = knn_hypergraph(np.array([[0.0], [1.0]]), 1)
         rw = hypergraph_operator(hg, "rw")
         assert np.allclose(rw.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
         assert np.allclose(np.asarray(rw.matrix.sum(axis=1)).ravel(), 1.0, atol=1e-12)
@@ -268,7 +280,7 @@ class TestHypergraphOperator:
             assert eigenvalues.max() <= 1.0 + 1e-10
 
     def test_unknown_normalization(self):
-        hg = build_knn_hypergraph(np.array([[0.0], [1.0]]), 1)
+        hg = knn_hypergraph(np.array([[0.0], [1.0]]), 1)
         with pytest.raises(ValueError):
             hypergraph_operator(hg, "graph_sym")
 
@@ -277,13 +289,13 @@ class TestBuildKnnGraph:
     def test_two_points_any_sigma(self):
         X = np.array([[0.0], [2.0]])
         for sigma in ("auto", 0.5, 3.0):
-            op = build_knn_graph(X, 1, sigma=sigma)
+            op = build_knn_graph(knn_adjacency(X, 1, sigma=sigma))
             assert np.allclose(op.matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
             assert op.normalization == "graph_sym"
 
     def test_equilateral_triangle(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-        op = build_knn_graph(X, 2)
+        op = build_knn_graph(knn_adjacency(X, 2))
         dense = op.matrix.toarray()
         want = (np.ones((3, 3)) - np.eye(3)) / 2.0
         assert np.max(np.abs(dense - want)) < 1e-12
@@ -291,7 +303,7 @@ class TestBuildKnnGraph:
     def test_random_operator_properties(self):
         rng = np.random.default_rng(15)
         X = rng.standard_normal((50, 3))
-        op = build_knn_graph(X, 5)
+        op = build_knn_graph(knn_adjacency(X, 5))
         dense = op.matrix.toarray()
         assert np.max(np.abs(dense - dense.T)) < 1e-12
         assert dense.min() >= 0.0 and dense.max() <= 1.0
@@ -306,24 +318,24 @@ class TestBuildKnnGraph:
     def test_sigma_validation(self):
         X = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError):
-            build_knn_graph(X, 1, sigma=0.0)
+            gaussian_knn_adjacency(X, knn_indices(X, 1), sigma=0.0)
 
     def test_isolated_vertex_degenerate(self):
         # Huge separation underflows the Gaussian weight to zero.
         X = np.array([[0.0], [1e6]])
         with pytest.raises(DegenerateStructureError):
-            build_knn_graph(X, 1, sigma=1.0)
+            build_knn_graph(knn_adjacency(X, 1, sigma=1.0))
 
 
 class TestGcnOperator:
     def test_single_vertex(self):
-        op = gcn_operator(np.array([[5.0]]), 1)
+        op = gcn_operator(sp.csr_matrix((1, 1)))
         assert np.array_equal(op.matrix.toarray(), [[1.0]])
         assert op.normalization == "gcn"
 
     def test_two_points_hand_values(self):
         X = np.array([[0.0], [1.0]])
-        op = gcn_operator(X, 1, sigma=1.0)
+        op = gcn_operator(knn_adjacency(X, 1, sigma=1.0))
         w = np.exp(-0.5)  # exp(-d^2 / (2 sigma^2)) with d = sigma = 1
         want = np.array([[1.0, w], [w, 1.0]]) / (1.0 + w)
         assert np.max(np.abs(op.matrix.toarray() - want)) < 1e-12
@@ -331,7 +343,7 @@ class TestGcnOperator:
     def test_random_operator_properties(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((50, 4))
-        op = gcn_operator(X, 5)
+        op = gcn_operator(knn_adjacency(X, 5))
         dense = op.matrix.toarray()
         assert np.max(np.abs(dense - dense.T)) < 1e-12
         assert dense.min() >= 0.0
@@ -345,11 +357,11 @@ class TestApply:
         rng = np.random.default_rng(17)
         X = rng.standard_normal((30, 3))
         if norm == "graph_sym":
-            op = build_knn_graph(X, 4)
+            op = build_knn_graph(knn_adjacency(X, 4))
         elif norm == "gcn":
-            op = gcn_operator(X, 4)
+            op = gcn_operator(knn_adjacency(X, 4))
         else:
-            op = hypergraph_operator(build_knn_hypergraph(X, 4), norm)
+            op = hypergraph_operator(knn_hypergraph(X, 4), norm)
         assert op.normalization == norm
         dense = op.matrix.toarray()
         V = rng.standard_normal((30, 5))

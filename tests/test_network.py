@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import random_hypergraph
+from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
-from hgssl.hypergraph import (PropagationOperator, build_knn_hypergraph, gcn_operator,
-                              hypergraph_operator)
+from hgssl.hypergraph import PropagationOperator, gcn_operator, hypergraph_operator
 from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
                           encode_labels, inject_noise)
 from hgssl.network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
@@ -234,7 +233,7 @@ class TestForwardPropagated:
 class TestTrain:
     def test_blobs_reach_95_percent(self):
         ds = synthetic_blobs(300, 3, 10, 0.1, seed=1)
-        hg = build_knn_hypergraph(ds.features, 5)
+        hg = knn_hypergraph(ds.features, 5)
         op = hypergraph_operator(hg, "sym")
         split = inject_noise(ds, 0.0, seed=0)
         Y = encode_labels(split, ds.train_indices, ds.num_classes, "onehot")
@@ -320,9 +319,9 @@ class TestTrain:
         n, c = 30, 4
         X = rng.standard_normal((n, 5))
         if norm == "gcn":
-            op = gcn_operator(X, 4)
+            op = gcn_operator(knn_adjacency(X, 4))
         else:
-            op = hypergraph_operator(build_knn_hypergraph(X, 4), norm)
+            op = hypergraph_operator(knn_hypergraph(X, 4), norm)
         targets_all = np.zeros((n, c))
         targets_all[np.arange(n), rng.integers(0, c, n)] = 1.0
         Y = LabelMatrix(targets_all, "onehot")

@@ -12,11 +12,13 @@ Regenerate the table with ``PYTHONPATH=src python tests/test_operator_table.py``
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hgssl import bench
 from hgssl import hypergraph as hg
 
 TABLE = Path(__file__).resolve().parent / "operator_table.json"
@@ -29,15 +31,12 @@ RTOL = 1e-13
 
 
 def build_operators():
-    """The four operators of ``bench.build_operators``, by normalization."""
-    knn = hg.knn_indices(POINTS, K)
-    hgraph = hg.build_knn_hypergraph(POINTS, K, knn=knn, include_centroid=True)
-    return {
-        "sym": hg.hypergraph_operator(hgraph, "sym"),
-        "rw": hg.hypergraph_operator(hgraph, "rw"),
-        "graph_sym": hg.build_knn_graph(POINTS, K, knn=knn),
-        "gcn": hg.gcn_operator(POINTS, K, knn=knn),
-    }
+    """The four operators ``bench.build_operators`` builds over POINTS, by normalization."""
+    sym = bench.ExperimentConfig(dataset="synthetic", k=K, normalization="sym")
+    operators = bench.build_operators(sym, POINTS)
+    rw = bench.build_operators(replace(sym, normalization="rw"), POINTS)
+    return {"sym": operators["hg_sym"], "rw": rw["hg_rw"],
+            "graph_sym": operators["graph"], "gcn": operators["gcn"]}
 
 
 def table_of(operators):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_hypergraph
+from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
 from hgssl import propagation
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import SolverError
-from hgssl.hypergraph import (build_knn_graph, build_knn_hypergraph,
-                              hypergraph_operator)
+from hgssl.hypergraph import build_knn_graph, hypergraph_operator
 from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
                           encode_labels, inject_noise)
 from hgssl.linalg import conjugate_gradient
@@ -50,7 +49,7 @@ class TestPropagateLabels:
     def test_graph_operator_accepted(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((30, 3))
-        op = build_knn_graph(X, 4)
+        op = build_knn_graph(knn_adjacency(X, 4))
         values = np.zeros((30, 2))
         values[:5, 0] = 1.0
         values[:5, 1] = -1.0
@@ -142,7 +141,7 @@ class TestPropagateFeatures:
 
     def test_graph_operator_rejected(self):
         rng = np.random.default_rng(12)
-        op = build_knn_graph(rng.standard_normal((20, 3)), 3)
+        op = build_knn_graph(knn_adjacency(rng.standard_normal((20, 3)), 3))
         with pytest.raises(ValueError):
             propagate_features(op, np.zeros((20, 2)), TIGHT)
 
@@ -216,7 +215,7 @@ class TestPropagationConfig:
 def test_classic_hypergraph_ssl_on_blobs():
     # End-to-end: well-separated clusters propagate to >= 95% test accuracy.
     ds = synthetic_blobs(300, 3, 10, 0.1, seed=1)
-    hg = build_knn_hypergraph(ds.features, 5)
+    hg = knn_hypergraph(ds.features, 5)
     op = hypergraph_operator(hg, "sym")
     split = inject_noise(ds, 0.0, seed=0)
     Y = encode_labels(split, ds.train_indices, ds.num_classes, "pm1")

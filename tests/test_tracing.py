@@ -34,6 +34,13 @@ def test_traced_grid_reports_every_layer_metric(monkeypatch):
     missing = {m["name"] for m in declared} - {"trace.overhead_s"} - set(metrics)
     assert not missing
     assert spans_consistent(tracer.spans, root)
+    # bench reaches each construction stage through its hypergraph-module
+    # attribute, once per grid; a call around them would show no span.
+    stages = ("knn_indices", "build_knn_hypergraph", "hypergraph_operator",
+              "build_knn_graph", "gcn_operator")
+    names = [span.name for span in tracer.spans]
+    assert {stage: names.count(f"hypergraph.{stage}") for stage in stages} \
+        == dict.fromkeys(stages, 1)
     label_solves = 2 * len(cfg.noise_levels) * math.ceil(classes / 4)
     assert metrics["linalg.cg_solves"] == label_solves + math.ceil(dim / 4)
     assert metrics["propagation.features_cols"] == dim
