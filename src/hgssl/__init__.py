@@ -15,7 +15,7 @@ from .hypergraph import (Hypergraph, PropagationOperator, build_knn_graph,
                          hypergraph_operator, knn_indices, load_operator, save_operator)
 from .labels import (LabelMatrix, NoisySplit, accuracy, decode_predictions,
                      encode_labels, inject_noise)
-from .linalg import CgResult, as_csr, conjugate_gradient, diag_scale
+from .linalg import CgResult, conjugate_gradient, diag_scale
 from .network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
                       loss_and_gradients, predict, train)
 from .pca import PcaModel, pca_fit, pca_transform
@@ -27,7 +27,7 @@ __all__ = [
     "CgResult", "ExperimentConfig", "ExperimentReport", "ForwardTrace",
     "Hypergraph", "ImageDataset", "LabelMatrix", "NoisySplit", "PcaModel",
     "PropagationConfig", "PropagationOperator", "ResultRow", "SyntheticSpec",
-    "TrainConfig", "TwoLayerParams", "accuracy", "as_csr", "build_knn_graph",
+    "TrainConfig", "TwoLayerParams", "accuracy", "build_knn_graph",
     "build_knn_hypergraph", "conjugate_gradient", "decode_predictions",
     "diag_scale", "emit_table", "encode_labels", "forward", "gaussian_knn_adjacency",
     "gcn_operator", "hypergraph_operator", "inject_noise", "knn_indices",

@@ -15,7 +15,8 @@ no true neighbor or tie can fall outside the shortlist, so the result equals
 an exhaustive sort by (distance, index).  The builders take its output rather
 than recomputing it: ``build_knn_hypergraph(knn)`` and
 ``gaussian_knn_adjacency(X, knn)``, whose adjacency A feeds both
-``build_knn_graph(A)`` and ``gcn_operator(A)``.
+``build_knn_graph(A)`` and ``gcn_operator(A)``.  Only the adjacency prunes
+(``_WEIGHT_FLOOR``); every sparse matrix is made canonical where it is built.
 
 Propagation operators are the n x n smoothing operators shared by the
 closed-form solvers and the neural forward passes, which use them only through
@@ -45,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateStructureError, FormatError, ShapeError
-from .linalg import as_csr, as_dense, diag_scale
+from .linalg import as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
@@ -62,6 +63,8 @@ _SUBNORMAL_MIN = 2.0 ** -1074
 # Largest squared row norm knn_indices accepts: below it, sums of four such
 # norms (the most any squared distance or its Gram expansion reaches) are finite.
 _SQ_NORM_LIMIT = np.finfo(np.float64).max / 8
+# Gaussian adjacency weights below this are not stored (nor are underflowed zeros).
+_WEIGHT_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,10 @@ class PropagationOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """Theta as one CSR matrix, multiplied out on first access; do not modify."""
+        """Theta as one sorted CSR matrix, multiplied out on first access; do not modify."""
         if len(self.factors) == 1:
             return self.factors[0]
-        return as_csr(reduce(matmul, self.factors))
+        return reduce(matmul, self.factors).sorted_indices()
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         """Theta @ V, one sparse product per factor, right to left."""
@@ -271,7 +274,7 @@ def build_knn_hypergraph(knn: np.ndarray, include_centroid: bool = True) -> Hype
     arange = np.arange(n, dtype=np.int64)
     cols_of = np.repeat(arange, neighbors.shape[1])
     # i in e_j when i is a neighbor of j (H[N[j,t], j]) or j is a neighbor of
-    # i (H[i, N[i,t]]); the centroid adds H[j, j].
+    # i (H[i, N[i,t]]); the centroid adds H[j, j].  tocsr() sums repeated pairs.
     rows = [neighbors.ravel(), cols_of]
     cols = [cols_of, neighbors.ravel()]
     if include_centroid:
@@ -280,9 +283,7 @@ def build_knn_hypergraph(knn: np.ndarray, include_centroid: bool = True) -> Hype
     data = np.ones(sum(len(r) for r in rows))
     H = sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
-    H.sum_duplicates()
     H.data[:] = 1.0
-    H.sort_indices()
     return Hypergraph(H)
 
 
@@ -298,17 +299,18 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
                    diag_scale(hg.incidence.T, right=inv_sqrt))
     else:
         factors = (diag_scale(hg.incidence, left=1.0 / hg.vertex_degrees, right=edge_scale),
-                   as_csr(hg.incidence.T))
+                   hg.incidence.T.tocsr())
     return PropagationOperator(factors=factors, normalization=normalization)
 
 
-def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray, sigma="auto") -> sp.csr_matrix:
+def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray) -> sp.csr_matrix:
     """Symmetrized kNN adjacency A with Gaussian weights, shared by the graph operators.
 
     ``knn`` is ``knn_indices(X, k)``.  Edge i-j exists when either point is
     among the other's k nearest neighbors; weights are
-    exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero diagonal.  ``sigma="auto"``
-    uses the mean distance to the k-th neighbor.
+    exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero diagonal, where sigma is
+    the mean distance to the k-th neighbor.  Weights below ``_WEIGHT_FLOOR``
+    are not stored.
     """
     X = as_dense(X)
     neighbors = np.asarray(knn)
@@ -318,10 +320,8 @@ def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray, sigma="auto") -> sp.c
     dst = neighbors.ravel()
     sq_dist = pair_sq_distances(X, src, dst)
 
-    if sigma == "auto":
-        # Mean distance to the k-th neighbor, the last of each row's block.
-        sigma = float(np.sqrt(sq_dist.reshape(n, -1)[:, -1]).mean())
-    sigma = float(sigma)
+    # Mean distance to the k-th neighbor, the last of each row's block.
+    sigma = float(np.sqrt(sq_dist.reshape(n, -1)[:, -1]).mean())
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
@@ -331,7 +331,8 @@ def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray, sigma="auto") -> sp.c
     # Both directions of a mutual pair carry the same weight; keep one copy.
     linear = rows * n + cols
     _, keep = np.unique(linear, return_index=True)
-    return as_csr(sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)))
+    keep = keep[vals[keep] >= _WEIGHT_FLOOR]
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
 def build_knn_graph(A: sp.csr_matrix) -> PropagationOperator:
@@ -380,9 +381,12 @@ def save_operator(path, op: PropagationOperator):
     """Serialize a propagation operator's factors to the binary cache format.
 
     The bytes go to a temporary file next to ``path`` that is renamed over it
-    once complete, so ``path`` never holds a partial operator.
+    once complete, so ``path`` never holds a partial operator.  A factor that
+    is not canonical CSR raises ``ValueError``, since it could not be loaded.
     """
     path = Path(path)
+    if not all(factor.has_canonical_format for factor in op.factors):
+        raise ValueError(f"{path}: a factor's row has unsorted or repeated column indices")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -390,11 +394,10 @@ def save_operator(path, op: PropagationOperator):
             fh.write(struct.pack("<IBB", CACHE_VERSION, _NORM_CODES[op.normalization],
                                  len(op.factors)))
             for factor in op.factors:
-                matrix = as_csr(factor)
-                fh.write(_FACTOR_HEADER.pack(*matrix.shape, matrix.nnz))
-                fh.write(matrix.indptr.astype("<i8").tobytes())
-                fh.write(matrix.indices.astype("<i8").tobytes())
-                fh.write(matrix.data.astype("<f8").tobytes())
+                fh.write(_FACTOR_HEADER.pack(*factor.shape, factor.nnz))
+                fh.write(factor.indptr.astype("<i8").tobytes())
+                fh.write(factor.indices.astype("<i8").tobytes())
+                fh.write(factor.data.astype("<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -414,12 +417,16 @@ def _read_factor(data, offset, path):
     start += 8 * (rows + 1)
     indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=start)
     start += 8 * nnz
-    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=start)
+    # A copy, so the factor does not keep the whole file alive.
+    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=start).copy()
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path}: corrupt row offsets")
     if nnz and (indices.min() < 0 or indices.max() >= cols):
         raise FormatError(f"{path}: column index outside [0, {cols})")
-    return as_csr(sp.csr_matrix((values, indices, indptr), shape=(rows, cols))), end
+    factor = sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
+    if not factor.has_canonical_format:
+        raise FormatError(f"{path}: a row's column indices are unsorted or repeated")
+    return factor, end
 
 
 def load_operator(path) -> PropagationOperator:

@@ -1,10 +1,10 @@
-"""Sparse-matrix helpers and a multi-right-hand-side conjugate-gradient solver.
+"""Dense and sparse helpers and a multi-right-hand-side conjugate-gradient solver.
 
 Dense matrices are plain float64 ``numpy.ndarray``s; sparse matrices are
-``scipy.sparse.csr_matrix`` in canonical form (sorted column indices, summed
-duplicates, entries below ``PRUNE_TOL`` in magnitude removed).  ``as_csr``
-produces that form and every public operation returns it, so operator algebra
-stays deterministic and free of explicitly stored zeros.
+float64 ``scipy.sparse.csr_matrix``.  There is no global pruning rule: each
+matrix is made canonical (sorted, distinct column indices per row) where it
+is built, and the one place a negligible weight can arise, the Gaussian kNN
+adjacency, drops it there.
 """
 
 from typing import Callable, NamedTuple, Optional
@@ -13,9 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, SolverError
-
-# Magnitude below which stored entries are treated as exact zeros.
-PRUNE_TOL = 1e-15
 
 
 def as_dense(matrix) -> np.ndarray:
@@ -26,17 +23,6 @@ def as_dense(matrix) -> np.ndarray:
     return X
 
 
-def as_csr(matrix) -> sp.csr_matrix:
-    """Canonical float64 CSR copy of ``matrix`` with near-zero entries pruned."""
-    S = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-    S.sum_duplicates()
-    S.sort_indices()
-    if S.nnz:
-        S.data[np.abs(S.data) < PRUNE_TOL] = 0.0
-        S.eliminate_zeros()
-    return S
-
-
 def diag_scale(
     S: sp.spmatrix,
     left: Optional[np.ndarray] = None,
@@ -44,11 +30,11 @@ def diag_scale(
 ) -> sp.csr_matrix:
     """Scale rows by ``left`` and columns by ``right``: D_left @ S @ D_right.
 
-    Either side may be None, meaning no scaling on that side.  The result
-    keeps the canonical structure of ``as_csr(S)``; scaled entries are not
-    pruned again.
+    Either side may be None, meaning no scaling on that side.  The result is
+    a float64 CSR copy of ``S``, neither summed nor pruned, so it is canonical
+    when ``S`` is.
     """
-    out = as_csr(S)
+    out = sp.csr_matrix(S, dtype=np.float64, copy=True)
     if left is not None:
         left = np.asarray(left, dtype=np.float64)
         if left.shape != (out.shape[0],):

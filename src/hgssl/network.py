@@ -144,7 +144,10 @@ def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
     """
     if Y.scheme != "onehot":
         raise ValueError(f"training expects onehot labels, got {Y.scheme!r}")
-    labeled = labeled_rows(labeled_mask, trace.logits.shape[0])
+    n = trace.logits.shape[0]
+    if Y.values.shape[0] != n:
+        raise ValueError(f"label matrix has {Y.values.shape[0]} rows, but the logits have {n}")
+    labeled = labeled_rows(labeled_mask, n)
     m = labeled.size
     targets = np.take(Y.values, labeled, axis=0)
 
@@ -204,6 +207,8 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
     train_accuracy) is written to it.
     """
     X = as_dense(X)
+    if Y.values.shape[0] != X.shape[0]:
+        raise ValueError(f"label matrix has {Y.values.shape[0]} rows, but X has {X.shape[0]}")
     labeled = labeled_rows(labeled_mask, X.shape[0])
     params = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], seed)
     thetas = (params.theta1, params.theta2)

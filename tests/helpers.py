@@ -5,14 +5,13 @@ import scipy.sparse as sp
 
 from hgssl.hypergraph import (Hypergraph, build_knn_hypergraph, gaussian_knn_adjacency,
                               hypergraph_operator, knn_indices)
-from hgssl.linalg import as_csr
 
 
 def random_sparse(rng, rows, cols, density=0.3):
     """Seeded random CSR matrix with standard-normal entries."""
     mask = rng.random((rows, cols)) < density
     dense = np.where(mask, rng.standard_normal((rows, cols)), 0.0)
-    return as_csr(dense), dense
+    return sp.csr_matrix(dense), dense
 
 
 def knn_hypergraph(X, k, include_centroid=True) -> Hypergraph:
@@ -20,9 +19,9 @@ def knn_hypergraph(X, k, include_centroid=True) -> Hypergraph:
     return build_knn_hypergraph(knn_indices(X, k), include_centroid)
 
 
-def knn_adjacency(X, k, sigma="auto") -> sp.csr_matrix:
+def knn_adjacency(X, k) -> sp.csr_matrix:
     """The Gaussian kNN adjacency over the rows of ``X`` that both graph operators take."""
-    return gaussian_knn_adjacency(X, knn_indices(X, k), sigma)
+    return gaussian_knn_adjacency(X, knn_indices(X, k))
 
 
 def random_hypergraph(rng, n, k=3, dim=3) -> Hypergraph:
@@ -35,12 +34,22 @@ def random_sym_operator(rng, n, k=3, dim=3):
 
 
 def csr_equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
-    a = as_csr(a)
-    b = as_csr(b)
+    """Whether ``a`` and ``b`` store the same arrays: no sorting, summing or pruning first."""
     return (a.shape == b.shape
             and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
+            and a.data.dtype == b.data.dtype
+            and a.data.tobytes() == b.data.tobytes())
+
+
+def is_canonical(matrix: sp.csr_matrix) -> bool:
+    """Whether every row of ``matrix`` stores strictly increasing column indices.
+
+    Asked of a fresh matrix over the same arrays, so no flag cached by scipy
+    on ``matrix`` can answer instead of the arrays.
+    """
+    fresh = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return fresh.has_canonical_format
 
 
 def knn_oracle(X, k):

@@ -85,6 +85,25 @@ class TestRunExperiment:
             == [strip_time(r) for r in built.rows] \
             == [strip_time(r) for r in cached.rows]
 
+    def test_warm_cache_holds_the_built_graph_operators(self, tmp_path):
+        # A 12 x 12 unit grid and a tight triple 9.85 units past it: some
+        # scaled graph weights fall below 1e-15, and the warm cache must keep
+        # them as the cold build does (548 graph entries, not 542).
+        grid = np.array([[i, j] for i in range(12) for j in range(12)], dtype=np.float64)
+        X = np.vstack([grid, [[20.85, 5.0], [20.85, 5.001], [20.851, 5.0]]])
+        cfg = replace(SMALL, k=3, methods=("graph-ssl", "gcn"))
+        cold = build_operators(cfg, X)
+        ops_dir = tmp_path / "ops"
+        build_operators(cfg, X, ops_dir=ops_dir)
+        warm = build_operators(cfg, X, ops_dir=ops_dir)
+        assert len(list(ops_dir.glob("*.hgop"))) == 2
+        assert cold["graph"].factors[0].nnz == 548
+        for name in ("graph", "gcn"):
+            (built,), (loaded,) = cold[name].factors, warm[name].factors
+            assert np.array_equal(loaded.indptr, built.indptr), name
+            assert np.array_equal(loaded.indices, built.indices), name
+            assert loaded.data.tobytes() == built.data.tobytes(), name
+
     def test_operator_cache_keyed_on_content(self, tmp_path):
         ops_dir = tmp_path / "ops"
         base = replace(SMALL, methods=("hypergraph-ssl",))

@@ -6,21 +6,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import csr_equal, knn_adjacency, knn_hypergraph
+from helpers import csr_equal, knn_hypergraph
 from hgssl.errors import FormatError
-from hgssl.hypergraph import (build_knn_graph, gcn_operator, hypergraph_operator,
-                              load_operator, save_operator)
+from hgssl.hypergraph import (build_knn_graph, gaussian_knn_adjacency, gcn_operator,
+                              hypergraph_operator, knn_indices, load_operator,
+                              save_operator)
 from strategies import PROPERTY, point_clouds  # first: skips without hypothesis
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 
 def build(norm, X, k):
-    if norm == "graph_sym":
-        return build_knn_graph(knn_adjacency(X, k, sigma=1.0))
+    if norm == "sym" or norm == "rw":
+        return hypergraph_operator(knn_hypergraph(X, k), norm)
+    # The auto sigma is 0 when every point's k-th neighbor coincides with it.
+    knn = knn_indices(X, k)
+    assume(np.any(X[knn[:, -1]] != X))
+    A = gaussian_knn_adjacency(X, knn)
     if norm == "gcn":
-        return gcn_operator(knn_adjacency(X, k, sigma=1.0))
-    return hypergraph_operator(knn_hypergraph(X, k), norm)
+        return gcn_operator(A)
+    # A point whose every weight fell below the floor has no graph operator.
+    assume(np.diff(A.indptr).min() > 0)
+    return build_knn_graph(A)
 
 
 def cache_bytes(op):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import csr_equal, knn_adjacency, knn_hypergraph, knn_oracle, random_hypergraph
+from helpers import (csr_equal, is_canonical, knn_adjacency, knn_hypergraph, knn_oracle,
+                     random_hypergraph)
 import hgssl.hypergraph
 from hgssl.errors import DegenerateStructureError, FormatError
 from hgssl.hypergraph import (CACHE_VERSION, Hypergraph, build_knn_graph,
@@ -254,12 +255,12 @@ class TestHypergraphOperator:
         dense = op.matrix.toarray()
         assert np.max(np.abs(dense - dense.T)) < 1e-12
         assert dense.min() >= 0.0
-        # Canonical CSR: strictly increasing column indices within each row
-        # (sorted, no duplicates) and no stored zeros or sub-PRUNE_TOL entries.
-        matrix = op.matrix
-        rows = np.repeat(np.arange(60), np.diff(matrix.indptr))
-        assert np.all((np.diff(matrix.indices) > 0) | (np.diff(rows) > 0))
-        assert np.all(np.abs(matrix.data) >= 1e-15)
+
+    def test_matrix_is_sorted(self):
+        # The factors' product comes out of scipy with unsorted rows.
+        hg = random_hypergraph(np.random.default_rng(8), 60, 4)
+        for norm in ("sym", "rw"):
+            assert is_canonical(hypergraph_operator(hg, norm).matrix), norm
 
     def test_rw_similar_to_sym(self):
         # Theta_rw = Dv^{-1/2} Theta_sym Dv^{1/2}: the operators are similar.
@@ -285,13 +286,27 @@ class TestHypergraphOperator:
             hypergraph_operator(hg, "graph_sym")
 
 
+class TestGaussianAdjacency:
+    def test_weight_below_floor_not_stored(self):
+        # 99 unit-spaced points and one 20 units past the last: sigma = 1.19,
+        # so the far pair's weight exp(-400 / (2 sigma^2)) ~ 5e-62 is positive
+        # but below the floor, and the far point has no edge.
+        X = np.append(np.arange(99.0), 118.0)[:, None]
+        A = gaussian_knn_adjacency(X, knn_indices(X, 1))
+        sigma = (99 + 20) / 100
+        assert 0.0 < np.exp(-400 / (2 * sigma ** 2)) < hgssl.hypergraph._WEIGHT_FLOOR
+        assert A[99].nnz == 0 and A[:, 99].nnz == 0
+        assert A.nnz == 2 * 98
+        assert A.data.min() >= hgssl.hypergraph._WEIGHT_FLOOR
+        assert is_canonical(A)
+
+
 class TestBuildKnnGraph:
-    def test_two_points_any_sigma(self):
+    def test_two_points(self):
         X = np.array([[0.0], [2.0]])
-        for sigma in ("auto", 0.5, 3.0):
-            op = build_knn_graph(knn_adjacency(X, 1, sigma=sigma))
-            assert np.allclose(op.matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-            assert op.normalization == "graph_sym"
+        op = build_knn_graph(knn_adjacency(X, 1))
+        assert np.allclose(op.matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+        assert op.normalization == "graph_sym"
 
     def test_equilateral_triangle(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
@@ -316,15 +331,16 @@ class TestBuildKnnGraph:
         assert radius <= 1.0 + 1e-10
 
     def test_sigma_validation(self):
-        X = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            gaussian_knn_adjacency(X, knn_indices(X, 1), sigma=0.0)
+        # Every k-th-neighbor distance is 0, and so is their mean.
+        X = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_knn_adjacency(X, knn_indices(X, 1))
 
     def test_isolated_vertex_degenerate(self):
-        # Huge separation underflows the Gaussian weight to zero.
-        X = np.array([[0.0], [1e6]])
+        # The far point's only weight falls below the adjacency's floor.
+        X = np.append(np.arange(99.0), 118.0)[:, None]
         with pytest.raises(DegenerateStructureError):
-            build_knn_graph(knn_adjacency(X, 1, sigma=1.0))
+            build_knn_graph(knn_adjacency(X, 1))
 
 
 class TestGcnOperator:
@@ -335,8 +351,8 @@ class TestGcnOperator:
 
     def test_two_points_hand_values(self):
         X = np.array([[0.0], [1.0]])
-        op = gcn_operator(knn_adjacency(X, 1, sigma=1.0))
-        w = np.exp(-0.5)  # exp(-d^2 / (2 sigma^2)) with d = sigma = 1
+        op = gcn_operator(knn_adjacency(X, 1))
+        w = np.exp(-0.5)  # exp(-d^2 / (2 sigma^2)) with d = 1 and auto sigma = 1
         want = np.array([[1.0, w], [w, 1.0]]) / (1.0 + w)
         assert np.max(np.abs(op.matrix.toarray() - want)) < 1e-12
 
@@ -376,11 +392,16 @@ FACTOR_HEADER = 3 * 8
 
 
 def write_cache(path, factors, version=CACHE_VERSION, norm_code=0, count=None):
-    """Hand-written cache file holding ``factors`` (dense arrays) in the v2 layout."""
+    """Hand-written cache file holding ``factors`` in the v2 layout.
+
+    A dense factor is stored as its canonical CSR; a CSR factor's arrays are
+    stored as they are.
+    """
     count = len(factors) if count is None else count
     blob = b"HGOP" + struct.pack("<IBB", version, norm_code, count)
-    for dense in factors:
-        matrix = sp.csr_matrix(np.asarray(dense, dtype=np.float64))
+    for factor in factors:
+        matrix = (factor if sp.issparse(factor)
+                  else sp.csr_matrix(np.asarray(factor, dtype=np.float64)))
         blob += struct.pack("<QQQ", *matrix.shape, matrix.nnz)
         blob += matrix.indptr.astype("<i8").tobytes()
         blob += matrix.indices.astype("<i8").tobytes()
@@ -437,6 +458,27 @@ class TestOperatorCache:
         right = np.array([[1.0, 0.0, 1.0], [0.0, 3.0, 0.0]])
         op = load_operator(write_cache(tmp_path / "ok.hgop", [left, right]))
         assert np.array_equal(op.matrix.toarray(), left @ right)
+
+    @pytest.mark.parametrize("row_indices", [[2, 0], [0, 0]], ids=["reversed", "repeated"])
+    def test_unsorted_or_repeated_row_rejected(self, tmp_path, row_indices):
+        # Row 1 of a 3 x 3 factor stores its two column indices out of order or twice.
+        factor = sp.csr_matrix((np.array([1.0, 0.5, 0.5, 1.0]),
+                                np.array([0] + row_indices + [2]),
+                                np.array([0, 1, 3, 4])), shape=(3, 3))
+        path = write_cache(tmp_path / "order.hgop", [factor])
+        with pytest.raises(FormatError, match=r"order\.hgop.*unsorted or repeated"):
+            load_operator(path)
+        factor.sum_duplicates()  # sorted and summed in place: the same file, canonical
+        load_operator(write_cache(path, [factor]))
+
+    def test_non_canonical_factor_not_saved(self, tmp_path):
+        # A hand-built incidence whose row 1 lists its columns in reverse.
+        incidence = sp.csr_matrix((np.ones(7), np.array([0, 1, 2, 1, 0, 1, 2]),
+                                   np.array([0, 2, 5, 7])), shape=(3, 3))
+        op = hypergraph_operator(Hypergraph(incidence), "sym")
+        with pytest.raises(ValueError, match=r"bad\.hgop.*unsorted or repeated"):
+            save_operator(tmp_path / "bad.hgop", op)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("count", [0, 3, 255])
     def test_factor_count_not_one_or_two(self, tmp_path, count):

@@ -5,17 +5,7 @@ import scipy.sparse as sp
 from helpers import random_hypergraph, random_sparse
 from hgssl.errors import NumericalError, ShapeError, SolverError
 from hgssl.hypergraph import hypergraph_operator
-from hgssl.linalg import as_csr, conjugate_gradient, diag_scale
-
-
-class TestSparseSparseMul:
-    def test_result_is_canonical(self):
-        # hypergraph_operator forms its kernel as as_csr(a @ b).
-        rng = np.random.default_rng(9)
-        A, _ = random_sparse(rng, 12, 12)
-        got = as_csr(A @ A)
-        assert got.has_sorted_indices
-        assert np.all(np.abs(got.data) >= 1e-15)
+from hgssl.linalg import conjugate_gradient, diag_scale
 
 
 class TestDiagScale:
@@ -150,10 +140,3 @@ def test_shifted_operator_is_positive_definite():
             dense = np.eye(n) - alpha * op.matrix.toarray()
             smallest = np.linalg.eigvalsh(dense).min()
             assert smallest > 0.0
-
-
-def test_as_csr_prunes_tiny_entries():
-    dense = np.array([[1.0, 1e-16], [0.0, 2.0]])
-    S = as_csr(dense)
-    assert S.nnz == 2
-    assert np.array_equal(S.toarray(), np.array([[1.0, 0.0], [0.0, 2.0]]))

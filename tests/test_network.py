@@ -403,6 +403,19 @@ class TestLabeledRows:
         with pytest.raises(ValueError, match=message):
             loss_and_gradients(forward(op, X, params), Y, rows, params, 0.0)
 
+    @pytest.mark.parametrize("label_rows", [20, 8])
+    def test_label_matrix_of_another_height_rejected(self, label_rows):
+        # Row indices would read the first rows of a taller matrix unchecked.
+        op, X, params, _, mask = random_instance(seed=82, n=12)
+        targets = np.zeros((label_rows, 3))
+        targets[:, 0] = 1.0
+        Y = LabelMatrix(targets, "onehot")
+        with pytest.raises(ValueError, match=f"label matrix has {label_rows} rows, but X has 12"):
+            train(op, X, Y, mask, TrainConfig(hidden=4, epochs=1), seed=0)
+        with pytest.raises(ValueError,
+                           match=f"label matrix has {label_rows} rows, but the logits have 12"):
+            loss_and_gradients(forward(op, X, params), Y, mask, params, 0.0)
+
     def test_accepted_rows_come_back_as_int64(self):
         rows = labeled_rows(np.array([7, 0, 3], dtype=np.uint8), self.N)
         assert rows.dtype == np.int64
