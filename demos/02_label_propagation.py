@@ -3,8 +3,9 @@
 
 A few labeled points per class spread their labels over the kNN structure by
 solving (I - alpha Theta) F = (1 - alpha) Y with conjugate gradients, one
-right-hand side per class.  The +1/-1/0 encoding marks labeled rows; the
-unlabeled rows are read off with a row-wise argmax.
+right-hand side per class.  The one-hot encoding puts 1 in a labeled row's
+class column and 0 everywhere else; the unlabeled rows are read off with a
+row-wise argmax.
 
 On cleanly clustered data the solve behaves like per-cluster majority voting,
 so symmetric label noise below 50% leaves the argmax intact -- accuracy holds
@@ -32,7 +33,7 @@ cfg = PropagationConfig(alpha=0.99)
 
 for level in (0.0, 0.15, 0.30, 0.45):
     split = inject_noise(ds, level, seed=0)
-    Y = encode_labels(split, ds.train_indices, ds.num_classes, "pm1")
+    Y = encode_labels(split, ds.train_indices, ds.num_classes)
     for name, op in (("graph", graph_op), ("hypergraph", hyper_op)):
         F = propagate_labels(op, Y, cfg)
         pred = decode_predictions(F)
@@ -43,7 +44,7 @@ for level in (0.0, 0.15, 0.30, 0.45):
               f"accuracy {acc * 100:6.2f}%   mean margin {margin:.4f}")
 
 split = inject_noise(ds, 0.0, seed=0)
-Y = encode_labels(split, ds.train_indices, ds.num_classes, "pm1")
+Y = encode_labels(split, ds.train_indices, ds.num_classes)
 F = propagate_labels(hyper_op, Y, cfg)
 row = ds.test_indices[0]
 print(f"\nscores of unlabeled row {row} (true class {ds.labels[row]}):",

@@ -33,7 +33,7 @@ runs = (
 
 for level in (0.0, 0.45):
     split = inject_noise(ds, level, seed=1)
-    Y = encode_labels(split, ds.train_indices, ds.num_classes, "onehot")
+    Y = encode_labels(split, ds.train_indices, ds.num_classes)
     print(f"--- noise level {level * 100:.0f}% "
           f"({len(split.flipped)} of {len(ds.train_indices)} labels flipped)")
     for name, op, X in runs:
@@ -43,7 +43,7 @@ for level in (0.0, 0.45):
 
 # The per-epoch training log is a CSV stream: epoch, loss, train accuracy.
 split = inject_noise(ds, 0.45, seed=1)
-Y = encode_labels(split, ds.train_indices, ds.num_classes, "onehot")
+Y = encode_labels(split, ds.train_indices, ds.num_classes)
 log = io.StringIO()
 train(hyper_op, smoothed, Y, ds.train_indices,
       TrainConfig(hidden=64, epochs=50), seed=0, log_stream=log)

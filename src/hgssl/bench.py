@@ -316,13 +316,13 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
         solved = {} if solved is None else solved
         key = (method, hashlib.sha256(split.noisy_labels[dataset.train_indices]).digest())
         if key not in solved:
-            Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "pm1")
+            Y = encode_labels(split, dataset.train_indices, dataset.num_classes)
             pred = decode_predictions(propagate_labels(op, Y, cfg.solver))
             solved[key] = accuracy(pred, split.clean_labels, dataset.test_indices)
         acc = solved[key]
     else:
         # Never reused: the seed also draws the initial parameters.
-        Y = encode_labels(split, dataset.train_indices, dataset.num_classes, "onehot")
+        Y = encode_labels(split, dataset.train_indices, dataset.num_classes)
         X = prepared.propagated if method == "hgnn-proposed" else prepared.features
         params = train(op, X, Y, dataset.train_indices, cfg.train, seed=seed)
         acc = accuracy(predict(op, X, params), split.clean_labels, dataset.test_indices)

@@ -16,18 +16,6 @@ from .errors import NumericalError
 
 
 @dataclass(frozen=True)
-class LabelMatrix:
-    """n x C label matrix; 'pm1' uses +1/-1 on labeled rows, 'onehot' 1/0."""
-
-    values: np.ndarray
-    scheme: str
-
-    def __post_init__(self):
-        if self.scheme not in ("pm1", "onehot"):
-            raise ValueError(f"unknown label scheme {self.scheme!r}")
-
-
-@dataclass(frozen=True)
 class NoisySplit:
     clean_labels: np.ndarray
     noisy_labels: np.ndarray
@@ -58,27 +46,20 @@ def inject_noise(dataset: ImageDataset, level: float, seed: int) -> NoisySplit:
                       level=float(level), seed=int(seed))
 
 
-def encode_labels(split: NoisySplit, labeled_set: np.ndarray, num_classes: int,
-                  scheme: str = "pm1") -> LabelMatrix:
-    """Encode the (noisy) labels of ``labeled_set`` rows; all other rows are 0.
+def encode_labels(split: NoisySplit, labeled_set: np.ndarray,
+                  num_classes: int) -> np.ndarray:
+    """One-hot n x C matrix of the (noisy) labels of ``labeled_set`` rows.
 
-    'pm1' puts +1 in the labeled class column and -1 elsewhere on labeled
-    rows; 'onehot' puts 1 in the labeled class column and 0 elsewhere.
+    A labeled row has 1 in its class column and 0 elsewhere; every other row
+    is 0.
     """
     labeled_set = np.asarray(labeled_set, dtype=np.int64)
     n = len(split.noisy_labels)
     if len(labeled_set) and int(split.noisy_labels[labeled_set].max()) >= num_classes:
         raise ValueError(f"label id >= num_classes ({num_classes})")
     values = np.zeros((n, num_classes))
-    if len(labeled_set):
-        if scheme == "pm1":
-            values[labeled_set] = -1.0
-            values[labeled_set, split.noisy_labels[labeled_set]] = 1.0
-        elif scheme == "onehot":
-            values[labeled_set, split.noisy_labels[labeled_set]] = 1.0
-        else:
-            raise ValueError(f"unknown label scheme {scheme!r}")
-    return LabelMatrix(values=values, scheme=scheme)
+    values[labeled_set, split.noisy_labels[labeled_set]] = 1.0
+    return values
 
 
 def decode_predictions(F: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import NumericalError, _require
 from .hypergraph import PropagationOperator
-from .labels import LabelMatrix
 from .linalg import as_dense
 
 
@@ -132,7 +131,7 @@ def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
     return ForwardTrace(op=op, x_prop=x_prop, hidden=hidden, logits=logits)
 
 
-def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
+def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled_mask,
                        params: TwoLayerParams, weight_decay: float):
     """Masked cross-entropy + L2 loss and its analytic parameter gradients.
 
@@ -142,14 +141,12 @@ def loss_and_gradients(trace: ForwardTrace, Y: LabelMatrix, labeled_mask,
     The ReLU subgradient at exactly 0 is taken as 0.  The softmax is taken
     on the labeled rows only; ``trace.probs`` is not read.
     """
-    if Y.scheme != "onehot":
-        raise ValueError(f"training expects onehot labels, got {Y.scheme!r}")
     n = trace.logits.shape[0]
-    if Y.values.shape[0] != n:
-        raise ValueError(f"label matrix has {Y.values.shape[0]} rows, but the logits have {n}")
+    if Y.shape[0] != n:
+        raise ValueError(f"label matrix has {Y.shape[0]} rows, but the logits have {n}")
     labeled = labeled_rows(labeled_mask, n)
     m = labeled.size
-    targets = np.take(Y.values, labeled, axis=0)
+    targets = np.take(Y, labeled, axis=0)
 
     # One shift per row feeds both softmax and log-softmax.  The row max is
     # exact, so a column loop gives the max(axis=1) value at a quarter of the cost.
@@ -197,7 +194,7 @@ def init_params(input_dim: int, hidden: int, num_classes: int,
     )
 
 
-def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
+def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
           cfg: TrainConfig = TrainConfig(), *, seed: int,
           log_stream=None) -> TwoLayerParams:
     """Full-batch Adam training for ``cfg.epochs`` steps; no early stopping.
@@ -207,10 +204,10 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
     train_accuracy) is written to it.
     """
     X = as_dense(X)
-    if Y.values.shape[0] != X.shape[0]:
-        raise ValueError(f"label matrix has {Y.values.shape[0]} rows, but X has {X.shape[0]}")
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError(f"label matrix has {Y.shape[0]} rows, but X has {X.shape[0]}")
     labeled = labeled_rows(labeled_mask, X.shape[0])
-    params = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], seed)
+    params = init_params(X.shape[1], cfg.hidden, Y.shape[1], seed)
     thetas = (params.theta1, params.theta2)
 
     m1 = [np.zeros_like(theta) for theta in thetas]
@@ -220,7 +217,7 @@ def train(op: PropagationOperator, X: np.ndarray, Y: LabelMatrix, labeled_mask,
 
     if log_stream is not None:
         log_stream.write("epoch,loss,train_accuracy\n")
-        target_ids = np.argmax(Y.values[labeled], axis=1)
+        target_ids = np.argmax(Y[labeled], axis=1)
     x_prop = op.apply(X)
 
     for epoch in range(1, cfg.epochs + 1):

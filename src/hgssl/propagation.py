@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import SolverError, _require
 from .hypergraph import PropagationOperator
-from .labels import LabelMatrix
 from .linalg import as_dense, conjugate_gradient
 
 # Entries (rows x columns) in one CG block.  Wider blocks cost less per column
@@ -76,16 +75,14 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
     return out
 
 
-def propagate_labels(op: PropagationOperator, Y: LabelMatrix,
+def propagate_labels(op: PropagationOperator, Y: np.ndarray,
                      cfg: PropagationConfig = PropagationConfig()) -> np.ndarray:
-    """Spread +/-1 label seeds over the structure: the classic closed-form SSL."""
+    """Spread one-hot label seeds over the structure: the classic closed-form SSL."""
     if op.normalization not in ("sym", "graph_sym"):
         raise ValueError(
             f"closed-form label propagation needs a symmetric operator, "
             f"got {op.normalization!r}")
-    if Y.scheme != "pm1":
-        raise ValueError(f"label propagation expects the pm1 scheme, got {Y.scheme!r}")
-    return _solve_columns(op, as_dense(Y.values), cfg)
+    return _solve_columns(op, as_dense(Y), cfg)
 
 
 def propagate_features(op: PropagationOperator, X: np.ndarray,

@@ -19,7 +19,7 @@ from hgssl.bench import (METHODS, ExperimentConfig, SyntheticSpec, median_grid,
                          resolve_dataset_paths, run_experiment)
 from hgssl.datasets import synthetic_blobs
 from hgssl.hypergraph import build_knn_hypergraph, hypergraph_operator, knn_indices
-from hgssl.labels import LabelMatrix, inject_noise
+from hgssl.labels import inject_noise
 from hgssl.network import TwoLayerParams, forward, loss_and_gradients
 from hgssl.propagation import (PropagationConfig, propagate_features,
                                propagate_labels)
@@ -57,7 +57,7 @@ def test_criterion_1_dense_oracle_equivalence():
         for alpha in (0.5, 0.9, 0.99):
             cfg = PropagationConfig(alpha=alpha, tol=1e-12, max_iter=5000)
             inverse = np.linalg.inv(np.eye(n) - alpha * dense)
-            label_out = propagate_labels(op, LabelMatrix(labels, "pm1"), cfg)
+            label_out = propagate_labels(op, labels, cfg)
             assert np.max(np.abs(label_out - (1 - alpha) * inverse @ labels)) < 1e-8
             feat_out = propagate_features(op, feats, cfg)
             assert np.max(np.abs(feat_out - (1 - alpha) * inverse @ feats)) < 1e-8
@@ -80,9 +80,8 @@ def test_criterion_2_gradient_correctness():
             X = propagate_features(op, X, PropagationConfig(0.9, 1e-12, 5000))
         params = TwoLayerParams(0.4 * rng.standard_normal((l1, l2)),
                                 0.4 * rng.standard_normal((l2, c)))
-        targets = np.zeros((n, c))
-        targets[np.arange(n), rng.integers(0, c, n)] = 1.0
-        Y = LabelMatrix(targets, "onehot")
+        Y = np.zeros((n, c))
+        Y[np.arange(n), rng.integers(0, c, n)] = 1.0
         mask = np.sort(rng.choice(n, size=6, replace=False))
         _, analytic = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
 

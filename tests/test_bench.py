@@ -209,8 +209,7 @@ class TestRunExperiment:
         assert run_experiment(cfg).ok
         prepared = prepare_experiment(cfg)
         ds = prepared.dataset
-        Y = encode_labels(inject_noise(ds, 0.15, 7), ds.train_indices, ds.num_classes,
-                          "onehot")
+        Y = encode_labels(inject_noise(ds, 0.15, 7), ds.train_indices, ds.num_classes)
         want = network.train(prepared.operators["hg_sym"], prepared.features, Y,
                              ds.train_indices, FAST_TRAIN, seed=7)
         [got] = trained

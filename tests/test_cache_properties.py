@@ -11,7 +11,7 @@ from hgssl.errors import FormatError
 from hgssl.hypergraph import (build_knn_graph, gaussian_knn_adjacency, gcn_operator,
                               hypergraph_operator, knn_indices, load_operator,
                               save_operator)
-from strategies import PROPERTY, point_clouds  # first: skips without hypothesis
+from strategies import PROPERTY, outlier_clouds, point_clouds  # first: skips without hypothesis
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -49,7 +49,7 @@ NORMS = ["sym", "rw", "graph_sym", "gcn"]
 
 @pytest.mark.parametrize("norm", NORMS)
 @PROPERTY
-@given(cloud=point_clouds())
+@given(cloud=st.one_of(point_clouds(), outlier_clouds()))
 def test_round_trip_is_bit_identical(norm, cloud):
     op = build(norm, *cloud)
     loaded = load_bytes(cache_bytes(op))

@@ -4,8 +4,8 @@ from scipy.stats import chi2
 
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
-from hgssl.labels import (LabelMatrix, NoisySplit, accuracy, decode_predictions,
-                          encode_labels, inject_noise)
+from hgssl.labels import (NoisySplit, accuracy, decode_predictions, encode_labels,
+                          inject_noise)
 
 
 def make_split(clean, labeled=None):
@@ -74,42 +74,35 @@ class TestInjectNoise:
 
 
 class TestEncodeLabels:
-    def test_pm1_three_rows(self):
-        # n = 3, C = 2, rows 0 and 1 labeled 0 and 1: [[+1,-1],[-1,+1],[0,0]].
-        split = make_split([0, 1, 0])
-        Y = encode_labels(split, np.array([0, 1]), 2, "pm1")
-        assert np.array_equal(Y.values, [[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]])
-
     def test_onehot_three_rows(self):
         split = make_split([0, 1, 0])
-        Y = encode_labels(split, np.array([0, 1]), 2, "onehot")
-        assert np.array_equal(Y.values, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        Y = encode_labels(split, np.array([0, 1]), 2)
+        assert np.array_equal(Y, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_empty_labeled_set(self):
         split = make_split([0, 1, 1])
-        Y = encode_labels(split, np.array([], dtype=np.int64), 2, "pm1")
-        assert np.array_equal(Y.values, np.zeros((3, 2)))
+        Y = encode_labels(split, np.array([], dtype=np.int64), 2)
+        assert np.array_equal(Y, np.zeros((3, 2)))
 
     def test_uses_noisy_labels(self):
         clean = np.array([0, 1, 2])
         noisy = np.array([2, 1, 2])
         split = NoisySplit(clean, noisy, np.array([0]), 0.33, 0)
-        Y = encode_labels(split, np.array([0, 1]), 3, "onehot")
-        assert np.array_equal(Y.values[0], [0.0, 0.0, 1.0])
+        Y = encode_labels(split, np.array([0, 1]), 3)
+        assert np.array_equal(Y[0], [0.0, 0.0, 1.0])
 
     def test_class_id_out_of_range(self):
         split = make_split([0, 3])
         with pytest.raises(ValueError):
-            encode_labels(split, np.array([0, 1]), 2, "pm1")
+            encode_labels(split, np.array([0, 1]), 2)
 
     def test_encode_decode_lossless_on_labeled_rows(self):
         ds = synthetic_blobs(120, 5, 3, 0.05, seed=9)
         split = inject_noise(ds, 0.4, seed=2)
-        for scheme in ("pm1", "onehot"):
-            Y = encode_labels(split, ds.train_indices, ds.num_classes, scheme)
-            decoded = decode_predictions(Y.values)
-            assert np.array_equal(decoded[ds.train_indices],
-                                  split.noisy_labels[ds.train_indices])
+        Y = encode_labels(split, ds.train_indices, ds.num_classes)
+        decoded = decode_predictions(Y)
+        assert np.array_equal(decoded[ds.train_indices],
+                              split.noisy_labels[ds.train_indices])
 
 
 class TestDecodePredictions:
@@ -148,8 +141,3 @@ class TestAccuracy:
     def test_empty_eval_set(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0]), np.array([0]), np.array([], dtype=np.int64))
-
-
-def test_label_matrix_scheme_validation():
-    with pytest.raises(ValueError):
-        LabelMatrix(np.zeros((2, 2)), "signed")

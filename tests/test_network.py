@@ -8,8 +8,7 @@ from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
 from hgssl.hypergraph import PropagationOperator, gcn_operator, hypergraph_operator
-from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
-                          encode_labels, inject_noise)
+from hgssl.labels import accuracy, decode_predictions, encode_labels, inject_noise
 from hgssl.network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
                            init_params, labeled_rows, loss_and_gradients, predict,
                            row_softmax, train)
@@ -24,9 +23,8 @@ def random_instance(seed, n=10, l1=5, l2=4, c=3, norm="sym"):
     X = rng.standard_normal((n, l1))
     params = TwoLayerParams(0.4 * rng.standard_normal((l1, l2)),
                             0.4 * rng.standard_normal((l2, c)))
-    targets = np.zeros((n, c))
-    targets[np.arange(n), rng.integers(0, c, n)] = 1.0
-    Y = LabelMatrix(targets, "onehot")
+    Y = np.zeros((n, c))
+    Y[np.arange(n), rng.integers(0, c, n)] = 1.0
     mask = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
     return op, X, params, Y, mask
 
@@ -124,9 +122,8 @@ class TestLossAndGradients:
             rng = np.random.default_rng(c)
             op = hypergraph_operator(random_hypergraph(rng, 9, 2), "sym")
             params = TwoLayerParams(np.zeros((3, 4)), np.zeros((4, c)))
-            targets = np.zeros((9, c))
-            targets[np.arange(9), rng.integers(0, c, 9)] = 1.0
-            Y = LabelMatrix(targets, "onehot")
+            Y = np.zeros((9, c))
+            Y[np.arange(9), rng.integers(0, c, 9)] = 1.0
             trace = forward(op, rng.standard_normal((9, 3)), params)
             loss, _ = loss_and_gradients(trace, Y, np.arange(9), params, 0.0)
             assert abs(loss - np.log(c)) < 1e-12
@@ -140,8 +137,7 @@ class TestLossAndGradients:
         params = TwoLayerParams(np.eye(3), np.eye(3))
         op = PropagationOperator((sp.eye(6, format="csr"),), "sym")
         trace = forward(op, X, params)
-        loss, _ = loss_and_gradients(trace, LabelMatrix(targets, "onehot"),
-                                     np.arange(6), params, 0.0)
+        loss, _ = loss_and_gradients(trace, targets, np.arange(6), params, 0.0)
         assert loss < 1e-6
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -195,8 +191,7 @@ class TestLossAndGradients:
         probs /= probs.sum(axis=1, keepdims=True)
         assert np.max(np.abs(trace.probs - probs)) < 1e-12
 
-        _, grads = loss_and_gradients(trace, LabelMatrix(targets, "onehot"),
-                                      mask, params, 0.0)
+        _, grads = loss_and_gradients(trace, targets, mask, params, 0.0)
         want = X.T @ (probs - targets) / 6.0
         assert np.max(np.abs(grads.theta2 - want)) < 1e-12
 
@@ -236,7 +231,7 @@ class TestTrain:
         hg = knn_hypergraph(ds.features, 5)
         op = hypergraph_operator(hg, "sym")
         split = inject_noise(ds, 0.0, seed=0)
-        Y = encode_labels(split, ds.train_indices, ds.num_classes, "onehot")
+        Y = encode_labels(split, ds.train_indices, ds.num_classes)
         params = train(op, ds.features, Y, ds.train_indices,
                        TrainConfig(epochs=200), seed=0)
         pred = predict(op, ds.features, params)
@@ -246,7 +241,7 @@ class TestTrain:
         op, X, params, Y, mask = random_instance(seed=61)
         cfg = TrainConfig(hidden=4, learning_rate=0.0, epochs=5)
         trained = train(op, X, Y, mask, cfg, seed=3)
-        init = init_params(X.shape[1], 4, Y.values.shape[1], seed=3)
+        init = init_params(X.shape[1], 4, Y.shape[1], seed=3)
         assert np.array_equal(trained.theta1, init.theta1)
         assert np.array_equal(trained.theta2, init.theta2)
 
@@ -276,11 +271,11 @@ class TestTrain:
         op, X, _, Y, mask = random_instance(seed=64, n=12, l1=5, c=3, norm=norm)
         cfg = TrainConfig(hidden=6, epochs=20)
         dense = op.matrix.toarray()
-        init = init_params(X.shape[1], cfg.hidden, Y.values.shape[1], seed=4)
+        init = init_params(X.shape[1], cfg.hidden, Y.shape[1], seed=4)
         thetas = [init.theta1, init.theta2]
         m1 = [np.zeros_like(t) for t in thetas]
         m2 = [np.zeros_like(t) for t in thetas]
-        targets = Y.values[mask]
+        targets = Y[mask]
         x_prop = dense @ X
         for epoch in range(1, cfg.epochs + 1):
             theta1, theta2 = thetas
@@ -322,9 +317,8 @@ class TestTrain:
             op = gcn_operator(knn_adjacency(X, 4))
         else:
             op = hypergraph_operator(knn_hypergraph(X, 4), norm)
-        targets_all = np.zeros((n, c))
-        targets_all[np.arange(n), rng.integers(0, c, n)] = 1.0
-        Y = LabelMatrix(targets_all, "onehot")
+        Y = np.zeros((n, c))
+        Y[np.arange(n), rng.integers(0, c, n)] = 1.0
         mask = rng.choice(n, size=17, replace=False)  # unsorted on purpose
         cfg = TrainConfig(hidden=8, epochs=25)
         wd, b1, b2 = cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2
@@ -333,7 +327,7 @@ class TestTrain:
         thetas = [init.theta1.copy(), init.theta2.copy()]
         m1 = [np.zeros_like(t) for t in thetas]
         m2 = [np.zeros_like(t) for t in thetas]
-        targets = Y.values[mask]
+        targets = Y[mask]
         x_prop = op.apply(X)
         for epoch in range(1, cfg.epochs + 1):
             theta1, theta2 = thetas
@@ -407,9 +401,8 @@ class TestLabeledRows:
     def test_label_matrix_of_another_height_rejected(self, label_rows):
         # Row indices would read the first rows of a taller matrix unchecked.
         op, X, params, _, mask = random_instance(seed=82, n=12)
-        targets = np.zeros((label_rows, 3))
-        targets[:, 0] = 1.0
-        Y = LabelMatrix(targets, "onehot")
+        Y = np.zeros((label_rows, 3))
+        Y[:, 0] = 1.0
         with pytest.raises(ValueError, match=f"label matrix has {label_rows} rows, but X has 12"):
             train(op, X, Y, mask, TrainConfig(hidden=4, epochs=1), seed=0)
         with pytest.raises(ValueError,

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
 from hgssl import propagation
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import SolverError
 from hgssl.hypergraph import build_knn_graph, hypergraph_operator
-from hgssl.labels import (LabelMatrix, accuracy, decode_predictions,
-                          encode_labels, inject_noise)
+from hgssl.labels import (NoisySplit, accuracy, decode_predictions, encode_labels,
+                          inject_noise)
 from hgssl.linalg import conjugate_gradient
 from hgssl.propagation import (PropagationConfig, propagate_features,
                                propagate_labels)
@@ -25,16 +26,15 @@ class TestPropagateLabels:
     def test_zero_labels_give_zero(self):
         rng = np.random.default_rng(1)
         op = hypergraph_operator(random_hypergraph(rng, 20), "sym")
-        Y = LabelMatrix(np.zeros((20, 3)), "pm1")
+        Y = np.zeros((20, 3))
         assert np.array_equal(propagate_labels(op, Y, TIGHT), np.zeros((20, 3)))
 
     def test_tiny_alpha_reproduces_labels(self):
         rng = np.random.default_rng(2)
         op = hypergraph_operator(random_hypergraph(rng, 25), "sym")
         values = rng.choice([-1.0, 1.0], size=(25, 4))
-        Y = LabelMatrix(values, "pm1")
         cfg = PropagationConfig(alpha=1e-12, tol=1e-13, max_iter=100)
-        F = propagate_labels(op, Y, cfg)
+        F = propagate_labels(op, values, cfg)
         assert np.max(np.abs(F - values)) < 1e-9
 
     def test_matches_dense_inverse_oracle(self):
@@ -42,8 +42,7 @@ class TestPropagateLabels:
         op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
         values = rng.choice([-1.0, 1.0], size=(40, 3))
         values[25:] = 0.0
-        Y = LabelMatrix(values, "pm1")
-        F = propagate_labels(op, Y, TIGHT)
+        F = propagate_labels(op, values, TIGHT)
         assert np.max(np.abs(F - dense_solve(op, 0.99, values))) < 1e-8
 
     def test_graph_operator_accepted(self):
@@ -53,21 +52,13 @@ class TestPropagateLabels:
         values = np.zeros((30, 2))
         values[:5, 0] = 1.0
         values[:5, 1] = -1.0
-        Y = LabelMatrix(values, "pm1")
-        F = propagate_labels(op, Y, TIGHT)
+        F = propagate_labels(op, values, TIGHT)
         assert np.max(np.abs(F - dense_solve(op, 0.99, values))) < 1e-8
 
     def test_rw_operator_rejected(self):
         rng = np.random.default_rng(5)
         op = hypergraph_operator(random_hypergraph(rng, 15), "rw")
-        Y = LabelMatrix(np.zeros((15, 2)), "pm1")
-        with pytest.raises(ValueError):
-            propagate_labels(op, Y, TIGHT)
-
-    def test_onehot_scheme_rejected(self):
-        rng = np.random.default_rng(6)
-        op = hypergraph_operator(random_hypergraph(rng, 15), "sym")
-        Y = LabelMatrix(np.zeros((15, 2)), "onehot")
+        Y = np.zeros((15, 2))
         with pytest.raises(ValueError):
             propagate_labels(op, Y, TIGHT)
 
@@ -75,10 +66,9 @@ class TestPropagateLabels:
         rng = np.random.default_rng(7)
         op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
         values = rng.choice([-1.0, 1.0], size=(40, 2))
-        Y = LabelMatrix(values, "pm1")
         cfg = PropagationConfig(alpha=0.99, tol=1e-14, max_iter=1)
         with pytest.raises(SolverError) as info:
-            propagate_labels(op, Y, cfg)
+            propagate_labels(op, values, cfg)
         assert info.value.residual > 0
 
     def test_solver_error_names_failing_columns(self):
@@ -97,7 +87,7 @@ class TestPropagateLabels:
     def test_solver_error_lists_first_columns(self):
         rng = np.random.default_rng(16)
         op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
-        Y = LabelMatrix(rng.choice([-1.0, 1.0], size=(40, 8)), "pm1")
+        Y = rng.choice([-1.0, 1.0], size=(40, 8))
         cfg = PropagationConfig(alpha=0.99, tol=1e-14, max_iter=1)
         pattern = r"8 of 8 columns .*; columns 0, 1, 2, 3, 4, \.\.\.$"
         with pytest.raises(SolverError, match=pattern) as info:
@@ -109,10 +99,34 @@ class TestPropagateLabels:
         op = hypergraph_operator(random_hypergraph(rng, 30), "sym")
         A = rng.standard_normal((30, 2))
         B = rng.standard_normal((30, 2))
-        fa = propagate_labels(op, LabelMatrix(A, "pm1"), TIGHT)
-        fb = propagate_labels(op, LabelMatrix(B, "pm1"), TIGHT)
-        fab = propagate_labels(op, LabelMatrix(A + B, "pm1"), TIGHT)
+        fa = propagate_labels(op, A, TIGHT)
+        fb = propagate_labels(op, B, TIGHT)
+        fab = propagate_labels(op, A + B, TIGHT)
         assert np.max(np.abs(fab - (fa + fb))) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+    def test_onehot_seeds_predict_as_pm1_seeds(self, alpha, seed):
+        # The +/-1 seed 2 Y - 1_L (1_L: the labeled rows' indicator in every
+        # column) adds the same (I - alpha Theta)^{-1} 1_L term to each score
+        # of a row, so its argmax is the one-hot seed's.  At alpha = 0.99
+        # some of these connected instances predict one class for every row.
+        rng = np.random.default_rng(seed)
+        n, classes = 80, 4
+        X = rng.standard_normal((n, 3))
+        op = hypergraph_operator(knn_hypergraph(X, 4), "sym")
+        assert connected_components(op.matrix, directed=False)[0] == 1
+        clean = (X[:, 0] > 0) + 2 * (X[:, 1] > 0)
+        labeled = np.sort(rng.choice(n, size=n // 2, replace=False))
+        flipped = np.sort(rng.choice(labeled, size=len(labeled) * 3 // 10, replace=False))
+        noisy = clean.copy()
+        noisy[flipped] = (clean[flipped] + rng.integers(1, classes, len(flipped))) % classes
+        Y = encode_labels(NoisySplit(clean, noisy, flipped, 0.3, seed), labeled, classes)
+        pm1 = 2.0 * Y
+        pm1[labeled] -= 1.0
+        want = np.argmax(dense_solve(op, alpha, pm1), axis=1)
+        got = decode_predictions(propagate_labels(op, Y, PropagationConfig(alpha=alpha)))
+        assert np.array_equal(got, want)
 
 
 class TestPropagateFeatures:
@@ -218,7 +232,7 @@ def test_classic_hypergraph_ssl_on_blobs():
     hg = knn_hypergraph(ds.features, 5)
     op = hypergraph_operator(hg, "sym")
     split = inject_noise(ds, 0.0, seed=0)
-    Y = encode_labels(split, ds.train_indices, ds.num_classes, "pm1")
+    Y = encode_labels(split, ds.train_indices, ds.num_classes)
     F = propagate_labels(op, Y, PropagationConfig())
     pred = decode_predictions(F)
     assert accuracy(pred, ds.labels, ds.test_indices) >= 0.95

@@ -18,7 +18,6 @@ import hgssl.propagation
 from hgssl.bench import _CLOSED_FORM, prepare_experiment, run_cell, run_experiment
 from hgssl.config import load_config
 from hgssl.hypergraph import PropagationOperator, hypergraph_operator
-from hgssl.labels import LabelMatrix
 from hgssl.network import TrainConfig, predict, train
 from helpers import random_hypergraph
 
@@ -27,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # 2 closed-form methods x (4 levels x 3 seeds - 2 repeated clean-label cells),
 # plus 1 block for the hgnn-proposed features.
 BLOCK_SOLVES = 21
-MAX_APPLICATIONS = 470
+MAX_APPLICATIONS = 466
 # gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
 NEURAL_CELLS = 36
 
@@ -125,7 +124,7 @@ def test_train_and_predict_products(norm):
     rng = np.random.default_rng(3)
     op = hypergraph_operator(random_hypergraph(rng, 12, 3), norm)
     X = rng.standard_normal((12, 4))
-    Y = LabelMatrix(np.eye(3)[rng.integers(0, 3, 12)], "onehot")
+    Y = np.eye(3)[rng.integers(0, 3, 12)]
     with pytest.MonkeyPatch.context() as patch:
         products = OperatorProducts(patch)
         params = train(op, X, Y, np.arange(6), TrainConfig(hidden=5, epochs=7), seed=0)
