@@ -1,14 +1,24 @@
-"""Predicted labels of the synthetic smoke grid against a stored table.
+"""Predicted labels and score fingerprints of the synthetic smoke grid.
 
 Every cell of ``configs/synthetic.cfg`` that predicts labels (each distinct
 closed-form solve and every neural cell) is keyed by method, noise level and
-seed, and maps to the sha256 of its int64 predicted labels over all n rows.
-The hashes must match exactly: scores may move at the solver's tolerance or
-at rounding level, but a changed label is a changed result.  Closed-form
-cells that reuse an earlier solve predict nothing of their own and have no
-entry.
+seed.  Two stored tables describe it:
 
-Regenerate the table with ``PYTHONPATH=src python tests/test_predictions.py``.
+- ``predicted_labels.json`` maps each cell to the sha256 of its int64
+  predicted labels over all n rows.  The hashes must match exactly: a
+  changed label is a changed result.
+- ``cell_fingerprints.json`` maps each cell to numbers of its scores (the
+  closed-form solve, or the trained network's logits): the minimum and
+  median top-1 - top-2 margin over the test rows and the Frobenius norm of
+  the scores, and for a neural cell the Frobenius norms of theta1 and
+  theta2.  Each must match to ``RTOL`` relative, since moving between BLAS
+  thread counts changes trained parameters by ~1e-11.  Scores may move at
+  the solver's tolerance without a test failing here, but a change to the
+  solve or to training shows up in them before it changes a label.
+
+Closed-form cells that reuse an earlier solve predict nothing of their own
+and have no entry.  Regenerate both tables with
+``PYTHONPATH=src python tests/test_predictions.py``.
 """
 
 import hashlib
@@ -20,57 +30,126 @@ import pytest
 
 import hgssl.bench
 from hgssl.config import load_config
+from hgssl.network import forward
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLE = Path(__file__).resolve().parent / "predicted_labels.json"
+LABELS = Path(__file__).resolve().parent / "predicted_labels.json"
+FINGERPRINTS = Path(__file__).resolve().parent / "cell_fingerprints.json"
 CONFIG = "configs/synthetic.cfg"
+RTOL = 1e-9
 
 
 def label_hash(pred) -> str:
     return hashlib.sha256(np.ascontiguousarray(pred, dtype="<i8").tobytes()).hexdigest()
 
 
-def predicted_label_hashes(patch) -> dict:
-    """Run the smoke grid and hash the labels each cell predicts."""
-    hashes = {}
-    current = []
+def score_fingerprint(scores, test_rows) -> dict:
+    top2 = np.sort(scores[test_rows], axis=1)[:, -2:]
+    margins = top2[:, 1] - top2[:, 0]
+    return {"margin_min": float(margins.min()), "margin_median": float(np.median(margins)),
+            "scores_fro": float(np.linalg.norm(scores))}
+
+
+def smoke_grid_records(patch):
+    """Run the smoke grid; return each cell's label hash and score fingerprint."""
+    hashes, fingerprints = {}, {}
+    current = []  # (cell, test rows) of the cell that is running
 
     def in_cell(run_cell):
         def wrapped(prepared, method, level, seed, *args, **kwargs):
-            current.append(f"{method},{level!r},{seed}")
+            current.append((f"{method},{level!r},{seed}", prepared.dataset.test_indices))
             try:
                 return run_cell(prepared, method, level, seed, *args, **kwargs)
             finally:
                 current.pop()
         return wrapped
 
-    def recorded(predicts):
+    def record(table, value):
+        cell = current[-1][0]
+        assert cell not in table, f"cell {cell} recorded twice"
+        table[cell] = value
+
+    def predicted(predicts):
         def wrapped(*args, **kwargs):
             pred = predicts(*args, **kwargs)
-            cell = current[-1]
-            assert cell not in hashes, f"cell {cell} predicted twice"
-            hashes[cell] = label_hash(pred)
+            record(hashes, label_hash(pred))
             return pred
+        return wrapped
+
+    def solved(propagate_labels):
+        def wrapped(*args, **kwargs):
+            scores = propagate_labels(*args, **kwargs)
+            record(fingerprints, score_fingerprint(scores, current[-1][1]))
+            return scores
+        return wrapped
+
+    def trained(train):
+        def wrapped(op, X, *args, **kwargs):
+            params = train(op, X, *args, **kwargs)
+            logits = forward(op, X, params).logits
+            record(fingerprints, {**score_fingerprint(logits, current[-1][1]),
+                                  "theta1_fro": float(np.linalg.norm(params.theta1)),
+                                  "theta2_fro": float(np.linalg.norm(params.theta2))})
+            return params
         return wrapped
 
     patch.setattr(hgssl.bench, "run_cell", in_cell(hgssl.bench.run_cell))
     for name in ("decode_predictions", "predict"):
-        patch.setattr(hgssl.bench, name, recorded(getattr(hgssl.bench, name)))
+        patch.setattr(hgssl.bench, name, predicted(getattr(hgssl.bench, name)))
+    patch.setattr(hgssl.bench, "propagate_labels", solved(hgssl.bench.propagate_labels))
+    patch.setattr(hgssl.bench, "train", trained(hgssl.bench.train))
     report = hgssl.bench.run_experiment(load_config(ROOT / CONFIG))
     assert report.ok, report.failures
-    return hashes
+    return hashes, fingerprints
 
 
-def test_predicted_labels_match_table(monkeypatch):
-    table = json.loads(TABLE.read_text())
+@pytest.fixture(scope="module")
+def smoke_grid():
+    with pytest.MonkeyPatch.context() as patch:
+        return smoke_grid_records(patch)
+
+
+def load_table(path):
+    table = json.loads(path.read_text())
     assert table["config"] == CONFIG
-    got = predicted_label_hashes(monkeypatch)
-    want = table["cells"]
+    return table["cells"]
+
+
+def relative_change(got: float, want: float) -> float:
+    if got == want:
+        return 0.0
+    return abs(got - want) / abs(want) if want else float("inf")
+
+
+def largest_change(got: dict, want: dict):
+    """(relative change, name) of the value of ``got`` furthest from ``want``."""
+    if set(got) != set(want):
+        return float("inf"), f"keys {sorted(got)} != {sorted(want)}"
+    return max((relative_change(got[name], want[name]), name) for name in want)
+
+
+def test_predicted_labels_match_table(smoke_grid):
+    got, _ = smoke_grid
+    want = load_table(LABELS)
     changed = sorted(cell for cell in set(got) | set(want) if got.get(cell) != want.get(cell))
     assert not changed, f"predicted labels changed in {len(changed)} cells: {changed}"
 
 
+def test_cell_fingerprints_match_table(smoke_grid):
+    _, got = smoke_grid
+    want = load_table(FINGERPRINTS)
+    assert sorted(got) == sorted(want), "the grid's cells changed"
+    changes = {cell: largest_change(got[cell], want[cell]) for cell in want}
+    if any(change > RTOL for change, _ in changes.values()):
+        report = "\n".join(f"  {cell}: {change:.3e} ({name})"
+                           f"{'  > RTOL' if change > RTOL else ''}"
+                           for cell, (change, name) in changes.items())
+        pytest.fail(f"score fingerprints moved beyond {RTOL:g} relative; the "
+                    f"largest relative change of each cell:\n{report}")
+
+
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as patch:
-        cells = predicted_label_hashes(patch)
-    TABLE.write_text(json.dumps({"config": CONFIG, "cells": cells}, indent=1) + "\n")
+        hashes, fingerprints = smoke_grid_records(patch)
+    for path, cells in ((LABELS, hashes), (FINGERPRINTS, fingerprints)):
+        path.write_text(json.dumps({"config": CONFIG, "cells": cells}, indent=1) + "\n")

@@ -4,10 +4,16 @@
 count below, do not depend on the BLAS build.  The number of block solves and
 every count of the networks' operator products are fixed by the grid's shape
 and are pinned exactly; the CG operator applications depend on the values and
-are pinned as an upper bound.  A change that lowers a count updates its pin;
-raising one needs a stated reason.
+are pinned as an upper bound.  The nnz of every factor of each operator the
+grid builds, and the width of every CG block in call order, are pinned
+exactly in ``work_pins.json``: dropping the centroid from its hyperedge,
+re-forming H H^T or splitting a block changes them.  A change that lowers a
+count updates its pin; raising one needs a stated reason.
+
+Regenerate ``work_pins.json`` with ``PYTHONPATH=src python tests/test_work_counts.py``.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +28,8 @@ from hgssl.network import TrainConfig, predict, train
 from helpers import random_hypergraph
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG = "configs/synthetic.cfg"
+PINS = Path(__file__).resolve().parent / "work_pins.json"
 
 # 2 closed-form methods x (4 levels x 3 seeds - 2 repeated clean-label cells),
 # plus 1 block for the hgnn-proposed features.
@@ -75,42 +83,66 @@ class OperatorProducts:
         patch.setattr(module, name, wrapped)
 
 
-@pytest.fixture(scope="module")
-def smoke_grid():
-    """The smoke grid's report, the operator applications of each CG call,
-    the operator products of each ``train`` and ``predict`` call and of the
-    whole grid."""
-    cfg = load_config(ROOT / "configs" / "synthetic.cfg")
+def smoke_grid_counts(patch):
+    """Run the smoke grid; return its config, report and counted work.
+
+    The counts are the operator applications and the block width of each CG
+    call, the operator products of each ``train`` and ``predict`` call and
+    of the whole grid, and the nnz of each factor of each built operator.
+    """
+    cfg = load_config(ROOT / CONFIG)
     original = hgssl.propagation.conjugate_gradient
-    applications = []
+    applications, widths = [], []
     neural = {"train": [], "predict": []}
+    factor_nnz = {}
 
     def counting(apply, B, **kwargs):
         applications.append(0)
+        widths.append(B.shape[1])
 
         def counted(V):
             applications[-1] += 1
             return apply(V)
         return original(counted, B, **kwargs)
 
+    build = hgssl.bench.build_operators
+
+    def built(*args, **kwargs):
+        operators = build(*args, **kwargs)
+        factor_nnz.update((name, [f.nnz for f in op.factors])
+                          for name, op in sorted(operators.items()))
+        return operators
+
+    patch.setattr(hgssl.propagation, "conjugate_gradient", counting)
+    patch.setattr(hgssl.bench, "build_operators", built)
+    products = OperatorProducts(patch)
+    for name, calls in neural.items():
+        products.per_call(patch, hgssl.bench, name, calls)
+    report = run_experiment(cfg)
+    pins = {"config": CONFIG, "factor_nnz": factor_nnz, "cg_block_widths": widths}
+    return cfg, report, applications, neural, products.count, pins
+
+
+@pytest.fixture(scope="module")
+def smoke_grid():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hgssl.propagation, "conjugate_gradient", counting)
-        products = OperatorProducts(patch)
-        for name, calls in neural.items():
-            products.per_call(patch, hgssl.bench, name, calls)
-        report = run_experiment(cfg)
-    return cfg, report, applications, neural, products.count
+        return smoke_grid_counts(patch)
 
 
 def test_block_solves_and_applications(smoke_grid):
-    _, report, applications, _, _ = smoke_grid
+    _, report, applications, _, _, _ = smoke_grid
     assert report.ok and len(report.rows) == 60
     assert len(applications) == BLOCK_SOLVES
     assert sum(applications) <= MAX_APPLICATIONS
 
 
+def test_factor_nnz_and_block_widths(smoke_grid):
+    *_, pins = smoke_grid
+    assert pins == json.loads(PINS.read_text())
+
+
 def test_neural_operator_products(smoke_grid):
-    cfg, _, applications, neural, total = smoke_grid
+    cfg, _, applications, neural, total, _ = smoke_grid
     per_train = train_products(cfg.train.epochs)
     assert neural["train"] == [per_train] * NEURAL_CELLS
     assert neural["predict"] == [PREDICT_PRODUCTS] * NEURAL_CELLS
@@ -135,10 +167,16 @@ def test_train_and_predict_products(norm):
 
 
 def test_reused_solves_match_separate_cells(smoke_grid):
-    cfg, report, _, _, _ = smoke_grid
+    cfg, report, _, _, _, _ = smoke_grid
     prepared = prepare_experiment(cfg)
     rows = [row for row in report.rows if row.method in _CLOSED_FORM]
     assert len(rows) == 24
     for row in rows:
         alone = run_cell(prepared, row.method, row.noise_level, row.seed)
         assert row.accuracy == alone.accuracy, (row.method, row.noise_level, row.seed)
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as patch:
+        *_, pins = smoke_grid_counts(patch)
+    PINS.write_text(json.dumps(pins, indent=1) + "\n")
