@@ -83,7 +83,6 @@ class ExperimentConfig:
     pca_dims: Optional[int] = _PER_DATASET
     k: int = 5
     normalization: str = "sym"
-    include_centroid: bool = True
     train: TrainConfig = TrainConfig()
     solver: PropagationConfig = PropagationConfig()
     subsample_size: Optional[int] = None
@@ -188,7 +187,6 @@ class PreparedExperiment:
     features: np.ndarray
     operators: dict
     propagated: Optional[np.ndarray]
-    pca_used: bool
     # A failed feature solve fails each hgnn-proposed cell, not the grid.
     propagation_error: Optional[SolverError] = None
 
@@ -201,7 +199,7 @@ def operator_cache_key(cfg: ExperimentConfig, X: np.ndarray) -> str:
     """Hex sha256 of the prepared features and every setting the operators depend on."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     digest = hashlib.sha256(
-        repr((hg.CACHE_VERSION, X.shape, cfg.k, cfg.include_centroid)).encode())
+        repr((hg.CACHE_VERSION, X.shape, cfg.k)).encode())
     digest.update(X.data)
     return digest.hexdigest()
 
@@ -231,7 +229,7 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
     if pending:
         knn = hg.knn_indices(X, cfg.k)
         if pending & {"hg_sym", "hg_rw"}:
-            hgraph = hg.build_knn_hypergraph(knn, include_centroid=cfg.include_centroid)
+            hgraph = hg.build_knn_hypergraph(knn)
             for name in ("hg_sym", "hg_rw"):
                 if name in pending:
                     operators[name] = hg.hypergraph_operator(
@@ -267,19 +265,18 @@ def prepare_features(cfg: ExperimentConfig, data_dir=None):
     X = dataset.features
     n, m = X.shape
     _require(cfg.k < n, "k", f"k must be less than the {n} points, got {cfg.k}")
-    pca_used = cfg.pca_dims is not None
-    if pca_used:
+    if cfg.pca_dims is not None:
         _require(cfg.pca_dims <= min(n - 1, m), "pca_dims",
                  f"pca_dims must be at most min(n - 1, m) = {min(n - 1, m)} for "
                  f"{n} points of {m} features, got {cfg.pca_dims}")
         model = pca_fit(X, cfg.pca_dims)
         X = pca_transform(model, X)
-    return dataset, X, pca_used
+    return dataset, X
 
 
 def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
                        ops_dir=None) -> PreparedExperiment:
-    dataset, X, pca_used = prepare_features(cfg, data_dir)
+    dataset, X = prepare_features(cfg, data_dir)
     operators = build_operators(cfg, X, ops_dir)
     propagated = error = None
     if "hgnn-proposed" in cfg.methods:
@@ -290,7 +287,7 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
             error = SolverError(exc.reason, exc.residual, exc.columns)
     return PreparedExperiment(config=cfg, dataset=dataset, features=X,
                               operators=operators, propagated=propagated,
-                              pca_used=pca_used, propagation_error=error)
+                              propagation_error=error)
 
 
 def run_cell(prepared: PreparedExperiment, method: str, level: float,
@@ -329,7 +326,7 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     return ResultRow(dataset=cfg.dataset, method=method, noise_level=float(level),
                      seed=int(seed), accuracy=acc,
                      wall_time_seconds=time.perf_counter() - start,
-                     pca_used=prepared.pca_used)
+                     pca_used=cfg.pca_dims is not None)
 
 
 def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=1,

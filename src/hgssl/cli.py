@@ -58,8 +58,6 @@ def _build_parser():
     p_run.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p_run.add_argument("--normalization", choices=("sym", "rw"),
                        default=ExperimentConfig.normalization)
-    p_run.add_argument("--no-centroid", action="store_true",
-                       help="drop each point from its own hyperedge")
     p_run.add_argument("--subsample", type=int, default=None,
                        help="stratified subsample size before running")
     _add_common(p_run)
@@ -103,7 +101,6 @@ def _cmd_run(args) -> int:
         seeds=(args.seed,),
         k=args.k,
         normalization=args.normalization,
-        include_centroid=not args.no_centroid,
         train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
         solver=PropagationConfig(alpha=args.alpha),
         subsample_size=args.subsample,
@@ -117,7 +114,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_build_ops(args) -> int:
     cfg = config_mod.load_config(args.config)
-    _, X, _ = bench_mod.prepare_features(cfg, data_dir=args.data_dir)
+    _, X = bench_mod.prepare_features(cfg, data_dir=args.data_dir)
     operators = build_operators(cfg, X, ops_dir=args.out)
     key = operator_cache_key(cfg, X)
     for name in sorted(operators):

@@ -51,15 +51,6 @@ def parse_config_text(text, path="<config>"):
     return sections, header_lines
 
 
-def _boolean(text):
-    value = text.lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ValueError(text)
-
-
 def int_or_none(text):
     return None if text.lower() == "none" else int(text)
 
@@ -80,7 +71,6 @@ def _one_of(options):
 _STRING = (str, "a string")
 _INT = (int, "an integer")
 _REAL = (float, "a number")
-_BOOL = (_boolean, "true/false")
 _INT_OR_NONE = (int_or_none, "an integer or none")
 _REALS = (_tuple_of(float), "comma-separated numbers")
 _INTS = (_tuple_of(int), "comma-separated integers")
@@ -199,8 +189,7 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
         ExperimentConfig,
         [(ds, {"subsample_size": _INT_OR_NONE, "subsample_seed": _INT}),
          (ex, {"methods": _NAMES, "noise_levels": _REALS, "seeds": _INTS,
-               "pca_dims": _INT_OR_NONE, "k": _INT, "normalization": _STRING,
-               "include_centroid": _BOOL})],
+               "pca_dims": _INT_OR_NONE, "k": _INT, "normalization": _STRING})],
         dataset=name, paths=ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING)),
         synthetic=synthetic, train=train, solver=solver)
     for section in (ds, ex, tr, so):

@@ -1,5 +1,8 @@
 """Two-layer graph/hypergraph networks: forward, backprop, Adam training.
 
+Adam runs at Kingma & Ba's defaults, the constant ``ADAM``: moment decays
+beta1 = 0.9 and beta2 = 0.999, and epsilon = 1e-8.
+
 The forward pass is Z = softmax(Theta ReLU(Theta X theta1) theta2), full batch,
 for any of the four propagation operators.  It is evaluated as
 Theta (ReLU(Theta X theta1) theta2): the second-layer projection runs before
@@ -27,6 +30,8 @@ from .errors import NumericalError, _require
 from .hypergraph import PropagationOperator
 from .linalg import as_dense
 
+ADAM = 0.9, 0.999, 1e-8  # beta1, beta2, epsilon
+
 
 @dataclass
 class TwoLayerParams:
@@ -40,9 +45,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 200
     weight_decay: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         _require(self.hidden >= 1, "hidden",
@@ -53,12 +55,6 @@ class TrainConfig:
                  f"epochs must be a positive integer, got {self.epochs}")
         _require(self.weight_decay >= 0, "weight_decay",
                  f"weight_decay must be >= 0, got {self.weight_decay}")
-        _require(0 <= self.adam_beta1 < 1, "adam_beta1",
-                 f"adam_beta1 must be in [0, 1), got {self.adam_beta1}")
-        _require(0 <= self.adam_beta2 < 1, "adam_beta2",
-                 f"adam_beta2 must be in [0, 1), got {self.adam_beta2}")
-        _require(self.adam_eps > 0, "adam_eps",
-                 f"adam_eps must be positive, got {self.adam_eps}")
 
 
 @dataclass
@@ -213,7 +209,8 @@ def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
     m1 = [np.zeros_like(theta) for theta in thetas]
     m2 = [np.zeros_like(theta) for theta in thetas]
     scratch = [np.empty_like(theta) for theta in thetas]
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps = ADAM
+    lr = cfg.learning_rate
 
     if log_stream is not None:
         log_stream.write("epoch,loss,train_accuracy\n")

@@ -14,9 +14,9 @@ def random_sparse(rng, rows, cols, density=0.3):
     return sp.csr_matrix(dense), dense
 
 
-def knn_hypergraph(X, k, include_centroid=True) -> Hypergraph:
+def knn_hypergraph(X, k) -> Hypergraph:
     """The kNN hypergraph over the rows of ``X``, as ``bench.build_operators`` builds it."""
-    return build_knn_hypergraph(knn_indices(X, k), include_centroid)
+    return build_knn_hypergraph(knn_indices(X, k))
 
 
 def knn_adjacency(X, k) -> sp.csr_matrix:

@@ -116,7 +116,7 @@ class TestRunExperiment:
         assert run_experiment(with_data(400, 1), ops_dir=ops_dir).ok
         # Same shape from another seed must not load the seed-1 operator.
         seed9 = with_data(300, 9)
-        _, X, _ = prepare_features(seed9)
+        _, X = prepare_features(seed9)
         cached = build_operators(seed9, X, ops_dir=ops_dir)["hg_sym"].matrix
         fresh = build_operators(seed9, X)["hg_sym"].matrix
         assert (cached != fresh).nnz == 0
@@ -124,7 +124,7 @@ class TestRunExperiment:
 
     def test_graph_operators_share_one_adjacency(self, monkeypatch):
         cfg = replace(SMALL, methods=("graph-ssl", "gcn"))
-        _, X, _ = prepare_features(cfg)
+        _, X = prepare_features(cfg)
         adjacency = hgssl.hypergraph.gaussian_knn_adjacency
         calls = []
 
@@ -145,7 +145,7 @@ class TestRunExperiment:
         ops_dir = tmp_path / "ops"
         cfg = replace(SMALL, methods=("hypergraph-ssl", "graph-ssl"))
         assert run_experiment(cfg, ops_dir=ops_dir).ok
-        _, X, _ = prepare_features(cfg)
+        _, X = prepare_features(cfg)
         key = operator_cache_key(cfg, X)
         hg_sym = operator_cache_path(ops_dir, key, "hg_sym")
         graph = operator_cache_path(ops_dir, key, "graph")
@@ -162,7 +162,7 @@ class TestRunExperiment:
                         for n in (300, 400))
         assert run_experiment(small, ops_dir=ops_dir).ok
         (written,) = ops_dir.glob("*.hgop")
-        _, X, _ = prepare_features(large)
+        _, X = prepare_features(large)
         target = operator_cache_path(ops_dir, operator_cache_key(large, X), "hg_sym")
         target.write_bytes(written.read_bytes())
         with pytest.raises(FormatError, match=r"shape \(300, 300\), expected 'hg_sym' "
@@ -221,7 +221,6 @@ class TestRunExperiment:
         cfg = replace(SMALL, methods=("graph-ssl", "hgnn"), pca_dims=3)
         X = load_dataset(cfg).features
         prepared = prepare_experiment(cfg)
-        assert prepared.pca_used
         assert np.array_equal(prepared.features, pca_transform(pca_fit(X, 3), X))
         report = run_experiment(cfg)
         assert report.ok and all(row.pca_used for row in report.rows)

@@ -200,7 +200,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("classes = 3", "classes = 1", "classes must be at least 2"),
     ("spread = 0.1", "spread = 0", "spread must be positive"),
     ("hidden = 8", "hidden = 8\nseed = 3", "unknown key 'seed' in [train]"),
-    ("hidden = 8", "hidden = 8\nadam_beta1 = 1", "adam_beta1 must be in [0, 1)"),
+    ("hidden = 8", "hidden = 8\nadam_beta1 = 1", "unknown key 'adam_beta1' in [train]"),
 ], ids=["train-epochs", "solver-tol", "dataset-classes", "dataset-spread", "train-seed",
         "train-adam_beta1"])
 def test_bad_config_value_exit_code(tmp_path, capsys, monkeypatch, old, new, message):
@@ -286,6 +286,12 @@ def test_missing_config_exit_code(tmp_path, capsys):
 
 def test_unknown_flag_usage_error(capsys):
     assert main(["run", "--frobnicate"]) != 0
+
+
+def test_removed_no_centroid_flag_usage_error(capsys):
+    assert main(["run", "--dataset", "synthetic", "--method", "hgnn", "--noise", "0",
+                 "--seed", "0", "--no-centroid"]) == 2
+    assert "unrecognized arguments: --no-centroid" in capsys.readouterr().err
 
 
 def test_unknown_method_usage_error(capsys):

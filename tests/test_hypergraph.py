@@ -189,13 +189,10 @@ class TestBuildKnnHypergraph:
                 assert dense[i, j] == 1.0  # i in e_j whenever j in kNN(i)
                 assert dense[j, i] == 1.0  # and j in e_i by the direct rule
 
-    def test_centroid_toggle(self):
-        X = np.array([[0.0], [1.0], [2.1], [3.3]])
-        knn = knn_indices(X, 2)
-        with_centroid = build_knn_hypergraph(knn, include_centroid=True)
-        without = build_knn_hypergraph(knn, include_centroid=False)
-        assert np.all(with_centroid.incidence.diagonal() == 1.0)
-        assert np.all(with_centroid.edge_degrees >= without.edge_degrees)
+    def test_every_hyperedge_holds_its_centroid(self):
+        for k in (1, 2, 5):
+            X = np.random.default_rng(k).standard_normal((30, 2))
+            assert np.all(knn_hypergraph(X, k).incidence.diagonal() == 1.0)
 
     def test_cardinality_at_least_two_for_k1(self):
         rng = np.random.default_rng(3)
@@ -205,10 +202,10 @@ class TestBuildKnnHypergraph:
             assert hg.edge_degrees.min() >= 2
 
     def test_single_vertex_hyperedges_rejected(self):
-        # Without centroids each of two points' hyperedges holds only the other.
-        knn = knn_indices([[0.0], [1.0]], 1)
+        # Each of the two hyperedges holds only the other point.
+        incidence = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(DegenerateStructureError, match="fewer than 2 vertices"):
-            build_knn_hypergraph(knn, include_centroid=False)
+            Hypergraph(incidence)
 
     def test_vertex_in_no_hyperedge_rejected(self):
         incidence = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))

@@ -290,12 +290,11 @@ class TestTrain:
             grads = (x_prop.T @ grad_hidden + cfg.weight_decay * theta1,
                      hidden_prop.T @ grad_logits + cfg.weight_decay * theta2)
             for i, g in enumerate(grads):
-                m1[i] = cfg.adam_beta1 * m1[i] + (1 - cfg.adam_beta1) * g
-                m2[i] = cfg.adam_beta2 * m2[i] + (1 - cfg.adam_beta2) * g * g
-                m_hat = m1[i] / (1 - cfg.adam_beta1 ** epoch)
-                v_hat = m2[i] / (1 - cfg.adam_beta2 ** epoch)
-                thetas[i] = thetas[i] - cfg.learning_rate * m_hat / (
-                    np.sqrt(v_hat) + cfg.adam_eps)
+                m1[i] = 0.9 * m1[i] + (1 - 0.9) * g
+                m2[i] = 0.999 * m2[i] + (1 - 0.999) * g * g
+                m_hat = m1[i] / (1 - 0.9 ** epoch)
+                v_hat = m2[i] / (1 - 0.999 ** epoch)
+                thetas[i] = thetas[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         theta1, theta2 = thetas
         want_pred = np.argmax(dense @ np.maximum(x_prop @ theta1, 0.0) @ theta2, axis=1)
 
@@ -321,7 +320,7 @@ class TestTrain:
         Y[np.arange(n), rng.integers(0, c, n)] = 1.0
         mask = rng.choice(n, size=17, replace=False)  # unsorted on purpose
         cfg = TrainConfig(hidden=8, epochs=25)
-        wd, b1, b2 = cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2
+        wd, b1, b2 = cfg.weight_decay, 0.9, 0.999
 
         init = init_params(X.shape[1], cfg.hidden, c, seed=5)
         thetas = [init.theta1.copy(), init.theta2.copy()]
@@ -357,8 +356,7 @@ class TestTrain:
                 m2[i] = b2 * m2[i] + (1 - b2) * g * g
                 m_hat = m1[i] / (1 - b1 ** epoch)
                 v_hat = m2[i] / (1 - b2 ** epoch)
-                thetas[i] = thetas[i] - cfg.learning_rate * m_hat / (
-                    np.sqrt(v_hat) + cfg.adam_eps)
+                thetas[i] = thetas[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
         trained = train(op, X, Y, mask, cfg, seed=5)
         assert np.array_equal(trained.theta1, thetas[0])
