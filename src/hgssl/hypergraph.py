@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateStructureError, FormatError, ShapeError
-from .linalg import as_dense, diag_scale
+from .linalg import _BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
@@ -123,17 +123,32 @@ class PropagationOperator:
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         """Theta @ V, one sparse product per factor, right to left."""
-        for factor in reversed(self.factors):
-            V = factor @ V
-        return V
+        return _chain(self.factors[::-1], V)
 
     def apply_T(self, V: np.ndarray) -> np.ndarray:
         """Theta^T @ V; the same product as :meth:`apply` except for ``rw``."""
         if self.normalization != "rw":
             return self.apply(V)
-        for factor in self.factors:
-            V = factor.T @ V
-        return V
+        return _chain([factor.T for factor in self.factors], V)
+
+
+def _chain(factors, V: np.ndarray) -> np.ndarray:
+    """``factors[-1] @ ... @ factors[0] @ V``.
+
+    A V wider than ``_COLUMN_BUDGET`` entries runs in blocks of columns of at
+    most that many entries, so its intermediate products are one block wide.
+    Each column's product does not depend on the others, so the blocks leave
+    every bit of the result as one product gives it.
+    """
+    step = max(1, _COLUMN_BUDGET // max(1, len(V)))
+    if V.ndim == 2 and V.shape[1] > step:
+        out = np.empty((factors[-1].shape[0], V.shape[1]))
+        for start in range(0, V.shape[1], step):
+            out[:, start:start + step] = _chain(factors, V[:, start:start + step])
+        return out
+    for factor in factors:
+        V = factor @ V
+    return V
 
 
 def pair_sq_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

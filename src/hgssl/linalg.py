@@ -1,5 +1,9 @@
 """Dense and sparse helpers and a multi-right-hand-side conjugate-gradient solver.
 
+The solver splits each block's columns into one group per CPU the process may
+run on and iterates the groups in threads of their own; the result does not
+depend on the CPU count.
+
 Dense matrices are plain float64 ``numpy.ndarray``s; sparse matrices are
 float64 ``scipy.sparse.csr_matrix``.  There is no global pruning rule: each
 matrix is made canonical (sorted, distinct column indices per row) where it
@@ -7,12 +11,29 @@ is built, and the one place a negligible weight can arise, the Gaussian kNN
 adjacency, drops it there.
 """
 
+import contextvars
+import os
+import threading
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, SolverError
+
+# Entries (rows x columns) in one block of columns: one CG block, and one
+# block of a wide operator product.  Wider blocks cost less per column per
+# operator product until their work arrays outgrow the cache and raise peak
+# memory.  On a 2-core machine, solving on one core, 784 feature columns at
+# n = 3000 took 3.2 s one column at a time, 1.3-1.9 s in blocks of 32-128
+# columns with peak RSS level, and 2.4 s as one block, which raised peak RSS
+# by 92 MB.
+_BLOCK_BUDGET = 2 ** 18
+# Entries (rows x columns) a CG column group holds at least.  Smaller groups
+# lose more to waiting for the interpreter lock than their threads gain: on 2
+# cores, 10 label columns at n = 2000 took 6.5-8.1 ms as one group and
+# 8.5-9.5 ms as two, while 20 columns there took 12.5 and 11.0 ms.
+_GROUP_ENTRIES = 2 ** 14
 
 
 def as_dense(matrix) -> np.ndarray:
@@ -67,6 +88,13 @@ def _column_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", U, V)
 
 
+def _cores() -> int:
+    """The CPUs this process may run on: its affinity mask (``taskset`` narrows it)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def conjugate_gradient(
     apply: Callable[[np.ndarray], np.ndarray],
     B: np.ndarray,
@@ -87,6 +115,20 @@ def conjugate_gradient(
     whether a non-converged column is acceptable.  Symmetry and
     positive-definiteness are the caller's responsibility; a breakdown or a
     non-finite residual raises ``SolverError`` naming the column and iteration.
+
+    The columns to solve are split into contiguous groups, one per CPU this
+    process may run on (``_cores``), but never more groups than columns and
+    none of fewer than ``_GROUP_ENTRIES`` entries unless there is one.  The
+    calling thread iterates the first group and one thread each of the
+    others, and every thread is joined before the call returns or raises.
+    ``apply`` must therefore allow calls at once from several threads, each
+    on its own columns, and must not let one column's product depend on
+    another's.  The result then does not depend on the number of CPUs: every
+    column, iteration count and residual is the one a single group gives, and
+    so is the ``SolverError``: the earliest iteration, a breakdown (p.Ap)
+    before a non-finite residual in that iteration, then the lowest column.
+    Any other exception from a group is raised in the caller, the lowest
+    group's first.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -101,57 +143,94 @@ def conjugate_gradient(
     # it stays active and raises at its first iteration.
     column_residuals = np.where(largest == 0.0, 0.0,
                                 np.where(np.isfinite(largest), 1.0, np.nan))
-    cols = np.flatnonzero(~(column_residuals <= tol))
     # Each column is scaled by a power of two to a largest entry in [0.5, 1).
     # That is exact for every entry that stays normal, so the iterates are the
     # unscaled ones scaled, but a squared norm can no longer underflow to a
     # "zero" column or overflow at the ends of the float range.
     _, exponents = np.frexp(largest)
-    # The iterates are column-major, so each column is contiguous for its dot
-    # products and step updates: at n = 12000 and ten columns these take a
-    # third of their row-major time.  ``apply`` may return either layout.
-    R = np.ldexp(B[:, cols], -exponents[cols], order="F")
-    P = R.copy(order="F")
-    X_active = np.zeros_like(R)
-    rs = _column_dots(R, R)
-    b_norm = np.sqrt(rs)
 
-    for iteration in range(1, max_iter + 1):
-        if not cols.size:
-            break
-        # Always a copy of our own, so its buffer can be reused for the updates.
-        AP = np.array(apply(P), dtype=np.float64, order="F")
-        denom = _column_dots(P, AP)
-        bad = ~np.isfinite(denom) | (denom == 0.0)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise SolverError(
-                f"conjugate gradient broke down at iteration {iteration} "
-                f"(p.Ap = {denom[j]})", columns=cols[j:j + 1])
-        step = rs / denom
-        AP *= step
-        R -= AP
-        X_active += np.multiply(P, step, out=AP)
-        rs_new = _column_dots(R, R)
-        bad = ~np.isfinite(rs_new)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise SolverError(
-                f"non-finite residual at conjugate gradient iteration {iteration}",
-                columns=cols[j:j + 1])
-        residual = np.sqrt(rs_new) / b_norm
-        column_iterations[cols] = iteration
-        column_residuals[cols] = residual
-        done = residual <= tol
-        if done.any():
-            X[:, cols[done]] = X_active[:, done]
-            keep = ~done
-            cols, X_active, R, P = cols[keep], X_active[:, keep], R[:, keep], P[:, keep]
-            rs, rs_new, b_norm = rs[keep], rs_new[keep], b_norm[keep]
-        P *= rs_new / rs
-        P += R
-        rs = rs_new
-    X[:, cols] = X_active
+    def solve(cols):
+        """Iterate columns ``cols`` of B into X, column_iterations and column_residuals.
+
+        Returns None, or the group's first failure as (iteration, check,
+        column, reason) with check 0 for a breakdown and 1 for a non-finite
+        residual, so the smallest tuple over all groups is the serial loop's.
+        """
+        # The iterates are column-major, so each column is contiguous for its
+        # dot products and step updates: at n = 12000 and ten columns these
+        # take a third of their row-major time.  ``apply`` may return either
+        # layout.
+        R = np.ldexp(B[:, cols], -exponents[cols], order="F")
+        P = R.copy(order="F")
+        X_active = np.zeros_like(R)
+        rs = _column_dots(R, R)
+        b_norm = np.sqrt(rs)
+        for iteration in range(1, max_iter + 1):
+            if not cols.size:
+                break
+            # Always a copy of our own, so its buffer can be reused for the updates.
+            AP = np.array(apply(P), dtype=np.float64, order="F")
+            denom = _column_dots(P, AP)
+            bad = ~np.isfinite(denom) | (denom == 0.0)
+            if bad.any():
+                j = int(np.argmax(bad))
+                return (iteration, 0, cols[j],
+                        f"conjugate gradient broke down at iteration {iteration} "
+                        f"(p.Ap = {denom[j]})")
+            step = rs / denom
+            AP *= step
+            R -= AP
+            X_active += np.multiply(P, step, out=AP)
+            rs_new = _column_dots(R, R)
+            bad = ~np.isfinite(rs_new)
+            if bad.any():
+                j = int(np.argmax(bad))
+                return (iteration, 1, cols[j],
+                        f"non-finite residual at conjugate gradient iteration {iteration}")
+            residual = np.sqrt(rs_new) / b_norm
+            column_iterations[cols] = iteration
+            column_residuals[cols] = residual
+            done = residual <= tol
+            if done.any():
+                X[:, cols[done]] = X_active[:, done]
+                keep = ~done
+                cols, X_active, R, P = cols[keep], X_active[:, keep], R[:, keep], P[:, keep]
+                rs, rs_new, b_norm = rs[keep], rs_new[keep], b_norm[keep]
+            P *= rs_new / rs
+            P += R
+            rs = rs_new
+        X[:, cols] = X_active
+        return None
+
+    cols = np.flatnonzero(~(column_residuals <= tol))
+    groups = np.array_split(
+        cols, max(1, min(_cores(), cols.size, len(B) * cols.size // _GROUP_ENTRIES)))
+    outcomes = [None] * len(groups)
+
+    def run(g):
+        try:
+            outcomes[g] = solve(groups[g])
+        except BaseException as exc:  # raised again in the calling thread
+            outcomes[g] = exc
+
+    workers = []
+    try:
+        for g in range(1, len(groups)):
+            # A copy of the caller's context carries numpy's error state over.
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, g))
+            worker.start()
+            workers.append(worker)
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    failures = [outcome for outcome in outcomes if outcome is not None]
+    if failures:
+        _, _, column, reason = min(failures)
+        raise SolverError(reason, columns=[column])
     np.ldexp(X, exponents, out=X)
 
     return CgResult(X, int(column_iterations.max(initial=0)),

@@ -1,7 +1,8 @@
 """Closed-form propagation solves F = (1 - alpha) (I - alpha Theta)^{-1} B.
 
 Both entry points iterate the columns of the right-hand side together by
-conjugate gradients, in blocks of at most ``_BLOCK_BUDGET`` entries; each
+conjugate gradients, in blocks of at most ``_BLOCK_BUDGET`` entries (the
+budget ``linalg`` defines), each block on every CPU the process may use; each
 column keeps its own step sizes and stops at its own tolerance.  They require
 a symmetric operator (I - alpha Theta is then symmetric positive-definite for
 alpha in (0, 1)); the random-walk operator is supported by the neural forward
@@ -14,14 +15,7 @@ import numpy as np
 
 from .errors import SolverError, _require
 from .hypergraph import PropagationOperator
-from .linalg import as_dense, conjugate_gradient
-
-# Entries (rows x columns) in one CG block.  Wider blocks cost less per column
-# per operator product until their work arrays outgrow the cache and raise
-# peak memory.  On a 2-core machine, 784 feature columns at n = 3000 took
-# 3.2 s one column at a time, 1.3-1.9 s in blocks of 32-128 columns with peak
-# RSS level, and 2.4 s as one block, which raised peak RSS by 92 MB.
-_BLOCK_BUDGET = 2 ** 18
+from .linalg import _BLOCK_BUDGET, as_dense, conjugate_gradient
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
+from hgssl import linalg
 from hgssl.hypergraph import (Hypergraph, build_knn_hypergraph, gaussian_knn_adjacency,
                               hypergraph_operator, knn_indices)
 
@@ -12,6 +13,12 @@ def random_sparse(rng, rows, cols, density=0.3):
     mask = rng.random((rows, cols)) < density
     dense = np.where(mask, rng.standard_normal((rows, cols)), 0.0)
     return sp.csr_matrix(dense), dense
+
+
+def split_columns(monkeypatch, cores):
+    """Make ``conjugate_gradient`` split its columns into up to ``cores`` groups, however small."""
+    monkeypatch.setattr(linalg, "_cores", lambda: cores)
+    monkeypatch.setattr(linalg, "_GROUP_ENTRIES", 1)
 
 
 def knn_hypergraph(X, k) -> Hypergraph:

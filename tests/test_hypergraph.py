@@ -381,6 +381,19 @@ class TestApply:
         assert np.max(np.abs(op.apply(V) - dense @ V)) < 1e-12
         assert np.max(np.abs(op.apply_T(V) - dense.T @ V)) < 1e-12
 
+    @pytest.mark.parametrize("norm", ["sym", "rw"])
+    def test_column_blocks_match_one_product(self, monkeypatch, norm):
+        # Blocks of 3 columns split 8 into 3 + 3 + 2; every bit is kept.
+        rng = np.random.default_rng(23)
+        op = hypergraph_operator(random_hypergraph(rng, 30), norm)
+        V = rng.standard_normal((30, 8))
+        right, left = op.factors[1], op.factors[0]
+        whole, whole_T = left @ (right @ V), right.T @ (left.T @ V)
+        monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", 3 * 30)
+        assert op.apply(V).tobytes() == whole.tobytes()
+        assert op.apply_T(V).tobytes() == (whole if norm == "sym" else whole_T).tobytes()
+        assert op.apply(V[:, 0]).tobytes() == whole[:, 0].tobytes()
+
 
 # v2 cache layout: magic, u32 version, u8 normalization, u8 factor count;
 # then per factor u64 rows, cols, nnz before its arrays.

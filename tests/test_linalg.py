@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import random_hypergraph, random_sparse
+from helpers import random_hypergraph, random_sparse, split_columns
+from hgssl import linalg
 from hgssl.errors import NumericalError, ShapeError, SolverError
 from hgssl.hypergraph import hypergraph_operator
 from hgssl.linalg import conjugate_gradient, diag_scale
@@ -33,6 +37,24 @@ class TestDiagScale:
             diag_scale(S, left=np.ones(4))
         with pytest.raises(ShapeError):
             diag_scale(S, right=np.ones(2))
+
+
+# A column that ``poisoned`` never faults: its last entry stays zero.
+UNPOISONED = [1.0, 1.0, 1.0, 0.0]
+
+
+def poisoned(V):
+    """A @ V for A = diag(1, 2, 3, 4), with faults that depend only on each column.
+
+    A column of V whose last entry is negative maps to NaN, so p.Ap breaks
+    down.  One whose first entry is zero gets 1e300 in the first row, which
+    leaves p.Ap finite but overflows the residual.  Since A is diagonal, a
+    zero entry of b stays zero in every direction.
+    """
+    AV = np.diag([1.0, 2.0, 3.0, 4.0]) @ V
+    AV[:, V[-1] < 0] = np.nan
+    AV[0, V[0] == 0] = 1e300
+    return AV
 
 
 class TestConjugateGradient:
@@ -95,24 +117,116 @@ class TestConjugateGradient:
         with pytest.raises(NumericalError):
             conjugate_gradient(lambda V: V * np.nan, np.ones((3, 1)))
 
-    def test_breakdown_names_column_and_iteration(self):
+    def test_breakdown_names_column_and_iteration(self, monkeypatch):
         # Column 0 is an eigenvector and finishes at iteration 1, so the
-        # second application sees columns 1 and 2 only; it poisons the last.
-        A = np.diag([1.0, 2.0, 3.0, 4.0])
-        calls = []
+        # second application sees columns 1 and 2 only.  Column 2's second
+        # direction is the first with a negative last entry, which poisons it;
+        # column 1 has none in that row, and A keeps it zero.
+        B = np.column_stack([[1.0, 0.0, 0.0, 0.0], UNPOISONED, np.arange(1.0, 5.0)])
+        for cores in (1, 2, 3):
+            split_columns(monkeypatch, cores)
+            with pytest.raises(SolverError, match=r"iteration 2 .*; column 2$") as info:
+                conjugate_gradient(poisoned, B, tol=1e-12)
+            assert info.value.columns == (2,)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_earliest_failing_iteration_wins_across_groups(self, monkeypatch, cores):
+        # Column 1 breaks down at iteration 2 and the non-finite column 3 at
+        # iteration 1; with two or more groups they fail in different ones.
+        split_columns(monkeypatch, cores)
+        B = np.column_stack([UNPOISONED, np.arange(1.0, 5.0), UNPOISONED,
+                             [1.0, np.nan, 1.0, 1.0]])
+        with pytest.raises(SolverError, match=r"broke down at iteration 1 .*; column 3$") as info:
+            conjugate_gradient(poisoned, B, tol=1e-12)
+        assert info.value.columns == (3,)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_breakdown_wins_over_nonfinite_residual_of_a_lower_column(self, monkeypatch, cores):
+        # In iteration 1, column 1's residual overflows and column 3 breaks
+        # down; the serial loop checks every column's p.Ap first.
+        split_columns(monkeypatch, cores)
+        B = np.column_stack([UNPOISONED, [0.0, 1.0, 1.0, 0.0], UNPOISONED,
+                             [1.0, np.nan, 1.0, 1.0]])
+        with pytest.raises(SolverError, match=r"broke down at iteration 1 .*; column 3$") as info:
+            conjugate_gradient(poisoned, B, tol=1e-12)
+        assert info.value.columns == (3,)
+        with pytest.raises(SolverError, match=r"^non-finite residual at .* 1; column 1$"):
+            conjugate_gradient(poisoned, B[:, :3], tol=1e-12)
+
+    def test_other_exceptions_reach_the_caller(self, monkeypatch):
+        split_columns(monkeypatch, 2)
 
         def apply(V):
-            calls.append(V.shape[1])
-            AV = A @ V
-            if len(calls) == 2:
-                AV[:, -1] = np.nan
-            return AV
+            if (V[-1] < 0).any():
+                raise ValueError("bad block")
+            return poisoned(V)
 
-        B = np.column_stack([[1.0, 0.0, 0.0, 0.0], np.ones(4), np.arange(1.0, 5.0)])
-        with pytest.raises(SolverError, match=r"iteration 2 .*; column 2$") as info:
+        # Column 2, alone in the second group, raises in its thread.
+        B = np.column_stack([UNPOISONED, UNPOISONED, np.arange(1.0, 5.0)])
+        with pytest.raises(ValueError, match="bad block"):
             conjugate_gradient(apply, B, tol=1e-12)
-        assert info.value.columns == (2,)
-        assert calls == [3, 2]
+
+    def test_groups_keep_the_callers_numpy_error_state(self, monkeypatch):
+        # Only column 1, alone in the second group's thread, overflows.
+        split_columns(monkeypatch, 2)
+        B = np.column_stack([UNPOISONED, [0.0, 1.0, 1.0, 0.0]])
+
+        def apply(V):
+            return V * np.where(V[0] == 0, 1e308, 1.0) * 10.0
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            conjugate_gradient(apply, B)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_every_thread_ends_with_the_call(self, monkeypatch, fails):
+        split_columns(monkeypatch, 4)
+        threads = set()
+
+        def apply(V):
+            threads.add(threading.current_thread())
+            return poisoned(V)
+
+        B = np.column_stack([UNPOISONED] * 3 + [np.arange(1.0, 5.0) if fails else UNPOISONED])
+        before = threading.active_count()
+        if fails:
+            with pytest.raises(SolverError):
+                conjugate_gradient(apply, B, tol=1e-12)
+        else:
+            conjugate_gradient(apply, B, tol=1e-12)
+        assert len(threads) == 4
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows, width, groups", [
+        (4, 4, 1), (linalg._GROUP_ENTRIES // 2, 3, 1), (linalg._GROUP_ENTRIES, 3, 3),
+        (linalg._GROUP_ENTRIES, 5, 4)])
+    def test_groups_hold_a_minimum_of_entries(self, monkeypatch, rows, width, groups):
+        monkeypatch.setattr(linalg, "_cores", lambda: 4)
+        threads = set()
+
+        def apply(V):
+            threads.add(threading.current_thread())
+            return V
+
+        conjugate_gradient(apply, np.ones((rows, width)))
+        assert len(threads) == groups
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_result_does_not_depend_on_the_core_count(self, monkeypatch, width):
+        # 7 columns split 7, 4+3, 3+2+2 and 2+2+2+1; column 0 is zero.
+        rng = np.random.default_rng(width)
+        op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+        B = rng.standard_normal((40, width))
+        B[:, 0] = 0.0
+        results = []
+        for cores in (1, 2, 3, 4):
+            split_columns(monkeypatch, cores)
+            results.append(conjugate_gradient(lambda V: V - 0.99 * op.apply(V), B, 1e-10))
+        for result in results[1:]:
+            assert result.iterations == results[0].iterations
+            assert result.residual == results[0].residual
+            for got, want in zip(result[::3], results[0][::3]):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -129,6 +243,30 @@ class TestConjugateGradient:
         apply = lambda V: V - 0.5 * (op.matrix @ V)
         assert np.array_equal(conjugate_gradient(apply, B).x,
                               conjugate_gradient(apply, B).x)
+
+
+def test_many_groups_under_frequent_thread_switches(monkeypatch):
+    # More groups than cores, switching threads every few microseconds: a
+    # lost or misplaced write into the shared result arrays changes a bit.
+    rng = np.random.default_rng(9)
+    op = hypergraph_operator(random_hypergraph(rng, 60), "sym")
+    B = rng.standard_normal((60, 16))
+
+    def apply(V):
+        return V - 0.99 * op.apply(V)
+
+    want = conjugate_gradient(apply, B, tol=1e-10)
+    split_columns(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [conjugate_gradient(apply, B, tol=1e-10) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in got:
+        assert result.x.tobytes() == want.x.tobytes()
+        assert result.column_iterations.tobytes() == want.column_iterations.tobytes()
+        assert result.column_residuals.tobytes() == want.column_residuals.tobytes()
 
 
 def test_shifted_operator_is_positive_definite():

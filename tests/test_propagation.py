@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
+from helpers import knn_adjacency, knn_hypergraph, random_hypergraph, split_columns
 from hgssl import propagation
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import SolverError
@@ -199,6 +199,20 @@ def test_column_blocks_match_one_block(monkeypatch):
     assert np.max(np.abs(split - whole)) < 1e-12
     assert np.array_equal(np.concatenate([r.column_iterations for r in results[1:]]),
                           results[0].column_iterations)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_features_do_not_depend_on_the_core_count(monkeypatch, block):
+    # Blocks of 7 split into 4+3, 3+2+2 and 2+2+2+1 column groups.
+    rng = np.random.default_rng(19)
+    op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+    X = rng.standard_normal((40, 7))
+    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", block * 40)
+    outputs = []
+    for cores in (1, 2, 3, 4):
+        split_columns(monkeypatch, cores)
+        outputs.append(propagate_features(op, X, TIGHT).tobytes())
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_breakdown_names_column_of_the_whole_rhs(monkeypatch):

@@ -3,8 +3,11 @@
 ``configs/synthetic.cfg`` has no PCA, so its features, and with them every
 count below, do not depend on the BLAS build.  The number of block solves and
 every count of the networks' operator products are fixed by the grid's shape
-and are pinned exactly; the CG operator applications depend on the values and
-are pinned as an upper bound.  The nnz of every factor of each operator the
+and are pinned exactly.  A CG solve splits each block into one column group
+per CPU, each making its own operator applications, so its work is counted
+in terms that do not depend on the CPU count: the iterations of each block
+(the applications of a one-group solve) are pinned as an upper bound, and the
+column applications (the sum of block widths over all applications) exactly.  The nnz of every factor of each operator the
 grid builds, and the width of every CG block in call order, are pinned
 exactly in ``work_pins.json``: dropping the centroid from its hyperedge,
 re-forming H H^T or splitting a block changes them.  A change that lowers a
@@ -14,6 +17,7 @@ Regenerate ``work_pins.json`` with ``PYTHONPATH=src python tests/test_work_count
 """
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,7 @@ PINS = Path(__file__).resolve().parent / "work_pins.json"
 # plus 1 block for the hgnn-proposed features.
 BLOCK_SOLVES = 21
 MAX_APPLICATIONS = 466
+COLUMN_APPLICATIONS = 1873
 # gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
 NEURAL_CELLS = 36
 
@@ -51,24 +56,30 @@ class OperatorProducts:
     """Counts PropagationOperator.apply/apply_T calls made from outside them.
 
     ``apply_T`` of a symmetric operator calls ``apply``; that inner call is
-    the same product and is not counted again.
+    the same product and is not counted again.  CG column groups call
+    ``apply`` from several threads at once, so the nesting depth is kept per
+    thread and the count under a lock.
     """
 
     def __init__(self, patch):
         self.count = 0
-        self._depth = 0
+        self._lock = threading.Lock()
+        self._local = threading.local()
         for name in ("apply", "apply_T"):
             patch.setattr(PropagationOperator, name,
                           self._counted(getattr(PropagationOperator, name)))
 
     def _counted(self, method):
         def counted(op, V):
-            self.count += self._depth == 0
-            self._depth += 1
+            depth = getattr(self._local, "depth", 0)
+            if depth == 0:
+                with self._lock:
+                    self.count += 1
+            self._local.depth = depth + 1
             try:
                 return method(op, V)
             finally:
-                self._depth -= 1
+                self._local.depth = depth
         return counted
 
     def per_call(self, patch, module, name, calls):
@@ -86,24 +97,33 @@ class OperatorProducts:
 def smoke_grid_counts(patch):
     """Run the smoke grid; return its config, report and counted work.
 
-    The counts are the operator applications and the block width of each CG
-    call, the operator products of each ``train`` and ``predict`` call and
-    of the whole grid, and the nnz of each factor of each built operator.
+    The counts are each CG call's iterations, operator applications, column
+    applications and block width, the operator products of each ``train``
+    and ``predict`` call and of the whole grid, and the nnz of each factor of
+    each built operator.
     """
     cfg = load_config(ROOT / CONFIG)
     original = hgssl.propagation.conjugate_gradient
-    applications, widths = [], []
+    cg = {"iterations": [], "applications": [], "column_applications": []}
+    widths = []
+    lock = threading.Lock()
     neural = {"train": [], "predict": []}
     factor_nnz = {}
 
     def counting(apply, B, **kwargs):
-        applications.append(0)
         widths.append(B.shape[1])
+        counts = [0, 0]
 
         def counted(V):
-            applications[-1] += 1
+            with lock:
+                counts[0] += 1
+                counts[1] += V.shape[1]
             return apply(V)
-        return original(counted, B, **kwargs)
+        result = original(counted, B, **kwargs)
+        cg["iterations"].append(result.iterations)
+        cg["applications"].append(counts[0])
+        cg["column_applications"].append(counts[1])
+        return result
 
     build = hgssl.bench.build_operators
 
@@ -120,7 +140,7 @@ def smoke_grid_counts(patch):
         products.per_call(patch, hgssl.bench, name, calls)
     report = run_experiment(cfg)
     pins = {"config": CONFIG, "factor_nnz": factor_nnz, "cg_block_widths": widths}
-    return cfg, report, applications, neural, products.count, pins
+    return cfg, report, cg, neural, products.count, pins
 
 
 @pytest.fixture(scope="module")
@@ -130,10 +150,11 @@ def smoke_grid():
 
 
 def test_block_solves_and_applications(smoke_grid):
-    _, report, applications, _, _, _ = smoke_grid
+    _, report, cg, _, _, _ = smoke_grid
     assert report.ok and len(report.rows) == 60
-    assert len(applications) == BLOCK_SOLVES
-    assert sum(applications) <= MAX_APPLICATIONS
+    assert len(cg["iterations"]) == BLOCK_SOLVES
+    assert sum(cg["iterations"]) <= MAX_APPLICATIONS
+    assert sum(cg["column_applications"]) == COLUMN_APPLICATIONS
 
 
 def test_factor_nnz_and_block_widths(smoke_grid):
@@ -142,12 +163,12 @@ def test_factor_nnz_and_block_widths(smoke_grid):
 
 
 def test_neural_operator_products(smoke_grid):
-    cfg, _, applications, neural, total, _ = smoke_grid
+    cfg, _, cg, neural, total, _ = smoke_grid
     per_train = train_products(cfg.train.epochs)
     assert neural["train"] == [per_train] * NEURAL_CELLS
     assert neural["predict"] == [PREDICT_PRODUCTS] * NEURAL_CELLS
     # Every other operator product of the grid is a CG application.
-    assert total == sum(applications) + NEURAL_CELLS * (per_train + PREDICT_PRODUCTS)
+    assert total == sum(cg["applications"]) + NEURAL_CELLS * (per_train + PREDICT_PRODUCTS)
 
 
 @pytest.mark.parametrize("norm", ["sym", "rw"])
