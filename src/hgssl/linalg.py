@@ -121,6 +121,7 @@ def conjugate_gradient(
     none of fewer than ``_GROUP_ENTRIES`` entries unless there is one.  The
     calling thread iterates the first group and one thread each of the
     others, and every thread is joined before the call returns or raises.
+    Once a group fails, no other runs past the iteration it failed at.
     ``apply`` must therefore allow calls at once from several threads, each
     on its own columns, and must not let one column's product depend on
     another's.  The result then does not depend on the number of CPUs: every
@@ -166,7 +167,7 @@ def conjugate_gradient(
         rs = _column_dots(R, R)
         b_norm = np.sqrt(rs)
         for iteration in range(1, max_iter + 1):
-            if not cols.size:
+            if not cols.size or iteration > last[0]:
                 break
             # Always a copy of our own, so its buffer can be reused for the updates.
             AP = np.array(apply(P), dtype=np.float64, order="F")
@@ -206,12 +207,18 @@ def conjugate_gradient(
     groups = np.array_split(
         cols, max(1, min(_cores(), cols.size, len(B) * cols.size // _GROUP_ENTRIES)))
     outcomes = [None] * len(groups)
+    # The last iteration a group need run: none past one that failed.
+    last, lock = [max_iter], threading.Lock()
 
     def run(g):
         try:
-            outcomes[g] = solve(groups[g])
+            outcome = solve(groups[g])
         except BaseException as exc:  # raised again in the calling thread
-            outcomes[g] = exc
+            outcome = exc
+        outcomes[g] = outcome
+        if outcome is not None:
+            with lock:
+                last[0] = min(last[0], 0 if isinstance(outcome, BaseException) else outcome[0])
 
     workers = []
     try:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,27 @@ class TestConjugateGradient:
         assert info.value.columns == (3,)
         with pytest.raises(SolverError, match=r"^non-finite residual at .* 1; column 1$"):
             conjugate_gradient(poisoned, B[:, :3], tol=1e-12)
+
+    def test_groups_stop_after_another_fails(self, monkeypatch):
+        # Column 1 alone takes over 90 iterations of 1 ms each; once
+        # column 0 breaks down at iteration 1, its group stops too.
+        split_columns(monkeypatch, 2)
+        A = np.arange(1.0, 201.0)[:, None]
+        calls = []
+
+        def apply(V):
+            if np.isfinite(V).all():
+                calls.append(V.shape[1])
+                time.sleep(1e-3)
+            return A * V
+
+        B = np.ones((200, 2))
+        B[0, 0] = np.nan
+        assert conjugate_gradient(apply, B[:, 1:], tol=1e-12).iterations > 90
+        calls.clear()
+        with pytest.raises(SolverError, match=r"iteration 1 .*; column 0$"):
+            conjugate_gradient(apply, B, tol=1e-12)
+        assert len(calls) < 20
 
     def test_other_exceptions_reach_the_caller(self, monkeypatch):
         split_columns(monkeypatch, 2)
