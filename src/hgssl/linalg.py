@@ -121,15 +121,15 @@ def conjugate_gradient(
     none of fewer than ``_GROUP_ENTRIES`` entries unless there is one.  The
     calling thread iterates the first group and one thread each of the
     others, and every thread is joined before the call returns or raises.
-    Once a group fails, no other runs past the iteration it failed at.
     ``apply`` must therefore allow calls at once from several threads, each
     on its own columns, and must not let one column's product depend on
     another's.  The result then does not depend on the number of CPUs: every
     column, iteration count and residual is the one a single group gives, and
     so is the ``SolverError``: the earliest iteration, a breakdown (p.Ap)
     before a non-finite residual in that iteration, then the lowest column.
-    Any other exception from a group is raised in the caller, the lowest
-    group's first.
+    Once a group fails, no other runs past the iteration it failed at.  Any
+    other exception from a group is raised in the caller, the lowest group's
+    first.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
