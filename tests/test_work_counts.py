@@ -3,14 +3,16 @@
 ``configs/synthetic.cfg`` has no PCA, so its features, and with them every
 count below, do not depend on the BLAS build.  The number of block solves and
 every count of the networks' operator products are fixed by the grid's shape
-and are pinned exactly.  A CG solve splits each block into one column group
-per CPU, each making its own operator applications, so its work is counted
-in terms that do not depend on the CPU count: the iterations of each block
-(the applications of a one-group solve) are pinned as an upper bound, and the
-column applications (the sum of block widths over all applications) exactly.  The nnz of every factor of each operator the
-grid builds, and the width of every CG block in call order, are pinned
-exactly in ``work_pins.json``: dropping the centroid from its hyperedge,
-re-forming H H^T or splitting a block changes them.  A change that lowers a
+and are pinned exactly.  A CG solve splits a block into column groups, each
+making its own operator applications from a thread of its own; the grid runs
+with every block split into up to four groups, however small, and its CG work
+is counted in terms that do not depend on the split: the iterations of each
+block (the applications of a one-group solve) are pinned as an upper bound,
+and the column applications (the sum of block widths over all applications)
+exactly.  The nnz of every factor of each operator the grid builds, and the
+width of every CG block in call order, are pinned exactly in
+``work_pins.json``: dropping the centroid from its hyperedge, re-forming
+H H^T or splitting a block changes them.  A change that lowers a
 count updates its pin; raising one needs a stated reason.
 
 Regenerate ``work_pins.json`` with ``PYTHONPATH=src python tests/test_work_counts.py``.
@@ -29,7 +31,7 @@ from hgssl.bench import _CLOSED_FORM, prepare_experiment, run_cell, run_experime
 from hgssl.config import load_config
 from hgssl.hypergraph import PropagationOperator, hypergraph_operator
 from hgssl.network import TrainConfig, predict, train
-from helpers import random_hypergraph
+from helpers import random_hypergraph, split_columns
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = "configs/synthetic.cfg"
@@ -135,6 +137,7 @@ def smoke_grid_counts(patch):
 
     patch.setattr(hgssl.propagation, "conjugate_gradient", counting)
     patch.setattr(hgssl.bench, "build_operators", built)
+    split_columns(patch, 4)
     products = OperatorProducts(patch)
     for name, calls in neural.items():
         products.per_call(patch, hgssl.bench, name, calls)
@@ -155,6 +158,8 @@ def test_block_solves_and_applications(smoke_grid):
     assert len(cg["iterations"]) == BLOCK_SOLVES
     assert sum(cg["iterations"]) <= MAX_APPLICATIONS
     assert sum(cg["column_applications"]) == COLUMN_APPLICATIONS
+    # The column groups each applied the operator: the counts ran under threads.
+    assert sum(cg["applications"]) > sum(cg["iterations"])
 
 
 def test_factor_nnz_and_block_widths(smoke_grid):
