@@ -167,7 +167,7 @@ def conjugate_gradient(
         rs = _column_dots(R, R)
         b_norm = np.sqrt(rs)
         for iteration in range(1, max_iter + 1):
-            if not cols.size or iteration > last[0]:
+            if not cols.size or iteration > last:
                 break
             # Always a copy of our own, so its buffer can be reused for the updates.
             AP = np.array(apply(P), dtype=np.float64, order="F")
@@ -208,9 +208,10 @@ def conjugate_gradient(
         cols, max(1, min(_cores(), cols.size, len(B) * cols.size // _GROUP_ENTRIES)))
     outcomes = [None] * len(groups)
     # The last iteration a group need run: none past one that failed.
-    last, lock = [max_iter], threading.Lock()
+    last, lock = max_iter, threading.Lock()
 
     def run(g):
+        nonlocal last
         try:
             outcome = solve(groups[g])
         except BaseException as exc:  # raised again in the calling thread
@@ -218,7 +219,7 @@ def conjugate_gradient(
         outcomes[g] = outcome
         if outcome is not None:
             with lock:
-                last[0] = min(last[0], 0 if isinstance(outcome, BaseException) else outcome[0])
+                last = min(last, 0 if isinstance(outcome, BaseException) else outcome[0])
 
     workers = []
     try:
