@@ -2,10 +2,11 @@
 """Build a kNN hypergraph from a handful of points and inspect its operators.
 
 Every point spawns one hyperedge containing itself, its k nearest neighbors,
-and every point that counts it among their own k nearest neighbors.  The two
-propagation operators derived from the incidence structure do all the work in
-this package: the symmetric one drives the closed-form solvers, the
-random-walk one is an alternative normalization for the neural forward pass.
+and every point that counts it among their own k nearest neighbors.  Two
+propagation operators derive from the incidence structure.  The symmetric
+one drives the closed-form solvers and both hypergraph networks; the
+random-walk one, whose rows sum to 1, is a library alternative that the
+networks accept but no benchmark method uses.
 """
 
 import numpy as np

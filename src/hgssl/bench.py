@@ -29,13 +29,13 @@ from .propagation import PropagationConfig, propagate_features, propagate_labels
 
 METHODS = ("graph-ssl", "hypergraph-ssl", "gcn", "hgnn", "hgnn-proposed")
 
-# The operator each method runs on; hgnn takes the configured normalization.
+# The operator each method runs on.  hgnn propagates with the symmetric
+# hypergraph operator, as HGNN (Feng et al., AAAI 2019) does.
 _METHOD_OPERATORS = {"graph-ssl": "graph", "hypergraph-ssl": "hg_sym", "gcn": "gcn",
-                     "hgnn": "hg_{normalization}", "hgnn-proposed": "hg_sym"}
+                     "hgnn": "hg_sym", "hgnn-proposed": "hg_sym"}
 _CLOSED_FORM = ("graph-ssl", "hypergraph-ssl")
 # The normalization each operator is built with; a cache file must hold it.
-_OPERATOR_NORMALIZATIONS = {"hg_sym": "sym", "hg_rw": "rw", "graph": "graph_sym",
-                            "gcn": "gcn"}
+_OPERATOR_NORMALIZATIONS = {"hg_sym": "sym", "graph": "graph_sym", "gcn": "gcn"}
 
 DEFAULT_PCA_DIMS = {"mnist": 50, "usps": 50, "fashion": 300, "synthetic": None}
 # Marks a pca_dims left unset, which ExperimentConfig resolves from its dataset.
@@ -82,7 +82,6 @@ class ExperimentConfig:
     # Unset means DEFAULT_PCA_DIMS[dataset]; an explicit None means no PCA.
     pca_dims: Optional[int] = _PER_DATASET
     k: int = 5
-    normalization: str = "sym"
     train: TrainConfig = TrainConfig()
     solver: PropagationConfig = PropagationConfig()
     subsample_size: Optional[int] = None
@@ -117,8 +116,6 @@ class ExperimentConfig:
                      f"unknown method {method!r}; known: {', '.join(METHODS)}")
         for level in self.noise_levels:
             _require(0.0 <= level < 1.0, "noise_levels", f"noise level {level} outside [0, 1)")
-        _require(self.normalization in ("sym", "rw"), "normalization",
-                 f"normalization must be 'sym' or 'rw', got {self.normalization!r}")
         _require(self.pca_dims is None or self.pca_dims >= 1, "pca_dims",
                  f"pca_dims must be a positive integer or none, got {self.pca_dims}")
         _require(self.k >= 1, "k", f"k must be a positive integer, got {self.k}")
@@ -191,10 +188,6 @@ class PreparedExperiment:
     propagation_error: Optional[SolverError] = None
 
 
-def _operator_name(cfg: ExperimentConfig, method: str) -> str:
-    return _METHOD_OPERATORS[method].format(normalization=cfg.normalization)
-
-
 def operator_cache_key(cfg: ExperimentConfig, X: np.ndarray) -> str:
     """Hex sha256 of the prepared features and every setting the operators depend on."""
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -210,7 +203,7 @@ def operator_cache_path(ops_dir, key: str, op_name: str) -> Path:
 
 def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
     """Build (or load from cache) every operator the configured methods need."""
-    needed = {_operator_name(cfg, method) for method in cfg.methods}
+    needed = {_METHOD_OPERATORS[method] for method in cfg.methods}
     key = operator_cache_key(cfg, X) if ops_dir is not None else None
     operators = {}
     pending = set()
@@ -228,12 +221,9 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
 
     if pending:
         knn = hg.knn_indices(X, cfg.k)
-        if pending & {"hg_sym", "hg_rw"}:
+        if "hg_sym" in pending:
             hgraph = hg.build_knn_hypergraph(knn)
-            for name in ("hg_sym", "hg_rw"):
-                if name in pending:
-                    operators[name] = hg.hypergraph_operator(
-                        hgraph, _OPERATOR_NORMALIZATIONS[name])
+            operators["hg_sym"] = hg.hypergraph_operator(hgraph, "sym")
         if pending & {"graph", "gcn"}:
             adjacency = hg.gaussian_knn_adjacency(X, knn)
         if "graph" in pending:
@@ -308,7 +298,7 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
         raise SolverError(error.reason, error.residual, error.columns)
     split = inject_noise(dataset, level, seed)
 
-    op = prepared.operators[_operator_name(cfg, method)]
+    op = prepared.operators[_METHOD_OPERATORS[method]]
     if method in _CLOSED_FORM:
         solved = {} if solved is None else solved
         key = (method, hashlib.sha256(split.noisy_labels[dataset.train_indices]).digest())

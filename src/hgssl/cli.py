@@ -56,8 +56,6 @@ def _build_parser():
     p_run.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
     p_run.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_run.add_argument("--hidden", type=int, default=TrainConfig.hidden)
-    p_run.add_argument("--normalization", choices=("sym", "rw"),
-                       default=ExperimentConfig.normalization)
     p_run.add_argument("--subsample", type=int, default=None,
                        help="stratified subsample size before running")
     _add_common(p_run)
@@ -100,7 +98,6 @@ def _cmd_run(args) -> int:
         noise_levels=(args.noise,),
         seeds=(args.seed,),
         k=args.k,
-        normalization=args.normalization,
         train=TrainConfig(epochs=args.epochs, hidden=args.hidden),
         solver=PropagationConfig(alpha=args.alpha),
         subsample_size=args.subsample,

@@ -189,7 +189,7 @@ def parse_config(text, path="<config>") -> ExperimentConfig:
         ExperimentConfig,
         [(ds, {"subsample_size": _INT_OR_NONE, "subsample_seed": _INT}),
          (ex, {"methods": _NAMES, "noise_levels": _REALS, "seeds": _INTS,
-               "pca_dims": _INT_OR_NONE, "k": _INT, "normalization": _STRING})],
+               "pca_dims": _INT_OR_NONE, "k": _INT})],
         dataset=name, paths=ds.collect(dict.fromkeys(DATASET_FILES[name], _STRING)),
         synthetic=synthetic, train=train, solver=solver)
     for section in (ds, ex, tr, so):

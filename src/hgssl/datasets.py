@@ -188,7 +188,12 @@ def _read_usps_file(path):
                 values = np.array(fields, dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            labels.append(int(values[0]))  # label is a real, truncated toward zero
+            # Labels are written as reals ("6.0000"); each must be a whole number.
+            if not float(values[0]).is_integer():
+                raise FormatError(f"{path}:{lineno}: label {fields[0]!r} is not an integer")
+            if not np.isfinite(values[1:]).all():
+                raise FormatError(f"{path}:{lineno}: non-finite pixel value")
+            labels.append(int(values[0]))
             rows.append(values[1:])
     if not rows:
         raise FormatError(f"{path}: no samples found")
@@ -227,7 +232,7 @@ def check_blob_args(n, num_classes, dim, spread, seed):
     _require(num_classes >= 2, "classes", f"classes must be at least 2, got {num_classes}")
     _require(n >= num_classes, "n", f"n must be at least classes ({num_classes}), got {n}")
     _require(dim >= 1, "dim", f"dim must be a positive integer, got {dim}")
-    _require(spread > 0, "spread", f"spread must be positive, got {spread}")
+    _require(0 < spread < np.inf, "spread", f"spread must be positive and finite, got {spread}")
     _require(seed >= 0, "seed", f"seed must be a non-negative integer, got {seed}")
 
 

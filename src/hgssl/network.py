@@ -1,7 +1,9 @@
 """Two-layer graph/hypergraph networks: forward, backprop, Adam training.
 
 Adam runs at Kingma & Ba's defaults, the constant ``ADAM``: moment decays
-beta1 = 0.9 and beta2 = 0.999, and epsilon = 1e-8.
+beta1 = 0.9 and beta2 = 0.999, and epsilon = 1e-8.  Its learning rate
+``LEARNING_RATE`` = 0.01 and the L2 weight ``WEIGHT_DECAY`` = 5e-4 are Kipf &
+Welling's (ICLR 2017) GCN training settings.
 
 The forward pass is Z = softmax(Theta ReLU(Theta X theta1) theta2), full batch,
 for any of the four propagation operators.  It is evaluated as
@@ -31,6 +33,8 @@ from .hypergraph import PropagationOperator
 from .linalg import as_dense
 
 ADAM = 0.9, 0.999, 1e-8  # beta1, beta2, epsilon
+LEARNING_RATE = 0.01
+WEIGHT_DECAY = 5e-4
 
 
 @dataclass
@@ -42,19 +46,13 @@ class TwoLayerParams:
 @dataclass(frozen=True)
 class TrainConfig:
     hidden: int = 64
-    learning_rate: float = 0.01
     epochs: int = 200
-    weight_decay: float = 5e-4
 
     def __post_init__(self):
         _require(self.hidden >= 1, "hidden",
                  f"hidden must be a positive integer, got {self.hidden}")
-        _require(self.learning_rate >= 0, "learning_rate",
-                 f"learning_rate must be >= 0, got {self.learning_rate}")
         _require(self.epochs >= 1, "epochs",
                  f"epochs must be a positive integer, got {self.epochs}")
-        _require(self.weight_decay >= 0, "weight_decay",
-                 f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -210,7 +208,6 @@ def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
     m2 = [np.zeros_like(theta) for theta in thetas]
     scratch = [np.empty_like(theta) for theta in thetas]
     b1, b2, eps = ADAM
-    lr = cfg.learning_rate
 
     if log_stream is not None:
         log_stream.write("epoch,loss,train_accuracy\n")
@@ -219,7 +216,7 @@ def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
 
     for epoch in range(1, cfg.epochs + 1):
         trace = forward(op, X, params, x_prop=x_prop)
-        loss, grads = loss_and_gradients(trace, Y, labeled, params, cfg.weight_decay)
+        loss, grads = loss_and_gradients(trace, Y, labeled, params, WEIGHT_DECAY)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
         if log_stream is not None:
@@ -239,7 +236,7 @@ def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
             var *= b2
             var += buf
             np.divide(mean, 1 - b1 ** epoch, out=g)
-            g *= lr
+            g *= LEARNING_RATE
             np.divide(var, 1 - b2 ** epoch, out=buf)
             np.sqrt(buf, out=buf)
             buf += eps

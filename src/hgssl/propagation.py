@@ -27,7 +27,10 @@ class PropagationConfig:
     def __post_init__(self):
         _require(0.0 < self.alpha < 1.0, "alpha",
                  f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        _require(self.tol > 0, "tol", f"tol must be positive, got {self.tol}")
+        # Every nonzero column starts at relative residual 1, so a tol of 1
+        # or more would accept x = 0.
+        _require(0.0 < self.tol < 1.0, "tol",
+                 f"tol must be positive and below 1, got {self.tol}")
         _require(self.max_iter >= 1, "max_iter",
                  f"max_iter must be a positive integer, got {self.max_iter}")
 

@@ -186,6 +186,18 @@ def test_one_class_dataset_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "r").exists()
 
 
+def test_malformed_usps_label_exit_code(tmp_path, capsys):
+    (tmp_path / "zip.train").write_text("0 0.0 0.5\n1.5 1.0 0.5\n")
+    (tmp_path / "zip.test").write_text("1 0.5 0.5\n")
+    cfg = tmp_path / "usps.cfg"
+    cfg.write_text("schema_version = 1\n[dataset]\nname = usps\ntrain_path = zip.train\n"
+                   "test_path = zip.test\n[experiment]\npca_dims = none\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"bad file: {tmp_path / 'zip.train'}:2: label '1.5' is not an integer\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("schema_version = 1\n[dataset]\nname = usps\nwat = 1\n")
@@ -199,10 +211,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("hidden = 8", "hidden = 8\n[solver]\ntol = 0", "tol must be positive"),
     ("classes = 3", "classes = 1", "classes must be at least 2"),
     ("spread = 0.1", "spread = 0", "spread must be positive"),
+    ("spread = 0.1", "spread = inf", "spread must be positive and finite, got inf"),
+    ("hidden = 8", "hidden = 8\n[solver]\ntol = 1", "tol must be positive and below 1, got 1.0"),
     ("hidden = 8", "hidden = 8\nseed = 3", "unknown key 'seed' in [train]"),
     ("hidden = 8", "hidden = 8\nadam_beta1 = 1", "unknown key 'adam_beta1' in [train]"),
-], ids=["train-epochs", "solver-tol", "dataset-classes", "dataset-spread", "train-seed",
-        "train-adam_beta1"])
+], ids=["train-epochs", "solver-tol", "dataset-classes", "dataset-spread",
+        "dataset-spread-inf", "solver-tol-1", "train-seed", "train-adam_beta1"])
 def test_bad_config_value_exit_code(tmp_path, capsys, monkeypatch, old, new, message):
     def no_data(*args, **kwargs):
         raise AssertionError("data loaded before the config was checked")
@@ -292,6 +306,12 @@ def test_removed_no_centroid_flag_usage_error(capsys):
     assert main(["run", "--dataset", "synthetic", "--method", "hgnn", "--noise", "0",
                  "--seed", "0", "--no-centroid"]) == 2
     assert "unrecognized arguments: --no-centroid" in capsys.readouterr().err
+
+
+def test_removed_normalization_flag_usage_error(capsys):
+    assert main(["run", "--dataset", "synthetic", "--method", "hgnn", "--noise", "0",
+                 "--seed", "0", "--normalization", "sym"]) == 2
+    assert "unrecognized arguments: --normalization sym" in capsys.readouterr().err
 
 
 def test_unknown_method_usage_error(capsys):

@@ -24,13 +24,10 @@ SCHEMA = {
     "experiment": {
         "methods": ("gcn, hgnn", "gcn, magic"), "noise_levels": ("0, 0.3", "0, 1.5"),
         "seeds": ("0, 1", "0, -1"), "pca_dims": ("none", "0"), "k": ("5", "0"),
-        "alpha": ("0.9", "1.5"), "normalization": ("rw", "both"),
+        "alpha": ("0.9", "1.5"),
     },
-    "train": {
-        "hidden": ("16", "0"), "learning_rate": ("0.01", "-1"), "epochs": ("30", "0"),
-        "weight_decay": ("0.0005", None),
-    },
-    "solver": {"tol": ("1e-8", "0"), "max_iter": ("500", "0")},
+    "train": {"hidden": ("16", "0"), "epochs": ("30", "0")},
+    "solver": {"tol": ("1e-8", "1"), "max_iter": ("500", "0")},
 }
 README = Path(__file__).resolve().parent.parent / "README.md"
 SYNTHETIC_KEYS = ("n", "classes", "dim", "spread", "seed")

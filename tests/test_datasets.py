@@ -180,6 +180,22 @@ class TestUspsLoader:
         with pytest.raises(FormatError, match="negative class id -1"):
             load_usps_dataset(train, test)
 
+    @pytest.mark.parametrize("line, message", [
+        ("1.5 1.0 0.5", "label '1.5' is not an integer"),
+        ("nan 1.0 0.5", "label 'nan' is not an integer"),
+        ("inf 1.0 0.5", "label 'inf' is not an integer"),
+        ("1 nan 0.5", "non-finite pixel value"),
+        ("1 1.0 -inf", "non-finite pixel value"),
+    ], ids=["fractional-label", "nan-label", "inf-label", "nan-pixel", "inf-pixel"])
+    def test_malformed_value_names_line(self, tmp_path, line, message):
+        train = tmp_path / "zip.train"
+        train.write_text(f"0.0000 0.0 0.5\n{line}\n")
+        test = tmp_path / "zip.test"
+        test.write_text("1 0.5 0.5\n")
+        with pytest.raises(FormatError) as info:
+            load_usps_dataset(train, test)
+        assert str(info.value) == f"{train}:2: {message}"
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         ds = synthetic_blobs(12, 3, 5, 0.2, seed=1)

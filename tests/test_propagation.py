@@ -236,6 +236,10 @@ class TestPropagationConfig:
     def test_tol_and_iter_bounds(self):
         with pytest.raises(ValueError):
             PropagationConfig(tol=0.0)
+        # Every nonzero column starts at relative residual 1: a tol of 1 would
+        # accept x = 0 and predict class 0 everywhere.
+        with pytest.raises(ValueError, match="tol must be positive and below 1, got 1.0"):
+            PropagationConfig(tol=1.0)
         with pytest.raises(ValueError):
             PropagationConfig(max_iter=0)
 
