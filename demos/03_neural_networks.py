@@ -6,7 +6,8 @@ theta2), trained full batch with Adam on a masked cross-entropy loss.  They
 differ only in Theta and in the input: the graph network uses the self-loop
 graph operator on raw features, the hypergraph network uses the hypergraph
 operator on raw features, and the feature-propagated variant runs the
-hypergraph network on pre-smoothed features.
+hypergraph network on pre-smoothed features.  ``train`` and ``predict`` take
+the propagated input Theta X, formed once per network with ``op.apply``.
 """
 
 import io
@@ -23,12 +24,13 @@ knn = knn_indices(ds.features, k=5)
 hyper_op = hypergraph_operator(build_knn_hypergraph(knn), "sym")
 graph_op = gcn_operator(gaussian_knn_adjacency(ds.features, knn))
 smoothed = propagate_features(hyper_op, ds.features, PropagationConfig(alpha=0.99))
+smoothed_input = hyper_op.apply(smoothed)
 cfg = TrainConfig(hidden=64, epochs=200)
 
 runs = (
-    ("graph network", graph_op, ds.features),
-    ("hypergraph network", hyper_op, ds.features),
-    ("feature-propagated network", hyper_op, smoothed),
+    ("graph network", graph_op, graph_op.apply(ds.features)),
+    ("hypergraph network", hyper_op, hyper_op.apply(ds.features)),
+    ("feature-propagated network", hyper_op, smoothed_input),
 )
 
 for level in (0.0, 0.45):
@@ -36,16 +38,16 @@ for level in (0.0, 0.45):
     Y = encode_labels(split, ds.train_indices, ds.num_classes)
     print(f"--- noise level {level * 100:.0f}% "
           f"({len(split.flipped)} of {len(ds.train_indices)} labels flipped)")
-    for name, op, X in runs:
-        params = train(op, X, Y, ds.train_indices, cfg, seed=0)
-        acc = accuracy(predict(op, X, params), ds.labels, ds.test_indices)
+    for name, op, x_prop in runs:
+        params = train(op, x_prop, Y, ds.train_indices, cfg, seed=0)
+        acc = accuracy(predict(op, x_prop, params), ds.labels, ds.test_indices)
         print(f"{name:28s} test accuracy: {acc * 100:6.2f}%")
 
 # The per-epoch training log is a CSV stream: epoch, loss, train accuracy.
 split = inject_noise(ds, 0.45, seed=1)
 Y = encode_labels(split, ds.train_indices, ds.num_classes)
 log = io.StringIO()
-train(hyper_op, smoothed, Y, ds.train_indices,
+train(hyper_op, smoothed_input, Y, ds.train_indices,
       TrainConfig(hidden=64, epochs=50), seed=0, log_stream=log)
 lines = log.getvalue().splitlines()
 print("\ntraining log head:")

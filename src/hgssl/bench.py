@@ -3,10 +3,14 @@
 A grid cell is one (method, noise level, seed) triple.  Operators are built
 once per experiment and shared read-only across cells; the feature-propagation
 step of the hgnn-proposed method does not depend on labels, so it also runs
-once.  Each cell's seed drives both the noise injection and, for the neural
-methods, the parameter initialization.  Within one grid a closed-form cell's
-accuracy depends only on its method and its noisy training labels, so cells
-whose labels are equal (every seed at noise level 0) share one solve.
+once, and its smoothed features Z are turned in place into that network's
+input Theta Z.  A gcn or hgnn cell forms its input Theta X itself, once, for
+both training and prediction; it is not kept across cells, so a grid holds
+at most one such array at a time.  Each cell's seed drives both the noise
+injection and, for the neural methods, the parameter initialization.  Within
+one grid a closed-form cell's accuracy depends only on its method and its
+noisy training labels, so cells whose labels are equal (every seed at noise
+level 0) share one solve.
 """
 
 import hashlib
@@ -183,7 +187,8 @@ class PreparedExperiment:
     dataset: ImageDataset
     features: np.ndarray
     operators: dict
-    propagated: Optional[np.ndarray]
+    # Theta Z for the smoothed features Z: hgnn-proposed's network input.
+    proposed_input: Optional[np.ndarray]
     # A failed feature solve fails each hgnn-proposed cell, not the grid.
     propagation_error: Optional[SolverError] = None
 
@@ -268,15 +273,18 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
                        ops_dir=None) -> PreparedExperiment:
     dataset, X = prepare_features(cfg, data_dir)
     operators = build_operators(cfg, X, ops_dir)
-    propagated = error = None
+    proposed_input = error = None
     if "hgnn-proposed" in cfg.methods:
+        op = operators[_METHOD_OPERATORS["hgnn-proposed"]]
         try:
-            propagated = propagate_features(operators["hg_sym"], X, cfg.solver)
+            smoothed = propagate_features(op, X, cfg.solver)
         except SolverError as exc:
             # Kept bare: the caught error's traceback holds the solve's arrays.
             error = SolverError(exc.reason, exc.residual, exc.columns)
+        else:
+            proposed_input = op.apply(smoothed, out=smoothed)
     return PreparedExperiment(config=cfg, dataset=dataset, features=X,
-                              operators=operators, propagated=propagated,
+                              operators=operators, proposed_input=proposed_input,
                               propagation_error=error)
 
 
@@ -310,9 +318,13 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     else:
         # Never reused: the seed also draws the initial parameters.
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes)
-        X = prepared.propagated if method == "hgnn-proposed" else prepared.features
-        params = train(op, X, Y, dataset.train_indices, cfg.train, seed=seed)
-        acc = accuracy(predict(op, X, params), split.clean_labels, dataset.test_indices)
+        if method == "hgnn-proposed":
+            x_prop = prepared.proposed_input
+        else:
+            x_prop = op.apply(prepared.features)
+        params = train(op, x_prop, Y, dataset.train_indices, cfg.train, seed=seed)
+        acc = accuracy(predict(op, x_prop, params), split.clean_labels,
+                       dataset.test_indices)
     return ResultRow(dataset=cfg.dataset, method=method, noise_level=float(level),
                      seed=int(seed), accuracy=acc,
                      wall_time_seconds=time.perf_counter() - start,

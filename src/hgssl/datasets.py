@@ -9,6 +9,7 @@ values are kept in their native [-1, 1] range.
 
 import struct
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import FormatError, _require
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
+# Absent class ids a FormatError lists before it counts the rest.
+_ABSENT_IDS_SHOWN = 10
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,16 @@ def _train_then_test(train_x, train_y, test_x, test_y, train_path,
                           f"{classes.size} class between them, need at least 2")
     if classes[0] < 0:
         raise FormatError(f"{train_path}, {test_path}: negative class id {classes[0]}")
-    missing = np.setdiff1d(np.arange(classes[-1] + 1), classes)
-    if missing.size:
-        raise FormatError(f"{train_path}, {test_path}: class ids {missing.tolist()} hold no "
-                          f"row; labels must use every id from 0 to {classes[-1]}")
+    absent = int(classes[-1]) + 1 - classes.size
+    if absent:
+        # The first absent ids, read off the gaps between the sorted ids: listing
+        # every id up to a label of 4e9 would take 32 GB.
+        ids = classes.tolist()
+        gaps = (range(low, high) for low, high in zip([0] + [i + 1 for i in ids], ids))
+        shown = list(islice(chain.from_iterable(gaps), _ABSENT_IDS_SHOWN))
+        more = f" and {absent - len(shown)} more" if absent > len(shown) else ""
+        raise FormatError(f"{train_path}, {test_path}: class ids {shown}{more} hold no "
+                          f"row; labels must use every id from 0 to {ids[-1]}")
     features = np.vstack([train_x, test_x])
     l = train_x.shape[0]
     n = features.shape[0]
@@ -188,12 +197,17 @@ def _read_usps_file(path):
                 values = np.array(fields, dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            # Labels are written as reals ("6.0000"); each must be a whole number.
-            if not float(values[0]).is_integer():
+            # Labels are written as reals ("6.0000"); each must be a whole
+            # number that int64 holds.
+            label = float(values[0])
+            if not label.is_integer():
                 raise FormatError(f"{path}:{lineno}: label {fields[0]!r} is not an integer")
+            if not -2.0 ** 63 <= label < 2.0 ** 63:
+                raise FormatError(
+                    f"{path}:{lineno}: label {fields[0]!r} does not fit a 64-bit integer")
             if not np.isfinite(values[1:]).all():
                 raise FormatError(f"{path}:{lineno}: non-finite pixel value")
-            labels.append(int(values[0]))
+            labels.append(int(label))
             rows.append(values[1:])
     if not rows:
         raise FormatError(f"{path}: no samples found")

@@ -121,9 +121,18 @@ class PropagationOperator:
             return self.factors[0]
         return reduce(matmul, self.factors).sorted_indices()
 
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        """Theta @ V, one sparse product per factor, right to left."""
-        return _chain(self.factors[::-1], V)
+    def apply(self, V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Theta @ V, one sparse product per factor, right to left.
+
+        ``out``, a float64 array of the result's shape, receives the product
+        and is returned; it may be ``V`` itself, which then holds Theta V in
+        place of V, every bit as a fresh result would.
+        """
+        if out is not None:
+            shape = (self.shape[0],) + V.shape[1:]
+            if out.shape != shape or out.dtype != np.float64:
+                raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
+        return _chain(self.factors[::-1], V, out)
 
     def apply_T(self, V: np.ndarray) -> np.ndarray:
         """Theta^T @ V; the same product as :meth:`apply` except for ``rw``."""
@@ -132,23 +141,29 @@ class PropagationOperator:
         return _chain([factor.T for factor in self.factors], V)
 
 
-def _chain(factors, V: np.ndarray) -> np.ndarray:
-    """``factors[-1] @ ... @ factors[0] @ V``.
+def _chain(factors, V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """``factors[-1] @ ... @ factors[0] @ V``, written to ``out`` if given.
 
     A V wider than ``_COLUMN_BUDGET`` entries runs in blocks of columns of at
     most that many entries, so its intermediate products are one block wide.
     Each column's product does not depend on the others, so the blocks leave
-    every bit of the result as one product gives it.
+    every bit of the result as one product gives it, and a block's columns of
+    ``out`` may overwrite the same columns of V once their product is formed.
     """
     step = max(1, _COLUMN_BUDGET // max(1, len(V)))
     if V.ndim == 2 and V.shape[1] > step:
-        out = np.empty((factors[-1].shape[0], V.shape[1]))
+        if out is None:
+            out = np.empty((factors[-1].shape[0], V.shape[1]))
         for start in range(0, V.shape[1], step):
-            out[:, start:start + step] = _chain(factors, V[:, start:start + step])
+            block = slice(start, start + step)
+            _chain(factors, V[:, block], out[:, block])
         return out
     for factor in factors:
         V = factor @ V
-    return V
+    if out is None:
+        return V
+    out[...] = V
+    return out
 
 
 def pair_sq_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

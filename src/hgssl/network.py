@@ -6,13 +6,16 @@ beta1 = 0.9 and beta2 = 0.999, and epsilon = 1e-8.  Its learning rate
 Welling's (ICLR 2017) GCN training settings.
 
 The forward pass is Z = softmax(Theta ReLU(Theta X theta1) theta2), full batch,
-for any of the four propagation operators.  It is evaluated as
-Theta (ReLU(Theta X theta1) theta2): the second-layer projection runs before
-the operator, so every sparse product inside the training loop is C columns
-wide (C classes) rather than hidden-width, and the backward pass reuses one
-Theta^T dlogits for both gradients.  The feature-propagated variant runs the
-identical network on features smoothed by ``propagate_features``, which
-accepts only the sym operator.
+for any of the four propagation operators.  ``forward``, ``train`` and
+``predict`` take the network's propagated input ``x_prop = op.apply(X)``,
+which does not depend on the parameters: the caller forms it once and
+passes the same array to ``train`` and ``predict``, and none of the three
+applies the operator to the input.  The rest is evaluated as Theta (ReLU(x_prop theta1) theta2): the
+second-layer projection runs before the operator, so every sparse product
+inside them is C columns wide (C classes) rather than hidden-width, and the
+backward pass reuses one Theta^T dlogits for both gradients.  The
+feature-propagated variant runs the identical network on features smoothed
+by ``propagate_features``, which accepts only the sym operator.
 Loss is masked cross-entropy over the labeled rows plus an L2 penalty on both
 parameter matrices; gradients are analytic.  While training, the softmax is
 taken on the labeled rows only, and one row-max shift gives both their
@@ -60,8 +63,8 @@ class ForwardTrace:
     """Everything the backward pass needs from one forward evaluation."""
 
     op: PropagationOperator
-    x_prop: np.ndarray   # Theta X
-    hidden: np.ndarray   # ReLU(Theta X theta1)
+    x_prop: np.ndarray   # Theta X, the caller's
+    hidden: np.ndarray   # ReLU(x_prop theta1)
     logits: np.ndarray   # Theta (hidden theta2)
 
     @cached_property
@@ -102,21 +105,15 @@ def labeled_rows(labeled_mask, n: int) -> np.ndarray:
     return labeled
 
 
-def forward(op: PropagationOperator, X: np.ndarray, params: TwoLayerParams,
-            x_prop: np.ndarray = None) -> ForwardTrace:
-    """Full-batch forward pass of the two-layer network.
-
-    ``x_prop`` accepts a precomputed ``op.apply(X)``; the product does not
-    depend on the parameters, so the training loop hoists it out.
-    """
-    X = as_dense(X)
-    if X.shape[1] != params.theta1.shape[0]:
+def forward(op: PropagationOperator, x_prop: np.ndarray,
+            params: TwoLayerParams) -> ForwardTrace:
+    """Full-batch forward pass of the two-layer network on ``x_prop = op.apply(X)``."""
+    x_prop = as_dense(x_prop)
+    if x_prop.shape[1] != params.theta1.shape[0]:
         raise ValueError(
-            f"input has {X.shape[1]} features, theta1 expects {params.theta1.shape[0]}")
+            f"input has {x_prop.shape[1]} features, theta1 expects {params.theta1.shape[0]}")
     if params.theta1.shape[1] != params.theta2.shape[0]:
         raise ValueError("theta1 and theta2 have inconsistent hidden sizes")
-    if x_prop is None:
-        x_prop = op.apply(X)
     hidden = x_prop @ params.theta1
     np.maximum(hidden, 0.0, out=hidden)
     logits = op.apply(hidden @ params.theta2)
@@ -188,20 +185,21 @@ def init_params(input_dim: int, hidden: int, num_classes: int,
     )
 
 
-def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
+def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled_mask,
           cfg: TrainConfig = TrainConfig(), *, seed: int,
           log_stream=None) -> TwoLayerParams:
-    """Full-batch Adam training for ``cfg.epochs`` steps; no early stopping.
+    """Full-batch Adam training on ``x_prop = op.apply(X)`` for ``cfg.epochs`` steps.
 
-    Deterministic under ``seed``, which draws the initial parameters.  When
-    ``log_stream`` is given, one CSV line per epoch (epoch, loss,
-    train_accuracy) is written to it.
+    No early stopping.  Deterministic under ``seed``, which draws the initial
+    parameters.  When ``log_stream`` is given, one CSV line per epoch (epoch,
+    loss, train_accuracy) is written to it.
     """
-    X = as_dense(X)
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"label matrix has {Y.shape[0]} rows, but X has {X.shape[0]}")
-    labeled = labeled_rows(labeled_mask, X.shape[0])
-    params = init_params(X.shape[1], cfg.hidden, Y.shape[1], seed)
+    x_prop = as_dense(x_prop)
+    n = x_prop.shape[0]
+    if Y.shape[0] != n:
+        raise ValueError(f"label matrix has {Y.shape[0]} rows, but the input has {n}")
+    labeled = labeled_rows(labeled_mask, n)
+    params = init_params(x_prop.shape[1], cfg.hidden, Y.shape[1], seed)
     thetas = (params.theta1, params.theta2)
 
     m1 = [np.zeros_like(theta) for theta in thetas]
@@ -212,10 +210,9 @@ def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
     if log_stream is not None:
         log_stream.write("epoch,loss,train_accuracy\n")
         target_ids = np.argmax(Y[labeled], axis=1)
-    x_prop = op.apply(X)
 
     for epoch in range(1, cfg.epochs + 1):
-        trace = forward(op, X, params, x_prop=x_prop)
+        trace = forward(op, x_prop, params)
         loss, grads = loss_and_gradients(trace, Y, labeled, params, WEIGHT_DECAY)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
@@ -245,8 +242,8 @@ def train(op: PropagationOperator, X: np.ndarray, Y: np.ndarray, labeled_mask,
     return params
 
 
-def predict(op: PropagationOperator, X: np.ndarray,
+def predict(op: PropagationOperator, x_prop: np.ndarray,
             params: TwoLayerParams) -> np.ndarray:
-    """Class ids from the forward pass: row argmax, ties to the lowest index."""
-    trace = forward(op, X, params)
+    """Class ids from the forward pass on ``x_prop``: row argmax, ties to the lowest index."""
+    trace = forward(op, x_prop, params)
     return np.argmax(trace.probs, axis=1).astype(np.int64)

@@ -78,12 +78,13 @@ def test_criterion_2_gradient_correctness():
         X = rng.standard_normal((n, l1))
         if variant == "propagated":
             X = propagate_features(op, X, PropagationConfig(0.9, 1e-12, 5000))
+        x_prop = op.apply(X)
         params = TwoLayerParams(0.4 * rng.standard_normal((l1, l2)),
                                 0.4 * rng.standard_normal((l2, c)))
         Y = np.zeros((n, c))
         Y[np.arange(n), rng.integers(0, c, n)] = 1.0
         mask = np.sort(rng.choice(n, size=6, replace=False))
-        _, analytic = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
+        _, analytic = loss_and_gradients(forward(op, x_prop, params), Y, mask, params, 0.01)
 
         h = 1e-5
         for name in ("theta1", "theta2"):
@@ -91,9 +92,9 @@ def test_criterion_2_gradient_correctness():
             for idx in np.ndindex(matrix.shape):
                 orig = matrix[idx]
                 matrix[idx] = orig + h
-                up, _ = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
+                up, _ = loss_and_gradients(forward(op, x_prop, params), Y, mask, params, 0.01)
                 matrix[idx] = orig - h
-                down, _ = loss_and_gradients(forward(op, X, params), Y, mask, params, 0.01)
+                down, _ = loss_and_gradients(forward(op, x_prop, params), Y, mask, params, 0.01)
                 matrix[idx] = orig
                 numeric = (up - down) / (2 * h)
                 scale = max(1.0, abs(numeric))

@@ -20,7 +20,7 @@ from hgssl.errors import ConfigError, FormatError, SolverError
 from hgssl.labels import encode_labels, inject_noise
 from hgssl.network import TrainConfig
 from hgssl.pca import pca_fit, pca_transform
-from hgssl.propagation import PropagationConfig
+from hgssl.propagation import PropagationConfig, propagate_features
 
 FAST_TRAIN = TrainConfig(hidden=16, epochs=60)
 
@@ -189,6 +189,7 @@ class TestRunExperiment:
         prepared = prepare_experiment(cfg)
         error = prepared.propagation_error
         assert isinstance(error, SolverError) and error.columns
+        assert prepared.proposed_input is None
         for _ in range(2):
             with pytest.raises(SolverError) as raised:
                 run_cell(prepared, "hgnn-proposed", 0.0, 0)
@@ -210,7 +211,8 @@ class TestRunExperiment:
         prepared = prepare_experiment(cfg)
         ds = prepared.dataset
         Y = encode_labels(inject_noise(ds, 0.15, 7), ds.train_indices, ds.num_classes)
-        want = network.train(prepared.operators["hg_sym"], prepared.features, Y,
+        op = prepared.operators["hg_sym"]
+        want = network.train(op, op.apply(prepared.features), Y,
                              ds.train_indices, FAST_TRAIN, seed=7)
         [got] = trained
         assert np.array_equal(got.theta1, want.theta1)
@@ -258,6 +260,38 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         accs = {row.method: row.accuracy for row in report.rows}
         assert set(accs) == {"hgnn", "hgnn-proposed"}
+
+    @pytest.mark.parametrize("budget", [None, 150 * 4], ids=["one-block", "blocks"])
+    def test_proposed_input_is_theta_times_smoothed_features(self, monkeypatch, budget):
+        # Theta Z is formed in place over the solve's Z, in blocks of 4 of the 6
+        # columns when the budget is small, bit for bit as a fresh product.
+        if budget is not None:
+            monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", budget)
+        cfg = replace(SMALL, methods=("hgnn-proposed",))
+        prepared = prepare_experiment(cfg)
+        op = prepared.operators["hg_sym"]
+        want = op.apply(propagate_features(op, prepared.features, cfg.solver))
+        assert prepared.proposed_input.tobytes() == want.tobytes()
+
+    def test_cell_forms_its_network_input_once(self, monkeypatch):
+        # train and predict get the same Theta X; no neural cell forms it twice.
+        inputs = {"train": [], "predict": []}
+        for name, seen in inputs.items():
+            original = getattr(hgssl.bench, name)
+
+            def recording(op, x_prop, *args, original=original, seen=seen, **kwargs):
+                seen.append(x_prop)
+                return original(op, x_prop, *args, **kwargs)
+            monkeypatch.setattr(hgssl.bench, name, recording)
+        cfg = replace(SMALL, methods=("gcn", "hgnn", "hgnn-proposed"))
+        assert run_experiment(cfg).ok
+        prepared = prepare_experiment(cfg)
+        for method, trained, predicted in zip(cfg.methods, *inputs.values()):
+            assert trained is predicted, method
+            op = prepared.operators[hgssl.bench._METHOD_OPERATORS[method]]
+            want = (prepared.proposed_input if method == "hgnn-proposed"
+                    else op.apply(prepared.features))
+            assert trained.tobytes() == want.tobytes(), method
 
 
 class TestClosedFormReuse:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,26 @@ class TestUspsLoader:
         assert str(train) in message and str(test) in message
         assert "class ids [1, 2, 3, 4] hold no row" in message
 
+    @pytest.mark.parametrize("label, message", [
+        ("1e300", "label '1e300' does not fit a 64-bit integer"),
+        ("4000000000", r"class ids \[2, 3, 4, 5, 6, 7, 8, 9, 10, 11\] and 3999999988 more "
+                       "hold no row; labels must use every id from 0 to 4000000000"),
+    ], ids=["past-int64", "past-row-count"])
+    def test_huge_label_fails_without_large_allocation(self, tmp_path, label, message):
+        # Listing every id up to 4e9 would allocate 32 GB before finding the gaps.
+        train = tmp_path / "zip.train"
+        train.write_text(f"0 0.0 0.5\n{label} 1.0 0.5\n")
+        test = tmp_path / "zip.test"
+        test.write_text("1 0.5 0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=message):
+                load_usps_dataset(train, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_negative_class_id(self, tmp_path):
         train = tmp_path / "zip.train"
         train.write_text("0 0.0 0.5\n-1 1.0 0.5\n")
@@ -184,9 +205,11 @@ class TestUspsLoader:
         ("1.5 1.0 0.5", "label '1.5' is not an integer"),
         ("nan 1.0 0.5", "label 'nan' is not an integer"),
         ("inf 1.0 0.5", "label 'inf' is not an integer"),
+        ("1e300 1.0 0.5", "label '1e300' does not fit a 64-bit integer"),
         ("1 nan 0.5", "non-finite pixel value"),
         ("1 1.0 -inf", "non-finite pixel value"),
-    ], ids=["fractional-label", "nan-label", "inf-label", "nan-pixel", "inf-pixel"])
+    ], ids=["fractional-label", "nan-label", "inf-label", "huge-label", "nan-pixel",
+            "inf-pixel"])
     def test_malformed_value_names_line(self, tmp_path, line, message):
         train = tmp_path / "zip.train"
         train.write_text(f"0.0000 0.0 0.5\n{line}\n")

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from helpers import (csr_equal, is_canonical, knn_adjacency, knn_hypergraph, knn_oracle,
                      random_hypergraph)
 import hgssl.hypergraph
-from hgssl.errors import DegenerateStructureError, FormatError
+from hgssl.errors import DegenerateStructureError, FormatError, ShapeError
 from hgssl.hypergraph import (CACHE_VERSION, Hypergraph, build_knn_graph,
                               build_knn_hypergraph, gaussian_knn_adjacency, gcn_operator,
                               hypergraph_operator, knn_indices, load_operator,
@@ -393,6 +393,41 @@ class TestApply:
         assert op.apply(V).tobytes() == whole.tobytes()
         assert op.apply_T(V).tobytes() == (whole if norm == "sym" else whole_T).tobytes()
         assert op.apply(V[:, 0]).tobytes() == whole[:, 0].tobytes()
+
+    @pytest.mark.parametrize("norm", ["sym", "rw", "graph_sym", "gcn"])
+    @pytest.mark.parametrize("budget", [None, 3 * 30], ids=["one-block", "blocks"])
+    def test_apply_in_place_matches_fresh_result(self, monkeypatch, norm, budget):
+        # Blocks of 3 columns split 8 into 3 + 3 + 2, each overwriting its own columns.
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((30, 3))
+        if norm == "graph_sym":
+            op = build_knn_graph(knn_adjacency(X, 4))
+        elif norm == "gcn":
+            op = gcn_operator(knn_adjacency(X, 4))
+        else:
+            op = hypergraph_operator(knn_hypergraph(X, 4), norm)
+        if budget is not None:
+            monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", budget)
+        V = rng.standard_normal((30, 8))
+        want = op.apply(V)
+        result = op.apply(V, out=V)
+        assert result is V
+        assert V.tobytes() == want.tobytes()
+        out = np.empty(30)
+        assert op.apply(want[:, 0], out=out) is out
+        assert out.tobytes() == op.apply(want[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((30, 7)), np.empty((29, 8)),
+                                     np.empty((30, 8), dtype=np.float32)],
+                             ids=["narrow", "short", "float32"])
+    def test_apply_rejects_mismatched_out(self, out):
+        # A (30, 1) result would broadcast over a wider out unnoticed.
+        op = hypergraph_operator(random_hypergraph(np.random.default_rng(31), 30), "sym")
+        V = np.ones((30, 8))
+        with pytest.raises(ShapeError, match="out is"):
+            op.apply(V, out=out)
+        with pytest.raises(ShapeError, match="out is"):
+            op.apply(V[:, :1], out=np.empty((30, 8)))
 
 
 # v2 cache layout: magic, u32 version, u8 normalization, u8 factor count;

@@ -33,16 +33,17 @@ def finite_difference_grads(op, X, params, Y, mask, weight_decay, h=1e-5):
     """Central-difference oracle for both parameter matrices."""
     grads = TwoLayerParams(np.zeros_like(params.theta1),
                            np.zeros_like(params.theta2))
+    x_prop = op.apply(X)
     for name in ("theta1", "theta2"):
         matrix = getattr(params, name)
         grad = getattr(grads, name)
         for idx in np.ndindex(matrix.shape):
             original = matrix[idx]
             matrix[idx] = original + h
-            up, _ = loss_and_gradients(forward(op, X, params), Y, mask, params,
+            up, _ = loss_and_gradients(forward(op, x_prop, params), Y, mask, params,
                                        weight_decay)
             matrix[idx] = original - h
-            down, _ = loss_and_gradients(forward(op, X, params), Y, mask, params,
+            down, _ = loss_and_gradients(forward(op, x_prop, params), Y, mask, params,
                                          weight_decay)
             matrix[idx] = original
             grad[idx] = (up - down) / (2.0 * h)
@@ -62,14 +63,14 @@ class TestForward:
         rng = np.random.default_rng(0)
         op = hypergraph_operator(random_hypergraph(rng, 12, 3), "sym")
         params = TwoLayerParams(np.zeros((4, 5)), rng.standard_normal((5, 3)))
-        trace = forward(op, rng.standard_normal((12, 4)), params)
+        trace = forward(op, op.apply(rng.standard_normal((12, 4))), params)
         assert np.max(np.abs(trace.probs - 1.0 / 3.0)) < 1e-15
 
     def test_identity_operator_reduces_to_softmax(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(0.0, 2.0, size=(6, 6))  # nonnegative: ReLU is identity
         params = TwoLayerParams(np.eye(6), np.eye(6))
-        trace = forward(IDENTITY_OP, X, params)
+        trace = forward(IDENTITY_OP, IDENTITY_OP.apply(X), params)
         assert np.max(np.abs(trace.probs - row_softmax(X))) < 1e-12
 
     @pytest.mark.parametrize("norm", ["sym", "rw"])
@@ -80,25 +81,25 @@ class TestForward:
         logits = dense @ hidden @ params.theta2
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
-        trace = forward(op, X, params)
+        trace = forward(op, op.apply(X), params)
         assert np.max(np.abs(trace.probs - want)) < 1e-12
         assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_rw_operator_supported(self):
         op, X, params, _, _ = random_instance(seed=8, norm="rw")
-        trace = forward(op, X, params)
+        trace = forward(op, op.apply(X), params)
         assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_shape_validation(self):
         op, X, params, _, _ = random_instance(seed=9)
         with pytest.raises(ValueError):
-            forward(op, X[:, :2], params)
+            forward(op, op.apply(X)[:, :2], params)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_logits_raise(self):
         params = TwoLayerParams(np.full((6, 4), 1e308), np.full((4, 2), 1e308))
         with pytest.raises(NumericalError):
-            forward(IDENTITY_OP, np.full((6, 6), 1e30), params)
+            forward(IDENTITY_OP, IDENTITY_OP.apply(np.full((6, 6), 1e30)), params)
 
 
 class TestSoftmax:
@@ -124,7 +125,7 @@ class TestLossAndGradients:
             params = TwoLayerParams(np.zeros((3, 4)), np.zeros((4, c)))
             Y = np.zeros((9, c))
             Y[np.arange(9), rng.integers(0, c, 9)] = 1.0
-            trace = forward(op, rng.standard_normal((9, 3)), params)
+            trace = forward(op, op.apply(rng.standard_normal((9, 3))), params)
             loss, _ = loss_and_gradients(trace, Y, np.arange(9), params, 0.0)
             assert abs(loss - np.log(c)) < 1e-12
 
@@ -136,14 +137,14 @@ class TestLossAndGradients:
         targets[np.arange(6), classes] = 1.0
         params = TwoLayerParams(np.eye(3), np.eye(3))
         op = PropagationOperator((sp.eye(6, format="csr"),), "sym")
-        trace = forward(op, X, params)
+        trace = forward(op, op.apply(X), params)
         loss, _ = loss_and_gradients(trace, targets, np.arange(6), params, 0.0)
         assert loss < 1e-6
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_gradients_match_finite_differences_sym(self, seed):
         op, X, params, Y, mask = random_instance(seed, n=10, l1=5, l2=4, c=3)
-        _, analytic = loss_and_gradients(forward(op, X, params), Y, mask,
+        _, analytic = loss_and_gradients(forward(op, op.apply(X), params), Y, mask,
                                          params, 0.01)
         numeric = finite_difference_grads(op, X, params, Y, mask, 0.01)
         assert_grads_close(analytic, numeric)
@@ -152,7 +153,7 @@ class TestLossAndGradients:
     def test_gradients_match_finite_differences_rw(self, seed):
         op, X, params, Y, mask = random_instance(seed, n=9, l1=4, l2=5, c=4,
                                                  norm="rw")
-        _, analytic = loss_and_gradients(forward(op, X, params), Y, mask,
+        _, analytic = loss_and_gradients(forward(op, op.apply(X), params), Y, mask,
                                          params, 0.005)
         numeric = finite_difference_grads(op, X, params, Y, mask, 0.005)
         assert_grads_close(analytic, numeric)
@@ -163,7 +164,7 @@ class TestLossAndGradients:
         rng = np.random.default_rng(seed + 1000)
         raw = rng.standard_normal((12, 6))
         feats = propagate_features(op, raw, PropagationConfig(0.9, 1e-12, 5000))
-        _, analytic = loss_and_gradients(forward(op, feats, params),
+        _, analytic = loss_and_gradients(forward(op, op.apply(feats), params),
                                          Y, mask, params, 0.01)
         numeric = finite_difference_grads(op, feats, params, Y, mask, 0.01)
         assert_grads_close(analytic, numeric)
@@ -171,7 +172,7 @@ class TestLossAndGradients:
     def test_empty_mask_rejected(self):
         op, X, params, Y, _ = random_instance(seed=41)
         with pytest.raises(ValueError):
-            loss_and_gradients(forward(op, X, params), Y, np.array([], dtype=int),
+            loss_and_gradients(forward(op, op.apply(X), params), Y, np.array([], dtype=int),
                                params, 0.0)
 
     def test_logistic_regression_equivalence(self):
@@ -184,7 +185,7 @@ class TestLossAndGradients:
         targets = np.zeros((6, 3))
         targets[np.arange(6), rng.integers(0, 3, 6)] = 1.0
         mask = np.arange(6)
-        trace = forward(IDENTITY_OP, X, params)
+        trace = forward(IDENTITY_OP, IDENTITY_OP.apply(X), params)
 
         logits = X @ theta2
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -207,8 +208,8 @@ class TestForwardPropagated:
         op, X, params, _, _ = random_instance(seed=52)
         cfg = PropagationConfig(alpha=1e-12, tol=1e-13, max_iter=100)
         feats = propagate_features(op, X, cfg)
-        a = forward(op, feats, params)
-        b = forward(op, X, params)
+        a = forward(op, op.apply(feats), params)
+        b = forward(op, op.apply(X), params)
         assert np.max(np.abs(a.probs - b.probs)) < 1e-6
 
     def test_matches_dense_end_to_end_oracle(self):
@@ -221,7 +222,7 @@ class TestForwardPropagated:
         logits = dense @ hidden @ params.theta2
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
-        trace = forward(op, feats, params)
+        trace = forward(op, op.apply(feats), params)
         assert np.max(np.abs(trace.probs - want)) < 1e-10
 
 
@@ -232,23 +233,23 @@ class TestTrain:
         op = hypergraph_operator(hg, "sym")
         split = inject_noise(ds, 0.0, seed=0)
         Y = encode_labels(split, ds.train_indices, ds.num_classes)
-        params = train(op, ds.features, Y, ds.train_indices,
+        params = train(op, op.apply(ds.features), Y, ds.train_indices,
                        TrainConfig(epochs=200), seed=0)
-        pred = predict(op, ds.features, params)
+        pred = predict(op, op.apply(ds.features), params)
         assert accuracy(pred, ds.labels, ds.test_indices) >= 0.95
 
     def test_same_seed_bit_identical(self):
         op, X, _, Y, mask = random_instance(seed=62)
         cfg = TrainConfig(hidden=6, epochs=20)
-        a = train(op, X, Y, mask, cfg, seed=9)
-        b = train(op, X, Y, mask, cfg, seed=9)
+        a = train(op, op.apply(X), Y, mask, cfg, seed=9)
+        b = train(op, op.apply(X), Y, mask, cfg, seed=9)
         assert np.array_equal(a.theta1, b.theta1)
         assert np.array_equal(a.theta2, b.theta2)
 
     def test_training_log_finite_losses(self):
         op, X, _, Y, mask = random_instance(seed=63)
         stream = io.StringIO()
-        train(op, X, Y, mask, TrainConfig(hidden=5, epochs=15), seed=0,
+        train(op, op.apply(X), Y, mask, TrainConfig(hidden=5, epochs=15), seed=0,
               log_stream=stream)
         lines = stream.getvalue().strip().splitlines()
         assert lines[0] == "epoch,loss,train_accuracy"
@@ -291,10 +292,10 @@ class TestTrain:
         theta1, theta2 = thetas
         want_pred = np.argmax(dense @ np.maximum(x_prop @ theta1, 0.0) @ theta2, axis=1)
 
-        trained = train(op, X, Y, mask, cfg, seed=4)
+        trained = train(op, op.apply(X), Y, mask, cfg, seed=4)
         assert np.max(np.abs(trained.theta1 - theta1)) < 1e-12
         assert np.max(np.abs(trained.theta2 - theta2)) < 1e-12
-        assert np.array_equal(predict(op, X, trained), want_pred)
+        assert np.array_equal(predict(op, op.apply(X), trained), want_pred)
 
     @pytest.mark.parametrize("norm", ["sym", "rw", "gcn"])
     def test_fused_epoch_matches_unfused_loop_exactly(self, norm):
@@ -337,7 +338,7 @@ class TestTrain:
             grad_hidden = grad_projected @ theta2.T * (hidden > 0.0)
             grad_theta1 = x_prop.T @ grad_hidden + wd * theta1
             current = TwoLayerParams(theta1, theta2)
-            trace = forward(op, X, current)
+            trace = forward(op, x_prop, current)
             fused_loss, fused = loss_and_gradients(trace, Y, mask, current, wd)
             assert "probs" not in vars(trace)  # the full softmax is never taken
             assert fused_loss == loss
@@ -351,10 +352,10 @@ class TestTrain:
                 v_hat = m2[i] / (1 - b2 ** epoch)
                 thetas[i] = thetas[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
 
-        trained = train(op, X, Y, mask, cfg, seed=5)
+        trained = train(op, x_prop, Y, mask, cfg, seed=5)
         assert np.array_equal(trained.theta1, thetas[0])
         assert np.array_equal(trained.theta2, thetas[1])
-        trace = forward(op, X, trained)
+        trace = forward(op, x_prop, trained)
         assert np.array_equal(trace.probs, row_softmax(trace.logits))
 
     def test_config_validation(self):
@@ -382,9 +383,9 @@ class TestLabeledRows:
     def test_rejected_by_train_and_loss(self, rows, message):
         op, X, params, Y, _ = random_instance(seed=81, n=self.N)
         with pytest.raises(ValueError, match=message):
-            train(op, X, Y, rows, TrainConfig(hidden=4, epochs=1), seed=0)
+            train(op, op.apply(X), Y, rows, TrainConfig(hidden=4, epochs=1), seed=0)
         with pytest.raises(ValueError, match=message):
-            loss_and_gradients(forward(op, X, params), Y, rows, params, 0.0)
+            loss_and_gradients(forward(op, op.apply(X), params), Y, rows, params, 0.0)
 
     @pytest.mark.parametrize("label_rows", [20, 8])
     def test_label_matrix_of_another_height_rejected(self, label_rows):
@@ -392,11 +393,12 @@ class TestLabeledRows:
         op, X, params, _, mask = random_instance(seed=82, n=12)
         Y = np.zeros((label_rows, 3))
         Y[:, 0] = 1.0
-        with pytest.raises(ValueError, match=f"label matrix has {label_rows} rows, but X has 12"):
-            train(op, X, Y, mask, TrainConfig(hidden=4, epochs=1), seed=0)
+        with pytest.raises(ValueError,
+                           match=f"label matrix has {label_rows} rows, but the input has 12"):
+            train(op, op.apply(X), Y, mask, TrainConfig(hidden=4, epochs=1), seed=0)
         with pytest.raises(ValueError,
                            match=f"label matrix has {label_rows} rows, but the logits have 12"):
-            loss_and_gradients(forward(op, X, params), Y, mask, params, 0.0)
+            loss_and_gradients(forward(op, op.apply(X), params), Y, mask, params, 0.0)
 
     def test_accepted_rows_come_back_as_int64(self):
         rows = labeled_rows(np.array([7, 0, 3], dtype=np.uint8), self.N)
@@ -409,11 +411,11 @@ class TestPredict:
         rng = np.random.default_rng(71)
         op = hypergraph_operator(random_hypergraph(rng, 10, 2), "sym")
         params = TwoLayerParams(np.zeros((3, 4)), np.zeros((4, 3)))
-        pred = predict(op, rng.standard_normal((10, 3)), params)
+        pred = predict(op, op.apply(rng.standard_normal((10, 3))), params)
         assert np.array_equal(pred, np.zeros(10, dtype=np.int64))
 
     def test_matches_decode_of_forward(self):
         op, X, params, _, _ = random_instance(seed=72)
-        trace = forward(op, X, params)
-        assert np.array_equal(predict(op, X, params),
+        trace = forward(op, op.apply(X), params)
+        assert np.array_equal(predict(op, op.apply(X), params),
                               decode_predictions(trace.probs))

@@ -84,9 +84,9 @@ def smoke_grid_records(patch):
         return wrapped
 
     def trained(train):
-        def wrapped(op, X, *args, **kwargs):
-            params = train(op, X, *args, **kwargs)
-            logits = forward(op, X, params).logits
+        def wrapped(op, x_prop, *args, **kwargs):
+            params = train(op, x_prop, *args, **kwargs)
+            logits = forward(op, x_prop, params).logits
             record(fingerprints, {**score_fingerprint(logits, current[-1][1]),
                                   "theta1_fro": float(np.linalg.norm(params.theta1)),
                                   "theta2_fro": float(np.linalg.norm(params.theta2))})

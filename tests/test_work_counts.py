@@ -44,14 +44,17 @@ MAX_APPLICATIONS = 466
 COLUMN_APPLICATIONS = 1873
 # gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
 NEURAL_CELLS = 36
+# The network inputs: Theta X once in each gcn and hgnn cell (2 x 4 x 3), and
+# Theta Z once per experiment, in place over hgnn-proposed's smoothed features.
+INPUT_PRODUCTS = 24 + 1
 
 
 def train_products(epochs):
-    """Theta X once, then per epoch one forward and one backward product."""
-    return 1 + 2 * epochs
+    """Per epoch one forward and one backward product; the caller forms Theta X."""
+    return 2 * epochs
 
 
-PREDICT_PRODUCTS = 2  # Theta X and Theta (hidden theta2)
+PREDICT_PRODUCTS = 1  # Theta (hidden theta2)
 
 
 class OperatorProducts:
@@ -72,14 +75,14 @@ class OperatorProducts:
                           self._counted(getattr(PropagationOperator, name)))
 
     def _counted(self, method):
-        def counted(op, V):
+        def counted(op, V, **kwargs):
             depth = getattr(self._local, "depth", 0)
             if depth == 0:
                 with self._lock:
                     self.count += 1
             self._local.depth = depth + 1
             try:
-                return method(op, V)
+                return method(op, V, **kwargs)
             finally:
                 self._local.depth = depth
         return counted
@@ -173,7 +176,8 @@ def test_neural_operator_products(smoke_grid):
     assert neural["train"] == [per_train] * NEURAL_CELLS
     assert neural["predict"] == [PREDICT_PRODUCTS] * NEURAL_CELLS
     # Every other operator product of the grid is a CG application.
-    assert total == sum(cg["applications"]) + NEURAL_CELLS * (per_train + PREDICT_PRODUCTS)
+    assert total == (sum(cg["applications"]) + INPUT_PRODUCTS
+                     + NEURAL_CELLS * (per_train + PREDICT_PRODUCTS))
 
 
 @pytest.mark.parametrize("norm", ["sym", "rw"])
@@ -181,13 +185,13 @@ def test_train_and_predict_products(norm):
     # rw is the one operator whose apply_T does not go through apply.
     rng = np.random.default_rng(3)
     op = hypergraph_operator(random_hypergraph(rng, 12, 3), norm)
-    X = rng.standard_normal((12, 4))
+    x_prop = op.apply(rng.standard_normal((12, 4)))
     Y = np.eye(3)[rng.integers(0, 3, 12)]
     with pytest.MonkeyPatch.context() as patch:
         products = OperatorProducts(patch)
-        params = train(op, X, Y, np.arange(6), TrainConfig(hidden=5, epochs=7), seed=0)
+        params = train(op, x_prop, Y, np.arange(6), TrainConfig(hidden=5, epochs=7), seed=0)
         after_train = products.count
-        predict(op, X, params)
+        predict(op, x_prop, params)
     assert after_train == train_products(7)
     assert products.count - after_train == PREDICT_PRODUCTS
 
