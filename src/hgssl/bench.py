@@ -11,6 +11,13 @@ injection and, for the neural methods, the parameter initialization.  Within
 one grid a closed-form cell's accuracy depends only on its method and its
 noisy training labels, so cells whose labels are equal (every seed at noise
 level 0) share one solve.
+
+A feature matrix is kept only while a configured cell reads it.  The
+features as loaded are freed once PCA has formed the features X that the
+operators are built from (without PCA they are X).  X is kept for the grid
+only when a gcn or hgnn cell is configured.  Otherwise no cell reads X once
+the operators are built, and the hgnn-proposed solve writes Z into X's own
+buffer, so one n x m array holds X, then Z, then Theta Z.
 """
 
 import hashlib
@@ -23,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import hypergraph as hg
-from .datasets import (ImageDataset, check_blob_args, load_idx_dataset,
+from .datasets import (ImageDataset, LabeledSplit, check_blob_args, load_idx_dataset,
                        load_usps_dataset, stratified_subsample, synthetic_blobs)
 from .errors import FormatError, SolverError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
@@ -184,10 +191,15 @@ def load_dataset(cfg: ExperimentConfig, data_dir=None) -> ImageDataset:
 @dataclass
 class PreparedExperiment:
     config: ExperimentConfig
-    dataset: ImageDataset
-    features: np.ndarray
+    # The labels and train/test split; the loaded features are not kept.
+    dataset: LabeledSplit
+    # The features X the operators were built from (after PCA, if any), kept
+    # only when a gcn or hgnn cell is configured, whose input Theta X is
+    # formed from them; None otherwise.
+    features: Optional[np.ndarray]
     operators: dict
     # Theta Z for the smoothed features Z: hgnn-proposed's network input.
+    # When ``features`` is None it occupies the buffer X was loaded into.
     proposed_input: Optional[np.ndarray]
     # A failed feature solve fails each hgnn-proposed cell, not the grid.
     propagation_error: Optional[SolverError] = None
@@ -245,7 +257,9 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
 def prepare_features(cfg: ExperimentConfig, data_dir=None):
     """Load, optionally subsample, and optionally PCA-reduce the dataset.
 
-    Settings whose range depends on the data are checked as soon as it is known.
+    Returns the dataset's ``LabeledSplit`` and its features as prepared, so
+    the features as loaded are freed once PCA has replaced them.  Settings
+    whose range depends on the data are checked as soon as it is known.
     """
     dataset = load_dataset(cfg, data_dir)
     if cfg.subsample_size is not None:
@@ -266,24 +280,29 @@ def prepare_features(cfg: ExperimentConfig, data_dir=None):
                  f"{n} points of {m} features, got {cfg.pca_dims}")
         model = pca_fit(X, cfg.pca_dims)
         X = pca_transform(model, X)
-    return dataset, X
+    split = LabeledSplit(dataset.labels, dataset.train_indices, dataset.test_indices,
+                         dataset.num_classes)
+    return split, X
 
 
 def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
                        ops_dir=None) -> PreparedExperiment:
-    dataset, X = prepare_features(cfg, data_dir)
+    split, X = prepare_features(cfg, data_dir)
     operators = build_operators(cfg, X, ops_dir)
+    # Only gcn and hgnn cells read X once the operators are built.
+    features = X if {"gcn", "hgnn"} & set(cfg.methods) else None
     proposed_input = error = None
     if "hgnn-proposed" in cfg.methods:
         op = operators[_METHOD_OPERATORS["hgnn-proposed"]]
         try:
-            smoothed = propagate_features(op, X, cfg.solver)
+            smoothed = propagate_features(op, X, cfg.solver,
+                                          out=X if features is None else None)
         except SolverError as exc:
             # Kept bare: the caught error's traceback holds the solve's arrays.
             error = SolverError(exc.reason, exc.residual, exc.columns)
         else:
             proposed_input = op.apply(smoothed, out=smoothed)
-    return PreparedExperiment(config=cfg, dataset=dataset, features=X,
+    return PreparedExperiment(config=cfg, dataset=split, features=features,
                               operators=operators, proposed_input=proposed_input,
                               propagation_error=error)
 
@@ -295,9 +314,13 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     ``solved`` maps (closed-form method, sha256 of the noisy training labels)
     to the accuracy of a cell of the same grid that was already solved; such
     a cell reuses it, and a cell that solves adds its own.  A solve that
-    raises adds nothing.
+    raises adds nothing.  ``method`` must be one the experiment was prepared
+    for: only those have their operator and, for gcn and hgnn, the features.
     """
     cfg = prepared.config
+    if method not in cfg.methods:
+        raise ValueError(f"method {method!r} is not among the prepared experiment's "
+                         f"methods: {', '.join(cfg.methods)}")
     dataset = prepared.dataset
     start = time.perf_counter()
     error = prepared.propagation_error

@@ -53,6 +53,16 @@ class ImageDataset:
         return self.features.shape[1]
 
 
+@dataclass(frozen=True)
+class LabeledSplit:
+    """A dataset's labels and train/test split, without its features."""
+
+    labels: np.ndarray         # n int64, each in [0, num_classes)
+    train_indices: np.ndarray  # int64
+    test_indices: np.ndarray   # int64
+    num_classes: int
+
+
 def _read_exact(path, expect_magic):
     data = Path(path).read_bytes()
     if len(data) < 8:

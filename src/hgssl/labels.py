@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import ImageDataset
+from .datasets import ImageDataset, LabeledSplit
 from .errors import NumericalError
 
 
@@ -24,7 +24,8 @@ class NoisySplit:
     seed: int
 
 
-def inject_noise(dataset: ImageDataset, level: float, seed: int) -> NoisySplit:
+def inject_noise(dataset: ImageDataset | LabeledSplit, level: float,
+                 seed: int) -> NoisySplit:
     """Corrupt ``round(level * l)`` training labels; test labels stay untouched."""
     if not (0.0 <= level < 1.0):
         raise ValueError(f"noise level must be in [0, 1), got {level}")

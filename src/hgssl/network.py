@@ -135,7 +135,17 @@ def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled_mask,
     n = trace.logits.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"label matrix has {Y.shape[0]} rows, but the logits have {n}")
-    labeled = labeled_rows(labeled_mask, n)
+    return _loss_and_gradients(trace, Y, labeled_rows(labeled_mask, n), params,
+                               weight_decay)
+
+
+def _loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled: np.ndarray,
+                        params: TwoLayerParams, weight_decay: float):
+    """``loss_and_gradients`` for rows and labels its caller has already checked.
+
+    ``labeled`` is what ``labeled_rows`` returned for the logits' row count,
+    and Y has that many rows; ``train`` checks both once, not every epoch.
+    """
     m = labeled.size
     targets = np.take(Y, labeled, axis=0)
 
@@ -213,7 +223,7 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled_ma
 
     for epoch in range(1, cfg.epochs + 1):
         trace = forward(op, x_prop, params)
-        loss, grads = loss_and_gradients(trace, Y, labeled, params, WEIGHT_DECAY)
+        loss, grads = _loss_and_gradients(trace, Y, labeled, params, WEIGHT_DECAY)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
         if log_stream is not None:

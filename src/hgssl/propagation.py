@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, _require
+from .errors import ShapeError, SolverError, _require
 from .hypergraph import PropagationOperator
 from .linalg import _BLOCK_BUDGET, as_dense, conjugate_gradient
 
@@ -36,8 +36,13 @@ class PropagationConfig:
 
 
 def _solve_columns(op: PropagationOperator, B: np.ndarray,
-                   cfg: PropagationConfig) -> np.ndarray:
-    """(1 - alpha)(I - alpha Theta)^{-1} B, one CG call per block of columns."""
+                   cfg: PropagationConfig, out: np.ndarray = None) -> np.ndarray:
+    """(1 - alpha)(I - alpha Theta)^{-1} B, one CG call per block of columns.
+
+    The result is written to ``out`` if given, which may be ``B`` itself: CG
+    copies a block of B into its own iterates before the block's result is
+    written over it, and no later block reads those columns.
+    """
     alpha = cfg.alpha
 
     def apply(V):
@@ -48,7 +53,10 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
 
     n, width = B.shape
     block = max(1, _BLOCK_BUDGET // n)
-    out = np.empty_like(B)
+    if out is None:
+        out = np.empty_like(B)
+    elif out.shape != B.shape or out.dtype != np.float64:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {B.shape}")
     residuals = np.empty(width)
     for start in range(0, width, block):
         stop = min(start + block, width)
@@ -83,9 +91,16 @@ def propagate_labels(op: PropagationOperator, Y: np.ndarray,
 
 
 def propagate_features(op: PropagationOperator, X: np.ndarray,
-                       cfg: PropagationConfig = PropagationConfig()) -> np.ndarray:
-    """Smooth the raw feature matrix over the hypergraph before any network layer."""
+                       cfg: PropagationConfig = PropagationConfig(), *,
+                       out: np.ndarray = None) -> np.ndarray:
+    """Smooth the raw feature matrix over the hypergraph before any network layer.
+
+    ``out``, a float64 array of X's shape, receives the smoothed features and
+    is returned; it may be ``X`` itself, which then holds them in place of X,
+    every bit as a fresh result would.  A failed solve leaves such an ``out``
+    part solved.
+    """
     if op.normalization != "sym":
         raise ValueError(
             f"feature propagation is defined for the sym operator, got {op.normalization!r}")
-    return _solve_columns(op, as_dense(X), cfg)
+    return _solve_columns(op, as_dense(X), cfg, out)

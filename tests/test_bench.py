@@ -1,4 +1,7 @@
+import gc
 import time
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from helpers import csr_equal, knn_adjacency
 import hgssl.bench
 import hgssl.hypergraph
+import hgssl.propagation
 from hgssl import network
 from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentConfig,
                          ResultRow, SyntheticSpec, build_operators, emit_table,
@@ -248,7 +252,7 @@ class TestRunExperiment:
             cfg = ExperimentConfig(dataset=name, methods=("graph-ssl",),
                                    noise_levels=(0.0,), seeds=(0,), pca_dims=None)
             prepared = prepare_experiment(cfg, data_dir=tmp_path)
-            assert np.array_equal(prepared.features, pixels)
+            assert np.array_equal(load_dataset(cfg, data_dir=tmp_path).features, pixels)
             assert np.array_equal(prepared.dataset.labels, ds.labels)
             report = run_experiment(cfg, data_dir=tmp_path)
             assert report.ok
@@ -270,7 +274,7 @@ class TestRunExperiment:
         cfg = replace(SMALL, methods=("hgnn-proposed",))
         prepared = prepare_experiment(cfg)
         op = prepared.operators["hg_sym"]
-        want = op.apply(propagate_features(op, prepared.features, cfg.solver))
+        want = op.apply(propagate_features(op, load_dataset(cfg).features, cfg.solver))
         assert prepared.proposed_input.tobytes() == want.tobytes()
 
     def test_cell_forms_its_network_input_once(self, monkeypatch):
@@ -292,6 +296,116 @@ class TestRunExperiment:
             want = (prepared.proposed_input if method == "hgnn-proposed"
                     else op.apply(prepared.features))
             assert trained.tobytes() == want.tobytes(), method
+
+
+class TestKeptFeatures:
+    """A prepared experiment keeps a feature matrix only while a configured cell reads it."""
+
+    @staticmethod
+    def loading(monkeypatch, then=None):
+        """Record each dataset ``prepare_experiment`` loads; call ``then`` after each load."""
+        loaded = []
+        original = hgssl.bench.load_dataset
+
+        def recording(*args, **kwargs):
+            loaded.append(original(*args, **kwargs))
+            if then is not None:
+                then()
+            return loaded[-1]
+
+        monkeypatch.setattr(hgssl.bench, "load_dataset", recording)
+        return loaded
+
+    # Where the buffer the features were loaded into ends up: freed, kept as
+    # the features a gcn cell reads, or overwritten by hgnn-proposed's input.
+    @pytest.mark.parametrize("methods, pca_dims, loaded_buffer", [
+        (("hgnn-proposed",), None, "proposed_input"),
+        (("graph-ssl", "hgnn-proposed"), 3, None),
+        (("graph-ssl", "hypergraph-ssl"), None, None),
+        (("gcn", "hgnn-proposed"), None, "features"),
+        (("hgnn",), 3, None),
+    ])
+    def test_features_kept_only_for_gcn_or_hgnn(self, monkeypatch, methods, pca_dims,
+                                                loaded_buffer):
+        cfg = replace(SMALL, methods=methods, pca_dims=pca_dims)
+        raw = load_dataset(cfg).features
+        X = raw if pca_dims is None else pca_transform(pca_fit(raw, pca_dims), raw)
+        loaded = self.loading(monkeypatch)
+        prepared = prepare_experiment(cfg)
+        buffer = weakref.ref(loaded.pop().features)
+        gc.collect()
+        if loaded_buffer is None:
+            assert buffer() is None
+        else:
+            assert buffer() is getattr(prepared, loaded_buffer)
+        if {"gcn", "hgnn"} & set(methods):
+            assert np.array_equal(prepared.features, X)
+        else:
+            assert prepared.features is None
+        assert not hasattr(prepared.dataset, "features")
+        held = [*vars(prepared.dataset).values(), prepared.proposed_input]
+        assert not any(np.array_equal(value, matrix) for value in held for matrix in (raw, X))
+
+    def test_cell_of_an_unprepared_method_rejected(self):
+        # hgnn shares hgnn-proposed's operator, but its features were not kept.
+        prepared = prepare_experiment(replace(SMALL, methods=("hgnn-proposed",)))
+        with pytest.raises(ValueError, match="'hgnn' is not among .*: hgnn-proposed$"):
+            run_cell(prepared, "hgnn", 0.0, 0)
+
+    def test_proposed_only_setup_allocates_no_second_feature_matrix(self, monkeypatch):
+        # After the data loads, the X the operators are built from is the one
+        # n x m array: the feature solve and Theta Z write into it.  The rest
+        # of set-up works in blocks that do not grow with m: a kNN distance
+        # block of n x n, pairs gathered 8 at a time, and CG and operator
+        # products 32 columns wide.
+        n, dim, block = 200, 2400, 32
+        cfg = replace(SMALL, methods=("hgnn-proposed",),
+                      synthetic=SyntheticSpec(n=n, classes=3, dim=dim, spread=0.1, seed=2))
+        monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 8 * dim)
+        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", block * n)
+        monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", block * n)
+        self.loading(monkeypatch, then=tracemalloc.reset_peak)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prepared = prepare_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        feature_bytes = n * dim * 8
+        # The distance block, and a dozen arrays of one CG block: its solution,
+        # R, P, X_active, A P and the operator's intermediate products.
+        block_work = n * n * 8 + 12 * n * block * 8
+        assert prepared.proposed_input.nbytes == feature_bytes
+        assert peak <= feature_bytes + block_work, (peak, feature_bytes, block_work)
+
+    def test_failed_in_place_feature_solve_fails_only_proposed_cells(self, monkeypatch):
+        # The feature solve fails in its second block, after the first has
+        # overwritten its columns of X; the closed-form cells read only their
+        # operators, so their rows are those of a grid without hgnn-proposed.
+        cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl", "hgnn-proposed"),
+                      noise_levels=(0.0, 0.3))
+        closed_form = run_experiment(replace(cfg, methods=cfg.methods[:2]))
+        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", 4 * 150)
+        cg = hgssl.propagation.conjugate_gradient
+
+        def failing_second_feature_block(apply, B, **kwargs):
+            # Blocks of 4 columns: 3 for the labels, 4 then 2 for the 6 features.
+            if B.shape[1] == 2:
+                raise SolverError("injected", columns=[1])
+            return cg(apply, B, **kwargs)
+
+        monkeypatch.setattr(hgssl.propagation, "conjugate_gradient",
+                            failing_second_feature_block)
+        prepared = prepare_experiment(cfg)
+        assert prepared.features is None and prepared.proposed_input is None
+        assert prepared.propagation_error.columns == (5,)
+        report = run_experiment(cfg)
+        assert [(f.method, f.noise_level) for f in report.failures] \
+            == [("hgnn-proposed", 0.0), ("hgnn-proposed", 0.3)]
+        assert all(f.error == "SolverError: injected; column 5" for f in report.failures)
+        assert [strip_time(r) for r in report.rows] \
+            == [strip_time(r) for r in closed_form.rows]
 
 
 class TestClosedFormReuse:

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
+import hgssl.network
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
 from hgssl.hypergraph import PropagationOperator, gcn_operator, hypergraph_operator
@@ -399,6 +400,19 @@ class TestLabeledRows:
         with pytest.raises(ValueError,
                            match=f"label matrix has {label_rows} rows, but the logits have 12"):
             loss_and_gradients(forward(op, op.apply(X), params), Y, mask, params, 0.0)
+
+    def test_train_checks_rows_once(self, monkeypatch):
+        # The rows do not change between epochs, so one check covers them all.
+        checked = []
+
+        def counting(*args):
+            checked.append(args)
+            return labeled_rows(*args)
+
+        monkeypatch.setattr(hgssl.network, "labeled_rows", counting)
+        op, X, _, Y, mask = random_instance(seed=83, n=self.N)
+        train(op, op.apply(X), Y, mask, TrainConfig(hidden=4, epochs=5), seed=0)
+        assert len(checked) == 1
 
     def test_accepted_rows_come_back_as_int64(self):
         rows = labeled_rows(np.array([7, 0, 3], dtype=np.uint8), self.N)

@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import connected_components
 from helpers import knn_adjacency, knn_hypergraph, random_hypergraph, split_columns
 from hgssl import propagation
 from hgssl.datasets import synthetic_blobs
-from hgssl.errors import SolverError
+from hgssl.errors import ShapeError, SolverError
 from hgssl.hypergraph import build_knn_graph, hypergraph_operator
 from hgssl.labels import (NoisySplit, accuracy, decode_predictions, encode_labels,
                           inject_noise)
@@ -213,6 +213,29 @@ def test_features_do_not_depend_on_the_core_count(monkeypatch, block):
         split_columns(monkeypatch, cores)
         outputs.append(propagate_features(op, X, TIGHT).tobytes())
     assert outputs[1:] == outputs[:1] * 3
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks"])
+def test_features_solved_in_place_match_a_fresh_result(monkeypatch, block):
+    # out=X overwrites each block of X only after CG has copied it in.
+    rng = np.random.default_rng(20)
+    op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+    X = rng.standard_normal((40, 7))
+    if block is not None:
+        monkeypatch.setattr(propagation, "_BLOCK_BUDGET", block * 40)
+    want = propagate_features(op, X, TIGHT)
+    got = propagate_features(op, X, TIGHT, out=X)
+    assert got is X
+    assert X.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.empty((40, 6)), np.empty((40, 7), dtype=np.float32),
+                                 np.empty(280)], ids=["width", "dtype", "ndim"])
+def test_features_out_of_another_shape_rejected(out):
+    rng = np.random.default_rng(21)
+    op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
+    with pytest.raises(ShapeError, match="expected float64 \\(40, 7\\)"):
+        propagate_features(op, rng.standard_normal((40, 7)), TIGHT, out=out)
 
 
 def test_breakdown_names_column_of_the_whole_rhs(monkeypatch):
