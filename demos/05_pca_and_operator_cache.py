@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""PCA preprocessing and the binary operator cache.
+"""PCA preprocessing and the operator cache.
 
 The image benchmarks reduce features with PCA before any graph construction;
 this keeps the kNN search cheap and strips noisy directions.  Expensive
-operators can be serialized to a little-endian binary CSR file and reloaded
-without changing any downstream result.
+operators can be saved as a zip archive of their CSR factors, which is checked
+against each member's CRC-32 on load, and reloaded without changing any
+downstream result.
 """
 
 import tempfile

@@ -31,12 +31,17 @@ product of sparse factors and applied right to left:
 The hypergraph operators keep the two incidence factors and never form
 H W De^{-1} H^T, which has about 12x the nonzeros of H at k = 5.
 ``PropagationOperator.matrix`` multiplies the factors out on first access;
-it is there for inspection (tests, demos, nnz reports) only.
+it is there for inspection (tests, demos, nnz reports) only.  ``save_operator``
+and ``load_operator`` cache the factors in an uncompressed zip archive, whose
+members zipfile checks against their CRC-32 as it reads them.
 """
 
+import io
+import json
 import os
-import struct
 import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import matmul
@@ -385,103 +390,97 @@ def gcn_operator(A: sp.csr_matrix) -> PropagationOperator:
 
 
 # ---------------------------------------------------------------------------
-# Operator cache: little-endian binary, one CSR block per factor.
+# Operator cache: an uncompressed zip archive (zipfile, ZIP_STORED).
 #
-#   magic     4 bytes  b"HGOP"
-#   version   u32      2
-#   norm      u8       0=sym 1=rw 2=graph_sym 3=gcn
-#   factors   u8       1 or 2
-#   then per factor, in product order:
-#     rows    u64
-#     cols    u64
-#     nnz     u64
-#     indptr  i64[rows + 1]
-#     indices i64[nnz]
-#     data    f64[nnz]
+#   meta.json   {"version": 3, "normalization": "sym" | "rw" | "graph_sym" | "gcn",
+#                "shapes": [[rows, cols], ...]}     one shape per factor
+#   i/indptr    i32[rows + 1]   for factor i = 0, 1 in product order,
+#   i/indices   i32[nnz]        little-endian
+#   i/data      f64[nnz]
+#
+# zipfile checks each member's CRC-32 as it reads it.  The members read are
+# the ones meta.json names, never those the archive's directory (which has no
+# CRC) lists.  Members carry a fixed timestamp, so saves are byte-reproducible.
 # ---------------------------------------------------------------------------
 
-_CACHE_MAGIC = b"HGOP"
-CACHE_VERSION = 2
-_NORM_CODES = {name: code for code, name in enumerate(NORMALIZATIONS)}
-_HEADER = struct.Struct("<4sIBB")
-_FACTOR_HEADER = struct.Struct("<QQQ")
+CACHE_VERSION = 3
+_META = "meta.json"
+_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
+# int32 indices, as scipy holds them, so a loaded factor needs no conversion.
+_INDEX = "<i4"
+_INT32_MAX = np.iinfo(np.int32).max
+# What zipfile, json, numpy and scipy raise on a malformed archive or metadata.
+_PARSE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, RuntimeError,
+                 TypeError, ValueError, zlib.error)
 
 
 def save_operator(path, op: PropagationOperator):
-    """Serialize a propagation operator's factors to the binary cache format.
+    """Write a propagation operator's factors to a cache archive at ``path``.
 
-    The bytes go to a temporary file next to ``path`` that is renamed over it
-    once complete, so ``path`` never holds a partial operator.  A factor that
-    is not canonical CSR raises ``ValueError``, since it could not be loaded.
+    The archive goes to a temporary file next to ``path`` that is renamed over
+    it once complete, so ``path`` never holds a partial operator.  A factor
+    that is not canonical CSR raises ``ValueError``, since it could not be
+    loaded, as does one with 2^31 or more rows, columns or nonzeros (int32 indices).
     """
     path = Path(path)
     if not all(factor.has_canonical_format for factor in op.factors):
         raise ValueError(f"{path}: a factor's row has unsorted or repeated column indices")
+    if any(max(factor.nnz, *factor.shape) > _INT32_MAX for factor in op.factors):
+        raise ValueError(f"{path}: a factor is too large for int32 indices")
+    meta = {"version": CACHE_VERSION, "normalization": op.normalization,
+            "shapes": [factor.shape for factor in op.factors]}
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<IBB", CACHE_VERSION, _NORM_CODES[op.normalization],
-                                 len(op.factors)))
-            for factor in op.factors:
-                fh.write(_FACTOR_HEADER.pack(*factor.shape, factor.nnz))
-                fh.write(factor.indptr.astype("<i8").tobytes())
-                fh.write(factor.indices.astype("<i8").tobytes())
-                fh.write(factor.data.astype("<f8").tobytes())
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+            archive.writestr(zipfile.ZipInfo(_META, _MEMBER_TIME), json.dumps(meta))
+            for i, factor in enumerate(op.factors):
+                for name, dtype in (("indptr", _INDEX), ("indices", _INDEX), ("data", "<f8")):
+                    archive.writestr(zipfile.ZipInfo(f"{i}/{name}", _MEMBER_TIME),
+                                     getattr(factor, name).astype(dtype, copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _read_factor(data, offset, path):
-    """The CSR factor whose block starts at ``offset``, and the offset after it."""
-    start = offset + _FACTOR_HEADER.size
-    if len(data) < start:
-        raise FormatError(f"{path}: truncated operator cache")
-    rows, cols, nnz = _FACTOR_HEADER.unpack_from(data, offset)
-    end = start + 8 * (rows + 1) + 16 * nnz
-    if len(data) < end:
-        raise FormatError(f"{path}: expected {end} bytes, file has {len(data)}")
-    indptr = np.frombuffer(data, dtype="<i8", count=rows + 1, offset=start)
-    start += 8 * (rows + 1)
-    indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=start)
-    start += 8 * nnz
-    # A copy, so the factor does not keep the whole file alive.
-    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=start).copy()
-    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise FormatError(f"{path}: corrupt row offsets")
-    if nnz and (indices.min() < 0 or indices.max() >= cols):
-        raise FormatError(f"{path}: column index outside [0, {cols})")
+def _read_factor(archive, i, shape):
+    """Factor ``i`` of the archive, checked against its metadata ``shape``."""
+    rows, cols = shape
+    indptr, indices = (np.frombuffer(archive.read(f"{i}/{name}"), dtype=_INDEX)
+                       for name in ("indptr", "indices"))
+    values = np.frombuffer(archive.read(f"{i}/data"), dtype="<f8")
+    if rows < 0 or len(indptr) != rows + 1 or len(values) != len(indices):
+        raise FormatError(f"factor {i}'s arrays do not fit its shape {shape}")
+    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
+        raise FormatError("corrupt row offsets")
+    if len(indices) and (indices.min() < 0 or indices.max() >= cols):
+        raise FormatError(f"column index outside [0, {cols})")
     factor = sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
     if not factor.has_canonical_format:
-        raise FormatError(f"{path}: a row's column indices are unsorted or repeated")
-    return factor, end
+        raise FormatError("a row's column indices are unsorted or repeated")
+    return factor
 
 
 def load_operator(path) -> PropagationOperator:
-    """Load a propagation operator written by :func:`save_operator`."""
+    """Load a propagation operator written by :func:`save_operator`.
+
+    A missing file raises ``FileNotFoundError``.  A file that is not such an
+    archive, a member that fails its CRC-32, and content that fails a check
+    raise ``FormatError`` naming the file.  The factors' ``data`` arrays are
+    read-only views of the bytes read.
+    """
     data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: truncated operator cache")
-    magic, version, norm_code, count = _HEADER.unpack_from(data)
-    if magic != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    if norm_code >= len(NORMALIZATIONS):
-        raise FormatError(f"{path}: unknown normalization code {norm_code}")
-    if count not in (1, 2):
-        raise FormatError(f"{path}: expected 1 or 2 factors, got {count}")
-    offset = _HEADER.size
-    factors = []
-    for _ in range(count):
-        factor, offset = _read_factor(data, offset, path)
-        factors.append(factor)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes after the last factor")
     try:
-        return PropagationOperator(factors=tuple(factors),
-                                   normalization=NORMALIZATIONS[norm_code])
-    except ShapeError as exc:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            meta = json.loads(archive.read(_META))
+            if meta["version"] != CACHE_VERSION:
+                raise FormatError(f"unsupported cache version {meta['version']}")
+            if meta["normalization"] not in NORMALIZATIONS:
+                raise FormatError(f"unknown normalization {meta['normalization']!r}")
+            if len(meta["shapes"]) not in (1, 2):
+                raise FormatError(f"expected 1 or 2 factors, got {len(meta['shapes'])}")
+            factors = tuple(_read_factor(archive, i, shape)
+                            for i, shape in enumerate(meta["shapes"]))
+        return PropagationOperator(factors=factors, normalization=meta["normalization"])
+    except _PARSE_ERRORS as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -131,8 +131,8 @@ def conjugate_gradient(
     other exception from a group is raised in the caller, the lowest group's
     first.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be positive and below 1, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     B = as_dense(B)

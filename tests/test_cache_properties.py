@@ -78,3 +78,30 @@ def test_truncation_is_rejected(norm, cloud, data):
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
     with pytest.raises(FormatError):
         load_bytes(blob[:cut])
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_single_bit_flips_never_load_changed_values(norm):
+    # One bit flipped in every byte in turn, cycling through the bit positions:
+    # each file must fail with FormatError or load bit-identical to the saved one.
+    X = np.random.default_rng(43).standard_normal((5, 2))
+    if norm in ("sym", "rw"):
+        op = hypergraph_operator(knn_hypergraph(X, 2), norm)
+    else:
+        A = gaussian_knn_adjacency(X, knn_indices(X, 2))
+        op = gcn_operator(A) if norm == "gcn" else build_knn_graph(A)
+    blob = cache_bytes(op)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.hgop"
+        for offset in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 1 << (offset % 8)
+            path.write_bytes(flipped)
+            try:
+                loaded = load_operator(path)
+            except FormatError:
+                continue
+            assert loaded.normalization == norm
+            assert len(loaded.factors) == len(op.factors), offset
+            for got, want in zip(loaded.factors, op.factors):
+                assert csr_equal(got, want), offset

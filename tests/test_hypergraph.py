@@ -1,5 +1,8 @@
+import json
 import struct
+import time
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -430,28 +433,27 @@ class TestApply:
             op.apply(V[:, :1], out=np.empty((30, 8)))
 
 
-# v2 cache layout: magic, u32 version, u8 normalization, u8 factor count;
-# then per factor u64 rows, cols, nnz before its arrays.
-FILE_HEADER = 4 + 4 + 1 + 1
-FACTOR_HEADER = 3 * 8
-
-
-def write_cache(path, factors, version=CACHE_VERSION, norm_code=0, count=None):
-    """Hand-written cache file holding ``factors`` in the v2 layout.
+def write_cache(path, factors, meta=None, members=None):
+    """Cache archive holding ``factors`` in the member layout save_operator writes.
 
     A dense factor is stored as its canonical CSR; a CSR factor's arrays are
-    stored as they are.
+    stored as they are.  ``meta`` entries replace those of the metadata and
+    ``members`` (name -> bytes) replace or add members.  zipfile writes every
+    member's CRC-32, so the file reaches load_operator's own checks.
     """
-    count = len(factors) if count is None else count
-    blob = b"HGOP" + struct.pack("<IBB", version, norm_code, count)
-    for factor in factors:
-        matrix = (factor if sp.issparse(factor)
-                  else sp.csr_matrix(np.asarray(factor, dtype=np.float64)))
-        blob += struct.pack("<QQQ", *matrix.shape, matrix.nnz)
-        blob += matrix.indptr.astype("<i8").tobytes()
-        blob += matrix.indices.astype("<i8").tobytes()
-        blob += matrix.data.astype("<f8").tobytes()
-    path.write_bytes(blob)
+    matrices = [factor if sp.issparse(factor)
+                else sp.csr_matrix(np.asarray(factor, dtype=np.float64)) for factor in factors]
+    header = {"version": CACHE_VERSION, "normalization": "sym",
+              "shapes": [list(matrix.shape) for matrix in matrices]}
+    contents = {"meta.json": json.dumps({**header, **(meta or {})}).encode()}
+    for i, matrix in enumerate(matrices):
+        contents[f"{i}/indptr"] = matrix.indptr.astype("<i4").tobytes()
+        contents[f"{i}/indices"] = matrix.indices.astype("<i4").tobytes()
+        contents[f"{i}/data"] = matrix.data.astype("<f8").tobytes()
+    contents.update(members or {})
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, payload in contents.items():
+            archive.writestr(name, payload)
     return path
 
 
@@ -465,6 +467,31 @@ class TestOperatorCache:
             loaded = load_operator(path)
             assert loaded.normalization == norm
             assert csr_equal(loaded.matrix, op.matrix)
+
+    def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        op = hypergraph_operator(random_hypergraph(np.random.default_rng(17), 12, 2), "sym")
+        save_operator(tmp_path / "first.hgop", op)
+        # A wall-clock member timestamp would differ between the two saves.
+        monkeypatch.setattr(time, "time", lambda: 2.0e9)
+        save_operator(tmp_path / "second.hgop", op)
+        assert (tmp_path / "first.hgop").read_bytes() == (tmp_path / "second.hgop").read_bytes()
+
+    def test_indices_stored_as_int32(self, tmp_path, monkeypatch):
+        op = hypergraph_operator(random_hypergraph(np.random.default_rng(41), 12, 2), "sym")
+        path = tmp_path / "op.hgop"
+        save_operator(path, op)
+        with zipfile.ZipFile(path) as archive:
+            assert len(archive.read("0/indices")) == 4 * op.factors[0].nnz
+        assert all(f.indices.dtype == np.int32 for f in load_operator(path).factors)
+        # A factor past int32's range is refused, not wrapped around.
+        monkeypatch.setattr(hgssl.hypergraph, "_INT32_MAX", 11)
+        with pytest.raises(ValueError, match=r"big\.hgop.*too large for int32 indices"):
+            save_operator(tmp_path / "big.hgop", op)
+        assert [p.name for p in tmp_path.iterdir()] == ["op.hgop"]
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_operator(tmp_path / "absent.hgop")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hgop"
@@ -485,18 +512,38 @@ class TestOperatorCache:
         rng = np.random.default_rng(29)
         op = hypergraph_operator(random_hypergraph(rng, 30, 3), "sym")
         path = tmp_path / "patched.hgop"
-        save_operator(path, op)
-        raw = bytearray(path.read_bytes())
-        rows = op.factors[0].shape[0]
-        first_index = FILE_HEADER + FACTOR_HEADER + 8 * (rows + 1)
-        # The patched slot is the first factor's first column index.
-        assert int.from_bytes(raw[first_index:first_index + 8], "little") \
-            == op.factors[0].indices[0]
         for bad in (10**6, 30, -1):
-            raw[first_index:first_index + 8] = int(bad).to_bytes(8, "little", signed=True)
-            path.write_bytes(bytes(raw))
-            with pytest.raises(FormatError, match="patched.hgop"):
+            # The patched slot is the first factor's first column index.
+            indices = op.factors[0].indices.astype("<i4")
+            indices[0] = bad
+            write_cache(path, op.factors, members={"0/indices": indices.tobytes()})
+            with pytest.raises(FormatError, match=r"patched\.hgop.*column index outside"):
                 load_operator(path)
+
+    def test_row_offsets_out_of_order(self, tmp_path):
+        indptr = np.array([0, 2, 1, 3], dtype="<i4")
+        path = write_cache(tmp_path / "offsets.hgop", [np.eye(3)],
+                           members={"0/indptr": indptr.tobytes()})
+        with pytest.raises(FormatError, match=r"offsets\.hgop.*corrupt row offsets"):
+            load_operator(path)
+
+    def test_arrays_do_not_fit_shape(self, tmp_path):
+        path = write_cache(tmp_path / "fit.hgop", [np.eye(3)], meta={"shapes": [[4, 4]]})
+        with pytest.raises(FormatError, match=r"fit\.hgop.*do not fit its shape"):
+            load_operator(path)
+
+    @pytest.mark.parametrize("meta", [b"[]", b"{", b'{"version": 3}', b'{"version": 3, '
+                                      b'"normalization": "sym", "shapes": [[3, 3, 3]]}'],
+                             ids=["list", "not-json", "no-normalization", "bad-shape"])
+    def test_malformed_metadata(self, tmp_path, meta):
+        path = write_cache(tmp_path / "meta.hgop", [np.eye(3)], members={"meta.json": meta})
+        with pytest.raises(FormatError, match=r"meta\.hgop"):
+            load_operator(path)
+
+    def test_unknown_normalization(self, tmp_path):
+        path = write_cache(tmp_path / "norm.hgop", [np.eye(3)], meta={"normalization": "lap"})
+        with pytest.raises(FormatError, match=r"norm\.hgop.*unknown normalization 'lap'"):
+            load_operator(path)
 
     def test_hand_written_file_loads(self, tmp_path):
         left = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
@@ -527,7 +574,7 @@ class TestOperatorCache:
 
     @pytest.mark.parametrize("count", [0, 3, 255])
     def test_factor_count_not_one_or_two(self, tmp_path, count):
-        path = write_cache(tmp_path / "count.hgop", [np.eye(3)], count=count)
+        path = write_cache(tmp_path / "count.hgop", [np.eye(3)] * count)
         with pytest.raises(FormatError, match=r"count\.hgop.*factors"):
             load_operator(path)
 
@@ -541,24 +588,42 @@ class TestOperatorCache:
         with pytest.raises(FormatError, match=r"square\.hgop.*square"):
             load_operator(path)
 
-    def test_version_1_file(self, tmp_path):
-        # A v1 file: one CSR block straight after a u32 version and u8 norm.
+    def test_unsupported_version(self, tmp_path):
+        path = write_cache(tmp_path / "v2.hgop", [np.eye(3)], meta={"version": 2})
+        with pytest.raises(FormatError, match=r"v2\.hgop.*unsupported cache version 2"):
+            load_operator(path)
+
+    def test_version_2_file(self, tmp_path):
+        # A v2 file: magic, u32 version, u8 normalization, u8 factor count, then
+        # per factor u64 rows, cols, nnz and its arrays; it is not a zip archive.
         matrix = sp.csr_matrix(np.eye(3))
-        blob = (b"HGOP" + struct.pack("<IB", 1, 0)
+        blob = (b"HGOP" + struct.pack("<IBB", 2, 0, 1)
                 + struct.pack("<QQQ", 3, 3, 3)
                 + matrix.indptr.astype("<i8").tobytes()
                 + matrix.indices.astype("<i8").tobytes()
                 + matrix.data.astype("<f8").tobytes())
         path = tmp_path / "old.hgop"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match=r"old\.hgop.*unsupported cache version 1"):
+        with pytest.raises(FormatError, match=r"old\.hgop"):
             load_operator(path)
 
     def test_trailing_bytes(self, tmp_path):
-        path = write_cache(tmp_path / "long.hgop", [np.eye(3)])
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match=r"long\.hgop.*trailing"):
-            load_operator(path)
+        # zipfile finds the archive from its end record and reads only the
+        # members named in the metadata, so appended bytes either leave the
+        # load bit-identical or are rejected; they never change a value.
+        op = hypergraph_operator(random_hypergraph(np.random.default_rng(37), 12, 2), "sym")
+        path = tmp_path / "long.hgop"
+        save_operator(path, op)
+        blob = path.read_bytes()
+        for extra in (b"\x00", b"PK\x05\x06" + b"\x00" * 18):  # a zero; a bare end record
+            path.write_bytes(blob + extra)
+            try:
+                loaded = load_operator(path)
+            except FormatError as exc:
+                assert "long.hgop" in str(exc)
+            else:
+                assert loaded.normalization == "sym" and len(loaded.factors) == 2
+                assert all(csr_equal(a, b) for a, b in zip(loaded.factors, op.factors))
 
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(31)
@@ -566,11 +631,18 @@ class TestOperatorCache:
         kept = tmp_path / "kept.hgop"
         save_operator(kept, op)
         before = kept.read_bytes()
-        # The normalization code is looked up after the magic is written.
-        monkeypatch.setattr(hgssl.hypergraph, "_NORM_CODES", {})
-        with pytest.raises(KeyError):
+        # The second factor's data member fails after the members before it are written.
+        writestr = zipfile.ZipFile.writestr
+
+        def failing_writestr(archive, info, payload):
+            if info.filename == "1/data":
+                raise OSError("disk full")
+            return writestr(archive, info, payload)
+
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", failing_writestr)
+        with pytest.raises(OSError, match="disk full"):
             save_operator(tmp_path / "new.hgop", op)
-        with pytest.raises(KeyError):
+        with pytest.raises(OSError, match="disk full"):
             save_operator(kept, op)
         assert [p.name for p in tmp_path.iterdir()] == ["kept.hgop"]
         assert kept.read_bytes() == before

@@ -260,6 +260,12 @@ class TestConjugateGradient:
         with pytest.raises(ShapeError):
             conjugate_gradient(lambda V: V, np.ones(2))
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0])
+    def test_tol_of_one_or_more_rejected(self, tol):
+        # From x = 0 every nonzero column starts at relative residual 1.
+        with pytest.raises(ValueError, match=f"tol must be positive and below 1, got {tol}"):
+            conjugate_gradient(lambda V: V, np.ones((2, 1)), tol=tol)
+
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         op = hypergraph_operator(random_hypergraph(rng, 25), "sym")
