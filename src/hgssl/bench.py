@@ -1,23 +1,17 @@
 """Benchmark orchestration: run methods over a noise grid and render tables.
 
-A grid cell is one (method, noise level, seed) triple.  Operators are built
-once per experiment and shared read-only across cells; the feature-propagation
-step of the hgnn-proposed method does not depend on labels, so it also runs
-once, and its smoothed features Z are turned in place into that network's
-input Theta Z.  A gcn or hgnn cell forms its input Theta X itself, once, for
-both training and prediction; it is not kept across cells, so a grid holds
-at most one such array at a time.  Each cell's seed drives both the noise
-injection and, for the neural methods, the parameter initialization.  Within
-one grid a closed-form cell's accuracy depends only on its method and its
-noisy training labels, so cells whose labels are equal (every seed at noise
-level 0) share one solve.
+A grid cell is one (method, noise level, seed) triple.  Each cell's seed
+drives both the noise injection and, for the neural methods, the parameter
+initialization.  Within one grid a closed-form cell's accuracy depends only on
+its method and its noisy training labels, so cells whose labels are equal
+(every seed at noise level 0) share one solve.
 
-A feature matrix is kept only while a configured cell reads it.  The
-features as loaded are freed once PCA has formed the features X that the
-operators are built from (without PCA they are X).  X is kept for the grid
-only when a gcn or hgnn cell is configured.  Otherwise no cell reads X once
-the operators are built, and the hgnn-proposed solve writes Z into X's own
-buffer, so one n x m array holds X, then Z, then Theta Z.
+Set-up forms everything a cell reads, once per experiment, and cells only
+read it: the operators, and each neural method's network input (Theta Z for
+the smoothed features Z of hgnn-proposed, Theta X for gcn and hgnn).  The
+features as loaded are freed once PCA has formed the features X (without PCA
+they are X).  The inputs are formed in a fixed order, hgnn-proposed, then gcn,
+then hgnn, and the last product that reads X writes over X's buffer.
 """
 
 import hashlib
@@ -47,6 +41,10 @@ _METHOD_OPERATORS = {"graph-ssl": "graph", "hypergraph-ssl": "hg_sym", "gcn": "g
 _CLOSED_FORM = ("graph-ssl", "hypergraph-ssl")
 # The normalization each operator is built with; a cache file must hold it.
 _OPERATOR_NORMALIZATIONS = {"hg_sym": "sym", "graph": "graph_sym", "gcn": "gcn"}
+
+# The order set-up forms the network inputs in.  The feature solve goes first,
+# so while X is still needed Z is the only extra array.
+_INPUT_ORDER = ("hgnn-proposed", "gcn", "hgnn")
 
 DEFAULT_PCA_DIMS = {"mnist": 50, "usps": 50, "fashion": 300, "synthetic": None}
 # Marks a pca_dims left unset, which ExperimentConfig resolves from its dataset.
@@ -193,14 +191,9 @@ class PreparedExperiment:
     config: ExperimentConfig
     # The labels and train/test split; the loaded features are not kept.
     dataset: LabeledSplit
-    # The features X the operators were built from (after PCA, if any), kept
-    # only when a gcn or hgnn cell is configured, whose input Theta X is
-    # formed from them; None otherwise.
-    features: Optional[np.ndarray]
     operators: dict
-    # Theta Z for the smoothed features Z: hgnn-proposed's network input.
-    # When ``features`` is None it occupies the buffer X was loaded into.
-    proposed_input: Optional[np.ndarray]
+    # Each configured neural method's network input, see _INPUT_ORDER.
+    inputs: dict
     # A failed feature solve fails each hgnn-proposed cell, not the grid.
     propagation_error: Optional[SolverError] = None
 
@@ -289,22 +282,24 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
                        ops_dir=None) -> PreparedExperiment:
     split, X = prepare_features(cfg, data_dir)
     operators = build_operators(cfg, X, ops_dir)
-    # Only gcn and hgnn cells read X once the operators are built.
-    features = X if {"gcn", "hgnn"} & set(cfg.methods) else None
-    proposed_input = error = None
-    if "hgnn-proposed" in cfg.methods:
-        op = operators[_METHOD_OPERATORS["hgnn-proposed"]]
+    neural = [method for method in _INPUT_ORDER if method in cfg.methods]
+    inputs, error = {}, None
+    for method in neural:
+        op = operators[_METHOD_OPERATORS[method]]
+        # The last product that reads X writes over it.
+        out = X if method == neural[-1] else None
+        if method != "hgnn-proposed":
+            inputs[method] = op.apply(X, out=out)
+            continue
         try:
-            smoothed = propagate_features(op, X, cfg.solver,
-                                          out=X if features is None else None)
+            smoothed = propagate_features(op, X, cfg.solver, out=out)
         except SolverError as exc:
             # Kept bare: the caught error's traceback holds the solve's arrays.
             error = SolverError(exc.reason, exc.residual, exc.columns)
         else:
-            proposed_input = op.apply(smoothed, out=smoothed)
-    return PreparedExperiment(config=cfg, dataset=split, features=features,
-                              operators=operators, proposed_input=proposed_input,
-                              propagation_error=error)
+            inputs[method] = op.apply(smoothed, out=smoothed)
+    return PreparedExperiment(config=cfg, dataset=split, operators=operators,
+                              inputs=inputs, propagation_error=error)
 
 
 def run_cell(prepared: PreparedExperiment, method: str, level: float,
@@ -315,7 +310,7 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     to the accuracy of a cell of the same grid that was already solved; such
     a cell reuses it, and a cell that solves adds its own.  A solve that
     raises adds nothing.  ``method`` must be one the experiment was prepared
-    for: only those have their operator and, for gcn and hgnn, the features.
+    for: only those have their operator and, for a neural method, its input.
     """
     cfg = prepared.config
     if method not in cfg.methods:
@@ -341,10 +336,7 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     else:
         # Never reused: the seed also draws the initial parameters.
         Y = encode_labels(split, dataset.train_indices, dataset.num_classes)
-        if method == "hgnn-proposed":
-            x_prop = prepared.proposed_input
-        else:
-            x_prop = op.apply(prepared.features)
+        x_prop = prepared.inputs[method]
         params = train(op, x_prop, Y, dataset.train_indices, cfg.train, seed=seed)
         acc = accuracy(predict(op, x_prop, params), split.clean_labels,
                        dataset.test_indices)

@@ -11,6 +11,8 @@ every cell succeeded.
 """
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,10 +76,30 @@ def _report_failures(report) -> int:
     return 0 if report.ok else 1
 
 
+def _check_dir(path):
+    """Raise OSError unless ``path`` is a writable directory or can be made one.
+
+    Nothing is created, so a grid that fails leaves no directory behind.
+    """
+    path = Path(path).absolute()
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(nearest))
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(nearest))
+
+
 def _cmd_bench(args) -> int:
     cfg = config_mod.load_config(args.config)
     if args.full:
         cfg = replace(cfg, subsample_size=None)
+    # Checked before the grid runs, so a bad path does not discard its results.
+    for path in filter(None, (args.out, args.ops)):
+        try:
+            _check_dir(path)
+        except OSError as exc:
+            print(f"cannot create directory {path}: {exc}", file=sys.stderr)
+            return 2
     report = run_experiment(cfg, data_dir=args.data_dir, ops_dir=args.ops)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -49,9 +49,15 @@ def pca_fit(X: np.ndarray, d: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    """Project rows of ``X`` onto the model's components: (X - mean) @ components."""
+    """Project rows of ``X`` onto the model's components: (X - mean) @ components.
+
+    Formed as X @ components - mean @ components, so no centered n x m copy of
+    X is made; the result agrees with the centered product at rounding level.
+    """
     X = as_dense(X)
     if X.shape[1] != model.mean.shape[0]:
         raise ShapeError(
             f"X has {X.shape[1]} columns, model was fit on {model.mean.shape[0]}")
-    return (X - model.mean) @ model.components
+    projected = X @ model.components
+    projected -= model.mean @ model.components
+    return projected

@@ -21,6 +21,7 @@ from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentCon
 from hgssl.datasets import (ImageDataset, save_idx_dataset, save_usps_dataset,
                             synthetic_blobs)
 from hgssl.errors import ConfigError, FormatError, SolverError
+from hgssl.hypergraph import PropagationOperator
 from hgssl.labels import encode_labels, inject_noise
 from hgssl.network import TrainConfig
 from hgssl.pca import pca_fit, pca_transform
@@ -193,7 +194,7 @@ class TestRunExperiment:
         prepared = prepare_experiment(cfg)
         error = prepared.propagation_error
         assert isinstance(error, SolverError) and error.columns
-        assert prepared.proposed_input is None
+        assert prepared.inputs == {}
         for _ in range(2):
             with pytest.raises(SolverError) as raised:
                 run_cell(prepared, "hgnn-proposed", 0.0, 0)
@@ -216,7 +217,7 @@ class TestRunExperiment:
         ds = prepared.dataset
         Y = encode_labels(inject_noise(ds, 0.15, 7), ds.train_indices, ds.num_classes)
         op = prepared.operators["hg_sym"]
-        want = network.train(op, op.apply(prepared.features), Y,
+        want = network.train(op, op.apply(load_dataset(cfg).features), Y,
                              ds.train_indices, FAST_TRAIN, seed=7)
         [got] = trained
         assert np.array_equal(got.theta1, want.theta1)
@@ -227,7 +228,9 @@ class TestRunExperiment:
         cfg = replace(SMALL, methods=("graph-ssl", "hgnn"), pca_dims=3)
         X = load_dataset(cfg).features
         prepared = prepare_experiment(cfg)
-        assert np.array_equal(prepared.features, pca_transform(pca_fit(X, 3), X))
+        op = prepared.operators["hg_sym"]
+        assert np.array_equal(prepared.inputs["hgnn"],
+                              op.apply(pca_transform(pca_fit(X, 3), X)))
         report = run_experiment(cfg)
         assert report.ok and all(row.pca_used for row in report.rows)
         assert all(line.endswith(",true")
@@ -275,10 +278,10 @@ class TestRunExperiment:
         prepared = prepare_experiment(cfg)
         op = prepared.operators["hg_sym"]
         want = op.apply(propagate_features(op, load_dataset(cfg).features, cfg.solver))
-        assert prepared.proposed_input.tobytes() == want.tobytes()
+        assert prepared.inputs["hgnn-proposed"].tobytes() == want.tobytes()
 
     def test_cell_forms_its_network_input_once(self, monkeypatch):
-        # train and predict get the same Theta X; no neural cell forms it twice.
+        # train and predict get the input set-up formed; no neural cell forms it.
         inputs = {"train": [], "predict": []}
         for name, seen in inputs.items():
             original = getattr(hgssl.bench, name)
@@ -287,19 +290,27 @@ class TestRunExperiment:
                 seen.append(x_prop)
                 return original(op, x_prop, *args, **kwargs)
             monkeypatch.setattr(hgssl.bench, name, recording)
+        prepared = []
+        prepare = hgssl.bench.prepare_experiment
+
+        def recording_prepare(*args, **kwargs):
+            prepared.append(prepare(*args, **kwargs))
+            return prepared[-1]
+        monkeypatch.setattr(hgssl.bench, "prepare_experiment", recording_prepare)
         cfg = replace(SMALL, methods=("gcn", "hgnn", "hgnn-proposed"))
         assert run_experiment(cfg).ok
-        prepared = prepare_experiment(cfg)
+        [prepared] = prepared
+        X = load_dataset(cfg).features
         for method, trained, predicted in zip(cfg.methods, *inputs.values()):
-            assert trained is predicted, method
+            assert trained is predicted is prepared.inputs[method], method
             op = prepared.operators[hgssl.bench._METHOD_OPERATORS[method]]
-            want = (prepared.proposed_input if method == "hgnn-proposed"
-                    else op.apply(prepared.features))
+            want = op.apply(propagate_features(op, X, cfg.solver)
+                            if method == "hgnn-proposed" else X)
             assert trained.tobytes() == want.tobytes(), method
 
 
 class TestKeptFeatures:
-    """A prepared experiment keeps a feature matrix only while a configured cell reads it."""
+    """A prepared experiment keeps no feature matrix, only each neural method's input."""
 
     @staticmethod
     def loading(monkeypatch, then=None):
@@ -316,13 +327,53 @@ class TestKeptFeatures:
         monkeypatch.setattr(hgssl.bench, "load_dataset", recording)
         return loaded
 
-    # Where the buffer the features were loaded into ends up: freed, kept as
-    # the features a gcn cell reads, or overwritten by hgnn-proposed's input.
+    def traced_in_blocks(self, monkeypatch, run, cfg, block=32):
+        """``run(cfg)``, its traced peak bytes from the data load on, and its block work.
+
+        Set-up then works in blocks that do not grow with m: a kNN distance
+        block of n x n, pairs gathered 8 at a time, and CG and operator
+        products ``block`` columns wide.  The block work is the distance block
+        and a dozen arrays of one CG block: its solution, R, P, X_active, A P
+        and the operator's intermediate products.
+        """
+        n, dim = cfg.synthetic.n, cfg.synthetic.dim
+        monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 8 * dim)
+        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", block * n)
+        monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", block * n)
+        self.loading(monkeypatch, then=tracemalloc.reset_peak)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return result, peak, n * n * 8 + 12 * n * block * 8
+
+    @staticmethod
+    def failing_second_feature_block(monkeypatch):
+        """Fail the feature solve of a 150-point grid in its second block of columns.
+
+        Blocks are 4 columns wide: 3 for the labels, 4 then 2 for the 6
+        features, so the first feature block has written its columns.
+        """
+        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", 4 * 150)
+        cg = hgssl.propagation.conjugate_gradient
+
+        def failing(apply, B, **kwargs):
+            if B.shape[1] == 2:
+                raise SolverError("injected", columns=[1])
+            return cg(apply, B, **kwargs)
+
+        monkeypatch.setattr(hgssl.propagation, "conjugate_gradient", failing)
+
+    # Where the buffer the features were loaded into ends up: freed, or
+    # overwritten by the input of the last method whose product reads X.
     @pytest.mark.parametrize("methods, pca_dims, loaded_buffer", [
-        (("hgnn-proposed",), None, "proposed_input"),
+        (("hgnn-proposed",), None, "hgnn-proposed"),
         (("graph-ssl", "hgnn-proposed"), 3, None),
         (("graph-ssl", "hypergraph-ssl"), None, None),
-        (("gcn", "hgnn-proposed"), None, "features"),
+        (("gcn", "hgnn-proposed"), None, "gcn"),
         (("hgnn",), 3, None),
     ])
     def test_features_kept_only_for_gcn_or_hgnn(self, monkeypatch, methods, pca_dims,
@@ -337,17 +388,19 @@ class TestKeptFeatures:
         if loaded_buffer is None:
             assert buffer() is None
         else:
-            assert buffer() is getattr(prepared, loaded_buffer)
-        if {"gcn", "hgnn"} & set(methods):
-            assert np.array_equal(prepared.features, X)
-        else:
-            assert prepared.features is None
+            assert buffer() is prepared.inputs[loaded_buffer]
+        assert list(prepared.inputs) == [method for method in hgssl.bench._INPUT_ORDER
+                                         if method in methods]
+        for method in {"gcn", "hgnn"} & set(methods):
+            op = prepared.operators[hgssl.bench._METHOD_OPERATORS[method]]
+            assert np.array_equal(prepared.inputs[method], op.apply(X))
+        assert not hasattr(prepared, "features")
         assert not hasattr(prepared.dataset, "features")
-        held = [*vars(prepared.dataset).values(), prepared.proposed_input]
+        held = [*vars(prepared.dataset).values(), *prepared.inputs.values()]
         assert not any(np.array_equal(value, matrix) for value in held for matrix in (raw, X))
 
     def test_cell_of_an_unprepared_method_rejected(self):
-        # hgnn shares hgnn-proposed's operator, but its features were not kept.
+        # hgnn shares hgnn-proposed's operator, but its input was not formed.
         prepared = prepare_experiment(replace(SMALL, methods=("hgnn-proposed",)))
         with pytest.raises(ValueError, match="'hgnn' is not among .*: hgnn-proposed$"):
             run_cell(prepared, "hgnn", 0.0, 0)
@@ -355,28 +408,13 @@ class TestKeptFeatures:
     def test_proposed_only_setup_allocates_no_second_feature_matrix(self, monkeypatch):
         # After the data loads, the X the operators are built from is the one
         # n x m array: the feature solve and Theta Z write into it.  The rest
-        # of set-up works in blocks that do not grow with m: a kNN distance
-        # block of n x n, pairs gathered 8 at a time, and CG and operator
-        # products 32 columns wide.
-        n, dim, block = 200, 2400, 32
+        # of set-up works in blocks that do not grow with m.
+        n, dim = 200, 2400
         cfg = replace(SMALL, methods=("hgnn-proposed",),
                       synthetic=SyntheticSpec(n=n, classes=3, dim=dim, spread=0.1, seed=2))
-        monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 8 * dim)
-        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", block * n)
-        monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", block * n)
-        self.loading(monkeypatch, then=tracemalloc.reset_peak)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            prepared = prepare_experiment(cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        prepared, peak, block_work = self.traced_in_blocks(monkeypatch, prepare_experiment, cfg)
         feature_bytes = n * dim * 8
-        # The distance block, and a dozen arrays of one CG block: its solution,
-        # R, P, X_active, A P and the operator's intermediate products.
-        block_work = n * n * 8 + 12 * n * block * 8
-        assert prepared.proposed_input.nbytes == feature_bytes
+        assert prepared.inputs["hgnn-proposed"].nbytes == feature_bytes
         assert peak <= feature_bytes + block_work, (peak, feature_bytes, block_work)
 
     def test_failed_in_place_feature_solve_fails_only_proposed_cells(self, monkeypatch):
@@ -386,19 +424,9 @@ class TestKeptFeatures:
         cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl", "hgnn-proposed"),
                       noise_levels=(0.0, 0.3))
         closed_form = run_experiment(replace(cfg, methods=cfg.methods[:2]))
-        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", 4 * 150)
-        cg = hgssl.propagation.conjugate_gradient
-
-        def failing_second_feature_block(apply, B, **kwargs):
-            # Blocks of 4 columns: 3 for the labels, 4 then 2 for the 6 features.
-            if B.shape[1] == 2:
-                raise SolverError("injected", columns=[1])
-            return cg(apply, B, **kwargs)
-
-        monkeypatch.setattr(hgssl.propagation, "conjugate_gradient",
-                            failing_second_feature_block)
+        self.failing_second_feature_block(monkeypatch)
         prepared = prepare_experiment(cfg)
-        assert prepared.features is None and prepared.proposed_input is None
+        assert prepared.inputs == {}
         assert prepared.propagation_error.columns == (5,)
         report = run_experiment(cfg)
         assert [(f.method, f.noise_level) for f in report.failures] \
@@ -406,6 +434,72 @@ class TestKeptFeatures:
         assert all(f.error == "SolverError: injected; column 5" for f in report.failures)
         assert [strip_time(r) for r in report.rows] \
             == [strip_time(r) for r in closed_form.rows]
+
+    def test_failed_feature_solve_leaves_x_for_gcn_and_hgnn(self, monkeypatch):
+        # With gcn or hgnn configured the feature solve writes a fresh Z, so a
+        # solve that fails part-way leaves X, and their rows, as they were.
+        cfg = replace(SMALL, methods=("gcn", "hgnn", "hgnn-proposed"), noise_levels=(0.0, 0.3))
+        neural = run_experiment(replace(cfg, methods=cfg.methods[:2]))
+        self.failing_second_feature_block(monkeypatch)
+        report = run_experiment(cfg)
+        assert [(f.method, f.noise_level) for f in report.failures] \
+            == [("hgnn-proposed", 0.0), ("hgnn-proposed", 0.3)]
+        assert [strip_time(r) for r in report.rows] \
+            == [strip_time(r) for r in neural.rows]
+
+    def test_each_input_formed_once(self, monkeypatch):
+        # Set-up applies each neural method's operator once outside the feature
+        # solve, and the input it keeps is Theta X or Theta Z bit for bit.
+        cfg = replace(SMALL, methods=METHODS)
+        X = load_dataset(cfg).features
+        products, solving = [], []
+        apply = PropagationOperator.apply
+
+        def counted(op, V, **kwargs):
+            if not solving:
+                products.append(op.normalization)
+            return apply(op, V, **kwargs)
+
+        propagate = hgssl.bench.propagate_features
+
+        def solve(*args, **kwargs):
+            solving.append(True)
+            try:
+                return propagate(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(PropagationOperator, "apply", counted)
+        monkeypatch.setattr(hgssl.bench, "propagate_features", solve)
+        prepared = prepare_experiment(cfg)
+        monkeypatch.undo()
+        # hgnn-proposed, gcn, hgnn: the order set-up forms the inputs in.
+        assert products == ["sym", "gcn", "sym"]
+        ops = prepared.operators
+        Z = propagate_features(ops["hg_sym"], X, cfg.solver)
+        for method, V in (("hgnn-proposed", Z), ("gcn", X), ("hgnn", X)):
+            want = ops[hgssl.bench._METHOD_OPERATORS[method]].apply(V)
+            assert prepared.inputs[method].tobytes() == want.tobytes(), method
+
+    @pytest.mark.parametrize("methods", [
+        ("gcn",), ("hgnn",), ("hgnn-proposed",), ("gcn", "hgnn"), ("gcn", "hgnn-proposed"),
+        ("hgnn", "hgnn-proposed"), ("gcn", "hgnn", "hgnn-proposed"),
+    ])
+    def test_grid_holds_one_feature_array_per_neural_method(self, monkeypatch, methods):
+        # From the load on, a grid's peak is one n x m array per network input:
+        # the last product that reads X writes over it, and cells allocate
+        # none.  The rest does not grow with m beyond the parameters: set-up's
+        # blocks and training's arrays of m x hidden (theta1, its gradient,
+        # Adam's moments and their temporaries) and of n x hidden.
+        n, dim, hidden = 200, 2400, 4
+        cfg = replace(SMALL, methods=methods, train=TrainConfig(hidden=hidden, epochs=2),
+                      synthetic=SyntheticSpec(n=n, classes=3, dim=dim, spread=0.1, seed=2))
+        report, peak, block_work = self.traced_in_blocks(monkeypatch, run_experiment, cfg)
+        assert report.ok
+        feature_bytes = n * dim * 8
+        train_work = 8 * (dim + n) * hidden * 8
+        bound = len(methods) * feature_bytes + block_work + train_work
+        assert peak <= bound, (peak / feature_bytes, bound / feature_bytes)
 
 
 class TestClosedFormReuse:

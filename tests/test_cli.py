@@ -59,6 +59,25 @@ def test_bench_writes_tables(tmp_path, capsys):
     assert "method" in stdout and "hypergraph-ssl" in stdout
 
 
+@pytest.mark.parametrize("flag", ["--out", "--ops"])
+def test_bench_unusable_directory_exit_code(tmp_path, capsys, monkeypatch, flag):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the grid ran with an unusable directory")
+    monkeypatch.setattr(hgssl.cli, "run_experiment", not_reached)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "results"
+    args = ["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    assert main(args + [flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"cannot create directory {target}: ")
+    assert f"Not a directory: '{blocker}'" in err
+    assert not (tmp_path / "r").exists()
+
+
 def _results(path):
     return [(r.method, r.noise_level, r.seed, r.accuracy, r.pca_used)
             for r in parse_results_csv(path.read_text())]

@@ -44,9 +44,9 @@ MAX_APPLICATIONS = 466
 COLUMN_APPLICATIONS = 1873
 # gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
 NEURAL_CELLS = 36
-# The network inputs: Theta X once in each gcn and hgnn cell (2 x 4 x 3), and
-# Theta Z once per experiment, in place over hgnn-proposed's smoothed features.
-INPUT_PRODUCTS = 24 + 1
+# The network inputs, each formed once per experiment in set-up: Theta Z for
+# hgnn-proposed and Theta X for gcn and hgnn.
+INPUT_PRODUCTS = 3
 
 
 def train_products(epochs):
