@@ -55,10 +55,14 @@ from .linalg import _BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
-# Entries per kNN distance block: 16 MB of f64.  The k-th-value partition
-# copies at most _PARTITION_ROWS rows of it at a time, which is less than the
-# whole block while n < _BLOCK_BUDGET / _PARTITION_ROWS (32768).
+# A kNN distance tile holds min(_TILE_ROWS, _BLOCK_BUDGET // n) rows, so at
+# most min(256 n, 2^21) entries (16 MB of f64), or one row once n > 2^21.  Below
+# about 256 rows the tile's GEMM slows at d = 784; above it a tile only adds
+# memory.  The k-th-value partition copies at most _PARTITION_ROWS rows of a
+# tile at a time, which is less than the whole tile while
+# n < _BLOCK_BUDGET / _PARTITION_ROWS (32768).
 _BLOCK_BUDGET = 1 << 21
+_TILE_ROWS = 256
 _PARTITION_ROWS = 64
 # Coordinates gathered per chunk of pair distances: 2 MB of f64 per array.
 _PAIR_BUDGET = 1 << 18
@@ -228,7 +232,8 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     a NaN or an infinity, or whose squared norm could overflow a distance,
     raise ``ValueError`` naming the first such row.
 
-    Algorithm, per block of ``_BLOCK_BUDGET // n`` rows:
+    Algorithm, per tile of ``min(_TILE_ROWS, _BLOCK_BUDGET // n)`` rows (at
+    least one), so at most min(256 n, 2^21) distances at a time:
 
     1. G = ||x_i||^2 + ||x_j||^2 - 2 X_b X^T, one matrix product (BLAS).
     2. Shortlist every j with G_ij <= kth_i + 2 s_i, where kth_i is the k-th
@@ -275,7 +280,7 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
                          f"(squared norm {sq_norms[row]:.3g}, limit {_SQ_NORM_LIMIT:.3g})")
     slack = _certified_slack(sq_norms, dim)
     out = np.empty((n, k), dtype=np.int64)
-    block = max(1, _BLOCK_BUDGET // n)
+    block = max(1, min(_TILE_ROWS, _BLOCK_BUDGET // n))
     for start in range(0, n, block):
         stop = min(start + block, n)
         G = _gram_sq_distances(X, sq_norms, start, stop)

@@ -172,11 +172,14 @@ def _loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled: np.ndarray,
 
     # logits = Theta hidden theta2, so both gradients go through Theta^T dlogits.
     grad_projected = trace.op.apply_T(grad_logits)
-    grad_theta2 = trace.hidden.T @ grad_projected + weight_decay * params.theta2
+    # The decay term is added in place: the same sum, without a third array.
+    grad_theta2 = trace.hidden.T @ grad_projected
+    grad_theta2 += weight_decay * params.theta2
     grad_hidden = grad_projected @ params.theta2.T
     # ReLU(h) > 0 exactly where h > 0, so the mask needs only the activations.
     np.multiply(grad_hidden, trace.hidden > 0.0, out=grad_hidden)
-    grad_theta1 = trace.x_prop.T @ grad_hidden + weight_decay * params.theta1
+    grad_theta1 = trace.x_prop.T @ grad_hidden
+    grad_theta1 += weight_decay * params.theta1
     return loss, TwoLayerParams(theta1=grad_theta1, theta2=grad_theta2)
 
 

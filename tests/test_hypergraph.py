@@ -49,7 +49,11 @@ class TestKnnIndices:
         rng = np.random.default_rng(14)
         X = rng.standard_normal((37, 3))
         full = knn_indices(X, 4)
+        # Tiles of 5 rows, a last one of 2: set once by the budget, once by the row cap.
         monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 5 * 37)
+        assert np.array_equal(hgm.knn_indices(X, 4), full)
+        monkeypatch.undo()
+        monkeypatch.setattr(hgm, "_TILE_ROWS", 5)
         assert np.array_equal(hgm.knn_indices(X, 4), full)
 
     def test_uneven_blocks_and_partition_chunks(self, monkeypatch):
@@ -62,15 +66,19 @@ class TestKnnIndices:
         assert np.array_equal(hgm.knn_indices(X, 3), knn_oracle(X, 3))
 
     def test_peak_memory_bounded_by_block_budget(self):
-        X = np.random.default_rng(16).standard_normal((2000, 50))
+        import hgssl.hypergraph as hgm
+        n = 2000
+        X = np.random.default_rng(16).standard_normal((n, 50))
         tracemalloc.start()
         try:
             knn_indices(X, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One 16 MB Gram block plus bounded row chunks, never a copy of the block.
-        assert peak <= 24e6, peak
+        # One 256-row Gram tile (4.1 MB, where the budget alone would allow 1048
+        # rows) plus two pair-gather chunks, which also cover the 64-row partition
+        # copy and the shortlist mask: the tile is never copied whole.
+        assert peak <= 8 * hgm._TILE_ROWS * n + 2 * 8 * hgm._PAIR_BUDGET, peak
 
     @staticmethod
     def _count_reranked(monkeypatch):
