@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateStructureError, FormatError, ShapeError
-from .linalg import _BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, diag_scale
+from .linalg import _BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, column_blocks, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
@@ -153,18 +153,18 @@ class PropagationOperator:
 def _chain(factors, V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """``factors[-1] @ ... @ factors[0] @ V``, written to ``out`` if given.
 
-    A V wider than ``_COLUMN_BUDGET`` entries runs in blocks of columns of at
-    most that many entries, so its intermediate products are one block wide.
-    Each column's product does not depend on the others, so the blocks leave
-    every bit of the result as one product gives it, and a block's columns of
-    ``out`` may overwrite the same columns of V once their product is formed.
+    A V wider than ``_COLUMN_BUDGET`` entries runs in equal blocks of columns
+    of at most that many entries, so its intermediate products are one block
+    wide.  Each column's product does not depend on the others, so the blocks
+    leave every bit of the result as one product gives it, and a block's
+    columns of ``out`` may overwrite the same columns of V once their product
+    is formed.
     """
-    step = max(1, _COLUMN_BUDGET // max(1, len(V)))
-    if V.ndim == 2 and V.shape[1] > step:
+    blocks = column_blocks(len(V), V.shape[1], _COLUMN_BUDGET) if V.ndim == 2 else ()
+    if len(blocks) > 1:
         if out is None:
             out = np.empty((factors[-1].shape[0], V.shape[1]))
-        for start in range(0, V.shape[1], step):
-            block = slice(start, start + step)
+        for block in blocks:
             _chain(factors, V[:, block], out[:, block])
         return out
     for factor in factors:

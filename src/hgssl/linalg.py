@@ -36,6 +36,18 @@ _BLOCK_BUDGET = 2 ** 18
 _GROUP_ENTRIES = 2 ** 14
 
 
+def column_blocks(rows: int, width: int, budget: int) -> list:
+    """Slices that split ``width`` columns of ``rows`` rows into equal blocks.
+
+    There are as few blocks as keep each within ``budget`` entries (one column
+    when a single column exceeds it), and their widths differ by at most one:
+    784 columns of 3000 rows at 2^18 entries are ten blocks of 78-79 columns,
+    not nine of 87 and one of a single column, which costs CG most per column.
+    """
+    count = -(-width // max(1, budget // max(1, rows)))
+    return [slice(i * width // count, (i + 1) * width // count) for i in range(count)]
+
+
 def as_dense(matrix) -> np.ndarray:
     """Return ``matrix`` as a 2-D float64 ndarray."""
     X = np.asarray(matrix, dtype=np.float64)

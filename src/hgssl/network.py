@@ -10,20 +10,29 @@ for any of the four propagation operators.  ``forward``, ``train`` and
 ``predict`` take the network's propagated input ``x_prop = op.apply(X)``,
 which does not depend on the parameters: the caller forms it once and
 passes the same array to ``train`` and ``predict``, and none of the three
-applies the operator to the input.  The rest is evaluated as Theta (ReLU(x_prop theta1) theta2): the
-second-layer projection runs before the operator, so every sparse product
-inside them is C columns wide (C classes) rather than hidden-width, and the
-backward pass reuses one Theta^T dlogits for both gradients.  The
-feature-propagated variant runs the identical network on features smoothed
-by ``propagate_features``, which accepts only the sym operator.
+applies the operator to the input.  The rest is evaluated as
+Theta (ReLU(x_prop theta1) theta2): the second-layer projection runs before
+the operator, so every sparse product inside them is C columns wide (C
+classes) rather than hidden-width, and the backward pass reuses one
+Theta^T dlogits for both gradients.  The feature-propagated variant runs the
+identical network on features smoothed by ``propagate_features``, which
+accepts only the sym operator.
+
+The two products with the n-row input, x_prop theta1 and x_prop^T
+dhidden, take x_prop as the right-hand GEMM operand when it is at least
+``_WIDE_INPUT`` (8) times as wide as the hidden layer, as unreduced 784-pixel
+images are: (theta1^T x_prop^T)^T and (dhidden^T x_prop)^T.  That choice
+reads only the shapes, and the hidden activations stay C-contiguous either
+way.  Narrower inputs are the left operand, where that is faster.
+
 Loss is masked cross-entropy over the labeled rows plus an L2 penalty on both
 parameter matrices; gradients are analytic.  While training, the softmax is
 taken on the labeled rows only, and one row-max shift gives both their
 probabilities and log-probabilities; ``ForwardTrace.probs``, the softmax of
-every row, is computed on first access (by ``predict`` and the training log).
-The ReLU, its backward mask and the Adam step all work in place, in the same
-operation order as the out-of-place formulas, so the trained parameters are
-bit-identical to theirs.
+every row, is computed on first access (by the training log).  ``predict``
+takes the argmax of the logits.  The ReLU, its backward mask and the Adam
+step all work in place, in the same operation order as the out-of-place
+formulas, so the trained parameters are bit-identical to theirs.
 """
 
 from dataclasses import dataclass
@@ -38,6 +47,25 @@ from .linalg import as_dense
 ADAM = 0.9, 0.999, 1e-8  # beta1, beta2, epsilon
 LEARNING_RATE = 0.01
 WEIGHT_DECAY = 5e-4
+# An input at least _WIDE_INPUT times as wide as the hidden layer is the
+# right-hand GEMM operand of both of its products, (theta1^T x_prop^T)^T and
+# (grad_hidden^T x_prop)^T; OpenBLAS then packs the narrow operand instead of
+# the n-row input.  Training ms per epoch, plain -> right-hand, at hidden 64
+# (hgnn sym operator, 10 classes, 40 epochs, medians of 8 alternating runs on
+# 2 cores at 2 BLAS threads):
+#     m    n = 2000        n = 3000
+#    50    3.17 -> 3.21    4.20 -> 4.49
+#   100    3.38 -> 3.66    4.82 -> 5.33
+#   300    4.75 -> 4.50    8.26 -> 8.11
+#   512    6.66 -> 6.84    9.55 -> 9.33
+#   784    9.29 -> 8.78   15.02 -> 12.65
+# At hidden 32, m = 256 read 3.40 -> 3.36 and 5.11 -> 4.79.  Below 8 times
+# the hidden width the right-hand form loses or is within noise.  At 784
+# columns and n = 3000 it also adds 0.9 MB to peak RSS during training, not
+# 8.1 MB.  On numpy 2.4.6's OpenBLAS 0.3.31 both forms give the same bits
+# when m is a multiple of 8; at m = 100 or 300 the backward product differs
+# at rounding level.
+_WIDE_INPUT = 8
 
 
 @dataclass
@@ -80,15 +108,15 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def labeled_rows(labeled_mask, n: int) -> np.ndarray:
-    """``labeled_mask`` checked as a set of distinct row indices into ``n`` rows.
+def labeled_rows(labeled, n: int) -> np.ndarray:
+    """``labeled`` checked as a set of distinct row indices into ``n`` rows.
 
     Returns it as int64.  A boolean mask, a float array, a negative, repeated
     or out-of-range index and an empty set each raise ``ValueError``: numpy
     would read them as other rows (``True`` as row 1, ``-1`` as row n - 1) or
     count a row twice in the loss.
     """
-    labeled = np.asarray(labeled_mask)
+    labeled = np.asarray(labeled)
     if labeled.ndim != 1:
         raise ValueError(f"labeled rows must be a 1-D index array, got ndim={labeled.ndim}")
     if labeled.size == 0:
@@ -105,6 +133,11 @@ def labeled_rows(labeled_mask, n: int) -> np.ndarray:
     return labeled
 
 
+def _input_on_right(x_prop: np.ndarray, theta1: np.ndarray) -> bool:
+    """Whether the products with ``x_prop`` take it as the right-hand GEMM operand."""
+    return x_prop.shape[1] >= _WIDE_INPUT * theta1.shape[1]
+
+
 def forward(op: PropagationOperator, x_prop: np.ndarray,
             params: TwoLayerParams) -> ForwardTrace:
     """Full-batch forward pass of the two-layer network on ``x_prop = op.apply(X)``."""
@@ -114,19 +147,24 @@ def forward(op: PropagationOperator, x_prop: np.ndarray,
             f"input has {x_prop.shape[1]} features, theta1 expects {params.theta1.shape[0]}")
     if params.theta1.shape[1] != params.theta2.shape[0]:
         raise ValueError("theta1 and theta2 have inconsistent hidden sizes")
-    hidden = x_prop @ params.theta1
-    np.maximum(hidden, 0.0, out=hidden)
+    if _input_on_right(x_prop, params.theta1):
+        # The product comes out in F order; the ReLU writes it to C order.
+        hidden = np.maximum((params.theta1.T @ x_prop.T).T, 0.0,
+                            out=np.empty((x_prop.shape[0], params.theta1.shape[1])))
+    else:
+        hidden = x_prop @ params.theta1
+        np.maximum(hidden, 0.0, out=hidden)
     logits = op.apply(hidden @ params.theta2)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits in forward pass")
     return ForwardTrace(op=op, x_prop=x_prop, hidden=hidden, logits=logits)
 
 
-def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled_mask,
+def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled,
                        params: TwoLayerParams, weight_decay: float):
     """Masked cross-entropy + L2 loss and its analytic parameter gradients.
 
-    loss = -(1/|mask|) sum_{i in mask} log Z[i, y_i]
+    loss = -(1/|labeled|) sum_{i in labeled} log Z[i, y_i]
            + (weight_decay / 2) (||theta1||_F^2 + ||theta2||_F^2)
 
     The ReLU subgradient at exactly 0 is taken as 0.  The softmax is taken
@@ -135,7 +173,7 @@ def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled_mask,
     n = trace.logits.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"label matrix has {Y.shape[0]} rows, but the logits have {n}")
-    return _loss_and_gradients(trace, Y, labeled_rows(labeled_mask, n), params,
+    return _loss_and_gradients(trace, Y, labeled_rows(labeled, n), params,
                                weight_decay)
 
 
@@ -178,8 +216,11 @@ def _loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled: np.ndarray,
     grad_hidden = grad_projected @ params.theta2.T
     # ReLU(h) > 0 exactly where h > 0, so the mask needs only the activations.
     np.multiply(grad_hidden, trace.hidden > 0.0, out=grad_hidden)
-    grad_theta1 = trace.x_prop.T @ grad_hidden
-    grad_theta1 += weight_decay * params.theta1
+    grad_theta1 = weight_decay * params.theta1
+    if _input_on_right(trace.x_prop, params.theta1):
+        grad_theta1 += (grad_hidden.T @ trace.x_prop).T
+    else:
+        grad_theta1 += trace.x_prop.T @ grad_hidden
     return loss, TwoLayerParams(theta1=grad_theta1, theta2=grad_theta2)
 
 
@@ -198,7 +239,7 @@ def init_params(input_dim: int, hidden: int, num_classes: int,
     )
 
 
-def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled_mask,
+def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled,
           cfg: TrainConfig = TrainConfig(), *, seed: int,
           log_stream=None) -> TwoLayerParams:
     """Full-batch Adam training on ``x_prop = op.apply(X)`` for ``cfg.epochs`` steps.
@@ -211,7 +252,7 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled_ma
     n = x_prop.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"label matrix has {Y.shape[0]} rows, but the input has {n}")
-    labeled = labeled_rows(labeled_mask, n)
+    labeled = labeled_rows(labeled, n)
     params = init_params(x_prop.shape[1], cfg.hidden, Y.shape[1], seed)
     thetas = (params.theta1, params.theta2)
 
@@ -257,6 +298,11 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled_ma
 
 def predict(op: PropagationOperator, x_prop: np.ndarray,
             params: TwoLayerParams) -> np.ndarray:
-    """Class ids from the forward pass on ``x_prop``: row argmax, ties to the lowest index."""
-    trace = forward(op, x_prop, params)
-    return np.argmax(trace.probs, axis=1).astype(np.int64)
+    """Class ids from the forward pass on ``x_prop``: row argmax, ties to the lowest index.
+
+    The argmax is taken of the logits.  Softmax keeps each row's order, so it
+    is the probabilities' argmax too, except where softmax rounds two
+    different logits to one probability; the larger logit then wins.
+    """
+    logits = forward(op, x_prop, params).logits
+    return np.argmax(logits, axis=1).astype(np.int64)

@@ -1,12 +1,12 @@
 """Closed-form propagation solves F = (1 - alpha) (I - alpha Theta)^{-1} B.
 
 Both entry points iterate the columns of the right-hand side together by
-conjugate gradients, in blocks of at most ``_BLOCK_BUDGET`` entries (the
-budget ``linalg`` defines), each block on every CPU the process may use; each
-column keeps its own step sizes and stops at its own tolerance.  They require
-a symmetric operator (I - alpha Theta is then symmetric positive-definite for
-alpha in (0, 1)); the random-walk operator is supported by the neural forward
-passes but not here.
+conjugate gradients, in equal blocks of at most ``_BLOCK_BUDGET`` entries
+(the budget ``linalg`` defines), each block on every CPU the process may
+use; each column keeps its own step sizes and stops at its own tolerance.
+They require a symmetric operator (I - alpha Theta is then symmetric
+positive-definite for alpha in (0, 1)); the random-walk operator is
+supported by the neural forward passes but not here.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError, SolverError, _require
 from .hypergraph import PropagationOperator
-from .linalg import _BLOCK_BUDGET, as_dense, conjugate_gradient
+from .linalg import _BLOCK_BUDGET, as_dense, column_blocks, conjugate_gradient
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,20 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
         return AV
 
     n, width = B.shape
-    block = max(1, _BLOCK_BUDGET // n)
     if out is None:
         out = np.empty_like(B)
     elif out.shape != B.shape or out.dtype != np.float64:
         raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {B.shape}")
     residuals = np.empty(width)
-    for start in range(0, width, block):
-        stop = min(start + block, width)
+    for block in column_blocks(n, width, _BLOCK_BUDGET):
         try:
-            result = conjugate_gradient(apply, B[:, start:stop], tol=cfg.tol,
+            result = conjugate_gradient(apply, B[:, block], tol=cfg.tol,
                                         max_iter=cfg.max_iter)
         except SolverError as exc:
             raise SolverError(exc.reason, exc.residual,
-                              [start + j for j in exc.columns]) from None
-        out[:, start:stop] = result.x
-        residuals[start:stop] = result.column_residuals
+                              [block.start + j for j in exc.columns]) from None
+        out[:, block] = result.x
+        residuals[block] = result.column_residuals
     failed = np.flatnonzero(residuals > cfg.tol)
     if failed.size:
         worst = float(residuals.max())

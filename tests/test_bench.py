@@ -270,7 +270,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("budget", [None, 150 * 4], ids=["one-block", "blocks"])
     def test_proposed_input_is_theta_times_smoothed_features(self, monkeypatch, budget):
-        # Theta Z is formed in place over the solve's Z, in blocks of 4 of the 6
+        # Theta Z is formed in place over the solve's Z, in blocks of 3 of the 6
         # columns when the budget is small, bit for bit as a fresh product.
         if budget is not None:
             monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", budget)
@@ -354,17 +354,30 @@ class TestKeptFeatures:
     def failing_second_feature_block(monkeypatch):
         """Fail the feature solve of a 150-point grid in its second block of columns.
 
-        Blocks are 4 columns wide: 3 for the labels, 4 then 2 for the 6
-        features, so the first feature block has written its columns.
+        Blocks hold at most 4 columns: 3 for the labels, 3 then 3 for the 6
+        features, so the first feature block has written its columns.  The
+        failure names the block's third column, column 5 of the features.
         """
         monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", 4 * 150)
         cg = hgssl.propagation.conjugate_gradient
+        propagate = hgssl.bench.propagate_features
+        feature_blocks = []  # blocks begun by each feature solve under way
+
+        def solving_features(*args, **kwargs):
+            feature_blocks.append(0)
+            try:
+                return propagate(*args, **kwargs)
+            finally:
+                feature_blocks.pop()
 
         def failing(apply, B, **kwargs):
-            if B.shape[1] == 2:
-                raise SolverError("injected", columns=[1])
+            if feature_blocks:
+                feature_blocks[-1] += 1
+                if feature_blocks[-1] == 2:
+                    raise SolverError("injected", columns=[2])
             return cg(apply, B, **kwargs)
 
+        monkeypatch.setattr(hgssl.bench, "propagate_features", solving_features)
         monkeypatch.setattr(hgssl.propagation, "conjugate_gradient", failing)
 
     # Where the buffer the features were loaded into ends up: freed, or

@@ -10,7 +10,7 @@ from helpers import random_hypergraph, random_sparse, split_columns
 from hgssl import linalg
 from hgssl.errors import NumericalError, ShapeError, SolverError
 from hgssl.hypergraph import hypergraph_operator
-from hgssl.linalg import conjugate_gradient, diag_scale
+from hgssl.linalg import column_blocks, conjugate_gradient, diag_scale
 
 
 class TestDiagScale:
@@ -56,6 +56,20 @@ def poisoned(V):
     AV[:, V[-1] < 0] = np.nan
     AV[0, V[0] == 0] = 1e300
     return AV
+
+
+@pytest.mark.parametrize("rows, width, budget, widths", [
+    (3000, 784, 2 ** 18, [78, 78, 79, 78, 79, 78, 78, 79, 78, 79]),
+    (40, 7, 3 * 40, [2, 2, 3]),
+    (40, 6, 3 * 40, [3, 3]),
+    (40, 7, 7 * 40, [7]),
+    (40, 3, 39, [1, 1, 1]),  # one column alone is over the budget
+    (40, 0, 3 * 40, []),
+])
+def test_column_blocks_are_equal_and_within_budget(rows, width, budget, widths):
+    blocks = column_blocks(rows, width, budget)
+    assert [b.stop - b.start for b in blocks] == widths
+    assert [b.start for b in blocks] == [sum(widths[:i]) for i in range(len(widths))]
 
 
 class TestConjugateGradient:

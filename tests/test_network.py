@@ -298,15 +298,20 @@ class TestTrain:
         assert np.max(np.abs(trained.theta2 - theta2)) < 1e-12
         assert np.array_equal(predict(op, op.apply(X), trained), want_pred)
 
-    @pytest.mark.parametrize("norm", ["sym", "rw", "gcn"])
-    def test_fused_epoch_matches_unfused_loop_exactly(self, norm):
+    @pytest.mark.parametrize("norm, width", [
+        ("sym", 5), ("rw", 5), ("gcn", 5), ("sym", 80), ("rw", 80), ("gcn", 80),
+    ], ids=["sym", "rw", "gcn", "sym-wide", "rw-wide", "gcn-wide"])
+    def test_fused_epoch_matches_unfused_loop_exactly(self, norm, width):
         # The unfused epoch on the same sparse operator: a full-row softmax, a
         # separate log-softmax on the labeled rows, an out-of-place ReLU mask
-        # and out-of-place Adam.  The fused epoch takes each row's shift, exp,
-        # sum and log in the same order, so every value is bit-identical.
+        # and out-of-place Adam, with the input as the left operand of both of
+        # its products.  The fused epoch takes each row's shift, exp, sum and
+        # log in the same order, so every value is bit-identical.  An input 10
+        # times as wide as the hidden layer is the right-hand operand of the
+        # fused epoch's products, and the loop pins that orientation too.
         rng = np.random.default_rng(65)
         n, c = 30, 4
-        X = rng.standard_normal((n, 5))
+        X = rng.standard_normal((n, width))
         if norm == "gcn":
             op = gcn_operator(knn_adjacency(X, 4))
         else:
@@ -323,6 +328,7 @@ class TestTrain:
         m2 = [np.zeros_like(t) for t in thetas]
         targets = Y[mask]
         x_prop = op.apply(X)
+        assert hgssl.network._input_on_right(x_prop, init.theta1) == (width == 80)
         for epoch in range(1, cfg.epochs + 1):
             theta1, theta2 = thetas
             hidden = np.maximum(x_prop @ theta1, 0.0)
@@ -427,6 +433,14 @@ class TestPredict:
         params = TwoLayerParams(np.zeros((3, 4)), np.zeros((4, 3)))
         pred = predict(op, op.apply(rng.standard_normal((10, 3))), params)
         assert np.array_equal(pred, np.zeros(10, dtype=np.int64))
+
+    def test_larger_logit_wins_where_softmax_ties(self):
+        # exp(-1e-17) rounds to 1, so softmax gives both classes 0.5.
+        params = TwoLayerParams(np.ones((1, 1)), np.array([[0.0, 1e-17]]))
+        x_prop = np.ones((6, 1))
+        probs = forward(IDENTITY_OP, x_prop, params).probs
+        assert np.array_equal(probs, np.full((6, 2), 0.5))
+        assert np.array_equal(predict(IDENTITY_OP, x_prop, params), np.ones(6, dtype=np.int64))
 
     def test_matches_decode_of_forward(self):
         op, X, params, _, _ = random_instance(seed=72)
