@@ -1,9 +1,9 @@
 """kNN hypergraph and graph construction and their propagation operators.
 
-A hypergraph built from n points has one hyperedge per point: hyperedge j
-contains point j itself (so every hyperedge has at least two members) plus
-every point i for which i is among the k nearest neighbors of j or j is among
-the k nearest neighbors of i.  Hyperedge weights are 1 (W = I below).
+Both structures rest on one rule, the symmetric kNN relation (``_symmetric_knn``):
+i ~ j when either is among the other's k nearest neighbors.  Hyperedge j of the
+hypergraph holds j itself (so every hyperedge has at least two members) and every
+point related to j; hyperedge weights are 1 (W = I below).
 
 Every structure here rests on one exact kNN pass, ``knn_indices``.  It takes
 squared distances from a blocked matrix product, ||x_i||^2 + ||x_j||^2 -
@@ -16,7 +16,8 @@ an exhaustive sort by (distance, index).  The builders take its output rather
 than recomputing it: ``build_knn_hypergraph(knn)`` and
 ``gaussian_knn_adjacency(X, knn)``, whose adjacency A feeds both
 ``build_knn_graph(A)`` and ``gcn_operator(A)``.  Only the adjacency prunes
-(``_WEIGHT_FLOOR``); every sparse matrix is made canonical where it is built.
+(``_WEIGHT_FLOOR``), and it rejects a Gaussian width whose 2 sigma^2 is not a
+normal float; every sparse matrix is made canonical where it is built.
 
 Propagation operators are the n x n smoothing operators shared by the
 closed-form solvers and the neural forward passes, which use them only through
@@ -303,27 +304,29 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _symmetric_knn(knn: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
+    """M.maximum(M.T) for M[i, knn[i, t]] = values[i k + t]: the symmetric kNN relation.
+
+    A mutual pair keeps the larger value; no zero is stored, but a NaN would be.
+    A knn row listing an index outside [0, n), twice or itself raises ``ValueError``.
+    """
+    n, k = knn.shape
+    M = sp.csr_matrix((values, knn.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
+    M.check_format(full_check=True)  # scipy's kernels index memory with unchecked columns
+    M.sort_indices()
+    if not M.has_canonical_format or np.any(knn == np.arange(n)[:, None]):
+        raise ValueError("a row of knn repeats a neighbor or lists itself")
+    return M.maximum(M.T)
+
+
 def build_knn_hypergraph(knn: np.ndarray) -> Hypergraph:
     """The n-hyperedge kNN hypergraph of the neighbor lists ``knn_indices(X, k)``.
 
-    Hyperedge e_j holds its centroid j, the k nearest neighbors of j and
-    every point that has j among its k nearest neighbors.
+    Hyperedge e_j holds its centroid j and every point related to j by the
+    symmetric kNN relation: H is ``_symmetric_knn`` of ones, plus I.
     """
     neighbors = np.asarray(knn)
-    n = neighbors.shape[0]
-    arange = np.arange(n, dtype=np.int64)
-    cols_of = np.repeat(arange, neighbors.shape[1])
-    # i in e_j when i is a neighbor of j (H[N[j,t], j]) or j is a neighbor of
-    # i (H[i, N[i,t]]); the centroid adds H[j, j].  tocsr() sums repeated pairs.
-    # The order and lifetime of these allocations shape the heap: concatenating
-    # into locals that outlive the COO matrix raised the peak RSS of a grid at
-    # n = 3000, d = 784 from 139 to 148 MB.
-    rows = [neighbors.ravel(), cols_of, arange]
-    cols = [cols_of, neighbors.ravel(), arange]
-    data = np.ones(sum(len(r) for r in rows))
-    H = sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    H.data[:] = 1.0
+    H = _symmetric_knn(neighbors, np.ones(neighbors.size)) + sp.eye(len(neighbors), format="csr")
     return Hypergraph(H)
 
 
@@ -346,33 +349,29 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
 def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray) -> sp.csr_matrix:
     """Symmetrized kNN adjacency A with Gaussian weights, shared by the graph operators.
 
-    ``knn`` is ``knn_indices(X, k)``.  Edge i-j exists when either point is
-    among the other's k nearest neighbors; weights are
-    exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero diagonal, where sigma is
-    the mean distance to the k-th neighbor.  Weights below ``_WEIGHT_FLOOR``
-    are not stored.
+    ``knn`` is ``knn_indices(X, k)``.  The edges are the symmetric kNN relation
+    (``_symmetric_knn``), weighted exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero
+    diagonal, where sigma is the mean distance to the k-th neighbor.  Weights
+    below ``_WEIGHT_FLOOR`` are not stored.  A sigma of 0, or one whose 2 sigma^2 is
+    not a normal float (every weight would be 0 or NaN), raises ``ValueError``.
     """
     X = as_dense(X)
     neighbors = np.asarray(knn)
     n = X.shape[0]
-    arange = np.arange(n, dtype=np.int64)
-    src = np.repeat(arange, neighbors.shape[1])
-    dst = neighbors.ravel()
-    sq_dist = pair_sq_distances(X, src, dst)
+    sq_dist = pair_sq_distances(X, np.repeat(np.arange(n), neighbors.shape[1]),
+                                neighbors.ravel())
 
     # Mean distance to the k-th neighbor, the last of each row's block.
     sigma = float(np.sqrt(sq_dist.reshape(n, -1)[:, -1]).mean())
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    vals = np.exp(-np.concatenate([sq_dist, sq_dist]) / (2.0 * sigma ** 2))
-    # Both directions of a mutual pair carry the same weight; keep one copy.
-    linear = rows * n + cols
-    _, keep = np.unique(linear, return_index=True)
-    keep = keep[vals[keep] >= _WEIGHT_FLOOR]
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    width = 2.0 * sigma ** 2
+    if not np.finfo(np.float64).tiny <= width < np.inf:
+        raise ValueError("sigma must be positive and 2 sigma^2 a normal float, "
+                         f"got sigma = {sigma:.3g}, 2 sigma^2 = {width:.3g}")
+    # Mutual pairs' two distances are bit-equal (x_i - x_j = -(x_j - x_i) exactly).
+    A = _symmetric_knn(neighbors, np.exp(-sq_dist / width))
+    A.data[A.data < _WEIGHT_FLOOR] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 def build_knn_graph(A: sp.csr_matrix) -> PropagationOperator:

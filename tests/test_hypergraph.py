@@ -212,6 +212,21 @@ class TestBuildKnnHypergraph:
             hg = knn_hypergraph(X, 1)
             assert hg.edge_degrees.min() >= 2
 
+    @pytest.mark.parametrize("knn, message", [
+        ([[1], [0], [3]], "indices must be < 3"),
+        ([[1], [0], [-1]], "indices must be >= 0"),
+        ([[1, 2], [0, 2], [2, 0]], "lists itself"),
+        ([[1, 1], [0, 2], [0, 1]], "repeats a neighbor"),
+    ], ids=["past-n", "negative", "self", "repeated"])
+    def test_malformed_neighbor_lists_rejected(self, knn, message):
+        # An index outside [0, n) must not reach scipy's unchecked kernels.
+        X = np.array([[0.0], [1.0], [3.0]])
+        with pytest.raises(ValueError, match=message):
+            build_knn_hypergraph(np.array(knn))
+        # The adjacency gathers the pairs' rows first, where numpy rejects an index past n.
+        with pytest.raises(IndexError if message.endswith("< 3") else ValueError):
+            gaussian_knn_adjacency(X, np.array(knn))
+
     def test_single_vertex_hyperedges_rejected(self):
         # Each of the two hyperedges holds only the other point.
         incidence = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -343,6 +358,13 @@ class TestBuildKnnGraph:
         X = np.zeros((3, 1))
         with pytest.raises(ValueError, match="sigma must be positive"):
             gaussian_knn_adjacency(X, knn_indices(X, 1))
+
+    def test_underflowing_width_rejected(self):
+        # sigma ~ 1.5e-164 is positive, but 2 sigma^2 underflows to 0, which
+        # would make every weight 0 or NaN and leave the graph empty.
+        X = np.random.default_rng(17).standard_normal((300, 3)) * 1e-162
+        with pytest.raises(ValueError, match=r"sigma = .*2 sigma\^2 = 0"):
+            gaussian_knn_adjacency(X, knn_indices(X, 5))
 
     def test_isolated_vertex_degenerate(self):
         # The far point's only weight falls below the adjacency's floor.
