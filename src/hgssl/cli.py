@@ -89,17 +89,24 @@ def _check_dir(path):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(nearest))
 
 
+def _usable_dirs(*paths) -> bool:
+    """Whether every path given passes ``_check_dir``; the first that fails is reported."""
+    for path in filter(None, paths):
+        try:
+            _check_dir(path)
+        except OSError as exc:
+            print(f"cannot create directory {path}: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_bench(args) -> int:
     cfg = config_mod.load_config(args.config)
     if args.full:
         cfg = replace(cfg, subsample_size=None)
     # Checked before the grid runs, so a bad path does not discard its results.
-    for path in filter(None, (args.out, args.ops)):
-        try:
-            _check_dir(path)
-        except OSError as exc:
-            print(f"cannot create directory {path}: {exc}", file=sys.stderr)
-            return 2
+    if not _usable_dirs(args.out, args.ops):
+        return 2
     report = run_experiment(cfg, data_dir=args.data_dir, ops_dir=args.ops)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -133,6 +140,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_build_ops(args) -> int:
     cfg = config_mod.load_config(args.config)
+    # Checked before kNN and the operator builds, which a bad path would waste.
+    if not _usable_dirs(args.out):
+        return 2
     _, X = bench_mod.prepare_features(cfg, data_dir=args.data_dir)
     operators = build_operators(cfg, X, ops_dir=args.out)
     key = operator_cache_key(cfg, X)

@@ -41,7 +41,10 @@ class ImageDataset:
             raise ValueError("train/test indices must partition [0, n) without overlap")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        if not np.isfinite(self.features).all():
+        # min and max propagate a NaN and reach any infinity, and unlike
+        # isfinite(features).all() they allocate no n x m temporary.
+        bounds = self.features.min(initial=0.0), self.features.max(initial=0.0)
+        if not np.isfinite(bounds).all():
             raise ValueError("features contain non-finite entries")
 
     @property
@@ -83,8 +86,7 @@ def _read_idx_images(path):
         raise FormatError(f"{path}: expected {need} bytes, file has {len(data)}")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=16, count=count * rows * cols)
     # Row-major flattening: pixel (r, c) -> column r*cols + c.
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    return features, (rows, cols)
+    return pixels.reshape(count, rows * cols), (rows, cols)
 
 
 def _read_idx_labels(path):
@@ -110,12 +112,17 @@ def load_idx_dataset(images_path_train, labels_path_train,
         raise FormatError(
             f"test image count {test_x.shape[0]} != label count {test_y.shape[0]}")
     return _train_then_test(train_x, train_y, test_x, test_y,
-                            labels_path_train, labels_path_test)
+                            labels_path_train, labels_path_test, divisor=255.0)
 
 
 def _train_then_test(train_x, train_y, test_x, test_y, train_path,
-                     test_path) -> ImageDataset:
+                     test_path, divisor=1.0) -> ImageDataset:
     """Stack the two splits, training rows first; classes are 0..max label.
+
+    The features are one n x m float64 array, allocated once every check has
+    passed.  Each split is divided by ``divisor`` straight into its rows (the
+    IDX bytes by 255; dividing by 1 keeps every value), so no split is
+    converted to float64 on its own first.
 
     Each split must hold a row and the two together at least two classes:
     otherwise the closed-form methods would score an empty labeled set and
@@ -143,9 +150,11 @@ def _train_then_test(train_x, train_y, test_x, test_y, train_path,
         more = f" and {absent - len(shown)} more" if absent > len(shown) else ""
         raise FormatError(f"{train_path}, {test_path}: class ids {shown}{more} hold no "
                           f"row; labels must use every id from 0 to {ids[-1]}")
-    features = np.vstack([train_x, test_x])
     l = train_x.shape[0]
-    n = features.shape[0]
+    n = l + test_x.shape[0]
+    features = np.empty((n, train_x.shape[1]))
+    np.divide(train_x, divisor, out=features[:l])
+    np.divide(test_x, divisor, out=features[l:])
     return ImageDataset(
         features=features,
         labels=labels,

@@ -52,7 +52,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateStructureError, FormatError, ShapeError
-from .linalg import _BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, column_blocks, diag_scale
+from .linalg import (_BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, check_out, column_blocks,
+                     diag_scale)
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
@@ -139,9 +140,7 @@ class PropagationOperator:
         place of V, every bit as a fresh result would.
         """
         if out is not None:
-            shape = (self.shape[0],) + V.shape[1:]
-            if out.shape != shape or out.dtype != np.float64:
-                raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
+            check_out(out, (self.shape[0],) + V.shape[1:])
         return _chain(self.factors[::-1], V, out)
 
     def apply_T(self, V: np.ndarray) -> np.ndarray:

@@ -56,6 +56,13 @@ def as_dense(matrix) -> np.ndarray:
     return X
 
 
+def check_out(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """Return ``out`` if it is a float64 array of ``shape``; raise ``ShapeError`` if not."""
+    if out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
+    return out
+
+
 def diag_scale(
     S: sp.spmatrix,
     left: Optional[np.ndarray] = None,
@@ -112,6 +119,7 @@ def conjugate_gradient(
     B: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 1000,
+    out: Optional[np.ndarray] = None,
 ) -> CgResult:
     """Solve A X = B for symmetric positive-definite A, every column of B at once.
 
@@ -127,6 +135,16 @@ def conjugate_gradient(
     whether a non-converged column is acceptable.  Symmetry and
     positive-definiteness are the caller's responsibility; a breakdown or a
     non-finite residual raises ``SolverError`` naming the column and iteration.
+
+    ``out``, a float64 array of B's shape, receives the solution and is
+    returned as ``x``; it may be ``B`` itself.  A zero column is written as 0
+    before any column is solved, and every other column when it stops, so a
+    solve that raises leaves ``out`` part solved.  Each group copies its
+    columns of B into its iterates before it writes any of them, and no group
+    reads another's, so ``out=B`` gives every bit a fresh ``out`` gives.
+    While columns stop, the iterates are compacted in place, so a group holds
+    its three n x (group width) iterates, the operator product and whatever
+    ``apply`` allocates, and no more.  Any other ``out`` raises ``ShapeError``.
 
     The columns to solve are split into contiguous groups, one per CPU this
     process may run on (``_cores``), but never more groups than columns and
@@ -148,7 +166,7 @@ def conjugate_gradient(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     B = as_dense(B)
-    X = np.zeros_like(B)
+    out = np.empty_like(B) if out is None else check_out(out, B.shape)
     largest = np.max(np.abs(B), axis=0, initial=0.0)
     column_iterations = np.zeros(B.shape[1], dtype=np.int64)
     # r = b at x = 0: a zero column starts converged and any other at relative
@@ -161,9 +179,15 @@ def conjugate_gradient(
     # unscaled ones scaled, but a squared norm can no longer underflow to a
     # "zero" column or overflow at the ends of the float range.
     _, exponents = np.frexp(largest)
+    out[:, largest == 0.0] = 0.0
+
+    def store(X_active, cols, columns):
+        """Write ``columns`` of the iterate X_active, unscaled, to their columns of out."""
+        for j in columns:
+            np.ldexp(X_active[:, j], exponents[cols[j]], out=out[:, cols[j]])
 
     def solve(cols):
-        """Iterate columns ``cols`` of B into X, column_iterations and column_residuals.
+        """Iterate columns ``cols`` of B into out, column_iterations and column_residuals.
 
         Returns None, or the group's first failure as (iteration, check,
         column, reason) with check 0 for a breakdown and 1 for a non-finite
@@ -194,6 +218,7 @@ def conjugate_gradient(
             AP *= step
             R -= AP
             X_active += np.multiply(P, step, out=AP)
+            del AP  # freed before the next product allocates its own
             rs_new = _column_dots(R, R)
             bad = ~np.isfinite(rs_new)
             if bad.any():
@@ -205,14 +230,20 @@ def conjugate_gradient(
             column_residuals[cols] = residual
             done = residual <= tol
             if done.any():
-                X[:, cols[done]] = X_active[:, done]
-                keep = ~done
-                cols, X_active, R, P = cols[keep], X_active[:, keep], R[:, keep], P[:, keep]
-                rs, rs_new, b_norm = rs[keep], rs_new[keep], b_norm[keep]
+                store(X_active, cols, np.flatnonzero(done))
+                keep = np.flatnonzero(~done)
+                # Each kept column moves left over a stopped one; the leading
+                # columns of an F-order array are an F-order view.
+                for to, src in enumerate(keep):
+                    if to != src:
+                        for A in (X_active, R, P):
+                            A[:, to] = A[:, src]
+                X_active, R, P = (A[:, :keep.size] for A in (X_active, R, P))
+                cols, rs, rs_new, b_norm = cols[keep], rs[keep], rs_new[keep], b_norm[keep]
             P *= rs_new / rs
             P += R
             rs = rs_new
-        X[:, cols] = X_active
+        store(X_active, cols, range(cols.size))
         return None
 
     cols = np.flatnonzero(~(column_residuals <= tol))
@@ -251,8 +282,6 @@ def conjugate_gradient(
     if failures:
         _, _, column, reason = min(failures)
         raise SolverError(reason, columns=[column])
-    np.ldexp(X, exponents, out=X)
-
-    return CgResult(X, int(column_iterations.max(initial=0)),
+    return CgResult(out, int(column_iterations.max(initial=0)),
                     float(column_residuals.max(initial=0.0)),
                     column_iterations, column_residuals)

@@ -293,6 +293,8 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled,
             buf += eps
             g /= buf
             theta -= g
+        # Freed before the next forward pass allocates their successors.
+        del trace, grads
     return params
 
 

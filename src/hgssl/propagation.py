@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SolverError, _require
+from .errors import SolverError, _require
 from .hypergraph import PropagationOperator
-from .linalg import _BLOCK_BUDGET, as_dense, column_blocks, conjugate_gradient
+from .linalg import (_BLOCK_BUDGET, as_dense, check_out, column_blocks,
+                     conjugate_gradient)
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,11 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
                    cfg: PropagationConfig, out: np.ndarray = None) -> np.ndarray:
     """(1 - alpha)(I - alpha Theta)^{-1} B, one CG call per block of columns.
 
-    The result is written to ``out`` if given, which may be ``B`` itself: CG
-    copies a block of B into its own iterates before the block's result is
-    written over it, and no later block reads those columns.
+    The result is written to ``out`` if given, a float64 array of B's shape
+    that may be ``B`` itself; otherwise to a fresh array.  Each block's CG
+    call solves straight into the block's columns of ``out`` (its ``out=``),
+    which no later block reads, so no block-sized solution is allocated or
+    copied.  A failed solve leaves ``out`` part solved.
     """
     alpha = cfg.alpha
 
@@ -52,19 +55,15 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
         return AV
 
     n, width = B.shape
-    if out is None:
-        out = np.empty_like(B)
-    elif out.shape != B.shape or out.dtype != np.float64:
-        raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {B.shape}")
+    out = np.empty_like(B) if out is None else check_out(out, B.shape)
     residuals = np.empty(width)
     for block in column_blocks(n, width, _BLOCK_BUDGET):
         try:
             result = conjugate_gradient(apply, B[:, block], tol=cfg.tol,
-                                        max_iter=cfg.max_iter)
+                                        max_iter=cfg.max_iter, out=out[:, block])
         except SolverError as exc:
             raise SolverError(exc.reason, exc.residual,
                               [block.start + j for j in exc.columns]) from None
-        out[:, block] = result.x
         residuals[block] = result.column_residuals
     failed = np.flatnonzero(residuals > cfg.tol)
     if failed.size:

@@ -78,6 +78,24 @@ def test_bench_unusable_directory_exit_code(tmp_path, capsys, monkeypatch, flag)
     assert not (tmp_path / "r").exists()
 
 
+def test_build_ops_unusable_directory_exit_code(tmp_path, capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the features were prepared for an unusable directory")
+    monkeypatch.setattr(hgssl.bench, "prepare_features", not_reached)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "ops"
+    assert main(["build-ops", "--config", str(cfg), "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"cannot create directory {target}: ")
+    assert f"Not a directory: '{blocker}'" in err
+
+
 def _results(path):
     return [(r.method, r.noise_level, r.seed, r.accuracy, r.pca_used)
             for r in parse_results_csv(path.read_text())]

@@ -113,6 +113,26 @@ class TestIdxLoader:
         assert np.array_equal(ds.features, again.features)
         assert np.array_equal(ds.labels, again.labels)
 
+    def test_load_holds_one_float_array(self, tmp_path):
+        # The two files' bytes, one n x m float64 array and small change: no
+        # split converted on its own, and no n x m check temporary.
+        rng = np.random.default_rng(6)
+        train = rng.integers(0, 256, size=(1500, 28, 28)).astype(np.uint8)
+        test = rng.integers(0, 256, size=(500, 28, 28)).astype(np.uint8)
+        paths = make_idx_files(tmp_path, train, np.arange(1500) % 10,
+                               test, np.arange(500) % 10)
+        tracemalloc.start()
+        try:
+            ds = load_idx_dataset(paths["train_images"], paths["train_labels"],
+                                  paths["test_images"], paths["test_labels"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes + 2000 * 784 + (1 << 20)
+        want = np.vstack([train.reshape(1500, 784).astype(np.float64) / 255.0,
+                          test.reshape(500, 784).astype(np.float64) / 255.0])
+        assert ds.features.tobytes() == want.tobytes()
+
 
 class TestUspsLoader:
     def test_single_line(self, tmp_path):
@@ -394,3 +414,12 @@ def test_dataset_invariants_enforced():
                      np.array([2, 3]), 2)
     with pytest.raises(ValueError):
         ImageDataset(features * np.nan, labels, np.array([0, 1]), np.array([2, 3]), 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_one_nonfinite_feature_rejected(value):
+    features = np.zeros((4, 2))
+    features[2, 1] = value
+    with pytest.raises(ValueError, match="features contain non-finite entries"):
+        ImageDataset(features, np.array([0, 1, 0, 1]), np.array([0, 1]),
+                     np.array([2, 3]), 2)

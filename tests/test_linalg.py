@@ -266,6 +266,40 @@ class TestConjugateGradient:
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_out_gives_the_fresh_result_bit_for_bit(self, monkeypatch, cores):
+        # Zero columns (one of them -0.0), and columns that stop at iterations
+        # 1, 2 and later, so each group compacts its iterates while others run.
+        split_columns(monkeypatch, cores)
+        A = np.arange(1.0, 41.0)[:, None]
+        B = np.random.default_rng(30).standard_normal((40, 7))
+        B[:, 1] = 0.0
+        B[:, 2] = np.eye(40)[5]
+        B[:, 4] = np.eye(40)[3] + np.eye(40)[9]
+        B[:, 6] = -0.0
+
+        def solve(out=None):
+            return conjugate_gradient(lambda V: A * V, B, tol=1e-12, out=out)
+
+        want = solve()
+        assert want.column_iterations[[1, 2, 4, 6]].tolist() == [0, 1, 2, 0]
+        assert want.column_iterations.max() > 2
+        nan_filled = np.full_like(B, np.nan)
+        results = [solve(out=nan_filled)]
+        assert results[0].x is nan_filled
+        results.append(solve(out=B))
+        assert results[1].x is B
+        for result in results:
+            assert result.x.tobytes() == want.x.tobytes()
+            assert result.column_iterations.tobytes() == want.column_iterations.tobytes()
+            assert result.column_residuals.tobytes() == want.column_residuals.tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((4, 2)), np.empty((4, 3), dtype=np.float32),
+                                     np.empty(12)], ids=["width", "dtype", "ndim"])
+    def test_out_of_another_shape_rejected(self, out):
+        with pytest.raises(ShapeError, match=r"expected float64 \(4, 3\)"):
+            conjugate_gradient(lambda V: V, np.ones((4, 3)), out=out)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             conjugate_gradient(lambda V: V, np.ones((2, 1)), tol=0.0)

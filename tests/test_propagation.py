@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -9,7 +11,7 @@ from hgssl.errors import ShapeError, SolverError
 from hgssl.hypergraph import build_knn_graph, hypergraph_operator
 from hgssl.labels import (NoisySplit, accuracy, decode_predictions, encode_labels,
                           inject_noise)
-from hgssl.linalg import conjugate_gradient
+from hgssl.linalg import column_blocks, conjugate_gradient
 from hgssl.propagation import (PropagationConfig, propagate_features,
                                propagate_labels)
 
@@ -228,6 +230,26 @@ def test_features_solved_in_place_match_a_fresh_result(monkeypatch, block):
     got = propagate_features(op, X, TIGHT, out=X)
     assert got is X
     assert X.tobytes() == want.tobytes()
+
+
+def test_wide_feature_solve_holds_five_blocks():
+    # Raw 784-pixel features at n = 3000, solved in place as set-up does.  Each
+    # group's three iterates plus its operator product's two arrays come to
+    # five blocks over all groups, whatever their number.  A solution block
+    # per call, a copy of it, the last product kept through the next, and
+    # compacted copies of the iterates would each add up to one block more.
+    X = synthetic_blobs(3000, 10, 784, 1.0, 89).features
+    op = hypergraph_operator(knn_hypergraph(X, 5), "sym")
+    width = max(b.stop - b.start for b in column_blocks(3000, 784, propagation._BLOCK_BUDGET))
+    block_bytes = 3000 * width * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        propagate_features(op, X, PropagationConfig(), out=X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * block_bytes
 
 
 @pytest.mark.parametrize("out", [np.empty((40, 6)), np.empty((40, 7), dtype=np.float32),
