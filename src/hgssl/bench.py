@@ -24,8 +24,9 @@ from typing import Optional
 import numpy as np
 
 from . import hypergraph as hg
-from .datasets import (ImageDataset, LabeledSplit, check_blob_args, load_idx_dataset,
-                       load_usps_dataset, stratified_subsample, synthetic_blobs)
+from .datasets import (ImageDataset, LabeledSplit, _absent_classes, check_blob_args,
+                       load_idx_dataset, load_usps_dataset, stratified_subsample,
+                       synthetic_blobs)
 from .errors import FormatError, SolverError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
 from .network import TrainConfig, predict, train
@@ -164,13 +165,9 @@ class ExperimentReport:
         return not self.failures
 
 
-def default_data_dir():
-    return os.environ.get(DATA_DIR_ENV, "data")
-
-
 def resolve_dataset_paths(name, explicit, data_dir=None):
     """Explicit config paths win; otherwise use canonical names under data_dir/<name>/."""
-    base = Path(data_dir if data_dir is not None else default_data_dir()) / name
+    base = Path(data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, "data")) / name
     return {key: explicit.get(key, str(base / filename))
             for key, filename in DATASET_FILES[name].items()}
 
@@ -264,6 +261,10 @@ def prepare_features(cfg: ExperimentConfig, data_dir=None):
         _require(n_train > 0 and n_test > 0, "subsample_size",
                  f"subsample_size {cfg.subsample_size} draws {n_train} train and "
                  f"{n_test} test points; both splits must be non-empty")
+        # Noise injection would otherwise flip labels into a class with no row.
+        absent = _absent_classes(np.unique(dataset.labels), dataset.num_classes)
+        _require(not absent, "subsample_size",
+                 f"subsample_size {cfg.subsample_size} keeps no row of class ids {absent}")
     X = dataset.features
     n, m = X.shape
     _require(cfg.k < n, "k", f"k must be less than the {n} points, got {cfg.k}")

@@ -76,27 +76,24 @@ def _report_failures(report) -> int:
     return 0 if report.ok else 1
 
 
-def _check_dir(path):
-    """Raise OSError unless ``path`` is a writable directory or can be made one.
-
-    Nothing is created, so a grid that fails leaves no directory behind.
-    """
-    path = Path(path).absolute()
-    nearest = next(p for p in (path, *path.parents) if p.exists())
-    if not nearest.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(nearest))
-    if not os.access(nearest, os.W_OK | os.X_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(nearest))
-
-
 def _usable_dirs(*paths) -> bool:
-    """Whether every path given passes ``_check_dir``; the first that fails is reported."""
+    """Whether every path given is a writable directory or can be made one.
+
+    The first that is not is reported.  Nothing is created, so a grid that
+    fails leaves no directory behind.
+    """
     for path in filter(None, paths):
-        try:
-            _check_dir(path)
-        except OSError as exc:
-            print(f"cannot create directory {path}: {exc}", file=sys.stderr)
-            return False
+        absolute = Path(path).absolute()
+        nearest = next(p for p in (absolute, *absolute.parents) if p.exists())
+        if not nearest.is_dir():
+            code = errno.ENOTDIR
+        elif not os.access(nearest, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            continue
+        error = OSError(code, os.strerror(code), str(nearest))
+        print(f"cannot create directory {path}: {error}", file=sys.stderr)
+        return False
     return True
 
 

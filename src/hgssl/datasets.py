@@ -115,6 +115,23 @@ def load_idx_dataset(images_path_train, labels_path_train,
                             labels_path_train, labels_path_test, divisor=255.0)
 
 
+def _absent_classes(classes: np.ndarray, num_classes: int) -> str:
+    """The ids in [0, num_classes) missing from sorted distinct ``classes``, as text.
+
+    Empty when none is missing.  The first missing ids are read off the gaps
+    between the sorted ids, and the rest are counted: listing every id up to
+    a label of 4e9 would take 32 GB.
+    """
+    ids = classes.tolist()
+    absent = num_classes - len(ids)
+    if not absent:
+        return ""
+    gaps = (range(low, high) for low, high in zip([0] + [i + 1 for i in ids],
+                                                   ids + [num_classes]))
+    shown = list(islice(chain.from_iterable(gaps), _ABSENT_IDS_SHOWN))
+    return f"{shown} and {absent - len(shown)} more" if absent > len(shown) else str(shown)
+
+
 def _train_then_test(train_x, train_y, test_x, test_y, train_path,
                      test_path, divisor=1.0) -> ImageDataset:
     """Stack the two splits, training rows first; classes are 0..max label.
@@ -140,16 +157,10 @@ def _train_then_test(train_x, train_y, test_x, test_y, train_path,
                           f"{classes.size} class between them, need at least 2")
     if classes[0] < 0:
         raise FormatError(f"{train_path}, {test_path}: negative class id {classes[0]}")
-    absent = int(classes[-1]) + 1 - classes.size
+    absent = _absent_classes(classes, int(classes[-1]) + 1)
     if absent:
-        # The first absent ids, read off the gaps between the sorted ids: listing
-        # every id up to a label of 4e9 would take 32 GB.
-        ids = classes.tolist()
-        gaps = (range(low, high) for low, high in zip([0] + [i + 1 for i in ids], ids))
-        shown = list(islice(chain.from_iterable(gaps), _ABSENT_IDS_SHOWN))
-        more = f" and {absent - len(shown)} more" if absent > len(shown) else ""
-        raise FormatError(f"{train_path}, {test_path}: class ids {shown}{more} hold no "
-                          f"row; labels must use every id from 0 to {ids[-1]}")
+        raise FormatError(f"{train_path}, {test_path}: class ids {absent} hold no "
+                          f"row; labels must use every id from 0 to {classes[-1]}")
     l = train_x.shape[0]
     n = l + test_x.shape[0]
     features = np.empty((n, train_x.shape[1]))

@@ -373,23 +373,24 @@ def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray) -> sp.csr_matrix:
     return A
 
 
-def build_knn_graph(A: sp.csr_matrix) -> PropagationOperator:
-    """Symmetrically normalized graph operator D^{-1/2} A D^{-1/2} of adjacency ``A``."""
-    degrees = np.asarray(A.sum(axis=1)).ravel()
+def _sym_normalized(M: sp.csr_matrix, normalization: str) -> PropagationOperator:
+    """The operator D^{-1/2} M D^{-1/2}, D the row sums of ``M`` (Zhou et al. 2004)."""
+    degrees = np.asarray(M.sum(axis=1)).ravel()
     if degrees.min(initial=np.inf) <= 0:
         raise DegenerateStructureError("isolated vertex in kNN graph")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    matrix = diag_scale(A, left=inv_sqrt, right=inv_sqrt)
-    return PropagationOperator(factors=(matrix,), normalization="graph_sym")
+    return PropagationOperator(factors=(diag_scale(M, left=inv_sqrt, right=inv_sqrt),),
+                               normalization=normalization)
+
+
+def build_knn_graph(A: sp.csr_matrix) -> PropagationOperator:
+    """Symmetrically normalized graph operator D^{-1/2} A D^{-1/2} of adjacency ``A``."""
+    return _sym_normalized(A, "graph_sym")
 
 
 def gcn_operator(A: sp.csr_matrix) -> PropagationOperator:
     """Self-loop-renormalized operator D~^{-1/2} (A + I) D~^{-1/2} of adjacency ``A``."""
-    A_tilde = A + sp.eye(A.shape[0], format="csr")
-    degrees = np.asarray(A_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    matrix = diag_scale(A_tilde, left=inv_sqrt, right=inv_sqrt)
-    return PropagationOperator(factors=(matrix,), normalization="gcn")
+    return _sym_normalized(A + sp.eye(A.shape[0], format="csr"), "gcn")
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,20 @@ way.  Narrower inputs are the left operand, where that is faster.
 Loss is masked cross-entropy over the labeled rows plus an L2 penalty on both
 parameter matrices; gradients are analytic.  While training, the softmax is
 taken on the labeled rows only, and one row-max shift gives both their
-probabilities and log-probabilities; ``ForwardTrace.probs``, the softmax of
-every row, is computed on first access (by the training log).  ``predict``
-takes the argmax of the logits.  The ReLU, its backward mask and the Adam
-step all work in place, in the same operation order as the out-of-place
-formulas, so the trained parameters are bit-identical to theirs.
+probabilities and log-probabilities.  ``predict`` and the training log
+decide classes by ``decode_predictions`` of the logits.  The ReLU, its
+backward mask and the Adam step all work in place, in the same operation
+order as the out-of-place formulas, so the trained parameters are
+bit-identical to theirs.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError, _require
 from .hypergraph import PropagationOperator
+from .labels import decode_predictions
 from .linalg import as_dense
 
 ADAM = 0.9, 0.999, 1e-8  # beta1, beta2, epsilon
@@ -95,14 +95,9 @@ class ForwardTrace:
     hidden: np.ndarray   # ReLU(x_prop theta1)
     logits: np.ndarray   # Theta (hidden theta2)
 
-    @cached_property
-    def probs(self) -> np.ndarray:
-        """Row softmax of every logit row, computed on first access."""
-        return row_softmax(self.logits)
-
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise softmax (row-max subtracted before exp)."""
+    """Numerically stable row-wise softmax; training never takes it, the tests do."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
@@ -168,7 +163,7 @@ def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled,
            + (weight_decay / 2) (||theta1||_F^2 + ||theta2||_F^2)
 
     The ReLU subgradient at exactly 0 is taken as 0.  The softmax is taken
-    on the labeled rows only; ``trace.probs`` is not read.
+    on the labeled rows only.
     """
     n = trace.logits.shape[0]
     if Y.shape[0] != n:
@@ -272,7 +267,7 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled,
             raise NumericalError(f"non-finite loss at epoch {epoch}")
         if log_stream is not None:
             train_acc = float(np.mean(
-                np.argmax(trace.probs[labeled], axis=1) == target_ids))
+                decode_predictions(trace.logits[labeled]) == target_ids))
             log_stream.write(f"{epoch},{loss:.10g},{train_acc:.6f}\n")
 
         # In place, in the order of: m1 = b1 m1 + (1 - b1) g;
@@ -300,11 +295,10 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled,
 
 def predict(op: PropagationOperator, x_prop: np.ndarray,
             params: TwoLayerParams) -> np.ndarray:
-    """Class ids from the forward pass on ``x_prop``: row argmax, ties to the lowest index.
+    """Class ids from the forward pass on ``x_prop``: ``decode_predictions`` of the logits.
 
-    The argmax is taken of the logits.  Softmax keeps each row's order, so it
-    is the probabilities' argmax too, except where softmax rounds two
-    different logits to one probability; the larger logit then wins.
+    Softmax keeps each row's order, so the logits' argmax is the
+    probabilities' argmax too, except where softmax rounds two different
+    logits to one probability; the larger logit then wins.
     """
-    logits = forward(op, x_prop, params).logits
-    return np.argmax(logits, axis=1).astype(np.int64)
+    return decode_predictions(forward(op, x_prop, params).logits)

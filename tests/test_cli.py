@@ -313,6 +313,28 @@ def test_subsample_with_an_empty_split_exit_code(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("bench", "subsample_size 8 keeps no row of class ids [6, 7, 8, 9]"),
+    ("run", "subsample_size 2 keeps no row of class ids [1, 2]"),
+], ids=["bench", "run"])
+def test_subsample_that_loses_a_class_exit_code(tmp_path, capsys, command, message):
+    # Noise injection would otherwise draw labels from the classes left empty.
+    if command == "bench":
+        cfg = tmp_path / "lost.cfg"
+        cfg.write_text(TINY_CONFIG.replace("classes = 3", "classes = 10")
+                       .replace("n = 120", "n = 300").replace("seed = 2", "seed = 1")
+                       .replace("seeds = 0", "seeds = 0\nk = 2")
+                       .replace("[experiment]", "subsample_size = 8\n\n[experiment]"))
+        args = ["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    else:
+        args = ["run", "--dataset", "synthetic", "--method", "graph-ssl", "--noise", "0.45",
+                "--seed", "0", "--subsample", "2", "--k", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--pca-dims", "abc", "--pca-dims"),
     ("--noise", "1.5", "noise"),

@@ -16,6 +16,8 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # Development mode, with every warning an error, as the pytest run has.
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr

@@ -65,14 +65,14 @@ class TestForward:
         op = hypergraph_operator(random_hypergraph(rng, 12, 3), "sym")
         params = TwoLayerParams(np.zeros((4, 5)), rng.standard_normal((5, 3)))
         trace = forward(op, op.apply(rng.standard_normal((12, 4))), params)
-        assert np.max(np.abs(trace.probs - 1.0 / 3.0)) < 1e-15
+        assert np.max(np.abs(row_softmax(trace.logits) - 1.0 / 3.0)) < 1e-15
 
     def test_identity_operator_reduces_to_softmax(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(0.0, 2.0, size=(6, 6))  # nonnegative: ReLU is identity
         params = TwoLayerParams(np.eye(6), np.eye(6))
         trace = forward(IDENTITY_OP, IDENTITY_OP.apply(X), params)
-        assert np.max(np.abs(trace.probs - row_softmax(X))) < 1e-12
+        assert np.max(np.abs(row_softmax(trace.logits) - row_softmax(X))) < 1e-12
 
     @pytest.mark.parametrize("norm", ["sym", "rw"])
     def test_matches_dense_oracle(self, norm):
@@ -82,14 +82,14 @@ class TestForward:
         logits = dense @ hidden @ params.theta2
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
-        trace = forward(op, op.apply(X), params)
-        assert np.max(np.abs(trace.probs - want)) < 1e-12
-        assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
+        probs = row_softmax(forward(op, op.apply(X), params).logits)
+        assert np.max(np.abs(probs - want)) < 1e-12
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_rw_operator_supported(self):
         op, X, params, _, _ = random_instance(seed=8, norm="rw")
         trace = forward(op, op.apply(X), params)
-        assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(row_softmax(trace.logits).sum(axis=1) - 1.0)) < 1e-12
 
     def test_shape_validation(self):
         op, X, params, _, _ = random_instance(seed=9)
@@ -191,7 +191,7 @@ class TestLossAndGradients:
         logits = X @ theta2
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        assert np.max(np.abs(trace.probs - probs)) < 1e-12
+        assert np.max(np.abs(row_softmax(trace.logits) - probs)) < 1e-12
 
         _, grads = loss_and_gradients(trace, targets, mask, params, 0.0)
         want = X.T @ (probs - targets) / 6.0
@@ -211,7 +211,7 @@ class TestForwardPropagated:
         feats = propagate_features(op, X, cfg)
         a = forward(op, op.apply(feats), params)
         b = forward(op, op.apply(X), params)
-        assert np.max(np.abs(a.probs - b.probs)) < 1e-6
+        assert np.max(np.abs(row_softmax(a.logits) - row_softmax(b.logits))) < 1e-6
 
     def test_matches_dense_end_to_end_oracle(self):
         op, X, params, _, _ = random_instance(seed=53, n=9)
@@ -224,7 +224,7 @@ class TestForwardPropagated:
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
         trace = forward(op, op.apply(feats), params)
-        assert np.max(np.abs(trace.probs - want)) < 1e-10
+        assert np.max(np.abs(row_softmax(trace.logits) - want)) < 1e-10
 
 
 class TestTrain:
@@ -257,6 +257,29 @@ class TestTrain:
         assert len(lines) == 16
         losses = [float(line.split(",")[1]) for line in lines[1:]]
         assert np.all(np.isfinite(losses))
+
+    def test_training_log_decides_classes_as_predict_does(self, monkeypatch):
+        # exp(-1e-17) rounds to 1, so softmax ties the two classes; the logits
+        # put every row in class 1, its label.
+        params = TwoLayerParams(np.ones((1, 1)), np.array([[0.0, 1e-17]]))
+        monkeypatch.setattr(hgssl.network, "init_params", lambda *args: params)
+        Y = np.zeros((6, 2))
+        Y[:, 1] = 1.0
+        stream = io.StringIO()
+        train(IDENTITY_OP, np.ones((6, 1)), Y, np.arange(6),
+              TrainConfig(hidden=1, epochs=1), seed=0, log_stream=stream)
+        assert stream.getvalue().splitlines()[1].endswith(",1.000000")
+
+    def test_no_full_softmax_taken(self, monkeypatch):
+        # Only the labeled rows' softmax is needed, by the loss.
+        def full_softmax(logits):
+            raise AssertionError("a softmax of every row was taken")
+        monkeypatch.setattr(hgssl.network, "row_softmax", full_softmax)
+        op, X, params, Y, mask = random_instance(seed=64)
+        x_prop = op.apply(X)
+        loss_and_gradients(forward(op, x_prop, params), Y, mask, params, 5e-4)
+        train(op, x_prop, Y, mask, TrainConfig(hidden=4, epochs=3), seed=0,
+              log_stream=io.StringIO())
 
     @pytest.mark.parametrize("norm", ["sym", "rw"])
     def test_matches_dense_reference_loop(self, norm):
@@ -347,11 +370,10 @@ class TestTrain:
             current = TwoLayerParams(theta1, theta2)
             trace = forward(op, x_prop, current)
             fused_loss, fused = loss_and_gradients(trace, Y, mask, current, wd)
-            assert "probs" not in vars(trace)  # the full softmax is never taken
             assert fused_loss == loss
             assert np.array_equal(fused.theta1, grad_theta1)
             assert np.array_equal(fused.theta2, grad_theta2)
-            assert np.array_equal(trace.probs, probs)
+            assert np.array_equal(row_softmax(trace.logits), probs)
             for i, g in enumerate((grad_theta1, grad_theta2)):
                 m1[i] = b1 * m1[i] + (1 - b1) * g
                 m2[i] = b2 * m2[i] + (1 - b2) * g * g
@@ -362,8 +384,6 @@ class TestTrain:
         trained = train(op, x_prop, Y, mask, cfg, seed=5)
         assert np.array_equal(trained.theta1, thetas[0])
         assert np.array_equal(trained.theta2, thetas[1])
-        trace = forward(op, x_prop, trained)
-        assert np.array_equal(trace.probs, row_softmax(trace.logits))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -438,7 +458,7 @@ class TestPredict:
         # exp(-1e-17) rounds to 1, so softmax gives both classes 0.5.
         params = TwoLayerParams(np.ones((1, 1)), np.array([[0.0, 1e-17]]))
         x_prop = np.ones((6, 1))
-        probs = forward(IDENTITY_OP, x_prop, params).probs
+        probs = row_softmax(forward(IDENTITY_OP, x_prop, params).logits)
         assert np.array_equal(probs, np.full((6, 2), 0.5))
         assert np.array_equal(predict(IDENTITY_OP, x_prop, params), np.ones(6, dtype=np.int64))
 
@@ -446,4 +466,4 @@ class TestPredict:
         op, X, params, _, _ = random_instance(seed=72)
         trace = forward(op, op.apply(X), params)
         assert np.array_equal(predict(op, op.apply(X), params),
-                              decode_predictions(trace.probs))
+                              decode_predictions(row_softmax(trace.logits)))
