@@ -32,8 +32,8 @@ hyper_op = hypergraph_operator(build_knn_hypergraph(knn), "sym")
 cfg = PropagationConfig(alpha=0.99)
 
 for level in (0.0, 0.15, 0.30, 0.45):
-    split = inject_noise(ds, level, seed=0)
-    Y = encode_labels(split, ds.train_indices, ds.num_classes)
+    noisy = inject_noise(ds, level, seed=0)
+    Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
     for name, op in (("graph", graph_op), ("hypergraph", hyper_op)):
         F = propagate_labels(op, Y, cfg)
         pred = decode_predictions(F)
@@ -43,8 +43,7 @@ for level in (0.0, 0.15, 0.30, 0.45):
         print(f"noise {level * 100:4.0f}%  {name:10s} "
               f"accuracy {acc * 100:6.2f}%   mean margin {margin:.4f}")
 
-split = inject_noise(ds, 0.0, seed=0)
-Y = encode_labels(split, ds.train_indices, ds.num_classes)
+Y = encode_labels(inject_noise(ds, 0.0, seed=0), ds.train_indices, ds.num_classes)
 F = propagate_labels(hyper_op, Y, cfg)
 row = ds.test_indices[0]
 print(f"\nscores of unlabeled row {row} (true class {ds.labels[row]}):",

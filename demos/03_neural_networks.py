@@ -34,18 +34,18 @@ runs = (
 )
 
 for level in (0.0, 0.45):
-    split = inject_noise(ds, level, seed=1)
-    Y = encode_labels(split, ds.train_indices, ds.num_classes)
+    noisy = inject_noise(ds, level, seed=1)
+    Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
+    flipped = np.flatnonzero(noisy != ds.labels)
     print(f"--- noise level {level * 100:.0f}% "
-          f"({len(split.flipped)} of {len(ds.train_indices)} labels flipped)")
+          f"({len(flipped)} of {len(ds.train_indices)} labels flipped)")
     for name, op, x_prop in runs:
         params = train(op, x_prop, Y, ds.train_indices, cfg, seed=0)
         acc = accuracy(predict(op, x_prop, params), ds.labels, ds.test_indices)
         print(f"{name:28s} test accuracy: {acc * 100:6.2f}%")
 
 # The per-epoch training log is a CSV stream: epoch, loss, train accuracy.
-split = inject_noise(ds, 0.45, seed=1)
-Y = encode_labels(split, ds.train_indices, ds.num_classes)
+Y = encode_labels(inject_noise(ds, 0.45, seed=1), ds.train_indices, ds.num_classes)
 log = io.StringIO()
 train(hyper_op, smoothed_input, Y, ds.train_indices,
       TrainConfig(hidden=64, epochs=50), seed=0, log_stream=log)

@@ -13,7 +13,7 @@ from .datasets import (ImageDataset, load_idx_dataset, load_usps_dataset,
 from .hypergraph import (Hypergraph, PropagationOperator, build_knn_graph,
                          build_knn_hypergraph, gaussian_knn_adjacency, gcn_operator,
                          hypergraph_operator, knn_indices, load_operator, save_operator)
-from .labels import NoisySplit, accuracy, decode_predictions, encode_labels, inject_noise
+from .labels import accuracy, decode_predictions, encode_labels, inject_noise
 from .linalg import CgResult, conjugate_gradient, diag_scale
 from .network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
                       loss_and_gradients, predict, train)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CgResult", "ExperimentConfig", "ExperimentReport", "ForwardTrace",
-    "Hypergraph", "ImageDataset", "NoisySplit", "PcaModel",
+    "Hypergraph", "ImageDataset", "PcaModel",
     "PropagationConfig", "PropagationOperator", "ResultRow", "SyntheticSpec",
     "TrainConfig", "TwoLayerParams", "accuracy", "build_knn_graph",
     "build_knn_hypergraph", "conjugate_gradient", "decode_predictions",

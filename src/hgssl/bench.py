@@ -166,8 +166,20 @@ class ExperimentReport:
 
 
 def resolve_dataset_paths(name, explicit, data_dir=None):
-    """Explicit config paths win; otherwise use canonical names under data_dir/<name>/."""
-    base = Path(data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, "data")) / name
+    """Explicit config paths win; otherwise use canonical names under data_dir/<name>/.
+
+    ``data_dir`` defaults to $HGSSL_DATA_DIR, then ``data``.  An empty one
+    would put the canonical names under the working directory, so it raises
+    ``ConfigError`` unless every path is explicit.
+    """
+    source = "data_dir (--data-dir)"
+    if data_dir is None:
+        data_dir, source = os.environ.get(DATA_DIR_ENV, "data"), f"${DATA_DIR_ENV}"
+    implicit = [key for key in DATASET_FILES[name] if key not in explicit]
+    _require(data_dir != "" or not implicit, "data_dir",
+             f"{source} is empty; name a dataset directory or give the {name} "
+             f"paths {', '.join(implicit)}")
+    base = Path(data_dir) / name
     return {key: explicit.get(key, str(base / filename))
             for key, filename in DATASET_FILES[name].items()}
 
@@ -323,24 +335,23 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     if method == "hgnn-proposed" and error is not None:
         # A fresh copy per cell, so the kept error gathers no frames.
         raise SolverError(error.reason, error.residual, error.columns)
-    split = inject_noise(dataset, level, seed)
+    noisy = inject_noise(dataset, level, seed)
 
     op = prepared.operators[_METHOD_OPERATORS[method]]
     if method in _CLOSED_FORM:
         solved = {} if solved is None else solved
-        key = (method, hashlib.sha256(split.noisy_labels[dataset.train_indices]).digest())
+        key = (method, hashlib.sha256(noisy[dataset.train_indices]).digest())
         if key not in solved:
-            Y = encode_labels(split, dataset.train_indices, dataset.num_classes)
+            Y = encode_labels(noisy, dataset.train_indices, dataset.num_classes)
             pred = decode_predictions(propagate_labels(op, Y, cfg.solver))
-            solved[key] = accuracy(pred, split.clean_labels, dataset.test_indices)
+            solved[key] = accuracy(pred, dataset.labels, dataset.test_indices)
         acc = solved[key]
     else:
         # Never reused: the seed also draws the initial parameters.
-        Y = encode_labels(split, dataset.train_indices, dataset.num_classes)
+        Y = encode_labels(noisy, dataset.train_indices, dataset.num_classes)
         x_prop = prepared.inputs[method]
         params = train(op, x_prop, Y, dataset.train_indices, cfg.train, seed=seed)
-        acc = accuracy(predict(op, x_prop, params), split.clean_labels,
-                       dataset.test_indices)
+        acc = accuracy(predict(op, x_prop, params), dataset.labels, dataset.test_indices)
     return ResultRow(dataset=cfg.dataset, method=method, noise_level=float(level),
                      seed=int(seed), accuracy=acc,
                      wall_time_seconds=time.perf_counter() - start,

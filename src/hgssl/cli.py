@@ -6,8 +6,8 @@ Subcommands:
   build-ops  precompute propagation operators into a cache directory
 
 Dataset files are looked up under ``--data-dir`` (or $HGSSL_DATA_DIR, default
-``./data``); the flag wins over the environment variable.  Exit code 0 means
-every cell succeeded.
+``./data``); the flag wins over the environment variable, and an empty one is
+a config error.  Exit code 0 means every cell succeeded.
 """
 
 import argparse

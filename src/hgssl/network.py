@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, _require
 from .hypergraph import PropagationOperator
-from .labels import decode_predictions
+from .labels import decode_predictions, row_indices
 from .linalg import as_dense
 
 ADAM = 0.9, 0.999, 1e-8  # beta1, beta2, epsilon
@@ -96,38 +96,6 @@ class ForwardTrace:
     logits: np.ndarray   # Theta (hidden theta2)
 
 
-def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise softmax; training never takes it, the tests do."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def labeled_rows(labeled, n: int) -> np.ndarray:
-    """``labeled`` checked as a set of distinct row indices into ``n`` rows.
-
-    Returns it as int64.  A boolean mask, a float array, a negative, repeated
-    or out-of-range index and an empty set each raise ``ValueError``: numpy
-    would read them as other rows (``True`` as row 1, ``-1`` as row n - 1) or
-    count a row twice in the loss.
-    """
-    labeled = np.asarray(labeled)
-    if labeled.ndim != 1:
-        raise ValueError(f"labeled rows must be a 1-D index array, got ndim={labeled.ndim}")
-    if labeled.size == 0:
-        raise ValueError("labeled rows must be non-empty")
-    if labeled.dtype.kind not in "iu":
-        raise ValueError(f"labeled rows must be integer indices, got dtype {labeled.dtype}")
-    low, high = labeled.min(), labeled.max()
-    if low < 0 or high >= n:
-        raise ValueError(f"labeled rows must lie in [0, {n}), got indices {low} to {high}")
-    labeled = labeled.astype(np.int64, copy=False)
-    counts = np.bincount(labeled, minlength=n)
-    if counts.max() > 1:
-        raise ValueError(f"labeled rows repeat index {int(np.argmax(counts))}")
-    return labeled
-
-
 def _input_on_right(x_prop: np.ndarray, theta1: np.ndarray) -> bool:
     """Whether the products with ``x_prop`` take it as the right-hand GEMM operand."""
     return x_prop.shape[1] >= _WIDE_INPUT * theta1.shape[1]
@@ -168,7 +136,7 @@ def loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled,
     n = trace.logits.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"label matrix has {Y.shape[0]} rows, but the logits have {n}")
-    return _loss_and_gradients(trace, Y, labeled_rows(labeled, n), params,
+    return _loss_and_gradients(trace, Y, row_indices(labeled, n), params,
                                weight_decay)
 
 
@@ -176,7 +144,7 @@ def _loss_and_gradients(trace: ForwardTrace, Y: np.ndarray, labeled: np.ndarray,
                         params: TwoLayerParams, weight_decay: float):
     """``loss_and_gradients`` for rows and labels its caller has already checked.
 
-    ``labeled`` is what ``labeled_rows`` returned for the logits' row count,
+    ``labeled`` is what ``row_indices`` returned for the logits' row count,
     and Y has that many rows; ``train`` checks both once, not every epoch.
     """
     m = labeled.size
@@ -247,7 +215,7 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled,
     n = x_prop.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"label matrix has {Y.shape[0]} rows, but the input has {n}")
-    labeled = labeled_rows(labeled, n)
+    labeled = row_indices(labeled, n)
     params = init_params(x_prop.shape[1], cfg.hidden, Y.shape[1], seed)
     thetas = (params.theta1, params.theta2)
 

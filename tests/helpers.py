@@ -40,6 +40,13 @@ def random_sym_operator(rng, n, k=3, dim=3):
     return hypergraph_operator(random_hypergraph(rng, n, k, dim), "sym")
 
 
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable row-wise softmax, the reference for the network's probabilities."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def csr_equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
     """Whether ``a`` and ``b`` store the same arrays: no sorting, summing or pruning first."""
     return (a.shape == b.shape

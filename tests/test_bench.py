@@ -1,4 +1,5 @@
 import gc
+import re
 import time
 import tracemalloc
 import weakref
@@ -699,6 +700,21 @@ class TestPathResolution:
         monkeypatch.setenv("HGSSL_DATA_DIR", "/from-env")
         paths = resolve_dataset_paths("mnist", {})
         assert paths["train_images"] == "/from-env/mnist/train-images-idx3-ubyte"
+
+    @pytest.mark.parametrize("source, data_dir, env", [
+        ("data_dir (--data-dir)", "", "/from-env"),
+        ("$HGSSL_DATA_DIR", None, ""),
+    ], ids=["argument", "env"])
+    def test_empty_data_dir_rejected(self, monkeypatch, source, data_dir, env):
+        # It would put the canonical names under the working directory.
+        monkeypatch.setenv("HGSSL_DATA_DIR", env)
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(source)} is empty; .* paths test_path$") as info:
+            resolve_dataset_paths("usps", {"train_path": "/x/t.train"}, data_dir)
+        assert info.value.field == "data_dir"
+        explicit = {"train_path": "/x/t.train", "test_path": "/x/t.test"}
+        assert resolve_dataset_paths("usps", explicit, data_dir) == explicit
+        assert resolve_dataset_paths("synthetic", {}, data_dir) == {}
 
 
 def test_run_experiment_accepts_only_one_worker(tmp_path, monkeypatch):

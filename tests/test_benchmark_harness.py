@@ -51,7 +51,7 @@ def test_ssl_cached_repeats_clean_label_cells(workloads):
     dataset = bench.load_dataset(workload.config(11))
     assert dataset.num_samples == 12000 and dataset.num_features == 50
     digests = {hashlib.sha256(
-                   inject_noise(dataset, level, seed).noisy_labels[dataset.train_indices]
+                   inject_noise(dataset, level, seed)[dataset.train_indices]
                ).digest()
                for level in workload.noise_levels for seed in workload.seeds}
     assert len(workload.noise_levels) * len(workload.seeds) == 20

@@ -313,6 +313,26 @@ def test_subsample_with_an_empty_split_exit_code(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("flags, env, source", [
+    (["--data-dir", ""], "elsewhere", "data_dir (--data-dir)"),
+    ([], "", "$HGSSL_DATA_DIR"),
+], ids=["flag", "env"])
+def test_empty_data_dir_exit_code(tmp_path, capsys, monkeypatch, flags, env, source):
+    # The working directory holds a USPS layout, which an empty data directory
+    # would otherwise read.
+    rng = np.random.default_rng(5)
+    ds = ImageDataset(rng.random((30, 4)), np.arange(30) % 3, np.arange(15),
+                      np.arange(15, 30), 3)
+    (tmp_path / "usps").mkdir()
+    save_usps_dataset(ds, tmp_path / "usps" / "zip.train", tmp_path / "usps" / "zip.test")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HGSSL_DATA_DIR", env)
+    assert main(["run", "--dataset", "usps", "--method", "graph-ssl", "--noise", "0",
+                 "--seed", "0", "--pca-dims", "none", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {source} is empty; ")
+
+
 @pytest.mark.parametrize("command, message", [
     ("bench", "subsample_size 8 keeps no row of class ids [6, 7, 8, 9]"),
     ("run", "subsample_size 2 keeps no row of class ids [1, 2]"),

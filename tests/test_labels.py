@@ -4,55 +4,57 @@ from scipy.stats import chi2
 
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
-from hgssl.labels import (NoisySplit, accuracy, decode_predictions, encode_labels,
-                          inject_noise)
+from hgssl.labels import accuracy, decode_predictions, encode_labels, inject_noise
 
 
-def make_split(clean, labeled=None):
-    clean = np.asarray(clean, dtype=np.int64)
-    return NoisySplit(clean_labels=clean, noisy_labels=clean.copy(),
-                      flipped=np.array([], dtype=np.int64), level=0.0, seed=0)
+def flipped_rows(noisy, ds):
+    """The sorted rows whose noisy label differs from the clean one."""
+    return np.flatnonzero(noisy != ds.labels)
 
 
 class TestInjectNoise:
     def test_level_zero(self):
         ds = synthetic_blobs(50, 2, 3, 0.05, seed=1)
-        split = inject_noise(ds, 0.0, seed=3)
-        assert len(split.flipped) == 0
-        assert np.array_equal(split.noisy_labels, split.clean_labels)
+        noisy = inject_noise(ds, 0.0, seed=3)
+        assert np.array_equal(noisy, ds.labels)
+
+    @pytest.mark.parametrize("level", [0.0, 0.45])
+    def test_new_array_and_dataset_untouched(self, level):
+        # run_cell scores against dataset.labels, so they must stay clean.
+        ds = synthetic_blobs(200, 4, 3, 0.05, seed=3)
+        before = ds.labels.tobytes()
+        noisy = inject_noise(ds, level, seed=11)
+        assert ds.labels.tobytes() == before
+        assert not np.shares_memory(noisy, ds.labels)
+        assert noisy.dtype == ds.labels.dtype
 
     def test_exact_flip_count_and_all_differ(self):
         # l = 1000 training rows: level 0.45 must flip exactly 450 of them.
         ds = synthetic_blobs(1430, 10, 3, 0.05, seed=2)
         assert len(ds.train_indices) == 1000
-        split = inject_noise(ds, 0.45, seed=5)
-        assert len(split.flipped) == 450
-        assert np.all(split.noisy_labels[split.flipped]
-                      != split.clean_labels[split.flipped])
-        untouched = np.setdiff1d(np.arange(ds.num_samples), split.flipped)
-        assert np.array_equal(split.noisy_labels[untouched],
-                              split.clean_labels[untouched])
+        noisy = inject_noise(ds, 0.45, seed=5)
+        assert len(flipped_rows(noisy, ds)) == 450
 
     def test_test_labels_never_corrupted(self):
         ds = synthetic_blobs(200, 4, 3, 0.05, seed=3)
         for level in (0.15, 0.45, 0.9):
-            split = inject_noise(ds, level, seed=11)
-            assert np.all(np.isin(split.flipped, ds.train_indices))
-            assert np.array_equal(split.noisy_labels[ds.test_indices],
-                                  split.clean_labels[ds.test_indices])
+            noisy = inject_noise(ds, level, seed=11)
+            assert np.all(np.isin(flipped_rows(noisy, ds), ds.train_indices))
+            assert np.array_equal(noisy[ds.test_indices], ds.labels[ds.test_indices])
 
     def test_replacement_uniform_over_wrong_classes(self):
         # l = 10,000 and level 0.30: the replacement-offset histogram should
         # pass a chi-square uniformity test over the 9 wrong classes.
         ds = synthetic_blobs(14290, 10, 3, 0.05, seed=4)
         assert len(ds.train_indices) == 10000
-        split = inject_noise(ds, 0.30, seed=17)
-        assert len(split.flipped) == 3000
-        clean = split.clean_labels[split.flipped]
-        noisy = split.noisy_labels[split.flipped]
+        noisy_labels = inject_noise(ds, 0.30, seed=17)
+        flipped = flipped_rows(noisy_labels, ds)
+        assert len(flipped) == 3000
+        clean = ds.labels[flipped]
+        noisy = noisy_labels[flipped]
         offsets = np.where(noisy < clean, noisy, noisy - 1)
         counts = np.bincount(offsets, minlength=9)
-        expected = len(split.flipped) / 9.0
+        expected = len(flipped) / 9.0
         statistic = float(((counts - expected) ** 2 / expected).sum())
         assert statistic < chi2.ppf(0.999, df=8)
 
@@ -61,9 +63,8 @@ class TestInjectNoise:
         a = inject_noise(ds, 0.3, seed=7)
         b = inject_noise(ds, 0.3, seed=7)
         c = inject_noise(ds, 0.3, seed=8)
-        assert np.array_equal(a.noisy_labels, b.noisy_labels)
-        assert np.array_equal(a.flipped, b.flipped)
-        assert not np.array_equal(a.flipped, c.flipped)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(flipped_rows(a, ds), flipped_rows(c, ds))
 
     def test_level_validation(self):
         ds = synthetic_blobs(30, 2, 2, 0.05, seed=6)
@@ -75,34 +76,42 @@ class TestInjectNoise:
 
 class TestEncodeLabels:
     def test_onehot_three_rows(self):
-        split = make_split([0, 1, 0])
-        Y = encode_labels(split, np.array([0, 1]), 2)
+        Y = encode_labels(np.array([0, 1, 0]), np.array([0, 1]), 2)
         assert np.array_equal(Y, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_empty_labeled_set(self):
-        split = make_split([0, 1, 1])
-        Y = encode_labels(split, np.array([], dtype=np.int64), 2)
-        assert np.array_equal(Y, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="row indices must be non-empty"):
+            encode_labels(np.array([0, 1, 1]), np.array([], dtype=np.int64), 2)
 
     def test_uses_noisy_labels(self):
-        clean = np.array([0, 1, 2])
-        noisy = np.array([2, 1, 2])
-        split = NoisySplit(clean, noisy, np.array([0]), 0.33, 0)
-        Y = encode_labels(split, np.array([0, 1]), 3)
-        assert np.array_equal(Y[0], [0.0, 0.0, 1.0])
+        ds = synthetic_blobs(60, 3, 3, 0.05, seed=8)
+        noisy = inject_noise(ds, 0.5, seed=0)
+        flipped = flipped_rows(noisy, ds)
+        assert len(flipped) > 0
+        Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
+        assert np.array_equal(Y[flipped, noisy[flipped]], np.ones(len(flipped)))
+        assert not Y[flipped, ds.labels[flipped]].any()
 
     def test_class_id_out_of_range(self):
-        split = make_split([0, 3])
         with pytest.raises(ValueError):
-            encode_labels(split, np.array([0, 1]), 2)
+            encode_labels(np.array([0, 3]), np.array([0, 1]), 2)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_id_outside_classes_on_labeled_row(self, bad):
+        # numpy would store -1 in column C - 1; an unlabeled row is never read.
+        labels = np.array([0, bad, 2, 1])
+        with pytest.raises(ValueError,
+                           match=r"label ids on labeled rows must lie in \[0, 3\), got"):
+            encode_labels(labels, np.array([0, 1, 2]), 3)
+        Y = encode_labels(labels, np.array([0, 2, 3]), 3)
+        assert np.array_equal(Y[1], np.zeros(3))
 
     def test_encode_decode_lossless_on_labeled_rows(self):
         ds = synthetic_blobs(120, 5, 3, 0.05, seed=9)
-        split = inject_noise(ds, 0.4, seed=2)
-        Y = encode_labels(split, ds.train_indices, ds.num_classes)
+        noisy = inject_noise(ds, 0.4, seed=2)
+        Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
         decoded = decode_predictions(Y)
-        assert np.array_equal(decoded[ds.train_indices],
-                              split.noisy_labels[ds.train_indices])
+        assert np.array_equal(decoded[ds.train_indices], noisy[ds.train_indices])
 
 
 class TestDecodePredictions:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import knn_adjacency, knn_hypergraph, random_hypergraph
+from helpers import knn_adjacency, knn_hypergraph, random_hypergraph, row_softmax
 import hgssl.network
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
 from hgssl.hypergraph import PropagationOperator, gcn_operator, hypergraph_operator
-from hgssl.labels import accuracy, decode_predictions, encode_labels, inject_noise
+from hgssl.labels import (accuracy, decode_predictions, encode_labels, inject_noise,
+                          row_indices)
 from hgssl.network import (ForwardTrace, TrainConfig, TwoLayerParams, forward,
-                           init_params, labeled_rows, loss_and_gradients, predict,
-                           row_softmax, train)
+                           init_params, loss_and_gradients, predict, train)
 from hgssl.propagation import PropagationConfig, propagate_features
 
 IDENTITY_OP = PropagationOperator((sp.eye(6, format="csr"),), "sym")
@@ -232,8 +232,8 @@ class TestTrain:
         ds = synthetic_blobs(300, 3, 10, 0.1, seed=1)
         hg = knn_hypergraph(ds.features, 5)
         op = hypergraph_operator(hg, "sym")
-        split = inject_noise(ds, 0.0, seed=0)
-        Y = encode_labels(split, ds.train_indices, ds.num_classes)
+        noisy = inject_noise(ds, 0.0, seed=0)
+        Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
         params = train(op, op.apply(ds.features), Y, ds.train_indices,
                        TrainConfig(epochs=200), seed=0)
         pred = predict(op, op.apply(ds.features), params)
@@ -271,11 +271,19 @@ class TestTrain:
         assert stream.getvalue().splitlines()[1].endswith(",1.000000")
 
     def test_no_full_softmax_taken(self, monkeypatch):
-        # Only the labeled rows' softmax is needed, by the loss.
-        def full_softmax(logits):
-            raise AssertionError("a softmax of every row was taken")
-        monkeypatch.setattr(hgssl.network, "row_softmax", full_softmax)
+        # Only the labeled rows' softmax is needed, by the loss: every
+        # exponential the network module takes is of the labeled rows alone.
         op, X, params, Y, mask = random_instance(seed=64)
+
+        class LabeledRowsExp:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                assert x.shape[0] == len(mask), "a softmax of every row was taken"
+                return np.exp(x, *args, **kwargs)
+        monkeypatch.setattr(hgssl.network, "np", LabeledRowsExp())
         x_prop = op.apply(X)
         loss_and_gradients(forward(op, x_prop, params), Y, mask, params, 5e-4)
         train(op, x_prop, Y, mask, TrainConfig(hidden=4, epochs=3), seed=0,
@@ -393,26 +401,33 @@ class TestTrain:
 
 
 class TestLabeledRows:
-    """Labeled rows must be distinct in-range integer indices, or training stops."""
+    """Row sets must be distinct in-range integer indices, or training and scoring stop."""
 
     N = 10
 
     @pytest.mark.parametrize("rows, message", [
-        (np.ones(N, dtype=bool), "integer indices, got dtype bool"),
-        (np.array([0.0, 3.0]), "integer indices, got dtype float64"),
-        (np.array([-1, 0]), r"must lie in \[0, 10\), got indices -1 to 0"),
-        (np.array([2, 5, 2]), "repeat index 2"),
-        (np.array([3, N]), r"must lie in \[0, 10\), got indices 3 to 10"),
-        (np.array([], dtype=np.int64), "must be non-empty"),
-        (np.array([[0, 1]]), "1-D index array, got ndim=2"),
+        (np.ones(N, dtype=bool), "row indices must be integer indices, got dtype bool"),
+        (np.array([0.0, 3.0]), "row indices must be integer indices, got dtype float64"),
+        (np.array([-1, 0]), r"row indices must lie in \[0, 10\), got indices -1 to 0"),
+        (np.array([2, 5, 2]), "row indices must not repeat index 2"),
+        (np.array([3, N]), r"row indices must lie in \[0, 10\), got indices 3 to 10"),
+        (np.array([], dtype=np.int64), "row indices must be non-empty"),
+        (np.array([[0, 1]]), "row indices must be a 1-D index array, got ndim=2"),
     ], ids=["bool-mask", "float", "negative", "repeated", "past-the-end", "empty",
             "two-dimensional"])
     def test_rejected_by_train_and_loss(self, rows, message):
+        # encode_labels and accuracy index with the same rows, so they check
+        # them alike; unchecked, numpy would read each True of the mask as row 1.
         op, X, params, Y, _ = random_instance(seed=81, n=self.N)
+        labels = np.argmax(Y, axis=1)
         with pytest.raises(ValueError, match=message):
             train(op, op.apply(X), Y, rows, TrainConfig(hidden=4, epochs=1), seed=0)
         with pytest.raises(ValueError, match=message):
             loss_and_gradients(forward(op, op.apply(X), params), Y, rows, params, 0.0)
+        with pytest.raises(ValueError, match=message):
+            encode_labels(labels, rows, Y.shape[1])
+        with pytest.raises(ValueError, match=message):
+            accuracy(labels, labels, rows)
 
     @pytest.mark.parametrize("label_rows", [20, 8])
     def test_label_matrix_of_another_height_rejected(self, label_rows):
@@ -433,15 +448,15 @@ class TestLabeledRows:
 
         def counting(*args):
             checked.append(args)
-            return labeled_rows(*args)
+            return row_indices(*args)
 
-        monkeypatch.setattr(hgssl.network, "labeled_rows", counting)
+        monkeypatch.setattr(hgssl.network, "row_indices", counting)
         op, X, _, Y, mask = random_instance(seed=83, n=self.N)
         train(op, op.apply(X), Y, mask, TrainConfig(hidden=4, epochs=5), seed=0)
         assert len(checked) == 1
 
     def test_accepted_rows_come_back_as_int64(self):
-        rows = labeled_rows(np.array([7, 0, 3], dtype=np.uint8), self.N)
+        rows = row_indices(np.array([7, 0, 3], dtype=np.uint8), self.N)
         assert rows.dtype == np.int64
         assert np.array_equal(rows, [7, 0, 3])
 

@@ -9,8 +9,7 @@ from hgssl import propagation
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import ShapeError, SolverError
 from hgssl.hypergraph import build_knn_graph, hypergraph_operator
-from hgssl.labels import (NoisySplit, accuracy, decode_predictions, encode_labels,
-                          inject_noise)
+from hgssl.labels import accuracy, decode_predictions, encode_labels, inject_noise
 from hgssl.linalg import column_blocks, conjugate_gradient
 from hgssl.propagation import (PropagationConfig, propagate_features,
                                propagate_labels)
@@ -123,7 +122,7 @@ class TestPropagateLabels:
         flipped = np.sort(rng.choice(labeled, size=len(labeled) * 3 // 10, replace=False))
         noisy = clean.copy()
         noisy[flipped] = (clean[flipped] + rng.integers(1, classes, len(flipped))) % classes
-        Y = encode_labels(NoisySplit(clean, noisy, flipped, 0.3, seed), labeled, classes)
+        Y = encode_labels(noisy, labeled, classes)
         pm1 = 2.0 * Y
         pm1[labeled] -= 1.0
         want = np.argmax(dense_solve(op, alpha, pm1), axis=1)
@@ -295,8 +294,8 @@ def test_classic_hypergraph_ssl_on_blobs():
     ds = synthetic_blobs(300, 3, 10, 0.1, seed=1)
     hg = knn_hypergraph(ds.features, 5)
     op = hypergraph_operator(hg, "sym")
-    split = inject_noise(ds, 0.0, seed=0)
-    Y = encode_labels(split, ds.train_indices, ds.num_classes)
+    noisy = inject_noise(ds, 0.0, seed=0)
+    Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
     F = propagate_labels(op, Y, PropagationConfig())
     pred = decode_predictions(F)
     assert accuracy(pred, ds.labels, ds.test_indices) >= 0.95
