@@ -267,7 +267,7 @@ def save_usps_dataset(ds: ImageDataset, train_path, test_path):
     write_split(ds.test_indices, test_path)
 
 
-def check_blob_args(n, num_classes, dim, spread, seed):
+def check_blob_args(n, num_classes, dim, spread, seed, separation):
     """The rules on :func:`synthetic_blobs` arguments.
 
     Errors name the ``[dataset]`` config key (``classes`` for ``num_classes``),
@@ -278,25 +278,28 @@ def check_blob_args(n, num_classes, dim, spread, seed):
     _require(dim >= 1, "dim", f"dim must be a positive integer, got {dim}")
     _require(0 < spread < np.inf, "spread", f"spread must be positive and finite, got {spread}")
     _require(seed >= 0, "seed", f"seed must be a non-negative integer, got {seed}")
+    _require(0 < separation < np.inf, "separation",
+             f"separation must be positive and finite, got {separation}")
 
 
 def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,
-                    seed: int) -> ImageDataset:
-    """Well-separated Gaussian clusters for desk-scale tests.
+                    seed: int, separation: float = 10.0) -> ImageDataset:
+    """Gaussian clusters, one per class, for desk-scale tests.
 
-    Class centers sit at distance >= 10 * spread from each other, class sizes
+    Class centers sit at distance >= separation * spread from each other: at
+    the default 10 the classes lie far apart, at 3 they overlap.  Class sizes
     are balanced, and each class is split 70/30 into train/test.  All
     randomness flows through a single PCG64 stream seeded with ``seed`` (one
     standard-normal block per class, drawn in class order), so identical
     arguments produce bit-identical datasets.
     """
-    check_blob_args(n, num_classes, dim, spread, seed)
+    check_blob_args(n, num_classes, dim, spread, seed, separation)
     rng = np.random.default_rng(seed)
 
     sizes = np.full(num_classes, n // num_classes, dtype=np.int64)
     sizes[: n % num_classes] += 1
 
-    gap = 10.0 * spread
+    gap = separation * spread
     n_train = (sizes * 0.7 + 0.5).astype(np.int64)
     l = int(n_train.sum())
     features = np.empty((n, dim))

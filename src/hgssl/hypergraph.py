@@ -37,7 +37,6 @@ and ``load_operator`` cache the factors in an uncompressed zip archive, whose
 members zipfile checks against their CRC-32 as it reads them.
 """
 
-import io
 import json
 import os
 import tempfile
@@ -402,9 +401,11 @@ def gcn_operator(A: sp.csr_matrix) -> PropagationOperator:
 #   i/indices   i32[nnz]        little-endian
 #   i/data      f64[nnz]
 #
-# zipfile checks each member's CRC-32 as it reads it.  The members read are
-# the ones meta.json names, never those the archive's directory (which has no
-# CRC) lists.  Members carry a fixed timestamp, so saves are byte-reproducible.
+# zipfile reads each member with one read from the open file and checks its
+# CRC-32 as it does; the member's bytes then back the factor's arrays, so a
+# load holds the members once.  The members read are the ones meta.json
+# names, never those the archive's directory (which has no CRC) lists.
+# Members carry a fixed timestamp, so saves are byte-reproducible.
 # ---------------------------------------------------------------------------
 
 CACHE_VERSION = 3
@@ -413,9 +414,10 @@ _MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
 # int32 indices, as scipy holds them, so a loaded factor needs no conversion.
 _INDEX = "<i4"
 _INT32_MAX = np.iinfo(np.int32).max
-# What zipfile, json, numpy and scipy raise on a malformed archive or metadata.
-_PARSE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, RuntimeError,
-                 TypeError, ValueError, zlib.error)
+# What zipfile, json, numpy and scipy raise on a malformed archive or metadata;
+# OSError is what a seek to a corrupt offset, or a failing read, raises there.
+_PARSE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, OSError,
+                 RuntimeError, TypeError, ValueError, zlib.error)
 
 
 def save_operator(path, op: PropagationOperator):
@@ -468,23 +470,25 @@ def _read_factor(archive, i, shape):
 def load_operator(path) -> PropagationOperator:
     """Load a propagation operator written by :func:`save_operator`.
 
-    A missing file raises ``FileNotFoundError``.  A file that is not such an
-    archive, a member that fails its CRC-32, and content that fails a check
-    raise ``FormatError`` naming the file.  The factors' ``data`` arrays are
-    read-only views of the bytes read.
+    Each member is read once, straight from the open file, and the factors'
+    arrays are read-only views of those bytes; the file is never held whole.
+    An error opening the file keeps its type (a missing file raises
+    ``FileNotFoundError``).  A file that is not such an archive, a member that
+    fails its CRC-32, content that fails a check, and an I/O error while
+    reading the opened file raise ``FormatError`` naming the file.
     """
-    data = Path(path).read_bytes()
-    try:
-        with zipfile.ZipFile(io.BytesIO(data)) as archive:
-            meta = json.loads(archive.read(_META))
-            if meta["version"] != CACHE_VERSION:
-                raise FormatError(f"unsupported cache version {meta['version']}")
-            if meta["normalization"] not in NORMALIZATIONS:
-                raise FormatError(f"unknown normalization {meta['normalization']!r}")
-            if len(meta["shapes"]) not in (1, 2):
-                raise FormatError(f"expected 1 or 2 factors, got {len(meta['shapes'])}")
-            factors = tuple(_read_factor(archive, i, shape)
-                            for i, shape in enumerate(meta["shapes"]))
-        return PropagationOperator(factors=factors, normalization=meta["normalization"])
-    except _PARSE_ERRORS as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                meta = json.loads(archive.read(_META))
+                if meta["version"] != CACHE_VERSION:
+                    raise FormatError(f"unsupported cache version {meta['version']}")
+                if meta["normalization"] not in NORMALIZATIONS:
+                    raise FormatError(f"unknown normalization {meta['normalization']!r}")
+                if len(meta["shapes"]) not in (1, 2):
+                    raise FormatError(f"expected 1 or 2 factors, got {len(meta['shapes'])}")
+                factors = tuple(_read_factor(archive, i, shape)
+                                for i, shape in enumerate(meta["shapes"]))
+            return PropagationOperator(factors=factors, normalization=meta["normalization"])
+        except _PARSE_ERRORS as exc:
+            raise FormatError(f"{path}: {exc}") from exc

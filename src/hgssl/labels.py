@@ -89,8 +89,14 @@ def decode_predictions(F: np.ndarray) -> np.ndarray:
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray, eval_set: np.ndarray) -> float:
-    """Fraction of ``eval_set`` rows where ``pred`` equals ``truth``."""
+    """Fraction of ``eval_set`` rows where ``pred`` equals ``truth``.
+
+    ``pred`` and ``truth`` must have one entry per row; arrays of different
+    lengths raise ``ValueError``, since one of them does not cover the rows.
+    """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
+    if len(pred) != len(truth):
+        raise ValueError(f"pred has {len(pred)} rows but truth has {len(truth)}")
     eval_set = row_indices(eval_set, len(truth))
     return float(np.mean(pred[eval_set] == truth[eval_set]))

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from hgssl.datasets import (ImageDataset, _largest_remainder, load_idx_dataset,
                             load_usps_dataset, save_idx_dataset, save_usps_dataset,
                             stratified_subsample, synthetic_blobs)
-from hgssl.errors import FormatError
+from hgssl.errors import ConfigError, FormatError
 
 
 def write_idx_images(path, images):
@@ -267,7 +267,7 @@ class TestSyntheticBlobs:
         assert np.array_equal(a.test_indices, b.test_indices)
 
     @staticmethod
-    def _reference_blobs(n, num_classes, dim, spread, seed):
+    def _reference_blobs(n, num_classes, dim, spread, seed, separation=10.0):
         """Class-ordered matrix, then one gather into train-then-test order."""
         rng = np.random.default_rng(seed)
         sizes = np.full(num_classes, n // num_classes, dtype=np.int64)
@@ -278,7 +278,7 @@ class TestSyntheticBlobs:
         offset = 0
         for c in range(num_classes):
             center = np.zeros(dim)
-            center[c % dim] = 10.0 * spread * (1 + c // dim)
+            center[c % dim] = separation * spread * (1 + c // dim)
             size = int(sizes[c])
             features[offset:offset + size] = center + spread * rng.standard_normal((size, dim))
             labels[offset:offset + size] = c
@@ -298,6 +298,17 @@ class TestSyntheticBlobs:
         assert np.array_equal(ds.labels, labels)
         assert np.array_equal(ds.train_indices, np.arange(l))
         assert np.array_equal(ds.test_indices, np.arange(l, n))
+
+    def test_separation_sets_center_gap(self):
+        features, labels, _ = self._reference_blobs(301, 7, 5, 0.3, 21, separation=3.0)
+        ds = synthetic_blobs(301, 7, 5, 0.3, seed=21, separation=3.0)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("separation", [0.0, -3.0, np.inf, np.nan])
+    def test_separation_must_be_positive_and_finite(self, separation):
+        with pytest.raises(ConfigError, match="separation must be positive and finite"):
+            synthetic_blobs(10, 2, 2, 0.1, seed=0, separation=separation)
 
     def test_balanced_classes_and_split(self):
         ds = synthetic_blobs(100, 4, 3, 0.05, seed=0)

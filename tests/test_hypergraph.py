@@ -523,6 +523,38 @@ class TestOperatorCache:
         with pytest.raises(FileNotFoundError):
             load_operator(tmp_path / "absent.hgop")
 
+    def test_member_offset_before_file_start(self, tmp_path):
+        # zipfile places each member at its directory offset plus the gap it
+        # infers between the end record's directory offset and the directory's
+        # real position.  Raising the end record's directory offset (the u32
+        # 6 bytes from the end; no comment) past the file's size makes that gap
+        # negative, so every member points before the start of the file, and
+        # the seek there fails inside the opened archive.
+        blob = bytearray(write_cache(tmp_path / "ok.hgop", [np.eye(3)]).read_bytes())
+        offset = struct.unpack_from("<I", blob, len(blob) - 6)[0]
+        struct.pack_into("<I", blob, len(blob) - 6, offset + len(blob))
+        path = tmp_path / "before.hgop"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"before\.hgop"):
+            load_operator(path)
+
+    def test_load_holds_members_once(self, tmp_path):
+        # The members are read straight from the file and back the factors'
+        # arrays, so a load allocates about the file's size, not the whole
+        # file and then a copy of each member (about twice the size).
+        X = np.random.default_rng(47).standard_normal((600, 20))
+        path = tmp_path / "op.hgop"
+        save_operator(path, hypergraph_operator(knn_hypergraph(X, 10), "sym"))
+        size = path.stat().st_size
+        assert 2 ** 17 < size < 2 ** 20, size
+        tracemalloc.start()
+        try:
+            load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, (peak, size)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hgop"
         path.write_bytes(b"NOPE" + b"\x00" * 40)

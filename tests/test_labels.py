@@ -150,3 +150,11 @@ class TestAccuracy:
     def test_empty_eval_set(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0]), np.array([0]), np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("pred, truth", [([0, 1, 2, 2], [0, 1]), ([0, 1], [0, 1, 2, 2])],
+                             ids=["pred-longer", "truth-longer"])
+    def test_lengths_differ(self, pred, truth):
+        # Scored on rows 0 and 1 alone, both pairs would read 1.0.
+        message = f"pred has {len(pred)} rows but truth has {len(truth)}"
+        with pytest.raises(ValueError, match=message):
+            accuracy(np.array(pred), np.array(truth), np.array([0, 1]))
