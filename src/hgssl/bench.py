@@ -77,12 +77,9 @@ class SyntheticSpec:
     dim: int = 10
     spread: float = 0.1
     seed: int = 1
-    # The gap between class centers, in spreads.
-    separation: float = 10.0
 
     def __post_init__(self):
-        check_blob_args(self.n, self.classes, self.dim, self.spread, self.seed,
-                        self.separation)
+        check_blob_args(self.n, self.classes, self.dim, self.spread, self.seed)
 
 
 @dataclass(frozen=True)
@@ -190,8 +187,7 @@ def resolve_dataset_paths(name, explicit, data_dir=None):
 def load_dataset(cfg: ExperimentConfig, data_dir=None) -> ImageDataset:
     if cfg.dataset == "synthetic":
         spec = cfg.synthetic
-        return synthetic_blobs(spec.n, spec.classes, spec.dim, spec.spread, spec.seed,
-                               spec.separation)
+        return synthetic_blobs(spec.n, spec.classes, spec.dim, spec.spread, spec.seed)
     paths = resolve_dataset_paths(cfg.dataset, cfg.paths, data_dir)
     if cfg.dataset == "usps":
         return load_usps_dataset(paths["train_path"], paths["test_path"])

@@ -267,7 +267,7 @@ def save_usps_dataset(ds: ImageDataset, train_path, test_path):
     write_split(ds.test_indices, test_path)
 
 
-def check_blob_args(n, num_classes, dim, spread, seed, separation):
+def check_blob_args(n, num_classes, dim, spread, seed):
     """The rules on :func:`synthetic_blobs` arguments.
 
     Errors name the ``[dataset]`` config key (``classes`` for ``num_classes``),
@@ -278,8 +278,6 @@ def check_blob_args(n, num_classes, dim, spread, seed, separation):
     _require(dim >= 1, "dim", f"dim must be a positive integer, got {dim}")
     _require(0 < spread < np.inf, "spread", f"spread must be positive and finite, got {spread}")
     _require(seed >= 0, "seed", f"seed must be a non-negative integer, got {seed}")
-    _require(0 < separation < np.inf, "separation",
-             f"separation must be positive and finite, got {separation}")
 
 
 def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,
@@ -293,7 +291,9 @@ def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,
     standard-normal block per class, drawn in class order), so identical
     arguments produce bit-identical datasets.
     """
-    check_blob_args(n, num_classes, dim, spread, seed, separation)
+    check_blob_args(n, num_classes, dim, spread, seed)
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)
 
     sizes = np.full(num_classes, n // num_classes, dtype=np.int64)

@@ -414,10 +414,9 @@ _MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
 # int32 indices, as scipy holds them, so a loaded factor needs no conversion.
 _INDEX = "<i4"
 _INT32_MAX = np.iinfo(np.int32).max
-# What zipfile, json, numpy and scipy raise on a malformed archive or metadata;
-# OSError is what a seek to a corrupt offset, or a failing read, raises there.
-_PARSE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, OSError,
-                 RuntimeError, TypeError, ValueError, zlib.error)
+# What zipfile, json, numpy and scipy raise on a malformed archive or metadata.
+_PARSE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, RuntimeError,
+                 TypeError, ValueError, zlib.error)
 
 
 def save_operator(path, op: PropagationOperator):
@@ -474,8 +473,11 @@ def load_operator(path) -> PropagationOperator:
     arrays are read-only views of those bytes; the file is never held whole.
     An error opening the file keeps its type (a missing file raises
     ``FileNotFoundError``).  A file that is not such an archive, a member that
-    fails its CRC-32, content that fails a check, and an I/O error while
-    reading the opened file raise ``FormatError`` naming the file.
+    fails its CRC-32 and content that fails a check raise ``FormatError``
+    naming the file.  So does an ``OSError`` while reading the opened file (a
+    seek to a corrupt member offset, or a failing disk); its message then
+    says "I/O error" and keeps the OS error, so it is told apart from
+    malformed content.
     """
     with open(path, "rb") as fh:
         try:
@@ -490,5 +492,7 @@ def load_operator(path) -> PropagationOperator:
                 factors = tuple(_read_factor(archive, i, shape)
                                 for i, shape in enumerate(meta["shapes"]))
             return PropagationOperator(factors=factors, normalization=meta["normalization"])
+        except OSError as exc:
+            raise FormatError(f"{path}: I/O error reading cache: {exc}") from exc
         except _PARSE_ERRORS as exc:
             raise FormatError(f"{path}: {exc}") from exc

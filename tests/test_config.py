@@ -50,11 +50,6 @@ class TestParsing:
         assert cfg.solver.max_iter == 1000  # default
         assert cfg.pca_dims is None  # synthetic default
 
-    def test_separation_key(self):
-        assert parse_config(GOOD).synthetic.separation == 10.0  # default
-        text = GOOD.replace("seed = 1\n", "seed = 1\nseparation = 3\n", 1)
-        assert parse_config(text).synthetic.separation == 3.0
-
     def test_defaults_per_dataset(self):
         text = "schema_version = 1\n[dataset]\nname = usps\n"
         assert parse_config(text).pca_dims == 50
@@ -197,9 +192,6 @@ class TestSchemaRules:
         ("dataset", "dim", "0", "dim"),
         ("dataset", "spread", "0", "spread"),
         ("dataset", "spread", "inf", "spread"),
-        ("dataset", "separation", "0", "separation"),
-        ("dataset", "separation", "-3", "separation"),
-        ("dataset", "separation", "inf", "separation"),
         ("dataset", "seed", "-1", "seed"),
         ("dataset", "subsample_seed", "-1", "subsample_seed"),
         ("experiment", "seeds", "0, -1", "seeds"),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 SCHEMA = {
     "dataset": {
         "n": ("300", "1"), "classes": ("3", "1"), "dim": ("4", "0"),
-        "spread": ("0.5", "0"), "seed": ("1", "-1"), "separation": ("3", "0"),
+        "spread": ("0.5", "0"), "seed": ("1", "-1"),
         "subsample_size": ("100", "0"), "subsample_seed": ("0", "-1"),
     },
     "experiment": {
@@ -30,7 +30,7 @@ SCHEMA = {
     "solver": {"tol": ("1e-8", "1"), "max_iter": ("500", "0")},
 }
 README = Path(__file__).resolve().parent.parent / "README.md"
-SYNTHETIC_KEYS = ("n", "classes", "dim", "spread", "seed", "separation")
+SYNTHETIC_KEYS = ("n", "classes", "dim", "spread", "seed")
 STRAY_LINES = ("", "# comment", "; comment", "just words", "bogus = 1", "= 3",
                "[extras]", "[dataset]", "[", "seed = 3")
 NON_NUMERIC = ("abc", "", "nan", "1,,2", "0x10", "+-1", "1e999", "none", "true")

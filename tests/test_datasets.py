@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from hgssl.datasets import (ImageDataset, _largest_remainder, load_idx_dataset,
                             load_usps_dataset, save_idx_dataset, save_usps_dataset,
                             stratified_subsample, synthetic_blobs)
-from hgssl.errors import ConfigError, FormatError
+from hgssl.errors import FormatError
 
 
 def write_idx_images(path, images):
@@ -307,7 +307,7 @@ class TestSyntheticBlobs:
 
     @pytest.mark.parametrize("separation", [0.0, -3.0, np.inf, np.nan])
     def test_separation_must_be_positive_and_finite(self, separation):
-        with pytest.raises(ConfigError, match="separation must be positive and finite"):
+        with pytest.raises(ValueError, match="separation must be positive and finite"):
             synthetic_blobs(10, 2, 2, 0.1, seed=0, separation=separation)
 
     def test_balanced_classes_and_split(self):

@@ -535,7 +535,7 @@ class TestOperatorCache:
         struct.pack_into("<I", blob, len(blob) - 6, offset + len(blob))
         path = tmp_path / "before.hgop"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match=r"before\.hgop"):
+        with pytest.raises(FormatError, match=r"before\.hgop: I/O error reading cache"):
             load_operator(path)
 
     def test_load_holds_members_once(self, tmp_path):
