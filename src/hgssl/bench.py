@@ -6,6 +6,14 @@ initialization.  Within one grid a closed-form cell's accuracy depends only on
 its method and its noisy training labels, so cells whose labels are equal
 (every seed at noise level 0) share one solve.
 
+A closed-form cell whose label set is not solved yet solves its chunk: its
+own set, then the grid's next distinct, still-unsolved sets of its method in
+grid order, as many as one CG block of ``_BLOCK_BUDGET`` entries holds.  The
+chunk's sets are solved side by side as one block, so their columns share
+each operator product, and each set's scores are the ones a solve of it
+alone gives, bit for bit.  If a chunk's solve fails, each of its sets is
+solved alone, so a cell fails exactly when its own set does.
+
 Set-up forms everything a cell reads, once per experiment, and cells only
 read it: the operators, and each neural method's network input (Theta Z for
 the smoothed features Z of hgnn-proposed, Theta X for gcn and hgnn).  The
@@ -29,6 +37,7 @@ from .datasets import (ImageDataset, LabeledSplit, _absent_classes, check_blob_a
                        synthetic_blobs)
 from .errors import FormatError, SolverError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise
+from .linalg import _BLOCK_BUDGET
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
 from .propagation import PropagationConfig, propagate_features, propagate_labels
@@ -221,11 +230,16 @@ def operator_cache_path(ops_dir, key: str, op_name: str) -> Path:
 
 
 def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
-    """Build (or load from cache) every operator the configured methods need."""
-    needed = {_METHOD_OPERATORS[method] for method in cfg.methods}
+    """Build (or load from cache) every operator the configured methods need.
+
+    They are loaded, built and saved in the fixed order of
+    ``_OPERATOR_NORMALIZATIONS``, whatever the process's string-hash seed.
+    """
+    used = {_METHOD_OPERATORS[method] for method in cfg.methods}
+    needed = [name for name in _OPERATOR_NORMALIZATIONS if name in used]
     key = operator_cache_key(cfg, X) if ops_dir is not None else None
     operators = {}
-    pending = set()
+    pending = []
     for name in needed:
         path = operator_cache_path(ops_dir, key, name) if ops_dir is not None else None
         if path is not None and path.exists():
@@ -236,14 +250,14 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
                                   f"{op.shape}, expected {name!r} as {expected}")
             operators[name] = op
         else:
-            pending.add(name)
+            pending.append(name)
 
     if pending:
         knn = hg.knn_indices(X, cfg.k)
         if "hg_sym" in pending:
             hgraph = hg.build_knn_hypergraph(knn)
             operators["hg_sym"] = hg.hypergraph_operator(hgraph, "sym")
-        if pending & {"graph", "gcn"}:
+        if "graph" in pending or "gcn" in pending:
             adjacency = hg.gaussian_knn_adjacency(X, knn)
         if "graph" in pending:
             operators["graph"] = hg.build_knn_graph(adjacency)
@@ -321,9 +335,13 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
 
     ``solved`` maps (closed-form method, sha256 of the noisy training labels)
     to the accuracy of a cell of the same grid that was already solved; such
-    a cell reuses it, and a cell that solves adds its own.  A solve that
-    raises adds nothing.  ``method`` must be one the experiment was prepared
-    for: only those have their operator and, for a neural method, its input.
+    a cell reuses it.  A cell whose labels are not in it solves its chunk
+    (see the module docstring), ``(level, seed)`` placing it in the grid of
+    ``prepared.config``, and adds each set's accuracy.  A set whose solve
+    raised maps to None, and each of its cells solves it alone.  Without
+    ``solved`` a closed-form cell solves its own labels alone.  ``method``
+    must be one the experiment was prepared for: only those have their
+    operator and, for a neural method, its input.
     """
     cfg = prepared.config
     if method not in cfg.methods:
@@ -337,17 +355,11 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
         raise SolverError(error.reason, error.residual, error.columns)
     noisy = inject_noise(dataset, level, seed)
 
-    op = prepared.operators[_METHOD_OPERATORS[method]]
     if method in _CLOSED_FORM:
-        solved = {} if solved is None else solved
-        key = (method, hashlib.sha256(noisy[dataset.train_indices]).digest())
-        if key not in solved:
-            Y = encode_labels(noisy, dataset.train_indices, dataset.num_classes)
-            pred = decode_predictions(propagate_labels(op, Y, cfg.solver))
-            solved[key] = accuracy(pred, dataset.labels, dataset.test_indices)
-        acc = solved[key]
+        acc = _closed_form_accuracy(prepared, method, level, seed, noisy, solved)
     else:
         # Never reused: the seed also draws the initial parameters.
+        op = prepared.operators[_METHOD_OPERATORS[method]]
         Y = encode_labels(noisy, dataset.train_indices, dataset.num_classes)
         x_prop = prepared.inputs[method]
         params = train(op, x_prop, Y, dataset.train_indices, cfg.train, seed=seed)
@@ -356,6 +368,71 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
                      seed=int(seed), accuracy=acc,
                      wall_time_seconds=time.perf_counter() - start,
                      pca_used=cfg.pca_dims is not None)
+
+
+def _label_key(method: str, noisy: np.ndarray, train_indices: np.ndarray) -> tuple:
+    """The key of a closed-form method's noisy label set in ``solved`` (see ``run_cell``)."""
+    return (method, hashlib.sha256(noisy[train_indices]).digest())
+
+
+def _chunk(prepared: PreparedExperiment, method: str, level: float, seed: int,
+           key: tuple, noisy: np.ndarray, solved: dict):
+    """The keys and label sets of a cell's chunk, its own (``key``, ``noisy``) first.
+
+    The rest are the distinct sets of the grid's later cells of ``method``,
+    in grid order, that ``solved`` does not hold, up to one CG block of
+    ``_BLOCK_BUDGET`` entries in all.
+    """
+    cfg, dataset = prepared.config, prepared.dataset
+    size = max(1, _BLOCK_BUDGET // (len(dataset.labels) * dataset.num_classes))
+    keys, sets = [key], [noisy]
+    cells = [(lv, s) for lv in cfg.noise_levels for s in cfg.seeds]
+    later = cells[cells.index((level, seed)) + 1:] if (level, seed) in cells else []
+    for other_level, other_seed in later:
+        if len(sets) == size:
+            break
+        other = inject_noise(dataset, other_level, other_seed)
+        other_key = _label_key(method, other, dataset.train_indices)
+        if other_key not in solved and other_key not in keys:
+            keys.append(other_key)
+            sets.append(other)
+    return keys, sets
+
+
+def _solve_sets(prepared: PreparedExperiment, method: str, sets: list) -> list:
+    """The test accuracy of each noisy label set, the sets solved side by side in one call."""
+    dataset = prepared.dataset
+    C = dataset.num_classes
+    # Column-major, so each set's columns are one contiguous run of the block.
+    Y = np.empty((len(dataset.labels), C * len(sets)), order="F")
+    for i, noisy in enumerate(sets):
+        Y[:, i * C:(i + 1) * C] = encode_labels(noisy, dataset.train_indices, C)
+    op = prepared.operators[_METHOD_OPERATORS[method]]
+    F = propagate_labels(op, Y, prepared.config.solver, out=Y)
+    return [accuracy(decode_predictions(F[:, i * C:(i + 1) * C]), dataset.labels,
+                     dataset.test_indices) for i in range(len(sets))]
+
+
+def _closed_form_accuracy(prepared: PreparedExperiment, method: str, level: float,
+                          seed: int, noisy: np.ndarray, solved: Optional[dict]) -> float:
+    """A closed-form cell's accuracy: looked up in ``solved``, or solved (see ``run_cell``)."""
+    if solved is None:
+        return _solve_sets(prepared, method, [noisy])[0]
+    key = _label_key(method, noisy, prepared.dataset.train_indices)
+    if solved.get(key) is not None:
+        return solved[key]
+    if key not in solved:
+        keys, sets = _chunk(prepared, method, level, seed, key, noisy, solved)
+        # Each set is marked to be solved alone until its chunk's solve succeeds.
+        solved.update(dict.fromkeys(keys))
+        if len(sets) > 1:
+            try:
+                solved.update(zip(keys, _solve_sets(prepared, method, sets)))
+                return solved[key]
+            except Exception:
+                pass  # the solve alone below raises whatever this set's own solve raises
+    solved[key] = _solve_sets(prepared, method, [noisy])[0]
+    return solved[key]
 
 
 def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=1,

@@ -78,13 +78,22 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
 
 
 def propagate_labels(op: PropagationOperator, Y: np.ndarray,
-                     cfg: PropagationConfig = PropagationConfig()) -> np.ndarray:
-    """Spread one-hot label seeds over the structure: the classic closed-form SSL."""
+                     cfg: PropagationConfig = PropagationConfig(), *,
+                     out: np.ndarray = None) -> np.ndarray:
+    """Spread one-hot label seeds over the structure: the classic closed-form SSL.
+
+    ``Y`` may hold several label sets side by side; each column is solved on
+    its own, so a set's columns come out the same however many sets share
+    the call.  ``out``, a float64 array of Y's shape, receives the scores and
+    is returned; it may be ``Y`` itself, which then holds them in place of
+    the seeds, every bit as a fresh result would.  A failed solve leaves such
+    an ``out`` part solved.
+    """
     if op.normalization not in ("sym", "graph_sym"):
         raise ValueError(
             f"closed-form label propagation needs a symmetric operator, "
             f"got {op.normalization!r}")
-    return _solve_columns(op, as_dense(Y), cfg)
+    return _solve_columns(op, as_dense(Y), cfg, out)
 
 
 def propagate_features(op: PropagationOperator, X: np.ndarray,

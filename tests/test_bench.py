@@ -1,9 +1,14 @@
 import gc
+import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,9 @@ import hgssl.bench
 import hgssl.hypergraph
 import hgssl.propagation
 from hgssl import network
-from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, ExperimentConfig,
-                         ResultRow, SyntheticSpec, build_operators, emit_table,
+from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, CellFailure,
+                         ExperimentConfig, ResultRow, SyntheticSpec, build_operators,
+                         emit_table,
                          load_dataset, median_grid, operator_cache_key,
                          operator_cache_path, parse_results_csv, prepare_experiment,
                          prepare_features, resolve_dataset_paths, run_cell,
@@ -160,6 +166,41 @@ class TestRunExperiment:
         (tmp_path / "swap").rename(graph)
         with pytest.raises(FormatError, match=r"_(hg_sym|graph)\.hgop: holds a"):
             build_operators(cfg, X, ops_dir=ops_dir)
+
+    def test_operator_order_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # The string-hash seed orders a set of operator names: {graph, hg_sym}
+        # lists graph first under seed 1 and hg_sym first under seed 4.
+        script = """
+import json, sys
+from dataclasses import replace
+import hgssl.hypergraph as hg
+from hgssl.bench import ExperimentConfig, SyntheticSpec, build_operators, prepare_features
+order = []
+for name in ("save_operator", "load_operator"):
+    def recorded(path, *args, _name=name, _call=getattr(hg, name)):
+        order.append([_name, path.stem.split("_", 1)[1]])
+        return _call(path, *args)
+    setattr(hg, name, recorded)
+cfg = ExperimentConfig(dataset="synthetic", methods=("graph-ssl", "hypergraph-ssl"),
+                       pca_dims=None, synthetic=SyntheticSpec(n=60, classes=3, dim=4))
+_, X = prepare_features(cfg)
+build_operators(cfg, X, ops_dir=sys.argv[1])
+build_operators(cfg, X, ops_dir=sys.argv[1])
+print(json.dumps(order))
+"""
+        orders = []
+        for seed in ("1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                [str(Path(hgssl.bench.__file__).parents[1])]
+                + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path / seed)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            orders.append(json.loads(done.stdout))
+        assert orders[0] == orders[1] == [["save_operator", "hg_sym"],
+                                          ["save_operator", "graph"],
+                                          ["load_operator", "hg_sym"],
+                                          ["load_operator", "graph"]]
 
     def test_cache_file_of_another_size_rejected(self, tmp_path):
         ops_dir = tmp_path / "ops"
@@ -563,6 +604,33 @@ class TestClosedFormReuse:
             == [(m, s) for m in cfg.methods for s in cfg.seeds]
         assert all(f.error.startswith("SolverError: ") for f in report.failures)
         assert len(solves) == 6
+
+    def test_set_that_cannot_converge_fails_only_its_cells(self, monkeypatch):
+        # At max_iter 25 the graph-ssl set of (0.15, seed 0) needs 26
+        # iterations and every other set converges.  At n = 120 each method's
+        # 5 distinct sets (3 columns each) make one chunk, so graph-ssl's
+        # chunk fails and each of its sets is then solved alone.
+        cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl"),
+                      noise_levels=(0.0, 0.15, 0.30), seeds=(0, 1),
+                      solver=PropagationConfig(max_iter=25),
+                      synthetic=SyntheticSpec(n=120, classes=3, dim=4, spread=0.5, seed=3))
+        solves = self.counting(monkeypatch, "propagate_labels")
+        report = run_experiment(cfg)
+        assert [Y.shape[1] for _, Y, *_ in solves] == [15, 3, 3, 3, 3, 3, 15]
+        monkeypatch.undo()
+        prepared = prepare_experiment(cfg)
+        rows, failures = [], []
+        for method in cfg.methods:
+            for level in cfg.noise_levels:
+                for seed in cfg.seeds:
+                    try:
+                        rows.append(run_cell(prepared, method, level, seed))
+                    except SolverError as exc:
+                        failures.append(CellFailure(method, level, seed, f"SolverError: {exc}"))
+        assert report.failures == failures
+        assert [(f.method, f.noise_level, f.seed) for f in failures] == [("graph-ssl", 0.15, 0)]
+        assert "1 of 3 columns did not reach" in failures[0].error
+        assert [strip_time(r) for r in report.rows] == [strip_time(r) for r in rows]
 
     def test_reused_row_has_its_own_wall_time(self, monkeypatch):
         cfg = replace(SMALL, methods=("hypergraph-ssl",), seeds=(0, 1, 2))

@@ -16,8 +16,12 @@ seed.  Two stored tables describe it:
   the solver's tolerance without a test failing here, but a change to the
   solve or to training shows up in them before it changes a label.
 
-Closed-form cells that reuse an earlier solve predict nothing of their own
-and have no entry.  Regenerate both tables with
+A closed-form cell that solves solves its chunk, its own noisy label set
+side by side with the grid's next distinct unsolved sets of its method.
+Each set's scores are its own columns of the chunk's scores, and its entry
+is keyed by the set's owner: the first cell of the grid with those noisy
+labels.  Closed-form cells that reuse an earlier solve own no set and have
+no entry.  Regenerate both tables with
 ``PYTHONPATH=src python tests/test_predictions.py``.
 """
 
@@ -29,7 +33,9 @@ import numpy as np
 import pytest
 
 import hgssl.bench
+from hgssl.bench import _CLOSED_FORM
 from hgssl.config import load_config
+from hgssl.labels import inject_noise
 from hgssl.network import forward
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,36 +56,77 @@ def score_fingerprint(scores, test_rows) -> dict:
             "scores_fro": float(np.linalg.norm(scores))}
 
 
+def cell_name(method, level, seed) -> str:
+    return f"{method},{level!r},{seed}"
+
+
+def set_owners(prepared) -> dict:
+    """Per closed-form method, the first cell of each distinct noisy label set, in grid order."""
+    cfg, dataset = prepared.config, prepared.dataset
+    owners = {}
+    for method in cfg.methods:
+        if method not in _CLOSED_FORM:
+            continue
+        seen = set()
+        for level in cfg.noise_levels:
+            for seed in cfg.seeds:
+                labels = inject_noise(dataset, level, seed)[dataset.train_indices].tobytes()
+                if labels not in seen:
+                    seen.add(labels)
+                    owners.setdefault(method, []).append(cell_name(method, level, seed))
+    return owners
+
+
 def smoke_grid_records(patch):
     """Run the smoke grid; return each cell's label hash and score fingerprint."""
     hashes, fingerprints = {}, {}
-    current = []  # (cell, test rows) of the cell that is running
+    current = []  # (cell, method, dataset) of the cell that is running
+    owners = {}  # per closed-form method, the owners of its sets not yet solved
+    unscored = []  # the owners of solved sets whose predictions are not decoded yet
 
     def in_cell(run_cell):
         def wrapped(prepared, method, level, seed, *args, **kwargs):
-            current.append((f"{method},{level!r},{seed}", prepared.dataset.test_indices))
+            if not owners:
+                owners.update(set_owners(prepared))
+            current.append((cell_name(method, level, seed), method, prepared.dataset))
             try:
                 return run_cell(prepared, method, level, seed, *args, **kwargs)
             finally:
                 current.pop()
         return wrapped
 
-    def record(table, value):
-        cell = current[-1][0]
+    def record(table, cell, value):
         assert cell not in table, f"cell {cell} recorded twice"
         table[cell] = value
 
-    def predicted(predicts):
+    def decoded(decode_predictions):
         def wrapped(*args, **kwargs):
-            pred = predicts(*args, **kwargs)
-            record(hashes, label_hash(pred))
+            pred = decode_predictions(*args, **kwargs)
+            record(hashes, unscored.pop(0), label_hash(pred))
+            return pred
+        return wrapped
+
+    def predicted(predict):
+        def wrapped(*args, **kwargs):
+            pred = predict(*args, **kwargs)
+            record(hashes, current[-1][0], label_hash(pred))
             return pred
         return wrapped
 
     def solved(propagate_labels):
         def wrapped(*args, **kwargs):
             scores = propagate_labels(*args, **kwargs)
-            record(fingerprints, score_fingerprint(scores, current[-1][1]))
+            cell, method, dataset = current[-1]
+            C = dataset.num_classes
+            chunk = owners[method][:scores.shape[1] // C]
+            del owners[method][:len(chunk)]
+            assert chunk[0] == cell, f"cell {cell} solved the set of {chunk[0]}"
+            for i, owner in enumerate(chunk):
+                # Row-major, as a solve of the set alone returns it: the norm
+                # sums the entries in memory order.
+                own = np.ascontiguousarray(scores[:, i * C:(i + 1) * C])
+                record(fingerprints, owner, score_fingerprint(own, dataset.test_indices))
+            unscored.extend(chunk)
             return scores
         return wrapped
 
@@ -87,19 +134,23 @@ def smoke_grid_records(patch):
         def wrapped(op, x_prop, *args, **kwargs):
             params = train(op, x_prop, *args, **kwargs)
             logits = forward(op, x_prop, params).logits
-            record(fingerprints, {**score_fingerprint(logits, current[-1][1]),
-                                  "theta1_fro": float(np.linalg.norm(params.theta1)),
-                                  "theta2_fro": float(np.linalg.norm(params.theta2))})
+            cell, _, dataset = current[-1]
+            record(fingerprints, cell,
+                   {**score_fingerprint(logits, dataset.test_indices),
+                    "theta1_fro": float(np.linalg.norm(params.theta1)),
+                    "theta2_fro": float(np.linalg.norm(params.theta2))})
             return params
         return wrapped
 
     patch.setattr(hgssl.bench, "run_cell", in_cell(hgssl.bench.run_cell))
-    for name in ("decode_predictions", "predict"):
-        patch.setattr(hgssl.bench, name, predicted(getattr(hgssl.bench, name)))
+    patch.setattr(hgssl.bench, "decode_predictions",
+                  decoded(hgssl.bench.decode_predictions))
+    patch.setattr(hgssl.bench, "predict", predicted(hgssl.bench.predict))
     patch.setattr(hgssl.bench, "propagate_labels", solved(hgssl.bench.propagate_labels))
     patch.setattr(hgssl.bench, "train", trained(hgssl.bench.train))
     report = hgssl.bench.run_experiment(load_config(ROOT / CONFIG))
     assert report.ok, report.failures
+    assert not unscored and not any(owners.values()), "a solved set was not scored"
     return hashes, fingerprints
 
 

@@ -231,6 +231,26 @@ def test_features_solved_in_place_match_a_fresh_result(monkeypatch, block):
     assert X.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("structure", ["hypergraph", "graph"])
+def test_stacked_label_sets_solved_in_place_match_each_set_alone(monkeypatch, structure,
+                                                                 cores):
+    # A grid's chunk: four label sets side by side in one column-major block,
+    # solved in place.  Each set's columns must be the bits of its own solve,
+    # however the block's 12 columns split into groups (6+6, 4+4+4, 3+3+3+3).
+    ds = synthetic_blobs(120, 3, 4, 0.5, seed=3)
+    op = (hypergraph_operator(knn_hypergraph(ds.features, 5), "sym")
+          if structure == "hypergraph" else build_knn_graph(knn_adjacency(ds.features, 5)))
+    sets = [encode_labels(inject_noise(ds, level, seed), ds.train_indices, 3)
+            for level, seed in ((0.0, 0), (0.15, 0), (0.30, 1), (0.45, 2))]
+    alone = [propagate_labels(op, Y) for Y in sets]
+    split_columns(monkeypatch, cores)
+    stacked = np.asfortranarray(np.hstack(sets))
+    assert propagate_labels(op, stacked, out=stacked) is stacked
+    for i, want in enumerate(alone):
+        assert np.ascontiguousarray(stacked[:, 3 * i:3 * i + 3]).tobytes() == want.tobytes(), i
+
+
 def test_wide_feature_solve_holds_five_blocks():
     # Raw 784-pixel features at n = 3000, solved in place as set-up does.  Each
     # group's three iterates plus its operator product's two arrays come to

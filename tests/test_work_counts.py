@@ -37,10 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = "configs/synthetic.cfg"
 PINS = Path(__file__).resolve().parent / "work_pins.json"
 
-# 2 closed-form methods x (4 levels x 3 seeds - 2 repeated clean-label cells),
-# plus 1 block for the hgnn-proposed features.
-BLOCK_SOLVES = 21
-MAX_APPLICATIONS = 466
+# 1 block for the hgnn-proposed features, plus 1 per closed-form method: at
+# n = 400 and 4 classes one block holds all 10 distinct label sets of a method
+# (4 levels x 3 seeds - 2 repeated clean-label cells), solved as one chunk.
+BLOCK_SOLVES = 3
+MAX_APPLICATIONS = 64
+# As when each set was solved on its own: every column does the same work.
 COLUMN_APPLICATIONS = 1873
 # gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
 NEURAL_CELLS = 36
