@@ -21,7 +21,10 @@ points = np.vstack([
     rng.normal(loc=5.0, scale=0.3, size=(4, 2)),
 ])
 
-hg = build_knn_hypergraph(knn_indices(points, k=2))
+# The kNN pass returns the neighbor lists and their squared distances; the
+# hypergraph reads only the lists.
+knn, _ = knn_indices(points, k=2)
+hg = build_knn_hypergraph(knn)
 print("incidence matrix H (rows = vertices, columns = hyperedges):")
 print(hg.incidence.toarray().astype(int))
 print("\nvertex degrees d(v):", hg.vertex_degrees)

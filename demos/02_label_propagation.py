@@ -25,9 +25,10 @@ ds = synthetic_blobs(n=600, num_classes=4, dim=8, spread=0.15, seed=3)
 print(f"{ds.num_samples} points, {ds.num_classes} classes, "
       f"{len(ds.train_indices)} labeled / {len(ds.test_indices)} to predict")
 
-# One kNN pass feeds both structures.
-knn = knn_indices(ds.features, k=5)
-graph_op = build_knn_graph(gaussian_knn_adjacency(ds.features, knn))
+# One kNN pass feeds both structures: the graph weighs its neighbor lists by
+# the squared distances the pass kept, the hypergraph reads the lists alone.
+knn, sq_dist = knn_indices(ds.features, k=5)
+graph_op = build_knn_graph(gaussian_knn_adjacency(knn, sq_dist))
 hyper_op = hypergraph_operator(build_knn_hypergraph(knn), "sym")
 cfg = PropagationConfig(alpha=0.99)
 

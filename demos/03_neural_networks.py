@@ -20,9 +20,9 @@ from hgssl import (PropagationConfig, TrainConfig, accuracy,
                    predict, propagate_features, synthetic_blobs, train)
 
 ds = synthetic_blobs(n=500, num_classes=3, dim=10, spread=0.35, seed=7)
-knn = knn_indices(ds.features, k=5)
+knn, sq_dist = knn_indices(ds.features, k=5)
 hyper_op = hypergraph_operator(build_knn_hypergraph(knn), "sym")
-graph_op = gcn_operator(gaussian_knn_adjacency(ds.features, knn))
+graph_op = gcn_operator(gaussian_knn_adjacency(knn, sq_dist))
 smoothed = propagate_features(hyper_op, ds.features, PropagationConfig(alpha=0.99))
 smoothed_input = hyper_op.apply(smoothed)
 cfg = TrainConfig(hidden=64, epochs=200)

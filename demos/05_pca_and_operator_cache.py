@@ -31,8 +31,10 @@ print(f"top-8 components keep shape {reduced.shape} of {ds.features.shape}")
 # Distances are preserved up to the discarded directions, so the kNN
 # structure built on the reduced matrix is essentially the one built on raw
 # features, at an eighth of the distance cost.
-op_raw = hypergraph_operator(build_knn_hypergraph(knn_indices(ds.features, k=5)), "sym")
-op_red = hypergraph_operator(build_knn_hypergraph(knn_indices(reduced, k=5)), "sym")
+knn_raw, _ = knn_indices(ds.features, k=5)
+knn_red, _ = knn_indices(reduced, k=5)
+op_raw = hypergraph_operator(build_knn_hypergraph(knn_raw), "sym")
+op_red = hypergraph_operator(build_knn_hypergraph(knn_red), "sym")
 overlap = (op_raw.matrix.toarray() > 0) & (op_red.matrix.toarray() > 0)
 print(f"\nshared nonzero pattern raw-vs-reduced: "
       f"{overlap.sum() / (op_raw.matrix.nnz):.1%}")

@@ -6,13 +6,19 @@ initialization.  Within one grid a closed-form cell's accuracy depends only on
 its method and its noisy training labels, so cells whose labels are equal
 (every seed at noise level 0) share one solve.
 
+A closed-form label set is named by what draws it, ``labels.noise_name``: the
+flip count ``round(level * l)`` with the seed, or ``"clean"`` when the count
+is 0.  Equal names give equal labels, so a set is found solved, and a chunk
+is planned, by name alone, before anything is drawn.
+
 A closed-form cell whose label set is not solved yet solves its chunk: its
 own set, then the grid's next distinct, still-unsolved sets of its method in
-grid order, as many as one CG block of ``_BLOCK_BUDGET`` entries holds.  The
-chunk's sets are solved side by side as one block, so their columns share
-each operator product, and each set's scores are the ones a solve of it
-alone gives, bit for bit.  If a chunk's solve fails, each of its sets is
-solved alone, so a cell fails exactly when its own set does.
+grid order, as many as one CG block of ``_BLOCK_BUDGET`` entries holds.  Only
+then are the chunk's sets drawn, each once.  They are solved side by side as
+one block, so their columns share each operator product, and each set's
+scores are the ones a solve of it alone gives, bit for bit.  A cell whose set
+is already solved draws nothing.  If a chunk's solve fails, each of its sets
+is solved alone, so a cell fails exactly when its own set does.
 
 Set-up forms everything a cell reads, once per experiment, and cells only
 read it: the operators, and each neural method's network input (Theta Z for
@@ -36,7 +42,7 @@ from .datasets import (ImageDataset, LabeledSplit, _absent_classes, check_blob_a
                        load_idx_dataset, load_usps_dataset, stratified_subsample,
                        synthetic_blobs)
 from .errors import FormatError, SolverError, _require
-from .labels import accuracy, decode_predictions, encode_labels, inject_noise
+from .labels import accuracy, decode_predictions, encode_labels, inject_noise, noise_name
 from .linalg import _BLOCK_BUDGET
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
@@ -253,12 +259,12 @@ def build_operators(cfg: ExperimentConfig, X: np.ndarray, ops_dir=None) -> dict:
             pending.append(name)
 
     if pending:
-        knn = hg.knn_indices(X, cfg.k)
+        knn, sq_dist = hg.knn_indices(X, cfg.k)
         if "hg_sym" in pending:
             hgraph = hg.build_knn_hypergraph(knn)
             operators["hg_sym"] = hg.hypergraph_operator(hgraph, "sym")
         if "graph" in pending or "gcn" in pending:
-            adjacency = hg.gaussian_knn_adjacency(X, knn)
+            adjacency = hg.gaussian_knn_adjacency(knn, sq_dist)
         if "graph" in pending:
             operators["graph"] = hg.build_knn_graph(adjacency)
         if "gcn" in pending:
@@ -333,15 +339,15 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
              seed: int, solved: Optional[dict] = None) -> ResultRow:
     """Run one (method, noise level, seed) cell and score it on the test split.
 
-    ``solved`` maps (closed-form method, sha256 of the noisy training labels)
-    to the accuracy of a cell of the same grid that was already solved; such
-    a cell reuses it.  A cell whose labels are not in it solves its chunk
-    (see the module docstring), ``(level, seed)`` placing it in the grid of
-    ``prepared.config``, and adds each set's accuracy.  A set whose solve
-    raised maps to None, and each of its cells solves it alone.  Without
-    ``solved`` a closed-form cell solves its own labels alone.  ``method``
-    must be one the experiment was prepared for: only those have their
-    operator and, for a neural method, its input.
+    ``solved`` maps (closed-form method, name of the noisy labels, see
+    ``labels.noise_name``) to the accuracy of a cell of the same grid that was
+    already solved; such a cell reuses it without drawing its labels.  A cell
+    whose labels are not in it solves its chunk (see the module docstring),
+    ``(level, seed)`` placing it in the grid of ``prepared.config``, and adds
+    each set's accuracy.  A set whose solve raised maps to None, and each of
+    its cells solves it alone.  Without ``solved`` a closed-form cell solves
+    its own labels alone.  ``method`` must be one the experiment was prepared
+    for: only those have their operator and, for a neural method, its input.
     """
     cfg = prepared.config
     if method not in cfg.methods:
@@ -353,13 +359,13 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     if method == "hgnn-proposed" and error is not None:
         # A fresh copy per cell, so the kept error gathers no frames.
         raise SolverError(error.reason, error.residual, error.columns)
-    noisy = inject_noise(dataset, level, seed)
 
     if method in _CLOSED_FORM:
-        acc = _closed_form_accuracy(prepared, method, level, seed, noisy, solved)
+        acc = _closed_form_accuracy(prepared, method, level, seed, solved)
     else:
         # Never reused: the seed also draws the initial parameters.
         op = prepared.operators[_METHOD_OPERATORS[method]]
+        noisy = inject_noise(dataset, level, seed)
         Y = encode_labels(noisy, dataset.train_indices, dataset.num_classes)
         x_prop = prepared.inputs[method]
         params = train(op, x_prop, Y, dataset.train_indices, cfg.train, seed=seed)
@@ -370,33 +376,26 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
                      pca_used=cfg.pca_dims is not None)
 
 
-def _label_key(method: str, noisy: np.ndarray, train_indices: np.ndarray) -> tuple:
-    """The key of a closed-form method's noisy label set in ``solved`` (see ``run_cell``)."""
-    return (method, hashlib.sha256(noisy[train_indices]).digest())
-
-
 def _chunk(prepared: PreparedExperiment, method: str, level: float, seed: int,
-           key: tuple, noisy: np.ndarray, solved: dict):
-    """The keys and label sets of a cell's chunk, its own (``key``, ``noisy``) first.
+           solved: dict) -> dict:
+    """A cell's chunk: each set's key mapped to the (level, seed) that draws it.
 
-    The rest are the distinct sets of the grid's later cells of ``method``,
-    in grid order, that ``solved`` does not hold, up to one CG block of
-    ``_BLOCK_BUDGET`` entries in all.
+    The cell's own set comes first, then the distinct sets of the grid's later
+    cells of ``method``, in grid order, that ``solved`` does not hold, up to
+    one CG block of ``_BLOCK_BUDGET`` entries in all.  Nothing is drawn.
     """
     cfg, dataset = prepared.config, prepared.dataset
     size = max(1, _BLOCK_BUDGET // (len(dataset.labels) * dataset.num_classes))
-    keys, sets = [key], [noisy]
+    chunk = {(method, noise_name(dataset, level, seed)): (level, seed)}
     cells = [(lv, s) for lv in cfg.noise_levels for s in cfg.seeds]
     later = cells[cells.index((level, seed)) + 1:] if (level, seed) in cells else []
-    for other_level, other_seed in later:
-        if len(sets) == size:
+    for cell in later:
+        if len(chunk) == size:
             break
-        other = inject_noise(dataset, other_level, other_seed)
-        other_key = _label_key(method, other, dataset.train_indices)
-        if other_key not in solved and other_key not in keys:
-            keys.append(other_key)
-            sets.append(other)
-    return keys, sets
+        key = (method, noise_name(dataset, *cell))
+        if key not in solved:
+            chunk.setdefault(key, cell)
+    return chunk
 
 
 def _solve_sets(prepared: PreparedExperiment, method: str, sets: list) -> list:
@@ -414,24 +413,26 @@ def _solve_sets(prepared: PreparedExperiment, method: str, sets: list) -> list:
 
 
 def _closed_form_accuracy(prepared: PreparedExperiment, method: str, level: float,
-                          seed: int, noisy: np.ndarray, solved: Optional[dict]) -> float:
+                          seed: int, solved: Optional[dict]) -> float:
     """A closed-form cell's accuracy: looked up in ``solved``, or solved (see ``run_cell``)."""
+    dataset = prepared.dataset
     if solved is None:
-        return _solve_sets(prepared, method, [noisy])[0]
-    key = _label_key(method, noisy, prepared.dataset.train_indices)
+        return _solve_sets(prepared, method, [inject_noise(dataset, level, seed)])[0]
+    key = (method, noise_name(dataset, level, seed))
     if solved.get(key) is not None:
         return solved[key]
     if key not in solved:
-        keys, sets = _chunk(prepared, method, level, seed, key, noisy, solved)
+        chunk = _chunk(prepared, method, level, seed, solved)
         # Each set is marked to be solved alone until its chunk's solve succeeds.
-        solved.update(dict.fromkeys(keys))
-        if len(sets) > 1:
+        solved.update(dict.fromkeys(chunk))
+        if len(chunk) > 1:
             try:
-                solved.update(zip(keys, _solve_sets(prepared, method, sets)))
+                sets = [inject_noise(dataset, *cell) for cell in chunk.values()]
+                solved.update(zip(chunk, _solve_sets(prepared, method, sets)))
                 return solved[key]
             except Exception:
                 pass  # the solve alone below raises whatever this set's own solve raises
-    solved[key] = _solve_sets(prepared, method, [noisy])[0]
+    solved[key] = _solve_sets(prepared, method, [inject_noise(dataset, level, seed)])[0]
     return solved[key]
 
 

@@ -9,15 +9,17 @@ Every structure here rests on one exact kNN pass, ``knn_indices``.  It takes
 squared distances from a blocked matrix product, ||x_i||^2 + ||x_j||^2 -
 2 X_b X^T, keeps each row's candidates within a certified floating-point
 error bound of its k-th smallest value, and reranks only those candidates
-with the difference formula ``pair_sq_distances``, which the Gaussian graph
-weights use too.  The bound (derived in ``knn_indices``) is wide enough that
-no true neighbor or tie can fall outside the shortlist, so the result equals
-an exhaustive sort by (distance, index).  The builders take its output rather
-than recomputing it: ``build_knn_hypergraph(knn)`` and
-``gaussian_knn_adjacency(X, knn)``, whose adjacency A feeds both
-``build_knn_graph(A)`` and ``gcn_operator(A)``.  Only the adjacency prunes
-(``_WEIGHT_FLOOR``), and it rejects a Gaussian width whose 2 sigma^2 is not a
-normal float; every sparse matrix is made canonical where it is built.
+with the difference formula ``pair_sq_distances``.  The bound (derived in
+``knn_indices``) is wide enough that no true neighbor or tie can fall outside
+the shortlist, so the result equals an exhaustive sort by (distance, index).
+The pass returns the neighbor lists with their exact squared distances, the
+rerank's own values, and the builders take that output rather than
+recomputing it: ``build_knn_hypergraph(knn)`` takes the lists and
+``gaussian_knn_adjacency(knn, sq_dist)`` the lists and the distances, so no
+distance is computed twice.  The adjacency A feeds both ``build_knn_graph(A)``
+and ``gcn_operator(A)``.  Only the adjacency prunes (``_WEIGHT_FLOOR``), and
+it rejects a Gaussian width whose 2 sigma^2 is not a normal float; every
+sparse matrix is made canonical where it is built.
 
 Propagation operators are the n x n smoothing operators shared by the
 closed-form solvers and the neural forward passes, which use them only through
@@ -177,8 +179,9 @@ def _chain(factors, V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 def pair_sq_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """||X[rows[t]] - X[cols[t]]||^2 for every t, by the difference formula.
 
-    This is the one definition of an exact squared distance in the package:
-    the kNN rerank and the Gaussian graph weights both call it.  Pairs are
+    This is the one definition of an exact squared distance in the package.
+    The kNN rerank calls it, and the Gaussian graph weights read the values
+    the rerank kept (see :func:`knn_indices`).  Pairs are
     gathered ``_PAIR_BUDGET`` coordinates at a time; each pair's sum runs over
     one contiguous row of the gathered block, so the result does not depend on
     the chunking.
@@ -222,14 +225,16 @@ def _certified_slack(sq_norms: np.ndarray, dim: int) -> np.ndarray:
     return 2.0 * gamma * (norms + norms.max()) ** 2 + 4 * m * _SUBNORMAL_MIN
 
 
-def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
+def knn_indices(X: np.ndarray, k: int) -> tuple:
     """Exact k nearest neighbors of every row of ``X`` (Euclidean, self excluded).
 
-    Row i lists its k nearest rows sorted by ascending distance; equal
-    distances are broken by the lower row index.  A distance is the value of
-    :func:`pair_sq_distances`, so duplicated points tie exactly.  Rows holding
-    a NaN or an infinity, or whose squared norm could overflow a distance,
-    raise ``ValueError`` naming the first such row.
+    Returns ``(knn, sq_dist)``, two n x k arrays.  Row i of ``knn`` lists its
+    k nearest rows sorted by ascending distance; equal distances are broken by
+    the lower row index.  ``sq_dist[i, t]`` is the squared distance from row i
+    to row ``knn[i, t]``: the value of :func:`pair_sq_distances` on that
+    (row, neighbor) pair, bit for bit, so duplicated points tie exactly.
+    Rows holding a NaN or an infinity, or whose squared norm could overflow a
+    distance, raise ``ValueError`` naming the first such row.
 
     Algorithm, per tile of ``min(_TILE_ROWS, _BLOCK_BUDGET // n)`` rows (at
     least one), so at most min(256 n, 2^21) distances at a time:
@@ -239,7 +244,8 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
        smallest G in row i, taken by partitioning ``_PARTITION_ROWS`` rows of
        G at a time, and s_i comes from :func:`_certified_slack`.
     3. Rerank only the shortlisted pairs with :func:`pair_sq_distances` and
-       keep, per row, the first k in (distance, index) order.
+       keep, per row, the first k in (distance, index) order, with their
+       distances.
 
     Why the shortlist cannot miss a neighbor.  Let D_ij be the exact real
     squared distance, d_ij its computed value from step 3, u = 2^-53,
@@ -279,6 +285,7 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
                          f"(squared norm {sq_norms[row]:.3g}, limit {_SQ_NORM_LIMIT:.3g})")
     slack = _certified_slack(sq_norms, dim)
     out = np.empty((n, k), dtype=np.int64)
+    out_sq = np.empty((n, k))
     block = max(1, min(_TILE_ROWS, _BLOCK_BUDGET // n))
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -298,16 +305,23 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
         # Every row has at least k candidates; take the first k of each run.
         first = np.zeros(stop - start, dtype=np.int64)
         np.cumsum(np.bincount(local, minlength=stop - start)[:-1], out=first[1:])
-        out[start:stop] = cand[order][first[:, None] + np.arange(k)]
-    return out
+        keep = order[first[:, None] + np.arange(k)]
+        out[start:stop] = cand[keep]
+        out_sq[start:stop] = dist[keep]
+    return out, out_sq
 
 
 def _symmetric_knn(knn: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
     """M.maximum(M.T) for M[i, knn[i, t]] = values[i k + t]: the symmetric kNN relation.
 
     A mutual pair keeps the larger value; no zero is stored, but a NaN would be.
-    A knn row listing an index outside [0, n), twice or itself raises ``ValueError``.
+    A knn that is not a 2-D integer array, or a row listing an index outside
+    [0, n), twice or itself, raises ``ValueError``: scipy would cast float
+    indices to integers without a word.
     """
+    if knn.ndim != 2 or knn.dtype.kind not in "iu":
+        raise ValueError(f"knn must be an n x k array of integer indices, got shape "
+                         f"{knn.shape} of dtype {knn.dtype}")
     n, k = knn.shape
     M = sp.csr_matrix((values, knn.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
     M.check_format(full_check=True)  # scipy's kernels index memory with unchecked columns
@@ -318,7 +332,7 @@ def _symmetric_knn(knn: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
 
 
 def build_knn_hypergraph(knn: np.ndarray) -> Hypergraph:
-    """The n-hyperedge kNN hypergraph of the neighbor lists ``knn_indices(X, k)``.
+    """The n-hyperedge kNN hypergraph of the neighbor lists ``knn`` of ``knn_indices``.
 
     Hyperedge e_j holds its centroid j and every point related to j by the
     symmetric kNN relation: H is ``_symmetric_knn`` of ones, plus I.
@@ -344,29 +358,38 @@ def hypergraph_operator(hg: Hypergraph, normalization: str) -> PropagationOperat
     return PropagationOperator(factors=factors, normalization=normalization)
 
 
-def gaussian_knn_adjacency(X: np.ndarray, knn: np.ndarray) -> sp.csr_matrix:
+def gaussian_knn_adjacency(knn: np.ndarray, sq_dist: np.ndarray) -> sp.csr_matrix:
     """Symmetrized kNN adjacency A with Gaussian weights, shared by the graph operators.
 
-    ``knn`` is ``knn_indices(X, k)``.  The edges are the symmetric kNN relation
-    (``_symmetric_knn``), weighted exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero
-    diagonal, where sigma is the mean distance to the k-th neighbor.  Weights
-    below ``_WEIGHT_FLOOR`` are not stored.  A sigma of 0, or one whose 2 sigma^2 is
-    not a normal float (every weight would be 0 or NaN), raises ``ValueError``.
+    ``knn, sq_dist = knn_indices(X, k)``: the neighbor lists and their squared
+    distances.  The edges are the symmetric kNN relation (``_symmetric_knn``),
+    weighted exp(-||x_i - x_j||^2 / (2 sigma^2)) with zero diagonal, where
+    sigma is the mean distance to the k-th neighbor.  Weights below
+    ``_WEIGHT_FLOOR`` are not stored.  Distances not of the lists' shape, and
+    a negative or non-finite distance, raise ``ValueError``; so do a sigma of
+    0 and one whose 2 sigma^2 is not a normal float (every weight would be 0
+    or NaN).
     """
-    X = as_dense(X)
     neighbors = np.asarray(knn)
-    n = X.shape[0]
-    sq_dist = pair_sq_distances(X, np.repeat(np.arange(n), neighbors.shape[1]),
-                                neighbors.ravel())
+    sq_dist = np.asarray(sq_dist, dtype=np.float64)
+    if sq_dist.shape != neighbors.shape:
+        raise ValueError(f"distances of shape {sq_dist.shape} do not match neighbor "
+                         f"lists of shape {neighbors.shape}")
+    # NaN compares false, so one test catches NaN, negatives and inf.
+    bad = np.flatnonzero(~((0.0 <= sq_dist) & (sq_dist < np.inf)))
+    if bad.size:
+        row, col = np.unravel_index(bad[0], sq_dist.shape)
+        raise ValueError(f"squared distance [{row}, {col}] is {float(sq_dist[row, col])!r}; "
+                         f"distances must be finite and non-negative")
 
-    # Mean distance to the k-th neighbor, the last of each row's block.
-    sigma = float(np.sqrt(sq_dist.reshape(n, -1)[:, -1]).mean())
+    # Mean distance to the k-th neighbor, the last of each row.
+    sigma = float(np.sqrt(sq_dist[:, -1]).mean())
     width = 2.0 * sigma ** 2
     if not np.finfo(np.float64).tiny <= width < np.inf:
         raise ValueError("sigma must be positive and 2 sigma^2 a normal float, "
                          f"got sigma = {sigma:.3g}, 2 sigma^2 = {width:.3g}")
     # Mutual pairs' two distances are bit-equal (x_i - x_j = -(x_j - x_i) exactly).
-    A = _symmetric_knn(neighbors, np.exp(-sq_dist / width))
+    A = _symmetric_knn(neighbors, np.exp(-sq_dist.ravel() / width))
     A.data[A.data < _WEIGHT_FLOOR] = 0.0
     A.eliminate_zeros()
     return A

@@ -4,7 +4,9 @@ Noise is symmetric and class-uniform: exactly ``round(level * l)`` training
 labels are flipped, each replaced by a class drawn uniformly from the other
 C - 1 classes.  All randomness flows through one PCG64 stream seeded with
 ``seed``, consumed in a fixed order (first the flip-set draw, then one
-replacement offset per flipped index), so flips are reproducible.
+replacement offset per flipped index), so flips are reproducible.  On one
+dataset a draw therefore depends only on its flip count and its seed, and
+``noise_name`` names it by them without drawing.
 
 ``row_indices`` is the one check of a set of row indices: the labeled rows
 of ``encode_labels`` and of training, and the evaluation rows of
@@ -42,16 +44,32 @@ def row_indices(rows, n: int) -> np.ndarray:
     return rows
 
 
+def _flip_count(dataset: ImageDataset | LabeledSplit, level: float) -> int:
+    """``round(level * l)``, the number of training labels noise ``level`` flips."""
+    if not (0.0 <= level < 1.0):
+        raise ValueError(f"noise level must be in [0, 1), got {level}")
+    return int(round(level * len(dataset.train_indices)))
+
+
+def noise_name(dataset: ImageDataset | LabeledSplit, level: float, seed: int):
+    """The name of the noisy labels ``inject_noise(dataset, level, seed)`` draws.
+
+    On one dataset the draw depends only on the flip count and the seed, so
+    the name is ``(count, seed)``, or ``"clean"`` when the count is 0 and no
+    label flips: equal names give equal label vectors, and naming draws nothing.
+    """
+    count = _flip_count(dataset, level)
+    return (count, seed) if count else "clean"
+
+
 def inject_noise(dataset: ImageDataset | LabeledSplit, level: float,
                  seed: int) -> np.ndarray:
     """The dataset's labels with ``round(level * l)`` training labels flipped.
 
     Returns a new array; ``dataset.labels`` and every test label stay as they are.
     """
-    if not (0.0 <= level < 1.0):
-        raise ValueError(f"noise level must be in [0, 1), got {level}")
+    count = _flip_count(dataset, level)
     noisy = dataset.labels.copy()
-    count = int(round(level * len(dataset.train_indices)))
     if count:
         rng = np.random.default_rng(seed)
         flipped = np.sort(rng.choice(dataset.train_indices, size=count, replace=False))

@@ -4,8 +4,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from hgssl import linalg
-from hgssl.hypergraph import (Hypergraph, build_knn_hypergraph, gaussian_knn_adjacency,
-                              hypergraph_operator, knn_indices)
+from hgssl.hypergraph import (_WEIGHT_FLOOR, Hypergraph, _symmetric_knn, build_knn_hypergraph,
+                              gaussian_knn_adjacency, hypergraph_operator, knn_indices,
+                              pair_sq_distances)
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -23,12 +24,32 @@ def split_columns(monkeypatch, cores):
 
 def knn_hypergraph(X, k) -> Hypergraph:
     """The kNN hypergraph over the rows of ``X``, as ``bench.build_operators`` builds it."""
-    return build_knn_hypergraph(knn_indices(X, k))
+    knn, _ = knn_indices(X, k)
+    return build_knn_hypergraph(knn)
 
 
 def knn_adjacency(X, k) -> sp.csr_matrix:
     """The Gaussian kNN adjacency over the rows of ``X`` that both graph operators take."""
-    return gaussian_knn_adjacency(X, knn_indices(X, k))
+    return gaussian_knn_adjacency(*knn_indices(X, k))
+
+
+def reference_adjacency(X, knn) -> sp.csr_matrix:
+    """The Gaussian kNN adjacency with every distance computed again from ``X``.
+
+    The reference for ``gaussian_knn_adjacency``, which reads the distances
+    the kNN pass kept: the same sigma, weights, floor and symmetric relation,
+    from ``pair_sq_distances`` on each (row, neighbor) pair of ``knn``.
+    """
+    n = len(X)
+    sq_dist = pair_sq_distances(X, np.repeat(np.arange(n), knn.shape[1]), knn.ravel())
+    sigma = float(np.sqrt(sq_dist.reshape(n, -1)[:, -1]).mean())
+    width = 2.0 * sigma ** 2
+    if not np.finfo(np.float64).tiny <= width < np.inf:
+        raise ValueError(f"sigma must be positive and 2 sigma^2 a normal float, got {sigma}")
+    A = _symmetric_knn(knn, np.exp(-sq_dist / width))
+    A.data[A.data < _WEIGHT_FLOOR] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 def random_hypergraph(rng, n, k=3, dim=3) -> Hypergraph:

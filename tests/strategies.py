@@ -51,7 +51,7 @@ def outlier_clouds(draw):
 
     def linked(gap):
         X = cloud(gap)
-        return gaussian_knn_adjacency(X, knn_indices(X, k))[n:, :n].nnz > 0
+        return gaussian_knn_adjacency(*knn_indices(X, k))[n:, :n].nnz > 0
 
     lo, hi = 0.0, 1.0  # at gap 0 the triple sits on the corner point
     while linked(hi):

@@ -27,7 +27,7 @@ from hgssl.propagation import (PropagationConfig, propagate_features,
 
 
 def random_hypergraph_operator(rng, n, normalization="sym", k=3):
-    hg = build_knn_hypergraph(knn_indices(rng.standard_normal((n, 3)), k))
+    hg = build_knn_hypergraph(knn_indices(rng.standard_normal((n, 3)), k)[0])
     return hypergraph_operator(hg, normalization)
 
 
@@ -116,7 +116,7 @@ def test_criterion_3_operator_invariants():
     started = time.perf_counter()
     rng = np.random.default_rng(3003)
     for n in (30, 70, 100):
-        hgraph = build_knn_hypergraph(knn_indices(rng.standard_normal((n, 3)), 4))
+        hgraph = build_knn_hypergraph(knn_indices(rng.standard_normal((n, 3)), 4)[0])
         rw = hypergraph_operator(hgraph, "rw").matrix
         row_sums = np.asarray(rw.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums - 1.0)) < 1e-10
@@ -125,7 +125,7 @@ def test_criterion_3_operator_invariants():
         eigenvalues = np.linalg.eigvalsh(sym)
         assert eigenvalues.min() >= -1e-10
         assert eigenvalues.max() <= 1.0 + 1e-10
-    two = hypergraph_operator(build_knn_hypergraph(knn_indices([[0.0], [1.0]], 1)), "sym")
+    two = hypergraph_operator(build_knn_hypergraph(knn_indices([[0.0], [1.0]], 1)[0]), "sym")
     assert np.allclose(two.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

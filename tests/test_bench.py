@@ -587,6 +587,17 @@ class TestClosedFormReuse:
         for row in report.rows:
             assert row.accuracy == run_cell(prepared, row.method, 0.0, 0).accuracy
 
+    def test_each_set_drawn_once_by_the_chunk_that_solves_it(self, monkeypatch):
+        # Per method 5 distinct sets in 6 cells: the chunk that solves them
+        # draws each once, in grid order, and the second clean cell draws nothing.
+        cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl"),
+                      noise_levels=(0.0, 0.15, 0.3), seeds=(0, 1))
+        draws = self.counting(monkeypatch, "inject_noise")
+        report = run_experiment(cfg)
+        assert report.ok and len(report.rows) == 12
+        per_method = [(0.0, 0), (0.15, 0), (0.15, 1), (0.3, 0), (0.3, 1)]
+        assert [(level, seed) for _, level, seed in draws] == 2 * per_method
+
     def test_neural_cells_train_once_each(self, monkeypatch):
         cfg = replace(SMALL, methods=("gcn", "hgnn"), noise_levels=(0.0,), seeds=(0, 1))
         trained = self.counting(monkeypatch, "train")

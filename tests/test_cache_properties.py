@@ -20,9 +20,9 @@ def build(norm, X, k):
     if norm == "sym" or norm == "rw":
         return hypergraph_operator(knn_hypergraph(X, k), norm)
     # The auto sigma is 0 when every point's k-th neighbor coincides with it.
-    knn = knn_indices(X, k)
+    knn, sq_dist = knn_indices(X, k)
     assume(np.any(X[knn[:, -1]] != X))
-    A = gaussian_knn_adjacency(X, knn)
+    A = gaussian_knn_adjacency(knn, sq_dist)
     if norm == "gcn":
         return gcn_operator(A)
     # A point whose every weight fell below the floor has no graph operator.
@@ -88,7 +88,7 @@ def test_single_bit_flips_never_load_changed_values(norm):
     if norm in ("sym", "rw"):
         op = hypergraph_operator(knn_hypergraph(X, 2), norm)
     else:
-        A = gaussian_knn_adjacency(X, knn_indices(X, 2))
+        A = gaussian_knn_adjacency(*knn_indices(X, 2))
         op = gcn_operator(A) if norm == "gcn" else build_knn_graph(A)
     blob = cache_bytes(op)
     with tempfile.TemporaryDirectory() as tmp:

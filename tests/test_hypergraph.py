@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import (csr_equal, is_canonical, knn_adjacency, knn_hypergraph, knn_oracle,
-                     random_hypergraph)
+                     random_hypergraph, reference_adjacency)
 import hgssl.hypergraph
 from hgssl.errors import DegenerateStructureError, FormatError, ShapeError
 from hgssl.hypergraph import (CACHE_VERSION, Hypergraph, build_knn_graph,
@@ -18,24 +18,32 @@ from hgssl.hypergraph import (CACHE_VERSION, Hypergraph, build_knn_graph,
                               save_operator)
 
 
+def same_knn(a, b) -> bool:
+    """Whether two ``knn_indices`` results hold the same lists and distance bits."""
+    return np.array_equal(a[0], b[0]) and a[1].tobytes() == b[1].tobytes()
+
+
 class TestKnnIndices:
     def test_three_collinear_points(self):
         X = np.array([[0.0], [1.0], [10.0]])
-        assert np.array_equal(knn_indices(X, 1), [[1], [0], [1]])
+        knn, sq_dist = knn_indices(X, 1)
+        assert np.array_equal(knn, [[1], [0], [1]])
+        assert np.array_equal(sq_dist, [[1.0], [1.0], [81.0]])
 
     def test_duplicate_points_tie_by_index(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        neighbors = knn_indices(X, 2)
+        neighbors, sq_dist = knn_indices(X, 2)
         # Points 1, 2, 3 coincide; ties resolve toward the lower row index.
         assert np.array_equal(neighbors[0], [1, 2])
         assert np.array_equal(neighbors[1], [2, 3])
         assert np.array_equal(neighbors[2], [1, 3])
         assert np.array_equal(neighbors[3], [1, 2])
+        assert np.array_equal(sq_dist, [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((50, 4))
-        assert np.array_equal(knn_indices(X, 5), knn_oracle(X, 5))
+        assert np.array_equal(knn_indices(X, 5)[0], knn_oracle(X, 5))
 
     def test_k_out_of_range(self):
         X = np.zeros((3, 2))
@@ -51,10 +59,10 @@ class TestKnnIndices:
         full = knn_indices(X, 4)
         # Tiles of 5 rows, a last one of 2: set once by the budget, once by the row cap.
         monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 5 * 37)
-        assert np.array_equal(hgm.knn_indices(X, 4), full)
+        assert same_knn(hgm.knn_indices(X, 4), full)
         monkeypatch.undo()
         monkeypatch.setattr(hgm, "_TILE_ROWS", 5)
-        assert np.array_equal(hgm.knn_indices(X, 4), full)
+        assert same_knn(hgm.knn_indices(X, 4), full)
 
     def test_uneven_blocks_and_partition_chunks(self, monkeypatch):
         import hgssl.hypergraph as hgm
@@ -63,7 +71,7 @@ class TestKnnIndices:
         X = np.random.default_rng(15).integers(0, 4, (41, 2)).astype(np.float64)
         monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 11 * 41)
         monkeypatch.setattr(hgm, "_PARTITION_ROWS", 4)
-        assert np.array_equal(hgm.knn_indices(X, 3), knn_oracle(X, 3))
+        assert np.array_equal(hgm.knn_indices(X, 3)[0], knn_oracle(X, 3))
 
     def test_peak_memory_bounded_by_block_budget(self):
         import hgssl.hypergraph as hgm
@@ -98,7 +106,7 @@ class TestKnnIndices:
         rng = np.random.default_rng(5)
         X = np.repeat(rng.integers(0, 3, (20, 3)).astype(np.float64), 3, axis=0) + 1e4
         counts = self._count_reranked(monkeypatch)
-        assert np.array_equal(knn_indices(X, 2), knn_oracle(X, 2))
+        assert np.array_equal(knn_indices(X, 2)[0], knn_oracle(X, 2))
         assert sum(counts) > X.shape[0] * 2
 
     def test_far_outlier_loosens_slack_not_answer(self, monkeypatch):
@@ -109,7 +117,7 @@ class TestKnnIndices:
         sq_norms = np.einsum("ij,ij->i", X, X)
         assert hgssl.hypergraph._certified_slack(sq_norms, 4).min() > 1e-3
         counts = self._count_reranked(monkeypatch)
-        assert np.array_equal(knn_indices(X, 5), knn_oracle(X, 5))
+        assert np.array_equal(knn_indices(X, 5)[0], knn_oracle(X, 5))
         assert sum(counts) > X.shape[0] * 5
 
     def test_subnormal_scale_matches_exhaustive_rerank(self):
@@ -120,9 +128,13 @@ class TestKnnIndices:
         n = X.shape[0]
         rows, cols = np.nonzero(~np.eye(n, dtype=bool))
         dist = hgssl.hypergraph.pair_sq_distances(X, rows, cols)
-        exhaustive = cols[np.lexsort((cols, dist, rows))].reshape(n, n - 1)
+        order = np.lexsort((cols, dist, rows))
+        exhaustive = cols[order].reshape(n, n - 1)
+        exhaustive_sq = dist[order].reshape(n, n - 1)
         for k in (1, 7, 20):
-            assert np.array_equal(knn_indices(X, k), exhaustive[:, :k])
+            knn, sq_dist = knn_indices(X, k)
+            assert np.array_equal(knn, exhaustive[:, :k])
+            assert sq_dist.tobytes() == exhaustive_sq[:, :k].tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
     def test_non_finite_row_rejected(self, value):
@@ -146,25 +158,13 @@ class TestPairSqDistances:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((80, 9))
         knn = knn_indices(X, 5)
-        adjacency = gaussian_knn_adjacency(X, knn)
+        adjacency = gaussian_knn_adjacency(*knn)
         # 20 coordinates per chunk: two pairs at a time.  Both graph operators
-        # read the pair distances only through the adjacency.
+        # read the pair distances only through the kNN pass and the adjacency.
         monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 20)
-        assert np.array_equal(knn_indices(X, 5), knn)
-        assert csr_equal(gaussian_knn_adjacency(X, knn), adjacency)
-
-    def test_graph_peak_memory_bounded_by_pair_budget(self):
-        X = np.random.default_rng(17).standard_normal((1000, 784))
-        knn = knn_indices(X, 5)
-        tracemalloc.start()
-        try:
-            build_knn_graph(gaussian_knn_adjacency(X, knn))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # Two gathered chunks of _PAIR_BUDGET f64 coordinates, plus 1 MiB for
-        # the O(n k) pair and edge arrays.
-        assert peak <= 2 * 8 * hgssl.hypergraph._PAIR_BUDGET + 2 ** 20, peak
+        chunked = knn_indices(X, 5)
+        assert same_knn(chunked, knn)
+        assert csr_equal(gaussian_knn_adjacency(*chunked), adjacency)
 
 
 class TestBuildKnnHypergraph:
@@ -190,7 +190,7 @@ class TestBuildKnnHypergraph:
     def test_symmetric_closure_and_cardinality(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((50, 3))
-        neighbors = knn_indices(X, 5)
+        neighbors, _ = knn_indices(X, 5)
         hg = build_knn_hypergraph(neighbors)
         dense = hg.incidence.toarray()
         # Every hyperedge contains its centroid and its k nearest neighbors.
@@ -217,15 +217,15 @@ class TestBuildKnnHypergraph:
         ([[1], [0], [-1]], "indices must be >= 0"),
         ([[1, 2], [0, 2], [2, 0]], "lists itself"),
         ([[1, 1], [0, 2], [0, 1]], "repeats a neighbor"),
-    ], ids=["past-n", "negative", "self", "repeated"])
+        ([[1.0], [0.0], [1.0]], "integer indices"),
+    ], ids=["past-n", "negative", "self", "repeated", "float"])
     def test_malformed_neighbor_lists_rejected(self, knn, message):
         # An index outside [0, n) must not reach scipy's unchecked kernels.
-        X = np.array([[0.0], [1.0], [3.0]])
+        knn = np.array(knn)
         with pytest.raises(ValueError, match=message):
-            build_knn_hypergraph(np.array(knn))
-        # The adjacency gathers the pairs' rows first, where numpy rejects an index past n.
-        with pytest.raises(IndexError if message.endswith("< 3") else ValueError):
-            gaussian_knn_adjacency(X, np.array(knn))
+            build_knn_hypergraph(knn)
+        with pytest.raises(ValueError, match=message):
+            gaussian_knn_adjacency(knn, np.ones(knn.shape))
 
     def test_single_vertex_hyperedges_rejected(self):
         # Each of the two hyperedges holds only the other point.
@@ -315,13 +315,49 @@ class TestGaussianAdjacency:
         # so the far pair's weight exp(-400 / (2 sigma^2)) ~ 5e-62 is positive
         # but below the floor, and the far point has no edge.
         X = np.append(np.arange(99.0), 118.0)[:, None]
-        A = gaussian_knn_adjacency(X, knn_indices(X, 1))
+        A = gaussian_knn_adjacency(*knn_indices(X, 1))
         sigma = (99 + 20) / 100
         assert 0.0 < np.exp(-400 / (2 * sigma ** 2)) < hgssl.hypergraph._WEIGHT_FLOOR
         assert A[99].nnz == 0 and A[:, 99].nnz == 0
         assert A.nnz == 2 * 98
         assert A.data.min() >= hgssl.hypergraph._WEIGHT_FLOOR
         assert is_canonical(A)
+
+    @pytest.mark.parametrize("n, dim, k", [(2, 1, 1), (50, 3, 5), (200, 784, 7)])
+    def test_matches_reference_from_features(self, n, dim, k):
+        X = np.random.default_rng(n + k).standard_normal((n, dim))
+        knn, sq_dist = knn_indices(X, k)
+        assert csr_equal(gaussian_knn_adjacency(knn, sq_dist), reference_adjacency(X, knn))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (6,), (3, 2, 1)],
+                             ids=["transposed", "extra-column", "flat", "3-d"])
+    def test_distances_of_another_shape_rejected(self, shape):
+        knn = np.array([[1, 2], [0, 2], [0, 1]])
+        with pytest.raises(ValueError, match="do not match neighbor lists"):
+            gaussian_knn_adjacency(knn, np.ones(shape))
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, np.nan, np.inf],
+                             ids=["negative", "tiny-negative", "nan", "inf"])
+    def test_negative_or_non_finite_distance_rejected(self, value):
+        knn = np.array([[1, 2], [0, 2], [0, 1]])
+        sq_dist = np.ones(knn.shape)
+        sq_dist[2, 0] = value
+        with pytest.raises(ValueError, match=r"squared distance \[2, 0\]"):
+            gaussian_knn_adjacency(knn, sq_dist)
+
+    def test_graph_peak_memory_is_o_nk(self):
+        # The adjacency reads the kept distances and gathers no coordinates of
+        # X, so at d = 784 the graph allocates less than one 2 MB gather chunk.
+        X = np.random.default_rng(17).standard_normal((1000, 784))
+        knn, sq_dist = knn_indices(X, 5)
+        tracemalloc.start()
+        try:
+            build_knn_graph(gaussian_knn_adjacency(knn, sq_dist))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1 MiB for the O(n k) pair and edge arrays.
+        assert peak <= 2 ** 20, peak
 
 
 class TestBuildKnnGraph:
@@ -357,14 +393,14 @@ class TestBuildKnnGraph:
         # Every k-th-neighbor distance is 0, and so is their mean.
         X = np.zeros((3, 1))
         with pytest.raises(ValueError, match="sigma must be positive"):
-            gaussian_knn_adjacency(X, knn_indices(X, 1))
+            gaussian_knn_adjacency(*knn_indices(X, 1))
 
     def test_underflowing_width_rejected(self):
         # sigma ~ 1.5e-164 is positive, but 2 sigma^2 underflows to 0, which
         # would make every weight 0 or NaN and leave the graph empty.
         X = np.random.default_rng(17).standard_normal((300, 3)) * 1e-162
         with pytest.raises(ValueError, match=r"sigma = .*2 sigma\^2 = 0"):
-            gaussian_knn_adjacency(X, knn_indices(X, 5))
+            gaussian_knn_adjacency(*knn_indices(X, 5))
 
     def test_isolated_vertex_degenerate(self):
         # The far point's only weight falls below the adjacency's floor.

@@ -4,7 +4,7 @@ from scipy.stats import chi2
 
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
-from hgssl.labels import accuracy, decode_predictions, encode_labels, inject_noise
+from hgssl.labels import accuracy, decode_predictions, encode_labels, inject_noise, noise_name
 
 
 def flipped_rows(noisy, ds):
@@ -72,6 +72,42 @@ class TestInjectNoise:
             inject_noise(ds, 1.0, seed=0)
         with pytest.raises(ValueError):
             inject_noise(ds, -0.1, seed=0)
+
+
+class TestNoiseName:
+    # l = 140 training rows: 0.003 flips round(0.42) = 0 labels, 0.005 and
+    # 0.009 flip round(0.7) = round(1.26) = 1, 0.3 and 0.302 flip 42.
+    LEVELS = (0.0, 0.003, 0.005, 0.009, 0.3, 0.302)
+
+    def test_names_by_flip_count_and_seed(self):
+        ds = synthetic_blobs(200, 4, 3, 0.05, seed=8)
+        assert len(ds.train_indices) == 140
+        names = [noise_name(ds, level, 5) for level in self.LEVELS]
+        assert names == ["clean", "clean", (1, 5), (1, 5), (42, 5), (42, 5)]
+
+    def test_equal_names_give_equal_labels(self):
+        ds = synthetic_blobs(200, 4, 3, 0.05, seed=8)
+        cells = [(level, seed) for level in self.LEVELS for seed in (0, 1, 2)]
+        drawn = {}
+        for level, seed in cells:
+            noisy = inject_noise(ds, level, seed)
+            name = noise_name(ds, level, seed)
+            if name == "clean":
+                assert np.array_equal(noisy, ds.labels)
+            drawn.setdefault(name, []).append(noisy)
+        # Clean at 2 levels x 3 seeds; each nonzero count at 2 levels per seed.
+        assert {name: len(vectors) for name, vectors in drawn.items()} == {
+            "clean": 6, **{(count, seed): 2 for count in (1, 42) for seed in (0, 1, 2)}}
+        for vectors in drawn.values():
+            assert all(np.array_equal(vector, vectors[0]) for vector in vectors)
+        assert not np.array_equal(drawn[(1, 0)][0], drawn[(1, 1)][0])
+
+    def test_level_validation(self):
+        # Naming draws nothing, so a level the draw would reject must not be named clean.
+        ds = synthetic_blobs(30, 2, 2, 0.05, seed=6)
+        for level in (-0.001, 1.0):
+            with pytest.raises(ValueError, match="noise level must be in"):
+                noise_name(ds, level, seed=0)
 
 
 class TestEncodeLabels:

@@ -40,7 +40,7 @@ def build_operators():
     library's rw operator is built from the same hypergraph directly.
     """
     operators = bench.build_operators(bench.ExperimentConfig(dataset="synthetic", k=K), POINTS)
-    rw = hg.hypergraph_operator(hg.build_knn_hypergraph(hg.knn_indices(POINTS, K)), "rw")
+    rw = hg.hypergraph_operator(hg.build_knn_hypergraph(hg.knn_indices(POINTS, K)[0]), "rw")
     return {"sym": operators["hg_sym"], "rw": rw,
             "graph_sym": operators["graph"], "gcn": operators["gcn"]}
 

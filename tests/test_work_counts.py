@@ -46,6 +46,9 @@ MAX_APPLICATIONS = 64
 COLUMN_APPLICATIONS = 1873
 # gcn, hgnn and hgnn-proposed x 4 levels x 3 seeds, none of them reused.
 NEURAL_CELLS = 36
+# Noisy label vectors drawn: one per neural cell, and each closed-form
+# method's 10 distinct sets once, by the chunk that solves them.
+NOISE_DRAWS = NEURAL_CELLS + 2 * 10
 # The network inputs, each formed once per experiment in set-up: Theta Z for
 # hgnn-proposed and Theta X for gcn and hgnn.
 INPUT_PRODUCTS = 3
@@ -106,8 +109,8 @@ def smoke_grid_counts(patch):
 
     The counts are each CG call's iterations, operator applications, column
     applications and block width, the operator products of each ``train``
-    and ``predict`` call and of the whole grid, and the nnz of each factor of
-    each built operator.
+    and ``predict`` call and of the whole grid, the noisy label vectors
+    drawn, and the nnz of each factor of each built operator.
     """
     cfg = load_config(ROOT / CONFIG)
     original = hgssl.propagation.conjugate_gradient
@@ -133,6 +136,12 @@ def smoke_grid_counts(patch):
         return result
 
     build = hgssl.bench.build_operators
+    draws = []
+    inject_noise = hgssl.bench.inject_noise
+
+    def drawn(*args, **kwargs):
+        draws.append(args)
+        return inject_noise(*args, **kwargs)
 
     def built(*args, **kwargs):
         operators = build(*args, **kwargs)
@@ -142,13 +151,14 @@ def smoke_grid_counts(patch):
 
     patch.setattr(hgssl.propagation, "conjugate_gradient", counting)
     patch.setattr(hgssl.bench, "build_operators", built)
+    patch.setattr(hgssl.bench, "inject_noise", drawn)
     split_columns(patch, 4)
     products = OperatorProducts(patch)
     for name, calls in neural.items():
         products.per_call(patch, hgssl.bench, name, calls)
     report = run_experiment(cfg)
     pins = {"config": CONFIG, "factor_nnz": factor_nnz, "cg_block_widths": widths}
-    return cfg, report, cg, neural, products.count, pins
+    return cfg, report, cg, neural, products.count, len(draws), pins
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +168,7 @@ def smoke_grid():
 
 
 def test_block_solves_and_applications(smoke_grid):
-    _, report, cg, _, _, _ = smoke_grid
+    _, report, cg, _, _, _, _ = smoke_grid
     assert report.ok and len(report.rows) == 60
     assert len(cg["iterations"]) == BLOCK_SOLVES
     assert sum(cg["iterations"]) <= MAX_APPLICATIONS
@@ -173,13 +183,18 @@ def test_factor_nnz_and_block_widths(smoke_grid):
 
 
 def test_neural_operator_products(smoke_grid):
-    cfg, _, cg, neural, total, _ = smoke_grid
+    cfg, _, cg, neural, total, _, _ = smoke_grid
     per_train = train_products(cfg.train.epochs)
     assert neural["train"] == [per_train] * NEURAL_CELLS
     assert neural["predict"] == [PREDICT_PRODUCTS] * NEURAL_CELLS
     # Every other operator product of the grid is a CG application.
     assert total == (sum(cg["applications"]) + INPUT_PRODUCTS
                      + NEURAL_CELLS * (per_train + PREDICT_PRODUCTS))
+
+
+def test_each_label_set_drawn_once(smoke_grid):
+    *_, draws, _ = smoke_grid
+    assert draws == NOISE_DRAWS
 
 
 @pytest.mark.parametrize("norm", ["sym", "rw"])
@@ -199,7 +214,7 @@ def test_train_and_predict_products(norm):
 
 
 def test_reused_solves_match_separate_cells(smoke_grid):
-    cfg, report, _, _, _, _ = smoke_grid
+    cfg, report, _, _, _, _, _ = smoke_grid
     prepared = prepare_experiment(cfg)
     rows = [row for row in report.rows if row.method in _CLOSED_FORM]
     assert len(rows) == 24
