@@ -12,13 +12,14 @@ is 0.  Equal names give equal labels, so a set is found solved, and a chunk
 is planned, by name alone, before anything is drawn.
 
 A closed-form cell whose label set is not solved yet solves its chunk: its
-own set, then the grid's next distinct, still-unsolved sets of its method in
-grid order, as many as one CG block of ``_BLOCK_BUDGET`` entries holds.  Only
-then are the chunk's sets drawn, each once.  They are solved side by side as
-one block, so their columns share each operator product, and each set's
-scores are the ones a solve of it alone gives, bit for bit.  A cell whose set
-is already solved draws nothing.  If a chunk's solve fails, each of its sets
-is solved alone, so a cell fails exactly when its own set does.
+own set, then the grid's distinct, still-unsolved sets of its method in grid
+order, as many as one block of ``linalg.column_blocks`` (the one block rule,
+which the CG blocks follow) holds.  Only then are the chunk's sets drawn,
+each once, and solved side by side as one block, so their columns share each
+operator product, and each set's scores are the ones a solve of it alone
+gives, bit for bit.  A cell whose set is already solved draws nothing.  If a
+chunk's solve fails, each of its sets is solved alone, so a cell fails
+exactly when its own set does.
 
 Set-up forms everything a cell reads, once per experiment, and cells only
 read it: the operators, and each neural method's network input (Theta Z for
@@ -43,7 +44,7 @@ from .datasets import (ImageDataset, LabeledSplit, _absent_classes, check_blob_a
                        synthetic_blobs)
 from .errors import FormatError, SolverError, _require
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise, noise_name
-from .linalg import _BLOCK_BUDGET
+from .linalg import column_blocks
 from .network import TrainConfig, predict, train
 from .pca import pca_fit, pca_transform
 from .propagation import PropagationConfig, propagate_features, propagate_labels
@@ -342,12 +343,12 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     ``solved`` maps (closed-form method, name of the noisy labels, see
     ``labels.noise_name``) to the accuracy of a cell of the same grid that was
     already solved; such a cell reuses it without drawing its labels.  A cell
-    whose labels are not in it solves its chunk (see the module docstring),
-    ``(level, seed)`` placing it in the grid of ``prepared.config``, and adds
-    each set's accuracy.  A set whose solve raised maps to None, and each of
-    its cells solves it alone.  Without ``solved`` a closed-form cell solves
-    its own labels alone.  ``method`` must be one the experiment was prepared
-    for: only those have their operator and, for a neural method, its input.
+    whose labels are not in it solves its chunk (see the module docstring)
+    and adds each set's accuracy.  A set whose solve raised maps to None, and
+    each of its cells solves it alone.  Without ``solved`` a closed-form cell
+    solves its own labels alone.  ``method`` must be one the experiment was
+    prepared for: only those have their operator and, for a neural method,
+    its input.
     """
     cfg = prepared.config
     if method not in cfg.methods:
@@ -380,17 +381,15 @@ def _chunk(prepared: PreparedExperiment, method: str, level: float, seed: int,
            solved: dict) -> dict:
     """A cell's chunk: each set's key mapped to the (level, seed) that draws it.
 
-    The cell's own set comes first, then the distinct sets of the grid's later
-    cells of ``method``, in grid order, that ``solved`` does not hold, up to
-    one CG block of ``_BLOCK_BUDGET`` entries in all.  Nothing is drawn.
+    The cell's own set comes first, then the distinct sets of ``method`` that
+    ``solved`` does not hold, in the grid's cell order, while the chunk's
+    columns still make one block of ``column_blocks``.  Nothing is drawn.
     """
     cfg, dataset = prepared.config, prepared.dataset
-    size = max(1, _BLOCK_BUDGET // (len(dataset.labels) * dataset.num_classes))
+    n, C = len(dataset.labels), dataset.num_classes
     chunk = {(method, noise_name(dataset, level, seed)): (level, seed)}
-    cells = [(lv, s) for lv in cfg.noise_levels for s in cfg.seeds]
-    later = cells[cells.index((level, seed)) + 1:] if (level, seed) in cells else []
-    for cell in later:
-        if len(chunk) == size:
+    for cell in ((lv, s) for lv in cfg.noise_levels for s in cfg.seeds):
+        if len(column_blocks(n, C * (len(chunk) + 1))) > 1:
             break
         key = (method, noise_name(dataset, *cell))
         if key not in solved:
@@ -505,7 +504,7 @@ def parse_results_csv(text) -> list:
     """Inverse of ``emit_table(..., 'csv')``."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected CSV header")
+        raise ValueError(f"expected CSV header {CSV_HEADER!r}, got {(lines or [''])[0]!r}")
     rows = []
     for line in lines[1:]:
         dataset, method, level, seed, acc, wall, pca = line.split(",")

@@ -104,13 +104,14 @@ def load_idx_dataset(images_path_train, labels_path_train,
     test_x, shape_test = _read_idx_images(images_path_test)
     test_y = _read_idx_labels(labels_path_test)
     if shape_train != shape_test:
-        raise FormatError(f"image shapes differ between splits: {shape_train} vs {shape_test}")
+        raise FormatError(f"{images_path_train}, {images_path_test}: image shapes differ "
+                          f"between splits: {shape_train} vs {shape_test}")
     if train_x.shape[0] != train_y.shape[0]:
-        raise FormatError(
-            f"train image count {train_x.shape[0]} != label count {train_y.shape[0]}")
+        raise FormatError(f"{images_path_train}, {labels_path_train}: train image count "
+                          f"{train_x.shape[0]} != label count {train_y.shape[0]}")
     if test_x.shape[0] != test_y.shape[0]:
-        raise FormatError(
-            f"test image count {test_x.shape[0]} != label count {test_y.shape[0]}")
+        raise FormatError(f"{images_path_test}, {labels_path_test}: test image count "
+                          f"{test_x.shape[0]} != label count {test_y.shape[0]}")
     return _train_then_test(train_x, train_y, test_x, test_y,
                             labels_path_train, labels_path_test, divisor=255.0)
 
@@ -249,8 +250,8 @@ def load_usps_dataset(train_path, test_path) -> ImageDataset:
     train_x, train_y = _read_usps_file(train_path)
     test_x, test_y = _read_usps_file(test_path)
     if train_x.shape[1] != test_x.shape[1]:
-        raise FormatError(
-            f"pixel counts differ between splits: {train_x.shape[1]} vs {test_x.shape[1]}")
+        raise FormatError(f"{train_path}, {test_path}: pixel counts differ between "
+                          f"splits: {train_x.shape[1]} vs {test_x.shape[1]}")
     return _train_then_test(train_x, train_y, test_x, test_y, train_path, test_path)
 
 

@@ -53,18 +53,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateStructureError, FormatError, ShapeError
-from .linalg import (_BLOCK_BUDGET as _COLUMN_BUDGET, as_dense, check_out, column_blocks,
-                     diag_scale)
+from .linalg import as_dense, check_out, column_blocks, diag_scale
 
 NORMALIZATIONS = ("sym", "rw", "graph_sym", "gcn")
 
-# A kNN distance tile holds min(_TILE_ROWS, _BLOCK_BUDGET // n) rows, so at
+# A kNN distance tile holds min(_TILE_ROWS, _TILE_BUDGET // n) rows, so at
 # most min(256 n, 2^21) entries (16 MB of f64), or one row once n > 2^21.  Below
 # about 256 rows the tile's GEMM slows at d = 784; above it a tile only adds
 # memory.  The k-th-value partition copies at most _PARTITION_ROWS rows of a
 # tile at a time, which is less than the whole tile while
-# n < _BLOCK_BUDGET / _PARTITION_ROWS (32768).
-_BLOCK_BUDGET = 1 << 21
+# n < _TILE_BUDGET / _PARTITION_ROWS (32768).
+_TILE_BUDGET = 1 << 21
 _TILE_ROWS = 256
 _PARTITION_ROWS = 64
 # Coordinates gathered per chunk of pair distances: 2 MB of f64 per array.
@@ -154,14 +153,14 @@ class PropagationOperator:
 def _chain(factors, V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """``factors[-1] @ ... @ factors[0] @ V``, written to ``out`` if given.
 
-    A V wider than ``_COLUMN_BUDGET`` entries runs in equal blocks of columns
-    of at most that many entries, so its intermediate products are one block
-    wide.  Each column's product does not depend on the others, so the blocks
-    leave every bit of the result as one product gives it, and a block's
-    columns of ``out`` may overwrite the same columns of V once their product
-    is formed.
+    A V wider than one block of ``linalg.column_blocks``, the CG blocks' rule,
+    runs in those blocks of columns, so its intermediate products are one
+    block wide.  Each column's product does not depend on the others, so the
+    blocks leave every bit of the result as one product gives it, and a
+    block's columns of ``out`` may overwrite the same columns of V once their
+    product is formed.
     """
-    blocks = column_blocks(len(V), V.shape[1], _COLUMN_BUDGET) if V.ndim == 2 else ()
+    blocks = column_blocks(len(V), V.shape[1]) if V.ndim == 2 else ()
     if len(blocks) > 1:
         if out is None:
             out = np.empty((factors[-1].shape[0], V.shape[1]))
@@ -236,7 +235,7 @@ def knn_indices(X: np.ndarray, k: int) -> tuple:
     Rows holding a NaN or an infinity, or whose squared norm could overflow a
     distance, raise ``ValueError`` naming the first such row.
 
-    Algorithm, per tile of ``min(_TILE_ROWS, _BLOCK_BUDGET // n)`` rows (at
+    Algorithm, per tile of ``min(_TILE_ROWS, _TILE_BUDGET // n)`` rows (at
     least one), so at most min(256 n, 2^21) distances at a time:
 
     1. G = ||x_i||^2 + ||x_j||^2 - 2 X_b X^T, one matrix product (BLAS).
@@ -286,7 +285,7 @@ def knn_indices(X: np.ndarray, k: int) -> tuple:
     slack = _certified_slack(sq_norms, dim)
     out = np.empty((n, k), dtype=np.int64)
     out_sq = np.empty((n, k))
-    block = max(1, min(_TILE_ROWS, _BLOCK_BUDGET // n))
+    block = max(1, min(_TILE_ROWS, _TILE_BUDGET // n))
     for start in range(0, n, block):
         stop = min(start + block, n)
         G = _gram_sq_distances(X, sq_norms, start, stop)

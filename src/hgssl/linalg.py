@@ -21,13 +21,13 @@ import scipy.sparse as sp
 
 from .errors import ShapeError, SolverError
 
-# Entries (rows x columns) in one block of columns: one CG block, and one
-# block of a wide operator product.  Wider blocks cost less per column per
-# operator product until their work arrays outgrow the cache and raise peak
-# memory.  On a 2-core machine, solving on one core, 784 feature columns at
-# n = 3000 took 3.2 s one column at a time, 1.3-1.9 s in blocks of 32-128
-# columns with peak RSS level, and 2.4 s as one block, which raised peak RSS
-# by 92 MB.
+# Entries (rows x columns) in one block of columns: one CG block, one block
+# of a wide operator product, and one chunk of closed-form label sets.  Only
+# ``column_blocks`` reads it.  Wider blocks cost less per column per operator
+# product until their work arrays outgrow the cache and raise peak memory.
+# On a 2-core machine, solving on one core, 784 feature columns at n = 3000
+# took 3.2 s one column at a time, 1.3-1.9 s in blocks of 32-128 columns with
+# peak RSS level, and 2.4 s as one block, which raised peak RSS by 92 MB.
 _BLOCK_BUDGET = 2 ** 18
 # Entries (rows x columns) a CG column group holds at least.  Smaller groups
 # lose more to waiting for the interpreter lock than their threads gain: on 2
@@ -36,15 +36,15 @@ _BLOCK_BUDGET = 2 ** 18
 _GROUP_ENTRIES = 2 ** 14
 
 
-def column_blocks(rows: int, width: int, budget: int) -> list:
+def column_blocks(rows: int, width: int) -> list:
     """Slices that split ``width`` columns of ``rows`` rows into equal blocks.
 
-    There are as few blocks as keep each within ``budget`` entries (one column
-    when a single column exceeds it), and their widths differ by at most one:
+    There are as few blocks as keep each within ``_BLOCK_BUDGET`` entries (one
+    column when a single column exceeds it), and widths differ by at most one:
     784 columns of 3000 rows at 2^18 entries are ten blocks of 78-79 columns,
     not nine of 87 and one of a single column, which costs CG most per column.
     """
-    count = -(-width // max(1, budget // max(1, rows)))
+    count = -(-width // max(1, _BLOCK_BUDGET // max(1, rows)))
     return [slice(i * width // count, (i + 1) * width // count) for i in range(count)]
 
 

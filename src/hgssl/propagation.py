@@ -1,8 +1,8 @@
 """Closed-form propagation solves F = (1 - alpha) (I - alpha Theta)^{-1} B.
 
 Both entry points iterate the columns of the right-hand side together by
-conjugate gradients, in equal blocks of at most ``_BLOCK_BUDGET`` entries
-(the budget ``linalg`` defines), each block on every CPU the process may
+conjugate gradients, in the column blocks of ``linalg.column_blocks`` (the
+block rule lives in ``linalg``), each block on every CPU the process may
 use; each column keeps its own step sizes and stops at its own tolerance.
 They require a symmetric operator (I - alpha Theta is then symmetric
 positive-definite for alpha in (0, 1)); the random-walk operator is
@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import SolverError, _require
 from .hypergraph import PropagationOperator
-from .linalg import (_BLOCK_BUDGET, as_dense, check_out, column_blocks,
-                     conjugate_gradient)
+from .linalg import as_dense, check_out, column_blocks, conjugate_gradient
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def _solve_columns(op: PropagationOperator, B: np.ndarray,
     n, width = B.shape
     out = np.empty_like(B) if out is None else check_out(out, B.shape)
     residuals = np.empty(width)
-    for block in column_blocks(n, width, _BLOCK_BUDGET):
+    for block in column_blocks(n, width):
         try:
             result = conjugate_gradient(apply, B[:, block], tol=cfg.tol,
                                         max_iter=cfg.max_iter, out=out[:, block])

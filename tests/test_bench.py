@@ -16,9 +16,10 @@ import pytest
 from helpers import csr_equal, knn_adjacency
 import hgssl.bench
 import hgssl.hypergraph
+import hgssl.linalg
 import hgssl.propagation
 from hgssl import network
-from hgssl.bench import (DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, CellFailure,
+from hgssl.bench import (CSV_HEADER, DATASET_FILES, DEFAULT_PCA_DIMS, METHODS, CellFailure,
                          ExperimentConfig, ResultRow, SyntheticSpec, build_operators,
                          emit_table,
                          load_dataset, median_grid, operator_cache_key,
@@ -315,7 +316,7 @@ print(json.dumps(order))
         # Theta Z is formed in place over the solve's Z, in blocks of 3 of the 6
         # columns when the budget is small, bit for bit as a fresh product.
         if budget is not None:
-            monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", budget)
+            monkeypatch.setattr(hgssl.linalg, "_BLOCK_BUDGET", budget)
         cfg = replace(SMALL, methods=("hgnn-proposed",))
         prepared = prepare_experiment(cfg)
         op = prepared.operators["hg_sym"]
@@ -380,8 +381,7 @@ class TestKeptFeatures:
         """
         n, dim = cfg.synthetic.n, cfg.synthetic.dim
         monkeypatch.setattr(hgssl.hypergraph, "_PAIR_BUDGET", 8 * dim)
-        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", block * n)
-        monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", block * n)
+        monkeypatch.setattr(hgssl.linalg, "_BLOCK_BUDGET", block * n)
         self.loading(monkeypatch, then=tracemalloc.reset_peak)
         tracemalloc.start()
         try:
@@ -400,7 +400,7 @@ class TestKeptFeatures:
         features, so the first feature block has written its columns.  The
         failure names the block's third column, column 5 of the features.
         """
-        monkeypatch.setattr(hgssl.propagation, "_BLOCK_BUDGET", 4 * 150)
+        monkeypatch.setattr(hgssl.linalg, "_BLOCK_BUDGET", 4 * 150)
         cg = hgssl.propagation.conjugate_gradient
         propagate = hgssl.bench.propagate_features
         feature_blocks = []  # blocks begun by each feature solve under way
@@ -753,6 +753,14 @@ class TestEmitTable:
         _, _, original = median_grid(rows)
         _, _, recovered = median_grid(parsed)
         assert original == recovered
+
+    @pytest.mark.parametrize("header", ["", "dataset,method,level", CSV_HEADER + ",extra"])
+    def test_wrong_csv_header_names_it(self, header):
+        text = f"{header}\nsynthetic,gcn,0.0,0,1.0,0.1,false\n"
+        with pytest.raises(ValueError) as info:
+            parse_results_csv(text)
+        assert str(info.value) == (f"expected CSV header {CSV_HEADER!r}, "
+                                   f"got {text.strip().splitlines()[0]!r}")
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,11 @@ class TestSchemaRules:
         with pytest.raises(ConfigError):
             parse_config("schema_version = 1\n")
 
+    def test_dataset_without_name_reports_its_header(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("schema_version = 1\n\n[dataset]\nn = 5\n", path="x.cfg")
+        assert str(info.value) == "x.cfg:3: missing 'name' in [dataset]"
+
     def test_bad_dataset_name(self):
         with pytest.raises(ConfigError):
             parse_config("schema_version = 1\n[dataset]\nname = cifar\n")

@@ -10,6 +10,9 @@ from hgssl.datasets import (ImageDataset, _largest_remainder, load_idx_dataset,
                             stratified_subsample, synthetic_blobs)
 from hgssl.errors import FormatError
 
+# A well-formed USPS line: label 0 and two pixels.
+GOOD_LINE = "0.0000 0.0 0.5"
+
 
 def write_idx_images(path, images):
     """images: uint8 array (count, rows, cols)."""
@@ -89,6 +92,27 @@ class TestIdxLoader:
         with pytest.raises(FormatError):
             load_idx_dataset(paths["train_images"], paths["train_labels"],
                              paths["test_images"], paths["test_labels"])
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda paths: paths["train_images"].write_bytes(struct.pack(">I", 2051)),
+         "{train_images}: truncated IDX header"),
+        (lambda paths: paths["train_images"].write_bytes(struct.pack(">II", 2051, 2)),
+         "{train_images}: truncated IDX image header"),
+        (lambda paths: paths["train_labels"].write_bytes(struct.pack(">IIB", 2049, 2, 0)),
+         "{train_labels}: expected 10 bytes, file has 9"),
+        (lambda paths: write_idx_images(paths["test_images"], np.zeros((2, 3, 2))),
+         "{train_images}, {test_images}: image shapes differ between splits: (2, 2) vs (3, 2)"),
+        (lambda paths: write_idx_labels(paths["test_labels"], [0, 1, 1]),
+         "{test_images}, {test_labels}: test image count 2 != label count 3"),
+    ], ids=["short-header", "short-image-header", "short-labels", "shapes-differ",
+            "test-count-mismatch"])
+    def test_malformed_file_is_named(self, tmp_path, damage, message):
+        good = np.zeros((2, 2, 2), dtype=np.uint8)
+        paths = make_idx_files(tmp_path, good, [0, 1], good, [0, 1])
+        damage(paths)
+        with pytest.raises(FormatError) as info:
+            load_idx_dataset(*paths.values())
+        assert str(info.value) == message.format(**paths)
 
     def test_zero_count_train_file(self, tmp_path):
         empty = np.zeros((0, 2, 2), dtype=np.uint8)
@@ -221,23 +245,41 @@ class TestUspsLoader:
         with pytest.raises(FormatError, match="negative class id -1"):
             load_usps_dataset(train, test)
 
-    @pytest.mark.parametrize("line, message", [
-        ("1.5 1.0 0.5", "label '1.5' is not an integer"),
-        ("nan 1.0 0.5", "label 'nan' is not an integer"),
-        ("inf 1.0 0.5", "label 'inf' is not an integer"),
-        ("1e300 1.0 0.5", "label '1e300' does not fit a 64-bit integer"),
-        ("1 nan 0.5", "non-finite pixel value"),
-        ("1 1.0 -inf", "non-finite pixel value"),
+    @pytest.mark.parametrize("text, message", [
+        (f"{GOOD_LINE}\n1.5 1.0 0.5", "label '1.5' is not an integer"),
+        (f"{GOOD_LINE}\nnan 1.0 0.5", "label 'nan' is not an integer"),
+        (f"{GOOD_LINE}\ninf 1.0 0.5", "label 'inf' is not an integer"),
+        (f"{GOOD_LINE}\n1e300 1.0 0.5", "label '1e300' does not fit a 64-bit integer"),
+        (f"{GOOD_LINE}\n1 nan 0.5", "non-finite pixel value"),
+        (f"{GOOD_LINE}\n1 1.0 -inf", "non-finite pixel value"),
+        (f"{GOOD_LINE}\n\n  \n1 1.0", "expected 3 fields, got 2"),
+        ("1", "no pixel values on line"),
+        (f"{GOOD_LINE}\n1 0.5 x", "could not convert string to float: 'x'"),
     ], ids=["fractional-label", "nan-label", "inf-label", "huge-label", "nan-pixel",
-            "inf-pixel"])
-    def test_malformed_value_names_line(self, tmp_path, line, message):
+            "inf-pixel", "blank-lines-counted", "label-only", "non-numeric-pixel"])
+    def test_malformed_value_names_line(self, tmp_path, text, message):
+        # The failing line is the file's last.
         train = tmp_path / "zip.train"
-        train.write_text(f"0.0000 0.0 0.5\n{line}\n")
+        train.write_text(f"{text}\n")
         test = tmp_path / "zip.test"
         test.write_text("1 0.5 0.5\n")
         with pytest.raises(FormatError) as info:
             load_usps_dataset(train, test)
-        assert str(info.value) == f"{train}:2: {message}"
+        assert str(info.value) == f"{train}:{len(text.splitlines())}: {message}"
+
+    @pytest.mark.parametrize("train_text, test_text, message", [
+        ("\n  \n", "1 0.5 0.5\n", "{train}: no samples found"),
+        ("0 0.0 0.5\n1 1.0 0.5\n", "1 0.5 0.5 0.5\n",
+         "{train}, {test}: pixel counts differ between splits: 2 vs 3"),
+    ], ids=["no-samples", "pixel-counts-differ"])
+    def test_malformed_file_is_named(self, tmp_path, train_text, test_text, message):
+        train = tmp_path / "zip.train"
+        train.write_text(train_text)
+        test = tmp_path / "zip.test"
+        test.write_text(test_text)
+        with pytest.raises(FormatError) as info:
+            load_usps_dataset(train, test)
+        assert str(info.value) == message.format(train=train, test=test)
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from helpers import (csr_equal, is_canonical, knn_adjacency, knn_hypergraph, knn_oracle,
                      random_hypergraph, reference_adjacency)
 import hgssl.hypergraph
+import hgssl.linalg
 from hgssl.errors import DegenerateStructureError, FormatError, ShapeError
 from hgssl.hypergraph import (CACHE_VERSION, Hypergraph, build_knn_graph,
                               build_knn_hypergraph, gaussian_knn_adjacency, gcn_operator,
@@ -58,7 +59,7 @@ class TestKnnIndices:
         X = rng.standard_normal((37, 3))
         full = knn_indices(X, 4)
         # Tiles of 5 rows, a last one of 2: set once by the budget, once by the row cap.
-        monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 5 * 37)
+        monkeypatch.setattr(hgm, "_TILE_BUDGET", 5 * 37)
         assert same_knn(hgm.knn_indices(X, 4), full)
         monkeypatch.undo()
         monkeypatch.setattr(hgm, "_TILE_ROWS", 5)
@@ -69,7 +70,7 @@ class TestKnnIndices:
         # Integer coordinates give exact ties.  Blocks of 11 rows leave a last
         # block of 8; chunks of 4 rows leave a last chunk of 3 in every full block.
         X = np.random.default_rng(15).integers(0, 4, (41, 2)).astype(np.float64)
-        monkeypatch.setattr(hgm, "_BLOCK_BUDGET", 11 * 41)
+        monkeypatch.setattr(hgm, "_TILE_BUDGET", 11 * 41)
         monkeypatch.setattr(hgm, "_PARTITION_ROWS", 4)
         assert np.array_equal(hgm.knn_indices(X, 3)[0], knn_oracle(X, 3))
 
@@ -458,7 +459,7 @@ class TestApply:
         V = rng.standard_normal((30, 8))
         right, left = op.factors[1], op.factors[0]
         whole, whole_T = left @ (right @ V), right.T @ (left.T @ V)
-        monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", 3 * 30)
+        monkeypatch.setattr(hgssl.linalg, "_BLOCK_BUDGET", 3 * 30)
         assert op.apply(V).tobytes() == whole.tobytes()
         assert op.apply_T(V).tobytes() == (whole if norm == "sym" else whole_T).tobytes()
         assert op.apply(V[:, 0]).tobytes() == whole[:, 0].tobytes()
@@ -476,7 +477,7 @@ class TestApply:
         else:
             op = hypergraph_operator(knn_hypergraph(X, 4), norm)
         if budget is not None:
-            monkeypatch.setattr(hgssl.hypergraph, "_COLUMN_BUDGET", budget)
+            monkeypatch.setattr(hgssl.linalg, "_BLOCK_BUDGET", budget)
         V = rng.standard_normal((30, 8))
         want = op.apply(V)
         result = op.apply(V, out=V)

@@ -10,6 +10,7 @@ from helpers import random_hypergraph, random_sparse, split_columns
 from hgssl import linalg
 from hgssl.errors import NumericalError, ShapeError, SolverError
 from hgssl.hypergraph import hypergraph_operator
+import hgssl.linalg
 from hgssl.linalg import column_blocks, conjugate_gradient, diag_scale
 
 
@@ -66,8 +67,9 @@ def poisoned(V):
     (40, 3, 39, [1, 1, 1]),  # one column alone is over the budget
     (40, 0, 3 * 40, []),
 ])
-def test_column_blocks_are_equal_and_within_budget(rows, width, budget, widths):
-    blocks = column_blocks(rows, width, budget)
+def test_column_blocks_are_equal_and_within_budget(monkeypatch, rows, width, budget, widths):
+    monkeypatch.setattr(hgssl.linalg, "_BLOCK_BUDGET", budget)
+    blocks = column_blocks(rows, width)
     assert [b.stop - b.start for b in blocks] == widths
     assert [b.start for b in blocks] == [sum(widths[:i]) for i in range(len(widths))]
 

@@ -23,6 +23,13 @@ is keyed by the set's owner: the first cell of the grid with those noisy
 labels.  Closed-form cells that reuse an earlier solve own no set and have
 no entry.  Regenerate both tables with
 ``PYTHONPATH=src python tests/test_predictions.py``.
+
+The grid runs twice against the same tables: at the default block budget,
+where one block holds each closed-form method's 10 distinct sets (40
+columns at n = 400 and 4 classes), and at ``linalg._BLOCK_BUDGET`` = 3,200
+entries (2 sets x 4 classes x 400 rows), where they solve as 5 chunks of 2.
+Either way each chunk's label solve is one ``conjugate_gradient`` call over
+all its columns.
 """
 
 import hashlib
@@ -33,6 +40,8 @@ import numpy as np
 import pytest
 
 import hgssl.bench
+import hgssl.linalg
+import hgssl.propagation
 from hgssl.bench import _CLOSED_FORM
 from hgssl.config import load_config
 from hgssl.labels import inject_noise
@@ -43,6 +52,9 @@ LABELS = Path(__file__).resolve().parent / "predicted_labels.json"
 FINGERPRINTS = Path(__file__).resolve().parent / "cell_fingerprints.json"
 CONFIG = "configs/synthetic.cfg"
 RTOL = 1e-9
+# Block budgets the grid runs at (None: the default) and, at each, the width
+# of each closed-form chunk's one CG call, in grid order.
+BUDGETS = {None: [40] * 2, 3200: [8] * 10}
 
 
 def label_hash(pred) -> str:
@@ -78,8 +90,13 @@ def set_owners(prepared) -> dict:
 
 
 def smoke_grid_records(patch):
-    """Run the smoke grid; return each cell's label hash and score fingerprint."""
+    """Run the smoke grid; return each cell's label hash and score fingerprint.
+
+    Also returned: per closed-form label solve, the width of each
+    ``conjugate_gradient`` call it made.
+    """
     hashes, fingerprints = {}, {}
+    label_cg = []  # per label solve, the widths of its CG calls
     current = []  # (cell, method, dataset) of the cell that is running
     owners = {}  # per closed-form method, the owners of its sets not yet solved
     unscored = []  # the owners of solved sets whose predictions are not decoded yet
@@ -113,8 +130,16 @@ def smoke_grid_records(patch):
             return pred
         return wrapped
 
+    def solving(conjugate_gradient):
+        def wrapped(apply, B, *args, **kwargs):
+            if current and current[-1][1] in _CLOSED_FORM:  # a cell's label solve
+                label_cg[-1].append(B.shape[1])
+            return conjugate_gradient(apply, B, *args, **kwargs)
+        return wrapped
+
     def solved(propagate_labels):
         def wrapped(*args, **kwargs):
+            label_cg.append([])
             scores = propagate_labels(*args, **kwargs)
             cell, method, dataset = current[-1]
             C = dataset.num_classes
@@ -147,17 +172,22 @@ def smoke_grid_records(patch):
                   decoded(hgssl.bench.decode_predictions))
     patch.setattr(hgssl.bench, "predict", predicted(hgssl.bench.predict))
     patch.setattr(hgssl.bench, "propagate_labels", solved(hgssl.bench.propagate_labels))
+    patch.setattr(hgssl.propagation, "conjugate_gradient",
+                  solving(hgssl.propagation.conjugate_gradient))
     patch.setattr(hgssl.bench, "train", trained(hgssl.bench.train))
     report = hgssl.bench.run_experiment(load_config(ROOT / CONFIG))
     assert report.ok, report.failures
     assert not unscored and not any(owners.values()), "a solved set was not scored"
-    return hashes, fingerprints
+    return hashes, fingerprints, label_cg
 
 
-@pytest.fixture(scope="module")
-def smoke_grid():
+@pytest.fixture(scope="module", params=list(BUDGETS), ids=["default-blocks", "two-set-chunks"])
+def smoke_grid(request):
+    """The grid's records at one block budget, with the label CG widths it must give."""
     with pytest.MonkeyPatch.context() as patch:
-        return smoke_grid_records(patch)
+        if request.param is not None:
+            patch.setattr(hgssl.linalg, "_BLOCK_BUDGET", request.param)
+        return (*smoke_grid_records(patch), BUDGETS[request.param])
 
 
 def load_table(path):
@@ -180,14 +210,14 @@ def largest_change(got: dict, want: dict):
 
 
 def test_predicted_labels_match_table(smoke_grid):
-    got, _ = smoke_grid
+    got, *_ = smoke_grid
     want = load_table(LABELS)
     changed = sorted(cell for cell in set(got) | set(want) if got.get(cell) != want.get(cell))
     assert not changed, f"predicted labels changed in {len(changed)} cells: {changed}"
 
 
 def test_cell_fingerprints_match_table(smoke_grid):
-    _, got = smoke_grid
+    _, got, *_ = smoke_grid
     want = load_table(FINGERPRINTS)
     assert sorted(got) == sorted(want), "the grid's cells changed"
     changes = {cell: largest_change(got[cell], want[cell]) for cell in want}
@@ -199,8 +229,13 @@ def test_cell_fingerprints_match_table(smoke_grid):
                     f"largest relative change of each cell:\n{report}")
 
 
+def test_each_chunk_is_one_cg_call(smoke_grid):
+    *_, label_cg, want = smoke_grid
+    assert label_cg == [[width] for width in want]
+
+
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as patch:
-        hashes, fingerprints = smoke_grid_records(patch)
+        hashes, fingerprints, _ = smoke_grid_records(patch)
     for path, cells in ((LABELS, hashes), (FINGERPRINTS, fingerprints)):
         path.write_text(json.dumps({"config": CONFIG, "cells": cells}, indent=1) + "\n")

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from helpers import knn_adjacency, knn_hypergraph, random_hypergraph, split_columns
-from hgssl import propagation
+from hgssl import linalg, propagation
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import ShapeError, SolverError
 from hgssl.hypergraph import build_knn_graph, hypergraph_operator
@@ -195,7 +195,7 @@ def test_column_blocks_match_one_block(monkeypatch):
     whole = propagate_features(op, X, TIGHT)
     assert len(results) == 1
     # At most 3 columns a block: 7 columns are 2 + 2 + 3, not 3 + 3 + 1.
-    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", 3 * 40)
+    monkeypatch.setattr(linalg, "_BLOCK_BUDGET", 3 * 40)
     split = propagate_features(op, X, TIGHT)
     assert [r.x.shape[1] for r in results[1:]] == [2, 2, 3]
     assert split.tobytes() == whole.tobytes()
@@ -209,7 +209,7 @@ def test_features_do_not_depend_on_the_core_count(monkeypatch, block):
     rng = np.random.default_rng(19)
     op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
     X = rng.standard_normal((40, 7))
-    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", block * 40)
+    monkeypatch.setattr(linalg, "_BLOCK_BUDGET", block * 40)
     outputs = []
     for cores in (1, 2, 3, 4):
         split_columns(monkeypatch, cores)
@@ -224,7 +224,7 @@ def test_features_solved_in_place_match_a_fresh_result(monkeypatch, block):
     op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
     X = rng.standard_normal((40, 7))
     if block is not None:
-        monkeypatch.setattr(propagation, "_BLOCK_BUDGET", block * 40)
+        monkeypatch.setattr(linalg, "_BLOCK_BUDGET", block * 40)
     want = propagate_features(op, X, TIGHT)
     got = propagate_features(op, X, TIGHT, out=X)
     assert got is X
@@ -259,7 +259,7 @@ def test_wide_feature_solve_holds_five_blocks():
     # compacted copies of the iterates would each add up to one block more.
     X = synthetic_blobs(3000, 10, 784, 1.0, 89).features
     op = hypergraph_operator(knn_hypergraph(X, 5), "sym")
-    width = max(b.stop - b.start for b in column_blocks(3000, 784, propagation._BLOCK_BUDGET))
+    width = max(b.stop - b.start for b in column_blocks(3000, 784))
     block_bytes = 3000 * width * 8
     tracemalloc.start()
     try:
@@ -285,7 +285,7 @@ def test_breakdown_names_column_of_the_whole_rhs(monkeypatch):
     op = hypergraph_operator(random_hypergraph(rng, 40), "sym")
     X = rng.standard_normal((40, 7))
     X[3, 5] = np.nan
-    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", 3 * 40)
+    monkeypatch.setattr(linalg, "_BLOCK_BUDGET", 3 * 40)
     with pytest.raises(SolverError, match=r"iteration 1 .*; column 5$") as info:
         propagate_features(op, X, TIGHT)
     assert info.value.columns == (5,)

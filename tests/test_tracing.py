@@ -4,7 +4,7 @@ import json
 import math
 from pathlib import Path
 
-from hgssl import propagation
+from hgssl import linalg
 from hgssl.bench import ExperimentConfig, SyntheticSpec, emit_table, run_experiment
 from hgssl.network import TrainConfig
 
@@ -21,7 +21,7 @@ def test_traced_grid_reports_every_layer_metric(monkeypatch):
         train=TrainConfig(hidden=8, epochs=20),
         synthetic=SyntheticSpec(n=n, classes=classes, dim=dim, spread=0.1, seed=2))
     # Blocks of 4 columns: the 6 features take two CG calls, each label solve one.
-    monkeypatch.setattr(propagation, "_BLOCK_BUDGET", 4 * n)
+    monkeypatch.setattr(linalg, "_BLOCK_BUDGET", 4 * n)
     tracer = Tracer()
     with tracer.installed(), tracer.span("bench.grid", "bench") as root:
         report = run_experiment(cfg)
