@@ -21,6 +21,15 @@ gives, bit for bit.  A cell whose set is already solved draws nothing.  If a
 chunk's solve fails, each of its sets is solved alone, so a cell fails
 exactly when its own set does.
 
+A neural cell's seed also draws its initial parameters, so no two cells
+share a model; a neural method's cells share one training call instead.  Its
+chunk is every cell of the method not yet trained, and its first cell draws
+and encodes their labels, in grid order, trains all their models in one
+``network.train`` call (side by side, one per CPU), then predicts and scores
+each model in turn.  If that training fails, each of its cells trains alone,
+so a cell fails exactly when its own training does.  The cell that solves
+or trains a chunk carries the chunk's time in its ``wall_time_s``.
+
 Set-up forms everything a cell reads, once per experiment, and cells only
 read it: the operators, and each neural method's network input (Theta Z for
 the smoothed features Z of hgnn-proposed, Theta X for gcn and hgnn).  The
@@ -341,12 +350,13 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     """Run one (method, noise level, seed) cell and score it on the test split.
 
     ``solved`` maps (closed-form method, name of the noisy labels, see
-    ``labels.noise_name``) to the accuracy of a cell of the same grid that was
-    already solved; such a cell reuses it without drawing its labels.  A cell
-    whose labels are not in it solves its chunk (see the module docstring)
-    and adds each set's accuracy.  A set whose solve raised maps to None, and
-    each of its cells solves it alone.  Without ``solved`` a closed-form cell
-    solves its own labels alone.  ``method`` must be one the experiment was
+    ``labels.noise_name``), or (neural method, level, seed), to the accuracy
+    a chunk of the same grid already gave; such a cell looks it up without
+    drawing its labels.  A cell whose key is not in it solves or trains its
+    chunk (see the module docstring) and adds each key's accuracy.  A key
+    whose chunk raised maps to None, and each of its cells is solved or
+    trained alone.  Without ``solved`` a cell solves its own labels, or
+    trains its own model, alone.  ``method`` must be one the experiment was
     prepared for: only those have their operator and, for a neural method,
     its input.
     """
@@ -354,84 +364,96 @@ def run_cell(prepared: PreparedExperiment, method: str, level: float,
     if method not in cfg.methods:
         raise ValueError(f"method {method!r} is not among the prepared experiment's "
                          f"methods: {', '.join(cfg.methods)}")
-    dataset = prepared.dataset
     start = time.perf_counter()
     error = prepared.propagation_error
     if method == "hgnn-proposed" and error is not None:
         # A fresh copy per cell, so the kept error gathers no frames.
         raise SolverError(error.reason, error.residual, error.columns)
 
-    if method in _CLOSED_FORM:
-        acc = _closed_form_accuracy(prepared, method, level, seed, solved)
-    else:
-        # Never reused: the seed also draws the initial parameters.
-        op = prepared.operators[_METHOD_OPERATORS[method]]
-        noisy = inject_noise(dataset, level, seed)
-        Y = encode_labels(noisy, dataset.train_indices, dataset.num_classes)
-        x_prop = prepared.inputs[method]
-        params = train(op, x_prop, Y, dataset.train_indices, cfg.train, seed=seed)
-        acc = accuracy(predict(op, x_prop, params), dataset.labels, dataset.test_indices)
+    acc = _cell_accuracy(prepared, method, level, seed, solved)
     return ResultRow(dataset=cfg.dataset, method=method, noise_level=float(level),
                      seed=int(seed), accuracy=acc,
                      wall_time_seconds=time.perf_counter() - start,
                      pca_used=cfg.pca_dims is not None)
 
 
+def _key(dataset: LabeledSplit, method: str, level: float, seed: int) -> tuple:
+    """A cell's key in ``solved``: its label set's name, or for a neural method the cell."""
+    if method in _CLOSED_FORM:
+        return method, noise_name(dataset, level, seed)
+    return method, level, seed
+
+
 def _chunk(prepared: PreparedExperiment, method: str, level: float, seed: int,
            solved: dict) -> dict:
-    """A cell's chunk: each set's key mapped to the (level, seed) that draws it.
+    """A cell's chunk: each key mapped to the (level, seed) that draws its labels.
 
-    The cell's own set comes first, then the distinct sets of ``method`` that
-    ``solved`` does not hold, in the grid's cell order, while the chunk's
-    columns still make one block of ``column_blocks``.  Nothing is drawn.
+    The cell's own key comes first, then the keys of ``method`` that
+    ``solved`` does not hold, in the grid's cell order: for a closed-form
+    method its distinct sets while their columns still make one block of
+    ``column_blocks``, for a neural method every cell.  Nothing is drawn.
     """
     cfg, dataset = prepared.config, prepared.dataset
     n, C = len(dataset.labels), dataset.num_classes
-    chunk = {(method, noise_name(dataset, level, seed)): (level, seed)}
+    chunk = {_key(dataset, method, level, seed): (level, seed)}
     for cell in ((lv, s) for lv in cfg.noise_levels for s in cfg.seeds):
-        if len(column_blocks(n, C * (len(chunk) + 1))) > 1:
+        if method in _CLOSED_FORM and len(column_blocks(n, C * (len(chunk) + 1))) > 1:
             break
-        key = (method, noise_name(dataset, *cell))
+        key = _key(dataset, method, *cell)
         if key not in solved:
             chunk.setdefault(key, cell)
     return chunk
 
 
-def _solve_sets(prepared: PreparedExperiment, method: str, sets: list) -> list:
-    """The test accuracy of each noisy label set, the sets solved side by side in one call."""
+def _solve_sets(prepared: PreparedExperiment, method: str, cells: list) -> list:
+    """The test accuracy of each cell's noisy label set, the sets solved side by side in one call."""
     dataset = prepared.dataset
     C = dataset.num_classes
     # Column-major, so each set's columns are one contiguous run of the block.
-    Y = np.empty((len(dataset.labels), C * len(sets)), order="F")
-    for i, noisy in enumerate(sets):
-        Y[:, i * C:(i + 1) * C] = encode_labels(noisy, dataset.train_indices, C)
+    Y = np.empty((len(dataset.labels), C * len(cells)), order="F")
+    for i, cell in enumerate(cells):
+        Y[:, i * C:(i + 1) * C] = encode_labels(inject_noise(dataset, *cell),
+                                                dataset.train_indices, C)
     op = prepared.operators[_METHOD_OPERATORS[method]]
     F = propagate_labels(op, Y, prepared.config.solver, out=Y)
     return [accuracy(decode_predictions(F[:, i * C:(i + 1) * C]), dataset.labels,
-                     dataset.test_indices) for i in range(len(sets))]
+                     dataset.test_indices) for i in range(len(cells))]
 
 
-def _closed_form_accuracy(prepared: PreparedExperiment, method: str, level: float,
-                          seed: int, solved: Optional[dict]) -> float:
-    """A closed-form cell's accuracy: looked up in ``solved``, or solved (see ``run_cell``)."""
+def _train_cells(prepared: PreparedExperiment, method: str, cells: list) -> list:
+    """The test accuracy of each cell's model, the models trained in one call."""
     dataset = prepared.dataset
+    # Drawn here, one cell after another, before any model trains.
+    Ys = [encode_labels(inject_noise(dataset, *cell), dataset.train_indices,
+                        dataset.num_classes) for cell in cells]
+    op = prepared.operators[_METHOD_OPERATORS[method]]
+    x_prop = prepared.inputs[method]
+    models = train(op, x_prop, Ys, dataset.train_indices, prepared.config.train,
+                   seeds=[seed for _, seed in cells])
+    return [accuracy(predict(op, x_prop, params), dataset.labels, dataset.test_indices)
+            for params in models]
+
+
+def _cell_accuracy(prepared: PreparedExperiment, method: str, level: float,
+                   seed: int, solved: Optional[dict]) -> float:
+    """A cell's accuracy: looked up in ``solved``, or computed with its chunk (see ``run_cell``)."""
+    score = _solve_sets if method in _CLOSED_FORM else _train_cells
     if solved is None:
-        return _solve_sets(prepared, method, [inject_noise(dataset, level, seed)])[0]
-    key = (method, noise_name(dataset, level, seed))
+        return score(prepared, method, [(level, seed)])[0]
+    key = _key(prepared.dataset, method, level, seed)
     if solved.get(key) is not None:
         return solved[key]
     if key not in solved:
         chunk = _chunk(prepared, method, level, seed, solved)
-        # Each set is marked to be solved alone until its chunk's solve succeeds.
+        # Each key is marked to be scored alone until its chunk succeeds.
         solved.update(dict.fromkeys(chunk))
         if len(chunk) > 1:
             try:
-                sets = [inject_noise(dataset, *cell) for cell in chunk.values()]
-                solved.update(zip(chunk, _solve_sets(prepared, method, sets)))
+                solved.update(zip(chunk, score(prepared, method, list(chunk.values()))))
                 return solved[key]
             except Exception:
-                pass  # the solve alone below raises whatever this set's own solve raises
-    solved[key] = _solve_sets(prepared, method, [inject_noise(dataset, level, seed)])[0]
+                pass  # scored alone below, it raises whatever this cell's own raises
+    solved[key] = score(prepared, method, [(level, seed)])[0]
     return solved[key]
 
 
@@ -444,7 +466,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=1,
     _require(workers == 1, "workers", f"workers must be 1 (cells run serially), got {workers}")
     prepared = prepare_experiment(cfg, data_dir, ops_dir)
     report = ExperimentReport(rows=[], failures=[])
-    solved = {}  # closed-form accuracies of this grid, see run_cell
+    solved = {}  # accuracies of this grid's chunks, see run_cell
     for method in cfg.methods:
         for level in cfg.noise_levels:
             for seed in cfg.seeds:
@@ -501,15 +523,32 @@ def emit_table(rows, format: str = "csv") -> str:
 
 
 def parse_results_csv(text) -> list:
-    """Inverse of ``emit_table(..., 'csv')``."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected CSV header {CSV_HEADER!r}, got {(lines or [''])[0]!r}")
+    """Inverse of ``emit_table(..., 'csv')``.
+
+    A row that does not have the header's seven fields, a number that does
+    not parse, or a ``pca`` field other than ``true``/``false`` raises
+    ``ValueError`` naming its line (the header is line 1; blank lines count).
+    """
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    header = lines[0][1] if lines else ""
+    if header != CSV_HEADER:
+        raise ValueError(f"expected CSV header {CSV_HEADER!r}, got {header!r}")
+    width = len(CSV_HEADER.split(","))
+    flags = {"true": True, "false": False}
     rows = []
-    for line in lines[1:]:
-        dataset, method, level, seed, acc, wall, pca = line.split(",")
-        rows.append(ResultRow(dataset=dataset, method=method,
-                              noise_level=float(level), seed=int(seed),
-                              accuracy=float(acc), wall_time_seconds=float(wall),
-                              pca_used=pca == "true"))
+    for number, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"line {number}: expected {width} fields, got {len(fields)}")
+        dataset, method, level, seed, acc, wall, pca = fields
+        if pca not in flags:
+            raise ValueError(f"line {number}: pca must be true or false, got {pca!r}")
+        try:
+            rows.append(ResultRow(dataset=dataset, method=method,
+                                  noise_level=float(level), seed=int(seed),
+                                  accuracy=float(acc), wall_time_seconds=float(wall),
+                                  pca_used=flags[pca]))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return rows

@@ -2,7 +2,9 @@
 
 The solver splits each block's columns into one group per CPU the process may
 run on and iterates the groups in threads of their own; the result does not
-depend on the CPU count.
+depend on the CPU count.  ``_cores`` counts those CPUs, and ``_BLAS_THREADS``
+reads and sets the thread count of numpy's bundled OpenBLAS, for callers that
+run one BLAS call per thread instead (``network.train``).
 
 Dense matrices are plain float64 ``numpy.ndarray``s; sparse matrices are
 float64 ``scipy.sparse.csr_matrix``.  There is no global pruning rule: each
@@ -12,6 +14,8 @@ adjacency, drops it there.
 """
 
 import contextvars
+import ctypes
+import glob
 import os
 import threading
 from typing import Callable, NamedTuple, Optional
@@ -112,6 +116,51 @@ def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _in_threads(run: Callable[[int], None], count: int) -> None:
+    """Call ``run(i)`` for each i < ``count``, each in a thread of its own.
+
+    The calling thread runs i = 0.  The others start in a copy of the
+    caller's context, which carries numpy's error state over, and every one
+    is joined before this returns or raises.
+    """
+    workers = []
+    try:
+        for i in range(1, count):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            worker.start()
+            workers.append(worker)
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+
+
+def _openblas_threads() -> Optional[tuple]:
+    """(set, get) of numpy's bundled OpenBLAS thread count, or None where it has none.
+
+    numpy's wheels ship scipy-openblas in ``numpy.libs/``, whose
+    ``scipy_openblas_set_num_threads64_`` and ``..._get_num_threads64_``
+    change and read the count for the whole process.  Any other BLAS build
+    (a system OpenBLAS, MKL, Accelerate) gives None.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+# Looked up once, at import; None means the thread count cannot be changed.
+_BLAS_THREADS = _openblas_threads()
 
 
 def conjugate_gradient(
@@ -264,17 +313,7 @@ def conjugate_gradient(
             with lock:
                 last = min(last, 0 if isinstance(outcome, BaseException) else outcome[0])
 
-    workers = []
-    try:
-        for g in range(1, len(groups)):
-            # A copy of the caller's context carries numpy's error state over.
-            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, g))
-            worker.start()
-            workers.append(worker)
-        run(0)
-    finally:
-        for worker in workers:
-            worker.join()
+    _in_threads(run, len(groups))
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome

@@ -33,12 +33,24 @@ decide classes by ``decode_predictions`` of the logits.  The ReLU, its
 backward mask and the Adam step all work in place, in the same operation
 order as the out-of-place formulas, so the trained parameters are
 bit-identical to theirs.
+
+One ``train`` call trains any number of models on the same operator, input
+and labeled rows, each with its own label matrix and seed.  One model trains
+in the calling thread at the process's BLAS thread count.  Several train side
+by side, one per CPU, each at one BLAS thread: one training's products are
+too small to keep two BLAS threads busy, so two trainings at once finish
+sooner than two in a row.  Below ``_POOL_ENTRIES`` activation entries per
+model they do not, and several models train one after another as one does.
+A pooled model's parameters are those of the same model trained alone at one
+BLAS thread, bit for bit.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import NumericalError, _require
 from .hypergraph import PropagationOperator
 from .labels import decode_predictions, row_indices
@@ -66,6 +78,21 @@ WEIGHT_DECAY = 5e-4
 # when m is a multiple of 8; at m = 100 or 300 the backward product differs
 # at rounding level.
 _WIDE_INPUT = 8
+# Entries (rows x hidden) a model's activations hold at least for its call to
+# train its models side by side.  Smaller models spend an epoch mostly in the
+# interpreter, and two threads then wait on each other's lock.  ms per model
+# epoch, one after another at 2 BLAS threads -> side by side at 1 (hgnn sym
+# operator, 4 models of 60 epochs, medians of 5 alternating runs on 2 cores):
+#   n      hidden   entries   d = 6, 4 classes   d = 50, 10 classes
+#    400       32     12800   0.20 -> 0.39
+#    800       32     25600   0.43 -> 0.47
+#    400       64     25600                      0.52 -> 0.53
+#    600       64     38400                      0.81 -> 0.72
+#   1500       32     48000   0.67 -> 0.58
+#   1000       64     64000                      1.12 -> 1.06
+#   2000       32     64000   1.01 -> 0.68
+#   2000       64    128000                      3.18 -> 2.39
+_POOL_ENTRIES = 2 ** 15
 
 
 @dataclass
@@ -202,20 +229,82 @@ def init_params(input_dim: int, hidden: int, num_classes: int,
     )
 
 
-def train(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray, labeled,
-          cfg: TrainConfig = TrainConfig(), *, seed: int,
-          log_stream=None) -> TwoLayerParams:
-    """Full-batch Adam training on ``x_prop = op.apply(X)`` for ``cfg.epochs`` steps.
+def train(op: PropagationOperator, x_prop: np.ndarray, Ys, labeled,
+          cfg: TrainConfig = TrainConfig(), *, seeds, log_stream=None) -> list:
+    """Full-batch Adam training of one model per label matrix, ``cfg.epochs`` steps each.
 
-    No early stopping.  Deterministic under ``seed``, which draws the initial
-    parameters.  When ``log_stream`` is given, one CSV line per epoch (epoch,
-    loss, train_accuracy) is written to it.
+    Model i fits the one-hot label matrix ``Ys[i]`` on the rows ``labeled`` of
+    ``x_prop = op.apply(X)``, from the initial parameters that ``seeds[i]``
+    draws; one ``TwoLayerParams`` per model comes back, in order.  No early
+    stopping.  When ``log_stream`` is given (a one-model call only), one CSV
+    line per epoch (epoch, loss, train_accuracy) is written to it.
+
+    The models run in ``min(linalg._cores(), len(seeds))`` threads, started
+    by ``linalg._in_threads`` as CG's column groups are; the calling thread
+    is one of them, and each thread trains the next untrained model until
+    none are left.  While two or more threads run, numpy's bundled
+    OpenBLAS is held at one thread (``linalg._BLAS_THREADS``) and its count
+    is restored before the call returns or raises.  A pooled model's
+    parameters are then those of the same model trained alone at one BLAS
+    thread, bit for bit, whatever the CPU count.  One model, one CPU, a model
+    whose n x hidden activations hold fewer than ``_POOL_ENTRIES`` entries,
+    or a BLAS whose thread count cannot be set trains the models one after
+    another at the current BLAS thread count.  Once a model raises, no thread
+    starts another; every thread is joined, and the lowest-numbered model's
+    error is raised.  Each running model holds its own n x hidden
+    activations.
     """
     x_prop = as_dense(x_prop)
     n = x_prop.shape[0]
-    if Y.shape[0] != n:
-        raise ValueError(f"label matrix has {Y.shape[0]} rows, but the input has {n}")
+    Ys, seeds = list(Ys), list(seeds)
+    if len(Ys) != len(seeds):
+        raise ValueError(f"{len(Ys)} label matrices for {len(seeds)} seeds")
+    for Y in Ys:
+        if Y.shape[0] != n:
+            raise ValueError(f"label matrix has {Y.shape[0]} rows, but the input has {n}")
+    if log_stream is not None and len(seeds) != 1:
+        raise ValueError(f"log_stream needs a one-model call, got {len(seeds)} models")
     labeled = row_indices(labeled, n)
+
+    def fit(i):
+        return _train_one(op, x_prop, Ys[i], labeled, cfg, seeds[i], log_stream)
+
+    threads = min(linalg._cores(), len(seeds))
+    if threads < 2 or n * cfg.hidden < _POOL_ENTRIES or linalg._BLAS_THREADS is None:
+        return [fit(i) for i in range(len(seeds))]
+
+    models = [None] * len(seeds)
+    failures = {}
+    pending, lock = iter(range(len(seeds))), threading.Lock()
+
+    def run(_):
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                models[i] = fit(i)
+            except BaseException as exc:  # raised again in the calling thread
+                with lock:
+                    failures[i] = exc
+
+    set_blas_threads, get_blas_threads = linalg._BLAS_THREADS
+    blas_threads = get_blas_threads()
+    set_blas_threads(1)
+    try:
+        linalg._in_threads(run, threads)
+    finally:
+        set_blas_threads(blas_threads)
+    if failures:
+        raise failures[min(failures)]
+    return models
+
+
+def _train_one(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray,
+               labeled: np.ndarray, cfg: TrainConfig, seed: int,
+               log_stream) -> TwoLayerParams:
+    """One model of ``train``, on inputs it has already checked."""
     params = init_params(x_prop.shape[1], cfg.hidden, Y.shape[1], seed)
     thetas = (params.theta1, params.theta2)
 

@@ -250,8 +250,9 @@ print(json.dumps(order))
         trained = []
 
         def recording(*args, **kwargs):
-            trained.append(network.train(*args, **kwargs))
-            return trained[-1]
+            models = network.train(*args, **kwargs)
+            trained.extend(models)
+            return models
 
         monkeypatch.setattr(hgssl.bench, "train", recording)
         cfg = replace(SMALL, methods=("hgnn",), noise_levels=(0.15,), seeds=(7,))
@@ -260,8 +261,8 @@ print(json.dumps(order))
         ds = prepared.dataset
         Y = encode_labels(inject_noise(ds, 0.15, 7), ds.train_indices, ds.num_classes)
         op = prepared.operators["hg_sym"]
-        want = network.train(op, op.apply(load_dataset(cfg).features), Y,
-                             ds.train_indices, FAST_TRAIN, seed=7)
+        [want] = network.train(op, op.apply(load_dataset(cfg).features), [Y],
+                               ds.train_indices, FAST_TRAIN, seeds=[7])
         [got] = trained
         assert np.array_equal(got.theta1, want.theta1)
         assert np.array_equal(got.theta2, want.theta2)
@@ -599,11 +600,56 @@ class TestClosedFormReuse:
         assert [(level, seed) for _, level, seed in draws] == 2 * per_method
 
     def test_neural_cells_train_once_each(self, monkeypatch):
-        cfg = replace(SMALL, methods=("gcn", "hgnn"), noise_levels=(0.0,), seeds=(0, 1))
+        # One train call per method, its cells' models in grid order.
+        cfg = replace(SMALL, methods=("gcn", "hgnn"), noise_levels=(0.0, 0.3), seeds=(0, 1))
+        seeds = []
+        original = hgssl.bench.train
+
+        def counted(*args, **kwargs):
+            seeds.append(kwargs["seeds"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hgssl.bench, "train", counted)
+        draws = self.counting(monkeypatch, "inject_noise")
+        report = run_experiment(cfg)
+        assert report.ok and len(report.rows) == 8
+        assert seeds == [[0, 1, 0, 1]] * 2
+        assert [(level, seed) for _, level, seed in draws] \
+            == 2 * [(0.0, 0), (0.0, 1), (0.3, 0), (0.3, 1)]
+
+    def test_neural_chunk_time_goes_on_its_first_cell(self, monkeypatch):
+        cfg = replace(SMALL, methods=("hgnn",), seeds=(0, 1, 2))
+        self.counting(monkeypatch, "train", delay=0.3)
+        first, *looked_up = run_experiment(cfg).rows
+        assert first.wall_time_seconds >= 0.3
+        assert [row.seed for row in looked_up] == [1, 2]
+        assert all(row.wall_time_seconds < 0.3 for row in looked_up)
+
+    def test_cell_with_non_finite_labels_fails_alone(self, monkeypatch):
+        # The chunk's training raises, so each cell trains alone: only the
+        # poisoned cell fails, and the others score as in a clean grid.
+        cfg = replace(SMALL, methods=("gcn",), noise_levels=(0.0, 0.3), seeds=(0, 1, 2))
+        monkeypatch.setattr(hgssl.linalg, "_cores", lambda: 2)
+        monkeypatch.setattr(network, "_POOL_ENTRIES", 1)
+        clean = run_experiment(cfg)
+        assert clean.ok
+        ds = prepare_experiment(cfg).dataset
+        poisoned = inject_noise(ds, 0.3, 1)
+        encode = hgssl.bench.encode_labels
+
+        def encoded(noisy, rows, num_classes):
+            Y = encode(noisy, rows, num_classes)
+            return Y * np.nan if np.array_equal(noisy, poisoned) else Y
+
+        monkeypatch.setattr(hgssl.bench, "encode_labels", encoded)
         trained = self.counting(monkeypatch, "train")
         report = run_experiment(cfg)
-        assert report.ok and len(report.rows) == 4
-        assert len(trained) == 4
+        assert [(f.method, f.noise_level, f.seed) for f in report.failures] \
+            == [("gcn", 0.3, 1)]
+        assert report.failures[0].error == "NumericalError: non-finite loss at epoch 1"
+        assert [strip_time(row) for row in report.rows] \
+            == [strip_time(row) for row in clean.rows if (row.noise_level, row.seed) != (0.3, 1)]
+        assert [len(Ys) for _, _, Ys, *_ in trained] == [6] + [1] * 6
 
     def test_failed_solve_is_not_reused(self, monkeypatch):
         cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl"), seeds=(0, 1, 2),
@@ -761,6 +807,22 @@ class TestEmitTable:
             parse_results_csv(text)
         assert str(info.value) == (f"expected CSV header {CSV_HEADER!r}, "
                                    f"got {text.strip().splitlines()[0]!r}")
+
+    @pytest.mark.parametrize("row, message", [
+        ("synthetic,gcn,0.0,0,1.0,0.1,maybe", "line 4: pca must be true or false, got 'maybe'"),
+        ("synthetic,gcn,0.0", "line 4: expected 7 fields, got 3"),
+        ("synthetic,gcn,0.0,0,1.0,0.1,false,x", "line 4: expected 7 fields, got 8"),
+        ("synthetic,gcn,x,0,1.0,0.1,false",
+         "line 4: could not convert string to float: 'x'"),
+        ("synthetic,gcn,0.0,0.5,1.0,0.1,true",
+         "line 4: invalid literal for int() with base 10: '0.5'"),
+    ], ids=["pca-maybe", "short-row", "long-row", "non-numeric-level", "fractional-seed"])
+    def test_bad_csv_row_names_its_line(self, row, message):
+        # Line 2 is valid, and the blank line 3 still counts.
+        text = f"{CSV_HEADER}\nsynthetic,gcn,0.0,0,1.0,0.1,false\n\n{row}\n"
+        with pytest.raises(ValueError) as info:
+            parse_results_csv(text)
+        assert str(info.value) == message
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

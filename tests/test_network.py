@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import scipy.sparse as sp
 
 from helpers import knn_adjacency, knn_hypergraph, random_hypergraph, row_softmax
 import hgssl.network
+from hgssl import linalg
 from hgssl.datasets import synthetic_blobs
 from hgssl.errors import NumericalError
 from hgssl.hypergraph import PropagationOperator, gcn_operator, hypergraph_operator
@@ -234,23 +238,23 @@ class TestTrain:
         op = hypergraph_operator(hg, "sym")
         noisy = inject_noise(ds, 0.0, seed=0)
         Y = encode_labels(noisy, ds.train_indices, ds.num_classes)
-        params = train(op, op.apply(ds.features), Y, ds.train_indices,
-                       TrainConfig(epochs=200), seed=0)
+        [params] = train(op, op.apply(ds.features), [Y], ds.train_indices,
+                         TrainConfig(epochs=200), seeds=[0])
         pred = predict(op, op.apply(ds.features), params)
         assert accuracy(pred, ds.labels, ds.test_indices) >= 0.95
 
     def test_same_seed_bit_identical(self):
         op, X, _, Y, mask = random_instance(seed=62)
         cfg = TrainConfig(hidden=6, epochs=20)
-        a = train(op, op.apply(X), Y, mask, cfg, seed=9)
-        b = train(op, op.apply(X), Y, mask, cfg, seed=9)
+        [a] = train(op, op.apply(X), [Y], mask, cfg, seeds=[9])
+        [b] = train(op, op.apply(X), [Y], mask, cfg, seeds=[9])
         assert np.array_equal(a.theta1, b.theta1)
         assert np.array_equal(a.theta2, b.theta2)
 
     def test_training_log_finite_losses(self):
         op, X, _, Y, mask = random_instance(seed=63)
         stream = io.StringIO()
-        train(op, op.apply(X), Y, mask, TrainConfig(hidden=5, epochs=15), seed=0,
+        train(op, op.apply(X), [Y], mask, TrainConfig(hidden=5, epochs=15), seeds=[0],
               log_stream=stream)
         lines = stream.getvalue().strip().splitlines()
         assert lines[0] == "epoch,loss,train_accuracy"
@@ -266,8 +270,8 @@ class TestTrain:
         Y = np.zeros((6, 2))
         Y[:, 1] = 1.0
         stream = io.StringIO()
-        train(IDENTITY_OP, np.ones((6, 1)), Y, np.arange(6),
-              TrainConfig(hidden=1, epochs=1), seed=0, log_stream=stream)
+        train(IDENTITY_OP, np.ones((6, 1)), [Y], np.arange(6),
+              TrainConfig(hidden=1, epochs=1), seeds=[0], log_stream=stream)
         assert stream.getvalue().splitlines()[1].endswith(",1.000000")
 
     def test_no_full_softmax_taken(self, monkeypatch):
@@ -286,7 +290,7 @@ class TestTrain:
         monkeypatch.setattr(hgssl.network, "np", LabeledRowsExp())
         x_prop = op.apply(X)
         loss_and_gradients(forward(op, x_prop, params), Y, mask, params, 5e-4)
-        train(op, x_prop, Y, mask, TrainConfig(hidden=4, epochs=3), seed=0,
+        train(op, x_prop, [Y], mask, TrainConfig(hidden=4, epochs=3), seeds=[0],
               log_stream=io.StringIO())
 
     @pytest.mark.parametrize("norm", ["sym", "rw"])
@@ -324,7 +328,7 @@ class TestTrain:
         theta1, theta2 = thetas
         want_pred = np.argmax(dense @ np.maximum(x_prop @ theta1, 0.0) @ theta2, axis=1)
 
-        trained = train(op, op.apply(X), Y, mask, cfg, seed=4)
+        [trained] = train(op, op.apply(X), [Y], mask, cfg, seeds=[4])
         assert np.max(np.abs(trained.theta1 - theta1)) < 1e-12
         assert np.max(np.abs(trained.theta2 - theta2)) < 1e-12
         assert np.array_equal(predict(op, op.apply(X), trained), want_pred)
@@ -389,7 +393,7 @@ class TestTrain:
                 v_hat = m2[i] / (1 - b2 ** epoch)
                 thetas[i] = thetas[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
 
-        trained = train(op, x_prop, Y, mask, cfg, seed=5)
+        [trained] = train(op, x_prop, [Y], mask, cfg, seeds=[5])
         assert np.array_equal(trained.theta1, thetas[0])
         assert np.array_equal(trained.theta2, thetas[1])
 
@@ -421,7 +425,7 @@ class TestLabeledRows:
         op, X, params, Y, _ = random_instance(seed=81, n=self.N)
         labels = np.argmax(Y, axis=1)
         with pytest.raises(ValueError, match=message):
-            train(op, op.apply(X), Y, rows, TrainConfig(hidden=4, epochs=1), seed=0)
+            train(op, op.apply(X), [Y], rows, TrainConfig(hidden=4, epochs=1), seeds=[0])
         with pytest.raises(ValueError, match=message):
             loss_and_gradients(forward(op, op.apply(X), params), Y, rows, params, 0.0)
         with pytest.raises(ValueError, match=message):
@@ -437,13 +441,13 @@ class TestLabeledRows:
         Y[:, 0] = 1.0
         with pytest.raises(ValueError,
                            match=f"label matrix has {label_rows} rows, but the input has 12"):
-            train(op, op.apply(X), Y, mask, TrainConfig(hidden=4, epochs=1), seed=0)
+            train(op, op.apply(X), [Y], mask, TrainConfig(hidden=4, epochs=1), seeds=[0])
         with pytest.raises(ValueError,
                            match=f"label matrix has {label_rows} rows, but the logits have 12"):
             loss_and_gradients(forward(op, op.apply(X), params), Y, mask, params, 0.0)
 
     def test_train_checks_rows_once(self, monkeypatch):
-        # The rows do not change between epochs, so one check covers them all.
+        # The rows do not change between epochs or models, so one check covers them all.
         checked = []
 
         def counting(*args):
@@ -452,7 +456,7 @@ class TestLabeledRows:
 
         monkeypatch.setattr(hgssl.network, "row_indices", counting)
         op, X, _, Y, mask = random_instance(seed=83, n=self.N)
-        train(op, op.apply(X), Y, mask, TrainConfig(hidden=4, epochs=5), seed=0)
+        train(op, op.apply(X), [Y, Y], mask, TrainConfig(hidden=4, epochs=5), seeds=[0, 1])
         assert len(checked) == 1
 
     def test_accepted_rows_come_back_as_int64(self):
@@ -482,3 +486,163 @@ class TestPredict:
         trace = forward(op, op.apply(X), params)
         assert np.array_equal(predict(op, op.apply(X), params),
                               decode_predictions(row_softmax(trace.logits)))
+
+
+BLAS = linalg._BLAS_THREADS
+
+
+def pool_instance(models, seed=90, n=60, width=12, c=3):
+    """An operator, its propagated input, rows and one label matrix per model."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, width))
+    op = hypergraph_operator(knn_hypergraph(X, 4), "sym")
+    Ys = [np.eye(c)[rng.integers(0, c, n)] for _ in range(models)]
+    rows = np.sort(rng.choice(n, size=n // 2, replace=False))
+    return op, op.apply(X), Ys, rows
+
+
+def pooled(monkeypatch, cores):
+    """Train side by side in up to ``cores`` threads, however small the models."""
+    monkeypatch.setattr(linalg, "_cores", lambda: cores)
+    monkeypatch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
+
+
+def recording_models(monkeypatch, before=None):
+    """Record (model seed, thread, BLAS thread count) as each model starts."""
+    started = []
+    train_one = hgssl.network._train_one
+
+    def recorded(op, x_prop, Y, labeled, cfg, seed, log_stream):
+        started.append((seed, threading.get_ident(), BLAS[1]() if BLAS else None))
+        if before is not None:
+            before(seed)
+        return train_one(op, x_prop, Y, labeled, cfg, seed, log_stream)
+
+    monkeypatch.setattr(hgssl.network, "_train_one", recorded)
+    return started
+
+
+def assert_same_params(a, b):
+    assert np.array_equal(a.theta1, b.theta1) and np.array_equal(a.theta2, b.theta2)
+
+
+class TestPool:
+    """One train call of several models: one per thread, one BLAS thread each."""
+
+    CFG = TrainConfig(hidden=8, epochs=15)
+    SEEDS = [3, 1, 4, 1]
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
+    def test_models_do_not_depend_on_the_core_count(self, monkeypatch):
+        # At noise-grid's shape, where two BLAS threads and one give
+        # parameters apart at rounding level.
+        op, x_prop, Ys, rows = pool_instance(len(self.SEEDS), n=2000, width=50, c=10)
+        cfg = TrainConfig(hidden=64, epochs=10)
+        alone = []
+        set_threads, get_threads = BLAS
+        threads = get_threads()
+        set_threads(1)
+        try:
+            for Y, seed in zip(Ys, self.SEEDS):
+                alone += train(op, x_prop, [Y], rows, cfg, seeds=[seed])
+        finally:
+            set_threads(threads)
+        for cores in (2, 3, 4):
+            pooled(monkeypatch, cores)
+            started = recording_models(monkeypatch)
+            models = train(op, x_prop, Ys, rows, cfg, seeds=self.SEEDS)
+            monkeypatch.undo()
+            assert sorted(seed for seed, *_ in started) == sorted(self.SEEDS)
+            assert {blas for *_, blas in started} == {1}
+            for got, want in zip(models, alone, strict=True):
+                assert_same_params(got, want)
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
+    def test_blas_thread_count_restored_after_return_and_raise(self, monkeypatch):
+        op, x_prop, Ys, rows = pool_instance(3)
+        pooled(monkeypatch, 2)
+        set_threads, get_threads = BLAS
+        threads = get_threads()
+        set_threads(2)
+        try:
+            train(op, x_prop, Ys, rows, self.CFG, seeds=[0, 1, 2])
+            assert get_threads() == 2
+            Ys[1] = np.full_like(Ys[1], np.nan)
+            with pytest.raises(NumericalError, match="non-finite loss at epoch 1"):
+                train(op, x_prop, Ys, rows, self.CFG, seeds=[0, 1, 2])
+            assert get_threads() == 2
+        finally:
+            set_threads(threads)
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
+    def test_lowest_failed_model_raised_and_no_model_started_after(self, monkeypatch):
+        # Model 2 fails at once, model 1 later: model 1's error is the one
+        # raised, and model 3 never starts, whichever thread takes which.
+        def before(seed):
+            time.sleep({0: 0.02, 1: 0.1}.get(seed, 0.0))
+            if seed in (1, 2):
+                raise ValueError(f"model {seed} failed")
+
+        op, x_prop, Ys, rows = pool_instance(4)
+        pooled(monkeypatch, 2)
+        started = recording_models(monkeypatch, before)
+        with pytest.raises(ValueError, match="^model 1 failed$"):
+            train(op, x_prop, Ys, rows, self.CFG, seeds=[0, 1, 2, 3])
+        assert {seed for seed, *_ in started} <= {0, 1, 2}
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
+    def test_each_model_trained_once_by_more_threads_than_cores(self, monkeypatch):
+        # Threads switch every microsecond, so a model taken twice or never
+        # (an unlocked take from the shared queue) would show.
+        models = 24
+        op, x_prop, Ys, rows = pool_instance(models, n=20, width=3)
+        cfg = TrainConfig(hidden=2, epochs=3)
+        seeds = list(range(models))
+        serial = [train(op, x_prop, [Y], rows, cfg, seeds=[seed])[0]
+                  for Y, seed in zip(Ys, seeds)]
+        pooled(monkeypatch, 8)
+        started = recording_models(monkeypatch)
+        threads = set(threading.enumerate())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = train(op, x_prop, Ys, rows, cfg, seeds=seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seed for seed, *_ in started) == seeds
+        assert {blas for *_, blas in started} == {1}
+        assert set(threading.enumerate()) == threads  # every worker was joined
+        # Tiny models give the same bits at any BLAS thread count.
+        for a, b in zip(got, serial, strict=True):
+            assert_same_params(a, b)
+
+    @pytest.mark.parametrize("case", ["no-blas-handle", "one-core", "one-model", "small-model"])
+    def test_serial_models_train_as_today_in_the_calling_thread(self, monkeypatch, case):
+        # The parent's path: one model after another in the calling thread,
+        # at the process's BLAS thread count.
+        models = 1 if case == "one-model" else 3
+        op, x_prop, Ys, rows = pool_instance(models)
+        seeds = self.SEEDS[:models]
+        alone = [train(op, x_prop, [Y], rows, self.CFG, seeds=[seed])[0]
+                 for Y, seed in zip(Ys, seeds)]
+        monkeypatch.setattr(linalg, "_cores", lambda: 1 if case == "one-core" else 4)
+        if case == "no-blas-handle":
+            monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
+        if case != "small-model":
+            monkeypatch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
+        else:
+            assert len(x_prop) * self.CFG.hidden < hgssl.network._POOL_ENTRIES
+        started = recording_models(monkeypatch)
+        threads = BLAS[1]() if BLAS else None
+        got = train(op, x_prop, Ys, rows, self.CFG, seeds=seeds)
+        assert started == [(seed, threading.get_ident(), threads) for seed in seeds]
+        for a, b in zip(got, alone, strict=True):
+            assert_same_params(a, b)
+
+    def test_models_and_seeds_must_pair_up(self):
+        op, x_prop, Ys, rows = pool_instance(2)
+        with pytest.raises(ValueError, match="2 label matrices for 3 seeds"):
+            train(op, x_prop, Ys, rows, self.CFG, seeds=[0, 1, 2])
+        with pytest.raises(ValueError, match="log_stream needs a one-model call, got 2"):
+            train(op, x_prop, Ys, rows, self.CFG, seeds=[0, 1], log_stream=io.StringIO())
+        assert train(op, x_prop, [], rows, self.CFG, seeds=[]) == []

@@ -21,15 +21,19 @@ side by side with the grid's next distinct unsolved sets of its method.
 Each set's scores are its own columns of the chunk's scores, and its entry
 is keyed by the set's owner: the first cell of the grid with those noisy
 labels.  Closed-form cells that reuse an earlier solve own no set and have
-no entry.  Regenerate both tables with
-``PYTHONPATH=src python tests/test_predictions.py``.
+no entry.  The first cell of a neural method trains the models of all its
+method's cells in one ``train`` call; each model's entry is keyed by its own
+cell.  Pooled models train at one BLAS thread, so the fingerprints' 1e-9
+covers them as it covers any other change of BLAS thread count.  Regenerate
+both tables with ``PYTHONPATH=src python tests/test_predictions.py``.
 
-The grid runs twice against the same tables: at the default block budget,
-where one block holds each closed-form method's 10 distinct sets (40
-columns at n = 400 and 4 classes), and at ``linalg._BLOCK_BUDGET`` = 3,200
-entries (2 sets x 4 classes x 400 rows), where they solve as 5 chunks of 2.
-Either way each chunk's label solve is one ``conjugate_gradient`` call over
-all its columns.
+The grid runs three times against the same tables: at the default block
+budget, where one block holds each closed-form method's 10 distinct sets (40
+columns at n = 400 and 4 classes); at ``linalg._BLOCK_BUDGET`` = 3,200
+entries (2 sets x 4 classes x 400 rows), where they solve as 5 chunks of 2;
+and at the default budget with each method's models trained side by side in
+two threads, which the smoke grid's small models otherwise are not.  Each
+chunk's label solve is one ``conjugate_gradient`` call over all its columns.
 """
 
 import hashlib
@@ -41,6 +45,7 @@ import pytest
 
 import hgssl.bench
 import hgssl.linalg
+import hgssl.network
 import hgssl.propagation
 from hgssl.bench import _CLOSED_FORM
 from hgssl.config import load_config
@@ -99,12 +104,17 @@ def smoke_grid_records(patch):
     label_cg = []  # per label solve, the widths of its CG calls
     current = []  # (cell, method, dataset) of the cell that is running
     owners = {}  # per closed-form method, the owners of its sets not yet solved
-    unscored = []  # the owners of solved sets whose predictions are not decoded yet
+    untrained = {}  # per neural method, its cells whose models are not trained yet
+    unscored = []  # the owners of solved sets and trained models not scored yet
 
     def in_cell(run_cell):
         def wrapped(prepared, method, level, seed, *args, **kwargs):
             if not owners:
                 owners.update(set_owners(prepared))
+                cfg = prepared.config
+                untrained.update((m, [cell_name(m, lv, s) for lv in cfg.noise_levels
+                                      for s in cfg.seeds])
+                                 for m in cfg.methods if m not in _CLOSED_FORM)
             current.append((cell_name(method, level, seed), method, prepared.dataset))
             try:
                 return run_cell(prepared, method, level, seed, *args, **kwargs)
@@ -126,7 +136,7 @@ def smoke_grid_records(patch):
     def predicted(predict):
         def wrapped(*args, **kwargs):
             pred = predict(*args, **kwargs)
-            record(hashes, current[-1][0], label_hash(pred))
+            record(hashes, unscored.pop(0), label_hash(pred))
             return pred
         return wrapped
 
@@ -156,15 +166,21 @@ def smoke_grid_records(patch):
         return wrapped
 
     def trained(train):
-        def wrapped(op, x_prop, *args, **kwargs):
-            params = train(op, x_prop, *args, **kwargs)
-            logits = forward(op, x_prop, params).logits
-            cell, _, dataset = current[-1]
-            record(fingerprints, cell,
-                   {**score_fingerprint(logits, dataset.test_indices),
-                    "theta1_fro": float(np.linalg.norm(params.theta1)),
-                    "theta2_fro": float(np.linalg.norm(params.theta2))})
-            return params
+        def wrapped(op, x_prop, *args, seeds, **kwargs):
+            models = train(op, x_prop, *args, seeds=seeds, **kwargs)
+            cell, method, dataset = current[-1]
+            chunk = untrained[method][:len(models)]
+            del untrained[method][:len(chunk)]
+            assert chunk[0] == cell, f"cell {cell} trained the model of {chunk[0]}"
+            assert [int(owner.rsplit(",", 1)[1]) for owner in chunk] == list(seeds)
+            for owner, params in zip(chunk, models):
+                logits = forward(op, x_prop, params).logits
+                record(fingerprints, owner,
+                       {**score_fingerprint(logits, dataset.test_indices),
+                        "theta1_fro": float(np.linalg.norm(params.theta1)),
+                        "theta2_fro": float(np.linalg.norm(params.theta2))})
+            unscored.extend(chunk)
+            return models
         return wrapped
 
     patch.setattr(hgssl.bench, "run_cell", in_cell(hgssl.bench.run_cell))
@@ -177,17 +193,27 @@ def smoke_grid_records(patch):
     patch.setattr(hgssl.bench, "train", trained(hgssl.bench.train))
     report = hgssl.bench.run_experiment(load_config(ROOT / CONFIG))
     assert report.ok, report.failures
-    assert not unscored and not any(owners.values()), "a solved set was not scored"
+    assert not unscored and not any(owners.values()) and not any(untrained.values()), \
+        "a solved set or a trained model was not scored"
     return hashes, fingerprints, label_cg
 
 
-@pytest.fixture(scope="module", params=list(BUDGETS), ids=["default-blocks", "two-set-chunks"])
+@pytest.fixture(scope="module", params=[(None, False), (3200, False), (None, True)],
+                ids=["default-blocks", "two-set-chunks", "pooled-training"])
 def smoke_grid(request):
-    """The grid's records at one block budget, with the label CG widths it must give."""
+    """The grid's records at one block budget, with the label CG widths it must give.
+
+    The smoke grid's models are too small to train side by side; the
+    pooled run trains them so anyway, two at a time at one BLAS thread each.
+    """
+    budget, pooled = request.param
     with pytest.MonkeyPatch.context() as patch:
-        if request.param is not None:
-            patch.setattr(hgssl.linalg, "_BLOCK_BUDGET", request.param)
-        return (*smoke_grid_records(patch), BUDGETS[request.param])
+        if budget is not None:
+            patch.setattr(hgssl.linalg, "_BLOCK_BUDGET", budget)
+        if pooled:
+            patch.setattr(hgssl.linalg, "_cores", lambda: 2)
+            patch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
+        return (*smoke_grid_records(patch), BUDGETS[budget])
 
 
 def load_table(path):

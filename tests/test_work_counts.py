@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import hgssl.bench
+import hgssl.network
 import hgssl.propagation
 from hgssl.bench import _CLOSED_FORM, prepare_experiment, run_cell, run_experiment
 from hgssl.config import load_config
@@ -93,13 +94,20 @@ class OperatorProducts:
         return counted
 
     def per_call(self, patch, module, name, calls):
-        """Patch ``module.name`` to append the products of each call to ``calls``."""
+        """Patch ``module.name`` to append the products of each call to ``calls``.
+
+        A call that returns one model per seed (``train``) appends its
+        products divided among them, once per model; they must divide evenly.
+        """
         original = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             before = self.count
             result = original(*args, **kwargs)
-            calls.append(self.count - before)
+            models = len(kwargs.get("seeds", [None]))
+            per_model, left = divmod(self.count - before, models)
+            assert not left, f"{self.count - before} products over {models} models"
+            calls.extend([per_model] * models)
             return result
         patch.setattr(module, name, wrapped)
 
@@ -108,8 +116,10 @@ def smoke_grid_counts(patch):
     """Run the smoke grid; return its config, report and counted work.
 
     The counts are each CG call's iterations, operator applications, column
-    applications and block width, the operator products of each ``train``
-    and ``predict`` call and of the whole grid, the noisy label vectors
+    applications and block width, the operator products of each model
+    ``train`` trains (a call trains a method's models side by side, so they
+    are counted per call and divided among its models) and of each
+    ``predict`` call and of the whole grid, the noisy label vectors
     drawn, and the nnz of each factor of each built operator.
     """
     cfg = load_config(ROOT / CONFIG)
@@ -153,6 +163,8 @@ def smoke_grid_counts(patch):
     patch.setattr(hgssl.bench, "build_operators", built)
     patch.setattr(hgssl.bench, "inject_noise", drawn)
     split_columns(patch, 4)
+    # Each method's models train side by side in up to four threads too.
+    patch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
     products = OperatorProducts(patch)
     for name, calls in neural.items():
         products.per_call(patch, hgssl.bench, name, calls)
@@ -206,7 +218,8 @@ def test_train_and_predict_products(norm):
     Y = np.eye(3)[rng.integers(0, 3, 12)]
     with pytest.MonkeyPatch.context() as patch:
         products = OperatorProducts(patch)
-        params = train(op, x_prop, Y, np.arange(6), TrainConfig(hidden=5, epochs=7), seed=0)
+        [params] = train(op, x_prop, [Y], np.arange(6), TrainConfig(hidden=5, epochs=7),
+                         seeds=[0])
         after_train = products.count
         predict(op, x_prop, params)
     assert after_train == train_products(7)
