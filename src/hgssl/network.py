@@ -39,10 +39,8 @@ and labeled rows, each with its own label matrix and seed.  One model trains
 in the calling thread at the process's BLAS thread count.  Several train side
 by side, one per CPU, each at one BLAS thread: one training's products are
 too small to keep two BLAS threads busy, so two trainings at once finish
-sooner than two in a row.  Below ``_POOL_ENTRIES`` activation entries per
-model they do not, and several models train one after another as one does.
-A pooled model's parameters are those of the same model trained alone at one
-BLAS thread, bit for bit.
+sooner than two in a row.  A pooled model's parameters are those of the same
+model trained alone at one BLAS thread, bit for bit.
 """
 
 import threading
@@ -78,21 +76,6 @@ WEIGHT_DECAY = 5e-4
 # when m is a multiple of 8; at m = 100 or 300 the backward product differs
 # at rounding level.
 _WIDE_INPUT = 8
-# Entries (rows x hidden) a model's activations hold at least for its call to
-# train its models side by side.  Smaller models spend an epoch mostly in the
-# interpreter, and two threads then wait on each other's lock.  ms per model
-# epoch, one after another at 2 BLAS threads -> side by side at 1 (hgnn sym
-# operator, 4 models of 60 epochs, medians of 5 alternating runs on 2 cores):
-#   n      hidden   entries   d = 6, 4 classes   d = 50, 10 classes
-#    400       32     12800   0.20 -> 0.39
-#    800       32     25600   0.43 -> 0.47
-#    400       64     25600                      0.52 -> 0.53
-#    600       64     38400                      0.81 -> 0.72
-#   1500       32     48000   0.67 -> 0.58
-#   1000       64     64000                      1.12 -> 1.06
-#   2000       32     64000   1.01 -> 0.68
-#   2000       64    128000                      3.18 -> 2.39
-_POOL_ENTRIES = 2 ** 15
 
 
 @dataclass
@@ -246,9 +229,8 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Ys, labeled,
     OpenBLAS is held at one thread (``linalg._BLAS_THREADS``) and its count
     is restored before the call returns or raises.  A pooled model's
     parameters are then those of the same model trained alone at one BLAS
-    thread, bit for bit, whatever the CPU count.  One model, one CPU, a model
-    whose n x hidden activations hold fewer than ``_POOL_ENTRIES`` entries,
-    or a BLAS whose thread count cannot be set trains the models one after
+    thread, bit for bit, whatever the CPU count.  One model, one CPU, or a
+    BLAS whose thread count cannot be set trains the models one after
     another at the current BLAS thread count.  Once a model raises, no thread
     starts another; every thread is joined, and the lowest-numbered model's
     error is raised.  Each running model holds its own n x hidden
@@ -270,7 +252,7 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Ys, labeled,
         return _train_one(op, x_prop, Ys[i], labeled, cfg, seeds[i], log_stream)
 
     threads = min(linalg._cores(), len(seeds))
-    if threads < 2 or n * cfg.hidden < _POOL_ENTRIES or linalg._BLAS_THREADS is None:
+    if threads < 2 or linalg._BLAS_THREADS is None:
         return [fit(i) for i in range(len(seeds))]
 
     models = [None] * len(seeds)

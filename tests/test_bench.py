@@ -630,7 +630,6 @@ class TestClosedFormReuse:
         # poisoned cell fails, and the others score as in a clean grid.
         cfg = replace(SMALL, methods=("gcn",), noise_levels=(0.0, 0.3), seeds=(0, 1, 2))
         monkeypatch.setattr(hgssl.linalg, "_cores", lambda: 2)
-        monkeypatch.setattr(network, "_POOL_ENTRIES", 1)
         clean = run_experiment(cfg)
         assert clean.ok
         ds = prepare_experiment(cfg).dataset

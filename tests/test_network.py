@@ -502,9 +502,8 @@ def pool_instance(models, seed=90, n=60, width=12, c=3):
 
 
 def pooled(monkeypatch, cores):
-    """Train side by side in up to ``cores`` threads, however small the models."""
+    """Train side by side in up to ``cores`` threads, whatever the machine's CPU count."""
     monkeypatch.setattr(linalg, "_cores", lambda: cores)
-    monkeypatch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
 
 
 def recording_models(monkeypatch, before=None):
@@ -616,7 +615,7 @@ class TestPool:
         for a, b in zip(got, serial, strict=True):
             assert_same_params(a, b)
 
-    @pytest.mark.parametrize("case", ["no-blas-handle", "one-core", "one-model", "small-model"])
+    @pytest.mark.parametrize("case", ["no-blas-handle", "one-core", "one-model"])
     def test_serial_models_train_as_today_in_the_calling_thread(self, monkeypatch, case):
         # The parent's path: one model after another in the calling thread,
         # at the process's BLAS thread count.
@@ -628,10 +627,6 @@ class TestPool:
         monkeypatch.setattr(linalg, "_cores", lambda: 1 if case == "one-core" else 4)
         if case == "no-blas-handle":
             monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
-        if case != "small-model":
-            monkeypatch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
-        else:
-            assert len(x_prop) * self.CFG.hidden < hgssl.network._POOL_ENTRIES
         started = recording_models(monkeypatch)
         threads = BLAS[1]() if BLAS else None
         got = train(op, x_prop, Ys, rows, self.CFG, seeds=seeds)

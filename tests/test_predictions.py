@@ -31,8 +31,8 @@ The grid runs three times against the same tables: at the default block
 budget, where one block holds each closed-form method's 10 distinct sets (40
 columns at n = 400 and 4 classes); at ``linalg._BLOCK_BUDGET`` = 3,200
 entries (2 sets x 4 classes x 400 rows), where they solve as 5 chunks of 2;
-and at the default budget with each method's models trained side by side in
-two threads, which the smoke grid's small models otherwise are not.  Each
+and at the default budget with ``linalg._cores`` patched to 2, so each
+method's models train side by side in two threads on any machine.  Each
 chunk's label solve is one ``conjugate_gradient`` call over all its columns.
 """
 
@@ -203,8 +203,9 @@ def smoke_grid_records(patch):
 def smoke_grid(request):
     """The grid's records at one block budget, with the label CG widths it must give.
 
-    The smoke grid's models are too small to train side by side; the
-    pooled run trains them so anyway, two at a time at one BLAS thread each.
+    The pooled run trains each method's models two at a time at one BLAS
+    thread each, as a machine of two or more CPUs does; the other runs train
+    them as this machine does.
     """
     budget, pooled = request.param
     with pytest.MonkeyPatch.context() as patch:
@@ -212,7 +213,6 @@ def smoke_grid(request):
             patch.setattr(hgssl.linalg, "_BLOCK_BUDGET", budget)
         if pooled:
             patch.setattr(hgssl.linalg, "_cores", lambda: 2)
-            patch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
         return (*smoke_grid_records(patch), BUDGETS[budget])
 
 

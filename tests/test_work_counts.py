@@ -162,9 +162,8 @@ def smoke_grid_counts(patch):
     patch.setattr(hgssl.propagation, "conjugate_gradient", counting)
     patch.setattr(hgssl.bench, "build_operators", built)
     patch.setattr(hgssl.bench, "inject_noise", drawn)
+    # Each method's models also train side by side in up to four threads.
     split_columns(patch, 4)
-    # Each method's models train side by side in up to four threads too.
-    patch.setattr(hgssl.network, "_POOL_ENTRIES", 1)
     products = OperatorProducts(patch)
     for name, calls in neural.items():
         products.per_call(patch, hgssl.bench, name, calls)
