@@ -2,33 +2,34 @@
 
 A grid cell is one (method, noise level, seed) triple.  Each cell's seed
 drives both the noise injection and, for the neural methods, the parameter
-initialization.  Within one grid a closed-form cell's accuracy depends only on
-its method and its noisy training labels, so cells whose labels are equal
-(every seed at noise level 0) share one solve.
+initialization.  ``run_experiment`` plans each method's cells first, then
+runs the plan.
 
-A closed-form label set is named by what draws it, ``labels.noise_name``: the
-flip count ``round(level * l)`` with the seed, or ``"clean"`` when the count
-is 0.  Equal names give equal labels, so a set is found solved, and a chunk
-is planned, by name alone, before anything is drawn.
+Within one grid a closed-form cell's accuracy depends only on its method and
+its noisy training labels.  A label set is named by what draws it,
+``labels.noise_name``: the flip count ``round(level * l)`` with the seed, or
+``"clean"`` when the count is 0.  Equal names give equal labels, so each
+closed-form cell's *owner*, the first cell of the grid with its name, is
+known before anything is drawn; every seed at noise level 0 shares one.  A
+neural cell's seed also draws its initial parameters, so each neural cell
+owns itself.
 
-A closed-form cell whose label set is not solved yet solves its chunk: its
-own set, then the grid's distinct, still-unsolved sets of its method in grid
-order, as many as one block of ``linalg.column_blocks`` (the one block rule,
-which the CG blocks follow) holds.  Only then are the chunk's sets drawn,
-each once, and solved side by side as one block, so their columns share each
-operator product, and each set's scores are the ones a solve of it alone
-gives, bit for bit.  A cell whose set is already solved draws nothing.  If a
-chunk's solve fails, each of its sets is solved alone, so a cell fails
-exactly when its own set does.
+A method's owners, in grid order, are cut into chunks.  A closed-form chunk
+holds as many sets as one block of ``linalg.column_blocks`` (the one block
+rule, which the CG blocks follow) holds, and at least one.  Its sets are
+drawn, each once, and solved side by side as one block, so their columns
+share each operator product, and each set's scores are the ones a solve of
+it alone gives, bit for bit.  A neural method's chunk is all of its cells:
+their labels are drawn in grid order, all their models train in one
+``network.train`` call (side by side, one per CPU), and each model is then
+predicted and scored in turn.  If a chunk of two or more raises, each of its
+owners is scored alone, so a cell fails exactly when its own set or training
+does, with the error that scoring it alone gives.  A set that fails is not
+solved again for the other cells that share it.
 
-A neural cell's seed also draws its initial parameters, so no two cells
-share a model; a neural method's cells share one training call instead.  Its
-chunk is every cell of the method not yet trained, and its first cell draws
-and encodes their labels, in grid order, trains all their models in one
-``network.train`` call (side by side, one per CPU), then predicts and scores
-each model in turn.  If that training fails, each of its cells trains alone,
-so a cell fails exactly when its own training does.  The cell that solves
-or trains a chunk carries the chunk's time in its ``wall_time_s``.
+Then each cell, in config order, reads its owner's accuracy or error.  The
+chunk's time goes in its first cell's ``wall_time_s``; every other cell
+reads 0.0.
 
 Set-up forms everything a cell reads, once per experiment, and cells only
 read it: the operators, and each neural method's network input (Theta Z for
@@ -145,20 +146,29 @@ class ExperimentConfig:
                 _require(value not in values[:i], name,
                          f"{name} lists {value!r} more than once")
         for seed in self.seeds:
-            _require(seed >= 0, "seeds", f"seeds must be non-negative integers, got {seed}")
+            _require(_is_int(seed) and seed >= 0, "seeds",
+                     f"seeds must be non-negative integers, got {seed!r}")
         for method in self.methods:
             _require(method in METHODS, "methods",
                      f"unknown method {method!r}; known: {', '.join(METHODS)}")
         for level in self.noise_levels:
             _require(0.0 <= level < 1.0, "noise_levels", f"noise level {level} outside [0, 1)")
-        _require(self.pca_dims is None or self.pca_dims >= 1, "pca_dims",
-                 f"pca_dims must be a positive integer or none, got {self.pca_dims}")
-        _require(self.k >= 1, "k", f"k must be a positive integer, got {self.k}")
-        _require(self.subsample_size is None or self.subsample_size >= 1, "subsample_size",
-                 f"subsample_size must be a positive integer or none, "
-                 f"got {self.subsample_size}")
-        _require(self.subsample_seed >= 0, "subsample_seed",
-                 f"subsample_seed must be a non-negative integer, got {self.subsample_seed}")
+        _require(self.pca_dims is None or _is_int(self.pca_dims) and self.pca_dims >= 1,
+                 "pca_dims",
+                 f"pca_dims must be a positive integer or none, got {self.pca_dims!r}")
+        _require(_is_int(self.k) and self.k >= 1, "k",
+                 f"k must be a positive integer, got {self.k!r}")
+        _require(self.subsample_size is None
+                 or _is_int(self.subsample_size) and self.subsample_size >= 1,
+                 "subsample_size", f"subsample_size must be a positive integer or none, "
+                                   f"got {self.subsample_size!r}")
+        _require(_is_int(self.subsample_seed) and self.subsample_seed >= 0, "subsample_seed",
+                 f"subsample_seed must be a non-negative integer, got {self.subsample_seed!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -346,63 +356,37 @@ def prepare_experiment(cfg: ExperimentConfig, data_dir=None,
 
 
 def run_cell(prepared: PreparedExperiment, method: str, level: float,
-             seed: int, solved: Optional[dict] = None) -> ResultRow:
-    """Run one (method, noise level, seed) cell and score it on the test split.
+             seed: int) -> ResultRow:
+    """Run one (method, noise level, seed) cell alone and score it on the test split.
 
-    ``solved`` maps (closed-form method, name of the noisy labels, see
-    ``labels.noise_name``), or (neural method, level, seed), to the accuracy
-    a chunk of the same grid already gave; such a cell looks it up without
-    drawing its labels.  A cell whose key is not in it solves or trains its
-    chunk (see the module docstring) and adds each key's accuracy.  A key
-    whose chunk raised maps to None, and each of its cells is solved or
-    trained alone.  Without ``solved`` a cell solves its own labels, or
-    trains its own model, alone.  ``method`` must be one the experiment was
-    prepared for: only those have their operator and, for a neural method,
-    its input.
+    ``method`` must be one the experiment was prepared for: only those have
+    their operator and, for a neural method, its input.
     """
     cfg = prepared.config
     if method not in cfg.methods:
         raise ValueError(f"method {method!r} is not among the prepared experiment's "
                          f"methods: {', '.join(cfg.methods)}")
     start = time.perf_counter()
-    error = prepared.propagation_error
-    if method == "hgnn-proposed" and error is not None:
-        # A fresh copy per cell, so the kept error gathers no frames.
-        raise SolverError(error.reason, error.residual, error.columns)
+    acc = _score(prepared, method, [(level, seed)])[0]
+    return _row(cfg, method, level, seed, acc, time.perf_counter() - start)
 
-    acc = _cell_accuracy(prepared, method, level, seed, solved)
+
+def _row(cfg: ExperimentConfig, method: str, level: float, seed: int, acc: float,
+         seconds: float) -> ResultRow:
     return ResultRow(dataset=cfg.dataset, method=method, noise_level=float(level),
-                     seed=int(seed), accuracy=acc,
-                     wall_time_seconds=time.perf_counter() - start,
+                     seed=int(seed), accuracy=acc, wall_time_seconds=seconds,
                      pca_used=cfg.pca_dims is not None)
 
 
-def _key(dataset: LabeledSplit, method: str, level: float, seed: int) -> tuple:
-    """A cell's key in ``solved``: its label set's name, or for a neural method the cell."""
+def _score(prepared: PreparedExperiment, method: str, cells: list) -> list:
+    """The test accuracy of each cell, its label sets solved or its models trained in one call."""
+    error = prepared.propagation_error
+    if method == "hgnn-proposed" and error is not None:
+        # A fresh copy per call, so the kept error gathers no frames.
+        raise SolverError(error.reason, error.residual, error.columns)
     if method in _CLOSED_FORM:
-        return method, noise_name(dataset, level, seed)
-    return method, level, seed
-
-
-def _chunk(prepared: PreparedExperiment, method: str, level: float, seed: int,
-           solved: dict) -> dict:
-    """A cell's chunk: each key mapped to the (level, seed) that draws its labels.
-
-    The cell's own key comes first, then the keys of ``method`` that
-    ``solved`` does not hold, in the grid's cell order: for a closed-form
-    method its distinct sets while their columns still make one block of
-    ``column_blocks``, for a neural method every cell.  Nothing is drawn.
-    """
-    cfg, dataset = prepared.config, prepared.dataset
-    n, C = len(dataset.labels), dataset.num_classes
-    chunk = {_key(dataset, method, level, seed): (level, seed)}
-    for cell in ((lv, s) for lv in cfg.noise_levels for s in cfg.seeds):
-        if method in _CLOSED_FORM and len(column_blocks(n, C * (len(chunk) + 1))) > 1:
-            break
-        key = _key(dataset, method, *cell)
-        if key not in solved:
-            chunk.setdefault(key, cell)
-    return chunk
+        return _solve_sets(prepared, method, cells)
+    return _train_cells(prepared, method, cells)
 
 
 def _solve_sets(prepared: PreparedExperiment, method: str, cells: list) -> list:
@@ -434,47 +418,58 @@ def _train_cells(prepared: PreparedExperiment, method: str, cells: list) -> list
             for params in models]
 
 
-def _cell_accuracy(prepared: PreparedExperiment, method: str, level: float,
-                   seed: int, solved: Optional[dict]) -> float:
-    """A cell's accuracy: looked up in ``solved``, or computed with its chunk (see ``run_cell``)."""
-    score = _solve_sets if method in _CLOSED_FORM else _train_cells
-    if solved is None:
-        return score(prepared, method, [(level, seed)])[0]
-    key = _key(prepared.dataset, method, level, seed)
-    if solved.get(key) is not None:
-        return solved[key]
-    if key not in solved:
-        chunk = _chunk(prepared, method, level, seed, solved)
-        # Each key is marked to be scored alone until its chunk succeeds.
-        solved.update(dict.fromkeys(chunk))
-        if len(chunk) > 1:
-            try:
-                solved.update(zip(chunk, score(prepared, method, list(chunk.values()))))
-                return solved[key]
-            except Exception:
-                pass  # scored alone below, it raises whatever this cell's own raises
-    solved[key] = score(prepared, method, [(level, seed)])[0]
-    return solved[key]
+def _score_chunk(prepared: PreparedExperiment, method: str, chunk: list) -> list:
+    """Each cell's accuracy, or the text of the error it raises when scored alone.
+
+    The chunk is scored in one call.  If that raises, each of its cells is
+    scored alone, so a cell fails exactly when its own labels or training do.
+    """
+    try:
+        return _score(prepared, method, chunk)
+    except Exception as exc:
+        if len(chunk) == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+    # Out of the handler, so the failed call's arrays are freed first.
+    return [_score_chunk(prepared, method, [cell])[0] for cell in chunk]
 
 
 def run_experiment(cfg: ExperimentConfig, data_dir=None, workers=1,
                    ops_dir=None) -> ExperimentReport:
-    """Run the grid's cells one at a time; failed cells are reported, the rest still run.
+    """Plan each method's chunks, score them, then report every cell in grid order.
 
+    Failed cells are reported, the rest still run (see the module docstring).
     ``workers`` accepts only 1; it stays because the benchmark harness passes it.
     """
     _require(workers == 1, "workers", f"workers must be 1 (cells run serially), got {workers}")
     prepared = prepare_experiment(cfg, data_dir, ops_dir)
+    dataset = prepared.dataset
+    n, C = len(dataset.labels), dataset.num_classes
+    cells = [(level, seed) for level in cfg.noise_levels for seed in cfg.seeds]
     report = ExperimentReport(rows=[], failures=[])
-    solved = {}  # accuracies of this grid's chunks, see run_cell
     for method in cfg.methods:
-        for level in cfg.noise_levels:
-            for seed in cfg.seeds:
-                try:
-                    report.rows.append(run_cell(prepared, method, level, seed, solved))
-                except Exception as exc:
-                    report.failures.append(CellFailure(
-                        method, float(level), int(seed), f"{type(exc).__name__}: {exc}"))
+        # Each cell's owner: the first cell with its noisy labels, or itself.
+        first = {}
+        owner = {cell: first.setdefault(noise_name(dataset, *cell), cell)
+                 if method in _CLOSED_FORM else cell for cell in cells}
+        owners = list(dict.fromkeys(owner.values()))
+        size = len(owners)
+        if method in _CLOSED_FORM:
+            # As many sets as one block of columns holds, and at least one.
+            while size > 1 and len(column_blocks(n, C * size)) > 1:
+                size -= 1
+        results, seconds = {}, {}
+        for i in range(0, len(owners), size):
+            chunk = owners[i:i + size]
+            start = time.perf_counter()
+            results.update(zip(chunk, _score_chunk(prepared, method, chunk)))
+            seconds[chunk[0]] = time.perf_counter() - start
+        for level, seed in cells:
+            result = results[owner[level, seed]]
+            if isinstance(result, str):
+                report.failures.append(CellFailure(method, float(level), int(seed), result))
+            else:
+                report.rows.append(_row(cfg, method, level, seed, result,
+                                        seconds.get((level, seed), 0.0)))
     return report
 
 

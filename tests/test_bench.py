@@ -623,7 +623,7 @@ class TestClosedFormReuse:
         first, *looked_up = run_experiment(cfg).rows
         assert first.wall_time_seconds >= 0.3
         assert [row.seed for row in looked_up] == [1, 2]
-        assert all(row.wall_time_seconds < 0.3 for row in looked_up)
+        assert all(row.wall_time_seconds == 0.0 for row in looked_up)
 
     def test_cell_with_non_finite_labels_fails_alone(self, monkeypatch):
         # The chunk's training raises, so each cell trains alone: only the
@@ -651,6 +651,8 @@ class TestClosedFormReuse:
         assert [len(Ys) for _, _, Ys, *_ in trained] == [6] + [1] * 6
 
     def test_failed_solve_is_not_reused(self, monkeypatch):
+        # Each method's one set (every cell has the clean labels) is solved
+        # once, and its failure is reported for each of its cells.
         cfg = replace(SMALL, methods=("graph-ssl", "hypergraph-ssl"), seeds=(0, 1, 2),
                       solver=PropagationConfig(tol=1e-14, max_iter=1))
         solves = self.counting(monkeypatch, "propagate_labels")
@@ -658,8 +660,13 @@ class TestClosedFormReuse:
         assert not report.rows
         assert [(f.method, f.seed) for f in report.failures] \
             == [(m, s) for m in cfg.methods for s in cfg.seeds]
-        assert all(f.error.startswith("SolverError: ") for f in report.failures)
-        assert len(solves) == 6
+        assert len(solves) == 2
+        monkeypatch.undo()
+        prepared = prepare_experiment(cfg)
+        for failure in report.failures:
+            with pytest.raises(SolverError) as info:
+                run_cell(prepared, failure.method, failure.noise_level, failure.seed)
+            assert failure.error == f"SolverError: {info.value}"
 
     def test_set_that_cannot_converge_fails_only_its_cells(self, monkeypatch):
         # At max_iter 25 the graph-ssl set of (0.15, seed 0) needs 26
@@ -695,7 +702,7 @@ class TestClosedFormReuse:
         assert len(solves) == 1
         assert first.wall_time_seconds >= 0.3
         assert [row.seed for row in reused] == [1, 2]
-        assert all(row.wall_time_seconds < 0.3 for row in reused)
+        assert all(row.wall_time_seconds == 0.0 for row in reused)
         assert all(row.accuracy == first.accuracy for row in reused)
 
 
@@ -719,6 +726,29 @@ class TestConfigValidation:
     def test_empty_noise_levels(self):
         with pytest.raises(ConfigError, match="noise_levels must not be empty"):
             ExperimentConfig(dataset="synthetic", noise_levels=())
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"seeds": (0.5, 0.7)}, "seeds"),
+        ({"seeds": (0, 1.0)}, "seeds"),
+        ({"seeds": (True,)}, "seeds"),
+        ({"k": 2.5}, "k"),
+        ({"k": True}, "k"),
+        ({"pca_dims": 3.5}, "pca_dims"),
+        ({"subsample_size": 150.5}, "subsample_size"),
+        ({"subsample_size": np.float64(150)}, "subsample_size"),
+        ({"subsample_seed": 1.5}, "subsample_seed"),
+        ({"subsample_seed": False}, "subsample_seed"),
+    ])
+    def test_integer_setting_must_be_an_integer(self, kwargs, field):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(dataset="synthetic", **kwargs)
+        assert info.value.field == field
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = ExperimentConfig(dataset="synthetic", seeds=(np.int64(0), 1), k=np.int32(4),
+                               pca_dims=np.int64(3), subsample_size=np.int64(150),
+                               subsample_seed=np.uint8(2))
+        assert cfg.k == 4
 
 
 class TestResolvedSettings:

@@ -16,16 +16,17 @@ seed.  Two stored tables describe it:
   the solver's tolerance without a test failing here, but a change to the
   solve or to training shows up in them before it changes a label.
 
-A closed-form cell that solves solves its chunk, its own noisy label set
-side by side with the grid's next distinct unsolved sets of its method.
-Each set's scores are its own columns of the chunk's scores, and its entry
-is keyed by the set's owner: the first cell of the grid with those noisy
-labels.  Closed-form cells that reuse an earlier solve own no set and have
-no entry.  The first cell of a neural method trains the models of all its
-method's cells in one ``train`` call; each model's entry is keyed by its own
-cell.  Pooled models train at one BLAS thread, so the fingerprints' 1e-9
-covers them as it covers any other change of BLAS thread count.  Regenerate
-both tables with ``PYTHONPATH=src python tests/test_predictions.py``.
+The grid solves each closed-form method's distinct noisy label sets in
+chunks, side by side, in grid order.  Each set's scores are its own columns
+of the chunk's scores, and its entry is keyed by the set's owner: the first
+cell of the grid with those noisy labels.  Closed-form cells that reuse an
+earlier solve own no set and have no entry.  A neural method's cells are
+one chunk, whose models train in one ``train`` call; each model's entry is
+keyed by its own cell.  Each solve or training is credited to the first
+owner of the chunk that makes it.  Pooled models train at one BLAS thread,
+so the fingerprints' 1e-9 covers them as it covers any other change of BLAS
+thread count.  Regenerate both tables with
+``PYTHONPATH=src python tests/test_predictions.py``.
 
 The grid runs three times against the same tables: at the default block
 budget, where one block holds each closed-form method's 10 distinct sets (40
@@ -102,22 +103,22 @@ def smoke_grid_records(patch):
     """
     hashes, fingerprints = {}, {}
     label_cg = []  # per label solve, the widths of its CG calls
-    current = []  # (cell, method, dataset) of the cell that is running
+    current = []  # (first owner, method, dataset) of the chunk being scored
     owners = {}  # per closed-form method, the owners of its sets not yet solved
     untrained = {}  # per neural method, its cells whose models are not trained yet
     unscored = []  # the owners of solved sets and trained models not scored yet
 
-    def in_cell(run_cell):
-        def wrapped(prepared, method, level, seed, *args, **kwargs):
+    def in_chunk(score):
+        def wrapped(prepared, method, cells):
             if not owners:
                 owners.update(set_owners(prepared))
                 cfg = prepared.config
                 untrained.update((m, [cell_name(m, lv, s) for lv in cfg.noise_levels
                                       for s in cfg.seeds])
                                  for m in cfg.methods if m not in _CLOSED_FORM)
-            current.append((cell_name(method, level, seed), method, prepared.dataset))
+            current.append((cell_name(method, *cells[0]), method, prepared.dataset))
             try:
-                return run_cell(prepared, method, level, seed, *args, **kwargs)
+                return score(prepared, method, cells)
             finally:
                 current.pop()
         return wrapped
@@ -142,7 +143,7 @@ def smoke_grid_records(patch):
 
     def solving(conjugate_gradient):
         def wrapped(apply, B, *args, **kwargs):
-            if current and current[-1][1] in _CLOSED_FORM:  # a cell's label solve
+            if current and current[-1][1] in _CLOSED_FORM:  # a chunk's label solve
                 label_cg[-1].append(B.shape[1])
             return conjugate_gradient(apply, B, *args, **kwargs)
         return wrapped
@@ -155,7 +156,7 @@ def smoke_grid_records(patch):
             C = dataset.num_classes
             chunk = owners[method][:scores.shape[1] // C]
             del owners[method][:len(chunk)]
-            assert chunk[0] == cell, f"cell {cell} solved the set of {chunk[0]}"
+            assert chunk[0] == cell, f"the chunk of {cell} solved the set of {chunk[0]} first"
             for i, owner in enumerate(chunk):
                 # Row-major, as a solve of the set alone returns it: the norm
                 # sums the entries in memory order.
@@ -171,7 +172,7 @@ def smoke_grid_records(patch):
             cell, method, dataset = current[-1]
             chunk = untrained[method][:len(models)]
             del untrained[method][:len(chunk)]
-            assert chunk[0] == cell, f"cell {cell} trained the model of {chunk[0]}"
+            assert chunk[0] == cell, f"the chunk of {cell} trained the model of {chunk[0]} first"
             assert [int(owner.rsplit(",", 1)[1]) for owner in chunk] == list(seeds)
             for owner, params in zip(chunk, models):
                 logits = forward(op, x_prop, params).logits
@@ -183,7 +184,8 @@ def smoke_grid_records(patch):
             return models
         return wrapped
 
-    patch.setattr(hgssl.bench, "run_cell", in_cell(hgssl.bench.run_cell))
+    patch.setattr(hgssl.bench, "_solve_sets", in_chunk(hgssl.bench._solve_sets))
+    patch.setattr(hgssl.bench, "_train_cells", in_chunk(hgssl.bench._train_cells))
     patch.setattr(hgssl.bench, "decode_predictions",
                   decoded(hgssl.bench.decode_predictions))
     patch.setattr(hgssl.bench, "predict", predicted(hgssl.bench.predict))
