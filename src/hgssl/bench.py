@@ -52,7 +52,7 @@ from . import hypergraph as hg
 from .datasets import (ImageDataset, LabeledSplit, _absent_classes, check_blob_args,
                        load_idx_dataset, load_usps_dataset, stratified_subsample,
                        synthetic_blobs)
-from .errors import FormatError, SolverError, _require
+from .errors import FormatError, SolverError, _require, _require_int
 from .labels import accuracy, decode_predictions, encode_labels, inject_noise, noise_name
 from .linalg import column_blocks
 from .network import TrainConfig, predict, train
@@ -141,34 +141,24 @@ class ExperimentConfig:
                      f"{', '.join(DATASET_FILES[self.dataset]) or 'none'}")
         for name in ("methods", "noise_levels", "seeds"):
             values = getattr(self, name)
+            _require(isinstance(values, (tuple, list)), name,
+                     f"{name} must be a tuple or list, got {values!r}")
             _require(bool(values), name, f"{name} must not be empty")
             for i, value in enumerate(values):
                 _require(value not in values[:i], name,
                          f"{name} lists {value!r} more than once")
         for seed in self.seeds:
-            _require(_is_int(seed) and seed >= 0, "seeds",
-                     f"seeds must be non-negative integers, got {seed!r}")
+            _require_int(seed, "seeds", 0, "non-negative integers")
         for method in self.methods:
             _require(method in METHODS, "methods",
                      f"unknown method {method!r}; known: {', '.join(METHODS)}")
         for level in self.noise_levels:
             _require(0.0 <= level < 1.0, "noise_levels", f"noise level {level} outside [0, 1)")
-        _require(self.pca_dims is None or _is_int(self.pca_dims) and self.pca_dims >= 1,
-                 "pca_dims",
-                 f"pca_dims must be a positive integer or none, got {self.pca_dims!r}")
-        _require(_is_int(self.k) and self.k >= 1, "k",
-                 f"k must be a positive integer, got {self.k!r}")
-        _require(self.subsample_size is None
-                 or _is_int(self.subsample_size) and self.subsample_size >= 1,
-                 "subsample_size", f"subsample_size must be a positive integer or none, "
-                                   f"got {self.subsample_size!r}")
-        _require(_is_int(self.subsample_seed) and self.subsample_seed >= 0, "subsample_seed",
-                 f"subsample_seed must be a non-negative integer, got {self.subsample_seed!r}")
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        for name in ("pca_dims", "subsample_size"):
+            if getattr(self, name) is not None:
+                _require_int(getattr(self, name), name, 1, "a positive integer or none")
+        _require_int(self.k, "k", 1, "a positive integer")
+        _require_int(self.subsample_seed, "subsample_seed", 0, "a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,9 @@ def resolve_dataset_paths(name, explicit, data_dir=None):
 
     ``data_dir`` defaults to $HGSSL_DATA_DIR, then ``data``.  An empty one
     would put the canonical names under the working directory, so it raises
-    ``ConfigError`` unless every path is explicit.
+    ``ConfigError`` unless every path is explicit.  A ``Path`` is taken as
+    given: pathlib makes ``Path("") == Path(".")``, so only the string ``""``
+    can be told apart and rejected.
     """
     source = "data_dir (--data-dir)"
     if data_dir is None:
@@ -246,7 +238,7 @@ def operator_cache_key(cfg: ExperimentConfig, X: np.ndarray) -> str:
     """Hex sha256 of the prepared features and every setting the operators depend on."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     digest = hashlib.sha256(
-        repr((hg.CACHE_VERSION, X.shape, cfg.k)).encode())
+        repr((hg.CACHE_VERSION, X.shape, int(cfg.k))).encode())
     digest.update(X.data)
     return digest.hexdigest()
 

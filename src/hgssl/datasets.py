@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, _require
+from .errors import FormatError, _require, _require_int
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
@@ -274,11 +274,11 @@ def check_blob_args(n, num_classes, dim, spread, seed):
     Errors name the ``[dataset]`` config key (``classes`` for ``num_classes``),
     so ``SyntheticSpec`` applies the same rules before any data is made.
     """
-    _require(num_classes >= 2, "classes", f"classes must be at least 2, got {num_classes}")
-    _require(n >= num_classes, "n", f"n must be at least classes ({num_classes}), got {n}")
-    _require(dim >= 1, "dim", f"dim must be a positive integer, got {dim}")
+    _require_int(num_classes, "classes", 2, "at least 2 (an integer)")
+    _require_int(n, "n", num_classes, f"an integer of at least classes ({num_classes})")
+    _require_int(dim, "dim", 1, "a positive integer")
     _require(0 < spread < np.inf, "spread", f"spread must be positive and finite, got {spread}")
-    _require(seed >= 0, "seed", f"seed must be a non-negative integer, got {seed}")
+    _require_int(seed, "seed", 0, "a non-negative integer")
 
 
 def synthetic_blobs(n: int, num_classes: int, dim: int, spread: float,

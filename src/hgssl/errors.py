@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ShapeError(ValueError):
     """Operands have incompatible dimensions."""
@@ -67,3 +69,9 @@ def _require(ok: bool, field_name: str, message: str):
     """The one way a config class states a rule: raise ConfigError naming the field."""
     if not ok:
         raise ConfigError(message, field=field_name)
+
+
+def _require_int(value, field_name: str, low: int, rule: str):
+    """The one integer rule: a Python or numpy integer (not a bool) of at least ``low``."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+             and value >= low, field_name, f"{field_name} must be {rule}, got {value!r}")

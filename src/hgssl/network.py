@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NumericalError, _require
+from .errors import NumericalError, _require_int
 from .hypergraph import PropagationOperator
 from .labels import decode_predictions, row_indices
 from .linalg import as_dense
@@ -90,10 +90,8 @@ class TrainConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        _require(self.hidden >= 1, "hidden",
-                 f"hidden must be a positive integer, got {self.hidden}")
-        _require(self.epochs >= 1, "epochs",
-                 f"epochs must be a positive integer, got {self.epochs}")
+        _require_int(self.hidden, "hidden", 1, "a positive integer")
+        _require_int(self.epochs, "epochs", 1, "a positive integer")
 
 
 @dataclass

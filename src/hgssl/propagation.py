@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, _require
+from .errors import SolverError, _require, _require_int
 from .hypergraph import PropagationOperator
 from .linalg import as_dense, check_out, column_blocks, conjugate_gradient
 
@@ -31,8 +31,7 @@ class PropagationConfig:
         # or more would accept x = 0.
         _require(0.0 < self.tol < 1.0, "tol",
                  f"tol must be positive and below 1, got {self.tol}")
-        _require(self.max_iter >= 1, "max_iter",
-                 f"max_iter must be a positive integer, got {self.max_iter}")
+        _require_int(self.max_iter, "max_iter", 1, "a positive integer")
 
 
 def _solve_columns(op: PropagationOperator, B: np.ndarray,

@@ -49,6 +49,11 @@ SMALL = ExperimentConfig(
 )
 
 
+# The config class that owns each field; no two classes share a field name.
+CONFIG_CLASSES = {f.name: cls for cls in (ExperimentConfig, SyntheticSpec, TrainConfig,
+                                          PropagationConfig) for f in fields(cls)}
+
+
 def strip_time(row: ResultRow):
     return (row.dataset, row.method, row.noise_level, row.seed,
             row.accuracy, row.pca_used)
@@ -134,6 +139,12 @@ class TestRunExperiment:
         fresh = build_operators(seed9, X)["hg_sym"].matrix
         assert (cached != fresh).nnz == 0
         assert len(list(ops_dir.glob("*.hgop"))) == 3
+
+    def test_operator_cache_key_ignores_integer_type(self):
+        X = np.arange(12.0).reshape(4, 3)
+        key = operator_cache_key(SMALL, X)
+        assert operator_cache_key(replace(SMALL, k=np.int64(SMALL.k)), X) == key
+        assert operator_cache_key(replace(SMALL, k=np.int32(SMALL.k)), X) == key
 
     def test_graph_operators_share_one_adjacency(self, monkeypatch):
         cfg = replace(SMALL, methods=("graph-ssl", "gcn"))
@@ -738,10 +749,24 @@ class TestConfigValidation:
         ({"subsample_size": np.float64(150)}, "subsample_size"),
         ({"subsample_seed": 1.5}, "subsample_seed"),
         ({"subsample_seed": False}, "subsample_seed"),
+        ({"seeds": 5}, "seeds"),
+        ({"noise_levels": 0.3}, "noise_levels"),
+        ({"n": 300.5}, "n"),
+        ({"seed": 1.5}, "seed"),
+        ({"classes": 3.0}, "classes"),
+        ({"dim": True}, "dim"),
+        ({"hidden": 16.5}, "hidden"),
+        ({"hidden": True}, "hidden"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"max_iter": 2.5}, "max_iter"),
     ])
     def test_integer_setting_must_be_an_integer(self, kwargs, field):
+        # The field picks its config class, which keeps each case's id short.
+        config = CONFIG_CLASSES[field]
+        if config is ExperimentConfig:
+            kwargs = {"dataset": "synthetic", **kwargs}
         with pytest.raises(ConfigError) as info:
-            ExperimentConfig(dataset="synthetic", **kwargs)
+            config(**kwargs)
         assert info.value.field == field
 
     def test_numpy_integer_settings_accepted(self):
@@ -749,6 +774,11 @@ class TestConfigValidation:
                                pca_dims=np.int64(3), subsample_size=np.int64(150),
                                subsample_seed=np.uint8(2))
         assert cfg.k == 4
+        spec = SyntheticSpec(n=np.int64(30), classes=np.int32(3), dim=np.uint8(4),
+                             seed=np.int64(2))
+        assert spec.n == 30
+        assert TrainConfig(hidden=np.int64(8), epochs=np.int16(2)).epochs == 2
+        assert PropagationConfig(max_iter=np.int64(4)).max_iter == 4
 
 
 class TestResolvedSettings:
