@@ -43,7 +43,6 @@ sooner than two in a row.  A pooled model's parameters are those of the same
 model trained alone at one BLAS thread, bit for bit.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,19 +219,19 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Ys, labeled,
     stopping.  When ``log_stream`` is given (a one-model call only), one CSV
     line per epoch (epoch, loss, train_accuracy) is written to it.
 
-    The models run in ``min(linalg._cores(), len(seeds))`` threads, started
-    by ``linalg._in_threads`` as CG's column groups are; the calling thread
-    is one of them, and each thread trains the next untrained model until
-    none are left.  While two or more threads run, numpy's bundled
-    OpenBLAS is held at one thread (``linalg._BLAS_THREADS``) and its count
-    is restored before the call returns or raises.  A pooled model's
-    parameters are then those of the same model trained alone at one BLAS
-    thread, bit for bit, whatever the CPU count.  One model, one CPU, or a
-    BLAS whose thread count cannot be set trains the models one after
-    another at the current BLAS thread count.  Once a model raises, no thread
-    starts another; every thread is joined, and the lowest-numbered model's
-    error is raised.  Each running model holds its own n x hidden
-    activations.
+    The models run in ``T = min(linalg._cores(), len(seeds))`` threads,
+    started by ``linalg._in_threads`` as CG's column groups are: thread t
+    (the calling thread is thread 0) trains models t, t + T, ... in turn.
+    While T >= 2, numpy's bundled OpenBLAS is held at one thread
+    (``linalg._BLAS_THREADS``) and its count is restored before the call
+    returns or raises, so a pooled model's parameters are those of the same
+    model trained alone at one BLAS thread, bit for bit.  One model, one
+    CPU, or a BLAS whose thread count cannot be set gives T = 1: the calling
+    thread alone, at the current BLAS thread count.  Once a model raises, no
+    model numbered above it starts or begins another epoch, and the
+    lowest-numbered model's error is raised; an exception that is not an
+    ``Exception`` (``KeyboardInterrupt``, say) stops every model.  Each
+    running model holds its own n x hidden activations.
     """
     x_prop = as_dense(x_prop)
     n = x_prop.shape[0]
@@ -246,45 +245,44 @@ def train(op: PropagationOperator, x_prop: np.ndarray, Ys, labeled,
         raise ValueError(f"log_stream needs a one-model call, got {len(seeds)} models")
     labeled = row_indices(labeled, n)
 
-    def fit(i):
-        return _train_one(op, x_prop, Ys[i], labeled, cfg, seeds[i], log_stream)
-
-    threads = min(linalg._cores(), len(seeds))
-    if threads < 2 or linalg._BLAS_THREADS is None:
-        return [fit(i) for i in range(len(seeds))]
-
     models = [None] * len(seeds)
-    failures = {}
-    pending, lock = iter(range(len(seeds))), threading.Lock()
+    failures = [None] * len(seeds)  # each written only by its model's thread
 
-    def run(_):
-        while True:
-            with lock:
-                i = None if failures else next(pending, None)
-            if i is None:
+    def stopped(i):
+        """Whether model i is not to start or go on, for another model's failure."""
+        return any(exc is not None and (j < i or not isinstance(exc, Exception))
+                   for j, exc in enumerate(failures))
+
+    def run(t):
+        for i in range(t, len(seeds), threads):
+            if stopped(i):
                 return
             try:
-                models[i] = fit(i)
+                models[i] = _train_one(op, x_prop, Ys[i], labeled, cfg, seeds[i],
+                                       log_stream, lambda: stopped(i))
             except BaseException as exc:  # raised again in the calling thread
-                with lock:
-                    failures[i] = exc
+                failures[i] = exc
 
-    set_blas_threads, get_blas_threads = linalg._BLAS_THREADS
-    blas_threads = get_blas_threads()
-    set_blas_threads(1)
+    threads = 1 if linalg._BLAS_THREADS is None else max(1, min(linalg._cores(), len(seeds)))
+    if threads > 1:
+        set_blas_threads, get_blas_threads = linalg._BLAS_THREADS
+        blas_threads = get_blas_threads()
+        set_blas_threads(1)
     try:
         linalg._in_threads(run, threads)
     finally:
-        set_blas_threads(blas_threads)
-    if failures:
-        raise failures[min(failures)]
+        if threads > 1:
+            set_blas_threads(blas_threads)
+    for exc in failures:
+        if exc is not None:
+            raise exc
     return models
 
 
 def _train_one(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray,
                labeled: np.ndarray, cfg: TrainConfig, seed: int,
-               log_stream) -> TwoLayerParams:
-    """One model of ``train``, on inputs it has already checked."""
+               log_stream, stopped) -> TwoLayerParams:
+    """One model of ``train``, on checked inputs, cut short once ``stopped()`` is true."""
     params = init_params(x_prop.shape[1], cfg.hidden, Y.shape[1], seed)
     thetas = (params.theta1, params.theta2)
 
@@ -298,6 +296,8 @@ def _train_one(op: PropagationOperator, x_prop: np.ndarray, Y: np.ndarray,
         target_ids = np.argmax(Y[labeled], axis=1)
 
     for epoch in range(1, cfg.epochs + 1):
+        if stopped():
+            break
         trace = forward(op, x_prop, params)
         loss, grads = _loss_and_gradients(trace, Y, labeled, params, WEIGHT_DECAY)
         if not np.isfinite(loss):

@@ -511,14 +511,59 @@ def recording_models(monkeypatch, before=None):
     started = []
     train_one = hgssl.network._train_one
 
-    def recorded(op, x_prop, Y, labeled, cfg, seed, log_stream):
+    def recorded(op, x_prop, Y, labeled, cfg, seed, log_stream, stopped):
         started.append((seed, threading.get_ident(), BLAS[1]() if BLAS else None))
         if before is not None:
             before(seed)
-        return train_one(op, x_prop, Y, labeled, cfg, seed, log_stream)
+        return train_one(op, x_prop, Y, labeled, cfg, seed, log_stream, stopped)
 
     monkeypatch.setattr(hgssl.network, "_train_one", recorded)
     return started
+
+
+def counting_epochs(monkeypatch, failing, error=None):
+    """Count each model's forward passes (its epochs begun) in a 2-thread pool.
+
+    Model ``failing`` raises ``error`` at its first forward pass, or fails by
+    itself when ``error`` is None, once another model has reached its first
+    forward pass.  The other models' forward passes wait until model
+    ``failing`` has raised, so the counts show how many epochs they begin
+    after it, however the threads are scheduled.  The seeds must be the model
+    numbers.
+    """
+    pooled(monkeypatch, 2)
+    epochs, model = {}, threading.local()
+    running, failed = threading.Event(), threading.Event()
+    train_one, forward = hgssl.network._train_one, hgssl.network.forward
+
+    def counted_train_one(*args):
+        model.seed = args[5]  # _train_one's seed
+        epochs[model.seed] = 0
+        try:
+            return train_one(*args)
+        except BaseException:
+            if model.seed == failing:
+                failed.set()
+            raise
+
+    def counted_forward(*args):
+        if model.seed != failing:
+            running.set()
+            assert failed.wait(timeout=30), f"model {failing} never raised"
+        else:
+            assert running.wait(timeout=30), "no other model started"
+            if error is not None:
+                raise error
+        epochs[model.seed] += 1
+        return forward(*args)
+
+    monkeypatch.setattr(hgssl.network, "_train_one", counted_train_one)
+    monkeypatch.setattr(hgssl.network, "forward", counted_forward)
+    return epochs
+
+
+class Interrupt(BaseException):
+    """Not an ``Exception``, as ``KeyboardInterrupt`` and ``SystemExit`` are not."""
 
 
 def assert_same_params(a, b):
@@ -590,9 +635,43 @@ class TestPool:
         assert {seed for seed, *_ in started} <= {0, 1, 2}
 
     @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
+    def test_failed_model_stops_the_models_after_it_within_an_epoch(self, monkeypatch):
+        # Model 0's NaN label fails it at epoch 1 in the calling thread.
+        # Model 1, in the other thread, returns at its next epoch, so it
+        # begins at most the epoch it was waiting in and one more; models 2
+        # and 3 never start.  Each model would otherwise run all 200 epochs.
+        op, x_prop, Ys, rows = pool_instance(4)
+        Ys[0][rows[0], 0] = np.nan
+        epochs = counting_epochs(monkeypatch, failing=0)
+        with pytest.raises(NumericalError, match="^non-finite loss at epoch 1$"):
+            train(op, x_prop, Ys, rows, TrainConfig(hidden=8, epochs=200),
+                  seeds=[0, 1, 2, 3])
+        assert epochs.keys() == {0, 1}
+        assert epochs[0] == 1 and epochs[1] <= 2
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
+    def test_interrupt_stops_every_model_within_an_epoch(self, monkeypatch):
+        # Model 1 raises something that is not an Exception; model 0, below
+        # it, stops too, and the BLAS thread count is restored.
+        op, x_prop, Ys, rows = pool_instance(4)
+        epochs = counting_epochs(monkeypatch, failing=1, error=Interrupt())
+        set_threads, get_threads = BLAS
+        threads = get_threads()
+        set_threads(2)
+        try:
+            with pytest.raises(Interrupt):
+                train(op, x_prop, Ys, rows, TrainConfig(hidden=8, epochs=200),
+                      seeds=[0, 1, 2, 3])
+            assert get_threads() == 2
+        finally:
+            set_threads(threads)
+        assert epochs.keys() == {0, 1}
+        assert epochs[0] <= 2 and epochs[1] == 0
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy's BLAS thread count cannot be set")
     def test_each_model_trained_once_by_more_threads_than_cores(self, monkeypatch):
         # Threads switch every microsecond, so a model taken twice or never
-        # (an unlocked take from the shared queue) would show.
+        # (a thread stepping through the models by the wrong stride) would show.
         models = 24
         op, x_prop, Ys, rows = pool_instance(models, n=20, width=3)
         cfg = TrainConfig(hidden=2, epochs=3)
